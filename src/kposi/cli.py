@@ -25,7 +25,7 @@ import numpy as np
 from .compound import mult_compound, wedge
 from .cyclic import CyclicSpec, analyze_cyclic, build_cyclic
 from .errors import CapacityError, DomainError, NumericError, PreconditionError
-from .matcore import pd_tol, zero_tol
+from .matcore import compound_size, pd_tol, zero_tol
 from .nonlinear import (
     NonlinearSystem,
     ScalarMap,
@@ -33,6 +33,7 @@ from .nonlinear import (
     lyapunov_decrement_report,
     simulate,
     wedge_trajectory,
+    write_csv,
 )
 from .signreg import NONE, classify_sign_regularity
 from .stability import (
@@ -288,11 +289,7 @@ def _cmd_cyclic(args) -> int:
 def _cmd_simulate(args) -> int:
     sys_, _ = _load_system(args.system)
     res = simulate(sys_, np.asarray(args.x0, dtype=float), args.steps)
-    writer_rows = res.states
-    out = sys.stdout
-    out.write("j," + ",".join(f"x{i + 1}" for i in range(sys_.n)) + "\n")
-    for j, row in enumerate(writer_rows):
-        out.write(str(j) + "," + ",".join(f"{v:.17g}" for v in row) + "\n")
+    write_csv(sys.stdout, [f"x{i + 1}" for i in range(sys_.n)], res.states)
     if res.exit_step is not None:
         sys.stderr.write(
             f"trajectory left the state domain at step {res.exit_step}; output truncated\n"
@@ -330,7 +327,7 @@ def _cmd_wedge_sim(args) -> int:
             "compound_spectral_radius": result.compound_spectral_radius,
         }
     else:
-        d = np.ones(mult_compound(sys_.A, args.k).shape[0])
+        d = np.ones(compound_size(args.k, sys_.n))
     traj = wedge_trajectory(sys_, args.k, initials, d, args.steps, tol=args.tol)
     export_trajectory_csv(traj, sys.stdout, include_states=args.include_states)
     rep = lyapunov_decrement_report(traj, args.tol)

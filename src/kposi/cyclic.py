@@ -17,7 +17,7 @@ import numpy as np
 from .compound import mult_compound
 from .errors import NumericError, PreconditionError
 from .matcore import spectral_report, zero_tol
-from .signreg import ALL_ZERO, SR, SSR, SignClass, classify_sign_regularity
+from .signreg import ALL_ZERO, SR, SSR, SignClass, _classify_minors
 from .stability import is_schur
 
 
@@ -86,7 +86,8 @@ def analyze_cyclic(spec: CyclicSpec, tol: float | None = None) -> CyclicAnalysis
             f"analysis needs 1 <= ell <= n-1, got ell={spec.ell}, n={spec.n}"
         )
     A = build_cyclic(spec)
-    sc = classify_sign_regularity(A, spec.ell, tol)
+    M = mult_compound(A, spec.ell)
+    sc = _classify_minors(M, spec.ell, A.shape, tol)
     acceptable = sc.verdict == ALL_ZERO or (sc.verdict in (SR, SSR) and sc.signature == 1)
     if not acceptable:
         raise NumericError(
@@ -94,7 +95,7 @@ def analyze_cyclic(spec: CyclicSpec, tol: float | None = None) -> CyclicAnalysis
             f"(verdict {sc.verdict}, signature {sc.signature}); this contradicts "
             "the structural nonnegativity of cyclic minors"
         )
-    rho = spectral_report(mult_compound(A, spec.ell)).spectral_radius
+    rho = spectral_report(M).spectral_radius
     ell_diag_stable = rho < 1.0 - zero_tol(tol)
     if spec.ell % 2 == 1:
         nonneg = bool(np.min(A) >= 0.0)

@@ -113,7 +113,12 @@ class LexIndexSet:
         return np.asarray(self.indices, dtype=np.intp) - 1
 
 
-def _guard_capacity(k: int, n: int) -> int:
+def compound_size(k: int, n: int) -> int:
+    """C(n, k), the order of the k-th compound of an n x n matrix.
+
+    Raises CapacityError beyond CAPACITY_LIMIT, before anything of that
+    size is built.
+    """
     r = math.comb(n, k)
     if r > CAPACITY_LIMIT:
         raise CapacityError(
@@ -126,7 +131,7 @@ def lex_index_sets(k: int, n: int) -> list[LexIndexSet]:
     """All k-subsets of [1, n] in lexicographic order (length C(n, k))."""
     if not 1 <= k <= n:
         raise DomainError(f"order k={k} must satisfy 1 <= k <= n={n}")
-    _guard_capacity(k, n)
+    compound_size(k, n)
     return [LexIndexSet(n, c) for c in combinations(range(1, n + 1), k)]
 
 
@@ -134,7 +139,7 @@ def lex_array(k: int, n: int) -> np.ndarray:
     """0-based (C(n,k), k) index array in the same lexicographic order."""
     if not 1 <= k <= n:
         raise DomainError(f"order k={k} must satisfy 1 <= k <= n={n}")
-    _guard_capacity(k, n)
+    compound_size(k, n)
     return np.array(list(combinations(range(n), k)), dtype=np.intp)
 
 

@@ -10,12 +10,12 @@ simulated trajectories, which is what the trajectory tools measure.
 from __future__ import annotations
 
 import csv
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from itertools import product
 
 import numpy as np
 
-from .compound import mult_compound, wedge
+from .compound import mult_compound
 from .errors import CapacityError, DomainError, NumericError, PreconditionError
 from .matcore import (
     LexIndexSet,
@@ -54,6 +54,17 @@ class ScalarMap:
     c: float = 1.0
     p: float = 1.0
     points: tuple[tuple[float, float], ...] | None = None
+    # TABLE breakpoints as arrays (xs, ys), then their mirror: -xs and -ys
+    # reversed, which is increasing again.
+    _table: tuple[np.ndarray, ...] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        if self.points is not None:
+            xs = np.array([z for z, _ in self.points])
+            ys = np.array([v for _, v in self.points])
+            object.__setattr__(self, "_table", (xs, ys, -xs[::-1], -ys[::-1]))
 
     @classmethod
     def identity(cls) -> "ScalarMap":
@@ -84,9 +95,12 @@ class ScalarMap:
             else:
                 out = np.sign(s) * np.abs(s) ** self.p
         elif self.kind == TABLE:
-            xs = np.array([z for z, _ in self.points])
-            ys = np.array([v for _, v in self.points])
-            out = np.interp(s, xs, ys)
+            # np.interp works from the breakpoint left of its argument.  For
+            # z < 0 that is the one farther from 0, and its rounding (about
+            # eps times the spacing) swamps a small phi(z); the mirrored
+            # table starts from the breakpoint nearer 0 instead.
+            xs, ys, mxs, mys = self._table
+            out = np.where(s < 0.0, -np.interp(-s, mxs, mys), np.interp(s, xs, ys))
         else:
             raise DomainError(f"unknown scalar map kind {self.kind!r}")
         return out if out.ndim else float(out)
@@ -158,7 +172,11 @@ class NonlinearSystem:
         return self.A.shape[0]
 
 
-def _check_in_domain(sys: NonlinearSystem, x: np.ndarray, name: str) -> None:
+def _as_state(sys: NonlinearSystem, a, name: str) -> np.ndarray:
+    """Coerce `a` to a state in S^n, naming it in any error."""
+    x = as_vector(a, name)
+    if x.size != sys.n:
+        raise DomainError(f"{name} has dimension {x.size}, system expects {sys.n}")
     lo, hi = sys.domain
     bad = np.nonzero((x < lo) | (x > hi))[0]
     if bad.size:
@@ -166,6 +184,7 @@ def _check_in_domain(sys: NonlinearSystem, x: np.ndarray, name: str) -> None:
         raise DomainError(
             f"{name}[{i + 1}] = {x[i]} lies outside the state domain [{lo}, {hi}]"
         )
+    return x
 
 
 def _apply_phi(sys: NonlinearSystem, x: np.ndarray) -> np.ndarray:
@@ -177,11 +196,7 @@ def _apply_phi(sys: NonlinearSystem, x: np.ndarray) -> np.ndarray:
 
 def eval_phi(sys: NonlinearSystem, x) -> np.ndarray:
     """Apply phi componentwise to a state in S^n."""
-    x = as_vector(x, "x")
-    if x.size != sys.n:
-        raise DomainError(f"state has dimension {x.size}, system expects {sys.n}")
-    _check_in_domain(sys, x, "x")
-    return _apply_phi(sys, x)
+    return _apply_phi(sys, _as_state(sys, x, "x"))
 
 
 @dataclass(frozen=True)
@@ -197,28 +212,34 @@ class SimResult:
     exit_step: int | None
 
 
+def _iterate(sys: NonlinearSystem, starts: dict, steps: int) -> tuple[np.ndarray, int | None]:
+    """Iterate x(j+1) = A phi(x(j)) from every start (name -> x0) at once.
+
+    Returns the (T+1, m, n) states and the first step T at which any start
+    left S^n (kept as the last row, iteration stops there), or None.
+    """
+    x = np.array([_as_state(sys, a, name) for name, a in starts.items()])
+    if steps < 0:
+        raise DomainError("steps must be nonnegative")
+    lo, hi = sys.domain
+    rows = [x]
+    for j in range(steps):
+        # A @ p per start, written so each row rounds exactly as A @ p does
+        x = (sys.A @ _apply_phi(sys, x)[..., None])[..., 0]
+        rows.append(x)
+        if np.any(x < lo) or np.any(x > hi):
+            return np.array(rows), j + 1
+    return np.array(rows), None
+
+
 def simulate(sys: NonlinearSystem, x0, steps: int) -> SimResult:
     """Iterate x(j+1) = A phi(x(j)) for `steps` steps from x0 in S^n.
 
     Leaving the domain is a reported truncation, not an error: invariance
     of S^n depends on (A, phi, S) and is not guaranteed in general.
     """
-    x = as_vector(x0, "x0")
-    if x.size != sys.n:
-        raise DomainError(f"x0 has dimension {x.size}, system expects {sys.n}")
-    _check_in_domain(sys, x, "x0")
-    if steps < 0:
-        raise DomainError("steps must be nonnegative")
-    lo, hi = sys.domain
-    rows = [x.copy()]
-    exit_step = None
-    for j in range(steps):
-        x = sys.A @ _apply_phi(sys, x)
-        rows.append(x.copy())
-        if np.any(x < lo) or np.any(x > hi):
-            exit_step = j + 1
-            break
-    return SimResult(states=np.array(rows), exit_step=exit_step)
+    run, exit_step = _iterate(sys, {"x0": x0}, steps)
+    return SimResult(states=run[:, 0], exit_step=exit_step)
 
 
 @dataclass(frozen=True)
@@ -362,56 +383,51 @@ def wedge_trajectory(
 ) -> WedgeTrajectory:
     """Simulate k initial conditions and track wedge and Lyapunov series.
 
-    y(j) is computed directly as the wedge of the k simulated states and
-    cross-checked each step against the compound recursion
-    y(j+1) = A^(k) wedge(phi(x(j, a^1)), ..., phi(x(j, a^k))); a relative
-    disagreement beyond 1e-9 raises NumericError.
+    The k runs stop together at the first exit from S^n.  Every y(j) is
+    cross-checked against the compound recursion y(j) = A^(k)
+    wedge(phi(x(j-1, a^1)), ..., phi(x(j-1, a^k))).  A disagreement beyond
+    1e-9 times the larger rounding scale of the two sides, Hadamard's
+    bound prod_i ||x(j, a^i)|| and max(|A^(k)| |wedge(phi(...))|), raises
+    NumericError, however small the wedge.
     """
     n = sys.n
     if not 1 <= k <= n:
         raise DomainError(f"order k={k} must satisfy 1 <= k <= n={n}")
-    inits = [as_vector(a, f"initials[{i}]") for i, a in enumerate(initials)]
-    if len(inits) != k:
-        raise DomainError(f"need exactly k={k} initial conditions, got {len(inits)}")
+    starts = {f"initials[{i}]": a for i, a in enumerate(initials)}
+    if len(starts) != k:
+        raise DomainError(f"need exactly k={k} initial conditions, got {len(starts)}")
     d = diag_entries(D, "D")
     Ak = mult_compound(sys.A, k)
     if d.size != Ak.shape[0]:
         raise PreconditionError(
             f"D has {d.size} entries but the order-{k} compound is {Ak.shape[0]}x{Ak.shape[0]}"
         )
-    runs = [simulate(sys, a, steps) for a in inits]
-    n_steps = min(r.states.shape[0] for r in runs) - 1
-    exit_steps = [r.exit_step for r in runs if r.exit_step is not None]
-    exit_step = min(exit_steps) if exit_steps else None
-    states = np.array([r.states[: n_steps + 1] for r in runs])
+    run, exit_step = _iterate(sys, starts, steps)
 
-    t = zero_tol(tol)
-    y_rows = []
-    v_rows = []
-    increases: list[int] = []
-    for j in range(n_steps + 1):
-        y = wedge(states[:, j, :]).coords
-        if j > 0:
-            phis = np.array([_apply_phi(sys, states[i, j - 1]) for i in range(k)])
-            y_rec = Ak @ wedge(phis).coords
-            err = float(np.max(np.abs(y - y_rec)))
-            if err > _RECURSION_RTOL * max(1.0, float(np.max(np.abs(y)))):
-                raise NumericError(
-                    f"wedge recursion disagrees with direct wedge at step {j} (err {err:.3g})"
-                )
-        v = float(np.dot(y * d, y))
-        if j > 0 and v > v_rows[-1] + t:
-            increases.append(j)
-        y_rows.append(y)
-        v_rows.append(v)
+    y = _wedge_coords_batch(run, k, n)
+    w_phi = _wedge_coords_batch(_apply_phi(sys, run[:-1]), k, n)
+    err = np.max(np.abs(y[1:] - w_phi @ Ak.T), axis=1)
+    scale = np.maximum(
+        np.prod(np.linalg.norm(run[1:], axis=2), axis=1),
+        np.max(np.abs(w_phi) @ np.abs(Ak).T, axis=1),
+    )
+    bad = np.nonzero(err > _RECURSION_RTOL * scale)[0]
+    if bad.size:
+        j = int(bad[0])
+        raise NumericError(
+            f"wedge recursion disagrees with direct wedge at step {j + 1} "
+            f"(err {err[j]:.3g}, scale {scale[j]:.3g})"
+        )
+    # Row by row this rounds exactly as np.dot(y * d, y).
+    v = ((y * d)[:, None, :] @ y[:, :, None])[:, 0, 0]
     return WedgeTrajectory(
         k=k,
-        initials=np.array(inits),
-        states=states,
-        y_series=np.array(y_rows),
-        v_series=np.array(v_rows),
+        initials=run[0],
+        states=run.swapaxes(0, 1),
+        y_series=y,
+        v_series=v,
         d_used=d,
-        v_increase_steps=tuple(increases),
+        v_increase_steps=tuple((np.nonzero(np.diff(v) > zero_tol(tol))[0] + 1).tolist()),
         exit_step=exit_step,
     )
 
@@ -445,20 +461,25 @@ def lyapunov_decrement_report(traj: WedgeTrajectory, tol: float | None = None) -
     )
 
 
+def write_csv(fp, columns: list[str], rows) -> None:
+    """CSV with header j,<columns>, one numbered line per row of floats.
+
+    Floats carry 17 significant digits, so they re-ingest bit-identically.
+    """
+    writer = csv.writer(fp, lineterminator="\n")
+    writer.writerow(["j", *columns])
+    writer.writerows([str(j), *(f"{v:.17g}" for v in row)] for j, row in enumerate(rows))
+
+
 def export_trajectory_csv(traj: WedgeTrajectory, fp, include_states: bool = False) -> None:
     """Write the trajectory as CSV with header j,V (17 significant digits).
 
     With include_states, per-trajectory state columns x{i}_{coord} are
     appended after V.
     """
-    writer = csv.writer(fp, lineterminator="\n")
-    header = ["j", "V"]
-    k, _, n = traj.states.shape
+    k, rows, n = traj.states.shape
+    columns, table = ["V"], traj.v_series[:, None]
     if include_states:
-        header += [f"x{i + 1}_{c + 1}" for i in range(k) for c in range(n)]
-    writer.writerow(header)
-    for j, v in enumerate(traj.v_series):
-        row = [str(j), f"{v:.17g}"]
-        if include_states:
-            row += [f"{traj.states[i, j, c]:.17g}" for i in range(k) for c in range(n)]
-        writer.writerow(row)
+        columns += [f"x{i + 1}_{c + 1}" for i in range(k) for c in range(n)]
+        table = np.column_stack([table, traj.states.swapaxes(0, 1).reshape(rows, k * n)])
+    write_csv(fp, columns, table)

@@ -113,10 +113,14 @@ def classify_sign_regularity(A, k: int, tol: float | None = None) -> SignClass:
     "ALL_ZERO" when every minor vanishes, "NONE" on a strict sign conflict.
     """
     A = as_matrix(A)
+    return _classify_minors(minor_table(A, k), k, A.shape, tol)
+
+
+def _classify_minors(minors: np.ndarray, k: int, shape: tuple[int, int], tol) -> SignClass:
+    """classify_sign_regularity on an already-built table of the k-minors of a `shape` matrix."""
     t = zero_tol(tol)
-    minors = minor_table(A, k)
-    rows = lex_index_sets(k, A.shape[0])
-    cols = lex_index_sets(k, A.shape[1])
+    rows = lex_index_sets(k, shape[0])
+    cols = lex_index_sets(k, shape[1])
 
     band = t * max(1.0, float(np.max(np.abs(minors))))
     flat = minors.ravel()

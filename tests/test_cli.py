@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from kposi import compound, minor_table
 from kposi.cli import matrix_document, parse_matrix_document, run_cli
 
 from matrices import CERT_3X3, CERT_D_REF, CERT_P_REF, CT_NO_DLF, CYCLIC_WEDGE, DT_NO_DLF
@@ -215,6 +216,26 @@ class TestSimulationCommands:
         assert code == 0
         report = json.loads(captured.err)
         assert report["verdicts"]["d_used"] == [1.0, 1.0, 1.0]
+
+    def test_wedge_sim_builds_the_compound_once(self, tmp_path, capsys, monkeypatch):
+        # only A^(2) is built: the unit weights need no compound, and the
+        # wedges of all steps come from one batched pass
+        sys_path = write_json(tmp_path / "sys.json", system5_doc())
+        inits = np.column_stack([0.5 * np.ones(3), [-0.5, 0.5, 0.4]])
+        init_path = write_json(tmp_path / "init.json", matrix_document(inits))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return minor_table(*args)
+
+        monkeypatch.setattr(compound, "minor_table", counted)
+        code = run_cli(
+            ["wedge-sim", "--system", sys_path, "--initials", init_path, "-k", "2", "--steps", "5"]
+        )
+        capsys.readouterr()
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestErrorPaths:

@@ -2,17 +2,22 @@ import numpy as np
 import pytest
 
 from kposi import (
+    CyclicAnalysis,
     CyclicSpec,
     KDiagCertificate,
     PreconditionError,
     analyze_cyclic,
     build_cyclic,
     certify_k_diag_stability,
+    classify_sign_regularity,
+    compound,
     is_schur,
     minor_table,
     mult_compound,
+    signreg,
     spectral_report,
 )
+from kposi.matcore import zero_tol
 from kposi.signreg import SR, SSR
 
 from matrices import CYCLIC_WEDGE
@@ -84,6 +89,28 @@ class TestAnalyzeCyclic:
         rep = analyze_cyclic(spec)
         assert rep.compound_rho == pytest.approx(1.0, abs=1e-12)
         assert not rep.ell_diag_stable
+
+    def test_order_ell_minors_are_built_once(self, monkeypatch):
+        spec = random_spec(np.random.default_rng(43), 7, ell=3)
+        A = build_cyclic(spec)
+        M = mult_compound(A, 3)
+        expected = CyclicAnalysis(
+            sign_class_at_ell=classify_sign_regularity(A, 3),
+            ell_diag_stable=spectral_report(M).spectral_radius < 1.0 - zero_tol(),
+            compound_rho=spectral_report(M).spectral_radius,
+            diag_stable_if_odd=is_schur(A).ok,
+            nonneg_entrywise=True,
+        )
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return minor_table(*args)
+
+        monkeypatch.setattr(compound, "minor_table", counted)
+        monkeypatch.setattr(signreg, "minor_table", counted)
+        assert analyze_cyclic(spec) == expected
+        assert len(calls) == 1
 
     def test_order_out_of_range(self):
         spec = CyclicSpec(3, (0.1,) * 3, (0.1,) * 3, ell=3)

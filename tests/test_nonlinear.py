@@ -7,6 +7,7 @@ from kposi import (
     DomainError,
     KDiagCertificate,
     NonlinearSystem,
+    NumericError,
     PreconditionError,
     ScalarMap,
     certify_k_diag_stability,
@@ -15,6 +16,7 @@ from kposi import (
     export_trajectory_csv,
     lyapunov_decrement_report,
     mult_compound,
+    nonlinear,
     simulate,
     wedge,
     wedge_trajectory,
@@ -58,6 +60,12 @@ class TestScalarMap:
         assert m(0.0) == 0.0
         assert m(0.5) == pytest.approx(0.25)
         assert m(-1.0) == -0.5
+
+    def test_table_small_negative_argument_keeps_relative_accuracy(self):
+        # interpolating -1e-12 from the breakpoint at -1 loses about eps/1e-12
+        m = ScalarMap.table([(-1.0, -0.9996), (0.0, 0.0), (1.0, 0.9996)])
+        exact = -0.9996e-12
+        assert abs(m(-1e-12) - exact) <= 1e-15 * abs(exact)
 
     def test_linear_gain_validation(self):
         with pytest.raises(PreconditionError):
@@ -261,6 +269,50 @@ class TestWedgeTrajectory:
         np.testing.assert_allclose(
             traj.y_series[0], wedge([WEDGE_A1, WEDGE_A2]).coords, atol=1e-15
         )
+
+    @pytest.mark.parametrize(
+        "maps, k, x_scale",
+        [
+            ((ScalarMap.power(2),) * 3, 2, 0.5),
+            ((ScalarMap.linear(0.9), ScalarMap.identity(), ScalarMap.linear(0.7)), 1, 0.5),
+            ((ScalarMap.identity(),) * 3, 3, 0.5),
+            ((ScalarMap.power(3),) * 4, 3, 0.9),
+        ],
+    )
+    def test_batched_series_equal_the_per_step_evaluation(self, maps, k, x_scale):
+        # reference: one simulate run per start, one wedge and one dot per step
+        rng = np.random.default_rng(17)
+        n = len(maps)
+        A = rng.uniform(-1.0, 1.0, (n, n)) / n
+        sys_ = NonlinearSystem(A, maps, (-1.0, 1.0))
+        inits = list(rng.uniform(-x_scale, x_scale, (k, n)))
+        d = rng.uniform(0.5, 2.0, mult_compound(A, k).shape[0])
+        traj = wedge_trajectory(sys_, k, inits, d, 40)
+        for i, a in enumerate(inits):
+            np.testing.assert_array_equal(traj.states[i], simulate(sys_, a, 40).states)
+        for j in range(41):
+            y = wedge(traj.states[:, j]).coords
+            np.testing.assert_array_equal(traj.y_series[j], y)
+            assert traj.v_series[j] == float(np.dot(y * d, y))
+
+    def test_recursion_check_scales_with_the_states(self, monkeypatch):
+        # states near 1e-5, so every wedge coordinate is below 1e-9; a 1e-6
+        # relative corruption of one state must still be caught
+        sys_ = NonlinearSystem(0.5 * CYCLIC_WEDGE, (ScalarMap.identity(),) * 3, (-1.0, 1.0))
+        inits = [1e-5 * WEDGE_A1, 1e-5 * WEDGE_A2]
+        traj = wedge_trajectory(sys_, 2, inits, np.ones(3), 6)
+        assert np.max(np.abs(traj.y_series)) < 1e-9
+
+        iterate = nonlinear._iterate
+
+        def corrupted(*args):
+            run, exit_step = iterate(*args)
+            run[3, 1, 0] *= 1.0 + 1e-6
+            return run, exit_step
+
+        monkeypatch.setattr(nonlinear, "_iterate", corrupted)
+        with pytest.raises(NumericError, match="step 3"):
+            wedge_trajectory(sys_, 2, inits, np.ones(3), 6)
 
     def test_domain_exit_truncates_all_series(self):
         sys_ = NonlinearSystem(

@@ -25,7 +25,7 @@ import numpy as np
 from .compound import mult_compound, wedge
 from .cyclic import CyclicSpec, analyze_cyclic, build_cyclic
 from .errors import CapacityError, DomainError, NumericError, PreconditionError
-from .matcore import compound_size, pd_tol, zero_tol
+from .matcore import compound_size, minor_tol, pd_tol, zero_tol
 from .nonlinear import (
     NonlinearSystem,
     ScalarMap,
@@ -246,7 +246,7 @@ def _cmd_cayley(args) -> int:
 
 def _cmd_check_necessary(args) -> int:
     A, digest = _load_matrix(args.infile)
-    tol = 0.0 if args.tol is None else args.tol
+    tol = minor_tol(args.tol)
     rep = necessary_dt_diag(A, tol) if args.mode == "dt" else necessary_ct_diag(A, tol)
     verdicts = {
         "passed": rep.passed,

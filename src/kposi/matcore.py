@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
@@ -27,28 +28,39 @@ TAU_PD = 1e-10
 # prefer a loud failure over exhausting memory.
 CAPACITY_LIMIT = 100_000
 
-# Secondary guard on the number of scalars a full minor table may hold.
+# Secondary guard on the work of a full minor table: R*C*k^2, which is k
+# times the R*C*k products of the top Laplace level, and above
+# _LAPLACE_MAX_ORDER the number of scalars in the gathered k x k blocks.
 _TABLE_ENTRY_LIMIT = 50_000_000
 
+# Orders the minor kernel expands by Laplace.  A table of a higher order
+# fits the guards only near full order, where the expansion would pass
+# through far more minors of middle order than the table holds, so there
+# each k x k block is factorised instead.
+_LAPLACE_MAX_ORDER = 8
 
-def zero_tol(tol: float | None = None) -> float:
-    """Resolve a sign-test tolerance.
 
-    Explicit argument wins, then the KPOSI_TOL environment variable,
-    then the library default TAU_ZERO.
-    """
+def _resolve_tol(tol: float | None, default: float) -> float:
+    """Explicit argument wins, then the KPOSI_TOL environment variable, then `default`."""
     if tol is not None:
         return float(tol)
     env = os.environ.get("KPOSI_TOL")
-    return float(env) if env else TAU_ZERO
+    return float(env) if env else default
+
+
+def zero_tol(tol: float | None = None) -> float:
+    """Resolve a sign-test tolerance (default TAU_ZERO)."""
+    return _resolve_tol(tol, TAU_ZERO)
 
 
 def pd_tol(tol: float | None = None) -> float:
     """Resolve a definiteness margin threshold (default TAU_PD)."""
-    if tol is not None:
-        return float(tol)
-    env = os.environ.get("KPOSI_TOL")
-    return float(env) if env else TAU_PD
+    return _resolve_tol(tol, TAU_PD)
+
+
+def minor_tol(tol: float | None = None) -> float:
+    """Resolve the principal-minor screen threshold (default 0.0)."""
+    return _resolve_tol(tol, 0.0)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -143,6 +155,90 @@ def lex_array(k: int, n: int) -> np.ndarray:
     return np.array(list(combinations(range(n), k)), dtype=np.intp)
 
 
+def lex_index_set_at(rank: int, k: int, n: int) -> LexIndexSet:
+    """The rank-th k-subset of [1, n] in lexicographic order (0-based rank).
+
+    Equals lex_index_sets(k, n)[rank] without building the other sets.
+    """
+    if not 0 <= rank < math.comb(n, k):
+        raise DomainError(f"rank {rank} is outside [0, C({n},{k}))")
+    picked, c = [], 0
+    for slot in range(k, 0, -1):
+        # sets whose next element is c: choose the remaining slot-1 above c
+        while rank >= (count := math.comb(n - c - 1, slot - 1)):
+            rank -= count
+            c += 1
+        picked.append(c + 1)
+        c += 1
+    return LexIndexSet(n, tuple(picked))
+
+
+def _lex_rank(sets: np.ndarray, n: int) -> np.ndarray:
+    """Lexicographic ranks of the rows of a (R, p) array of 0-based p-subsets of range(n)."""
+    p = sets.shape[1]
+    binom = np.array([[math.comb(a, b) for b in range(p + 1)] for a in range(n + 1)], dtype=np.intp)
+    return math.comb(n, p) - 1 - binom[n - 1 - sets, np.arange(p, 0, -1)].sum(axis=1)
+
+
+@lru_cache(maxsize=64)
+def _laplace_plan(n: int, m: int, q: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Index plan of the Laplace expansion, one (first, tail, cols, drop) per level p = 2..q.
+
+    Level p holds the p-subsets of rows q-p..n-1, the only row sets a
+    q-minor's expansion reaches, and all p-subsets of the m columns, in
+    lexicographic order.  first is each row set's first row and tail the
+    rank of the rest at level p-1; cols[j] holds each column set's j-th
+    column and drop[j] the rank of the set without it at level p-1.
+    The arrays are read-only, since every caller shares them.
+    """
+    levels = []
+    for p in range(2, q + 1):
+        rows = np.array(list(combinations(range(n - q + p), p)), dtype=np.intp).reshape(-1, p)
+        sets = np.array(list(combinations(range(m), p)), dtype=np.intp).reshape(-1, p)
+        first = rows[:, 0] + (q - p)
+        tail = _lex_rank(rows[:, 1:] - 1, n - q + p - 1)
+        cols = np.ascontiguousarray(sets.T)
+        drop = np.stack([_lex_rank(np.delete(sets, j, axis=1), m) for j in range(p)])
+        plan = (first, tail, cols, drop)
+        for arr in plan:
+            arr.setflags(write=False)
+        levels.append(plan)
+    return tuple(levels)
+
+
+def _minors(A: np.ndarray, q: int) -> np.ndarray:
+    """All q-minors of a (..., n, m) stack, shape (..., C(n,q), C(m,q)).
+
+    Up to _LAPLACE_MAX_ORDER each q-minor is expanded along the first row
+    of its row set over (q-1)-minors of the remaining rows, level by level
+    from the entries up: O(C(n,q) C(m,q) q) products, with no k x k
+    blocks gathered.  Every entry is summed term by term in column order,
+    so it rounds the same whichever table or batch it sits in, and orders
+    1 and 2 equal the closed forms bit for bit.  The method depends on q
+    alone, so a single minor always matches its table entry.
+    """
+    n, m = A.shape[-2:]
+    if q > _LAPLACE_MAX_ORDER:
+        R, C = lex_array(q, n), lex_array(q, m)
+        return np.linalg.det(A[..., R[:, None, :, None], C[None, :, None, :]])
+    table = A[..., q - 1 :, :].copy()
+    for first, tail, cols, drop in _laplace_plan(n, m, q):
+        head = A[..., first, :]
+        below = table[..., tail, :]
+        table = head[..., cols[0]]
+        table *= below[..., drop[0]]
+        for j in range(1, len(cols)):
+            term = head[..., cols[j]]
+            term *= below[..., drop[j]]
+            if j % 2:
+                table -= term
+            else:
+                table += term
+    # fancy indexing can leave a batch axis innermost; BLAS callers such
+    # as np.dot round by layout, so hand out the C order a copy would have
+    return np.ascontiguousarray(table)
+
+
 def det_stack(stack: np.ndarray) -> np.ndarray:
     """Determinants of a (..., k, k) stack.
 
@@ -182,8 +278,7 @@ def minor(A, rows, cols) -> float:
         raise DomainError(
             f"rows and cols must select equally many indices, got {r.size} and {c.size}"
         )
-    sub = np.ascontiguousarray(A[np.ix_(r, c)])
-    return float(det_stack(sub[None, ...])[0])
+    return float(_minors(A[np.ix_(r, c)], r.size)[0, 0])
 
 
 def minor_table(A, k: int) -> np.ndarray:
@@ -196,14 +291,13 @@ def minor_table(A, k: int) -> np.ndarray:
     n, m = A.shape
     if not 1 <= k <= min(n, m):
         raise DomainError(f"order k={k} must satisfy 1 <= k <= min{A.shape}")
-    R = lex_array(k, n)
-    C = lex_array(k, m)
-    if R.shape[0] * C.shape[0] * k * k > _TABLE_ENTRY_LIMIT:
+    R = compound_size(k, n)
+    C = compound_size(k, m)
+    if R * C * k * k > _TABLE_ENTRY_LIMIT:
         raise CapacityError(
-            f"minor table of {R.shape[0]}x{C.shape[0]} order-{k} blocks is too large"
+            f"minor table of {R}x{C} order-{k} blocks is too large"
         )
-    stack = A[R[:, None, :, None], C[None, :, None, :]]
-    return det_stack(np.ascontiguousarray(stack))
+    return _minors(A, k)
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,11 @@ from .compound import mult_compound
 from .errors import CapacityError, DomainError, NumericError, PreconditionError
 from .matcore import (
     LexIndexSet,
+    _minors,
     as_square,
     as_vector,
-    det_stack,
-    lex_array,
-    lex_index_sets,
+    compound_size,
+    lex_index_set_at,
     zero_tol,
 )
 from .stability import diag_entries
@@ -37,6 +37,9 @@ TABLE = "TABLE"
 _RECURSION_RTOL = 1e-9
 
 _GRID_TUPLE_LIMIT = 1_000_000
+
+# Tuples per call of the minor kernel in _wedge_coords_batch.
+_WEDGE_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -272,12 +275,17 @@ class ContentReport:
 
 
 def _wedge_coords_batch(tuples: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Wedge coordinates for a (T, k, n) batch of k-tuples; result (T, r)."""
-    cols = np.swapaxes(tuples, 1, 2)  # (T, n, k): vectors as columns
-    sets = lex_array(k, n)
-    coords = np.empty((tuples.shape[0], sets.shape[0]))
-    for s, rows in enumerate(sets):
-        coords[:, s] = det_stack(np.ascontiguousarray(cols[:, rows, :]))
+    """Wedge coordinates for a (T, k, n) batch of k-tuples; result (T, r).
+
+    Row t equals wedge(tuples[t]).coords bit for bit: both are the order-k
+    minors of the n x k column stack, from the one minor kernel.  The
+    kernel runs on _WEDGE_CHUNK tuples at a time, so its per-level
+    gathers stay small next to the result however long the batch is.
+    """
+    cols = np.swapaxes(tuples, 1, 2)
+    coords = np.empty((cols.shape[0], compound_size(k, n)))
+    for s in range(0, cols.shape[0], _WEDGE_CHUNK):
+        coords[s : s + _WEDGE_CHUNK] = _minors(cols[s : s + _WEDGE_CHUNK], k)[..., 0]
     return coords
 
 
@@ -325,8 +333,6 @@ def check_k_content_preserving(
     weak_bad = np.where(p_zero, np.abs(q) > t, np.abs(q) > np.abs(p) + t)
     strict_zero = ~p_zero & (np.abs(q) <= t)
 
-    row_sets = lex_index_sets(k, n)
-
     def _example(mask: np.ndarray) -> ContentCounterexample | None:
         hits = np.argwhere(mask)
         if hits.size == 0:
@@ -335,7 +341,7 @@ def check_k_content_preserving(
         return ContentCounterexample(
             vectors=tuples[ti].copy(),
             coord=ci + 1,
-            rows=row_sets[ci],
+            rows=lex_index_set_at(ci, k, n),
             p=float(p[ti, ci]),
             q=float(q[ti, ci]),
         )
@@ -364,8 +370,9 @@ class WedgeTrajectory:
 
     states[i, j] is x(j, a^i); y_series[j] holds the wedge of the k
     states at step j (verified against the compound recursion); v_series
-    holds V(y(j)) = y^T D y.  steps where V increased beyond tolerance
-    are listed in v_increase_steps.  exit_step reports early truncation.
+    holds V(y(j)) = y^T D y.  Steps j where V rose by more than tol times
+    max(V(j-1), V(j)) are listed in v_increase_steps.  exit_step reports
+    early truncation.
     """
 
     k: int
@@ -427,9 +434,17 @@ def wedge_trajectory(
         y_series=y,
         v_series=v,
         d_used=d,
-        v_increase_steps=tuple((np.nonzero(np.diff(v) > zero_tol(tol))[0] + 1).tolist()),
+        v_increase_steps=tuple((np.nonzero(_v_rises(v, zero_tol(tol)))[0] + 1).tolist()),
         exit_step=exit_step,
     )
+
+
+def _v_rises(v: np.ndarray, t: float) -> np.ndarray:
+    """Per step j >= 1: whether V(j) - V(j-1) exceeds t * max(V(j-1), V(j)).
+
+    The band scales with V, so a rise is seen however small V has become.
+    """
+    return np.diff(v) > t * np.maximum(v[:-1], v[1:])
 
 
 @dataclass(frozen=True)
@@ -442,20 +457,21 @@ class LyapunovReport:
 def lyapunov_decrement_report(traj: WedgeTrajectory, tol: float | None = None) -> LyapunovReport:
     """Summarize monotonicity of V along a wedge trajectory.
 
-    monotone holds when every consecutive difference is at most tol;
-    strict_ok additionally requires a strict decrease at every step whose
-    starting wedge is nonzero.  This is a diagnostic, not an assertion:
-    steps near y = 0 can wiggle below tolerance.
+    monotone holds when no step rises by more than tol times the larger
+    of its two V values; strict_ok additionally requires a strict decrease
+    at every step whose starting V is above tol times that larger value.
+    This is a diagnostic, not an assertion: steps near y = 0 can wiggle
+    below tolerance.
     """
     t = zero_tol(tol)
     v = traj.v_series
     if v.size < 2:
         return LyapunovReport(monotone=True, worst_increase=0.0, strict_ok=True)
     diffs = np.diff(v)
-    nonzero_start = np.max(np.abs(traj.y_series[:-1]), axis=1) > t
+    nonzero_start = v[:-1] > t * np.maximum(v[:-1], v[1:])
     strict_ok = bool(np.all(diffs[nonzero_start] < 0.0)) if nonzero_start.any() else True
     return LyapunovReport(
-        monotone=bool(np.all(diffs <= t)),
+        monotone=not _v_rises(v, t).any(),
         worst_increase=float(np.max(diffs)),
         strict_ok=strict_ok,
     )

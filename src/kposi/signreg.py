@@ -20,7 +20,7 @@ from .matcore import (
     as_matrix,
     as_square,
     as_vector,
-    lex_index_sets,
+    lex_index_set_at,
     minor_table,
     zero_tol,
 )
@@ -119,34 +119,31 @@ def classify_sign_regularity(A, k: int, tol: float | None = None) -> SignClass:
 def _classify_minors(minors: np.ndarray, k: int, shape: tuple[int, int], tol) -> SignClass:
     """classify_sign_regularity on an already-built table of the k-minors of a `shape` matrix."""
     t = zero_tol(tol)
-    rows = lex_index_sets(k, shape[0])
-    cols = lex_index_sets(k, shape[1])
+
+    def _witness(flat_idx: int) -> MinorWitness:
+        i, j = divmod(flat_idx, minors.shape[1])
+        return MinorWitness(
+            rows=lex_index_set_at(i, k, shape[0]),
+            cols=lex_index_set_at(j, k, shape[1]),
+            value=float(flat[flat_idx]),
+        )
 
     band = t * max(1.0, float(np.max(np.abs(minors))))
     flat = minors.ravel()
-    i_min = int(np.argmin(np.abs(flat)))
-    witness_min = _witness(rows, cols, minors.shape[1], i_min, flat)
+    witness_min = _witness(int(np.argmin(np.abs(flat))))
 
     pos = flat > band
     neg = flat < -band
     if pos.any() and neg.any():
         i_pos = int(np.argmax(np.where(pos, flat, -np.inf)))
         i_neg = int(np.argmin(np.where(neg, flat, np.inf)))
-        conflict = (
-            _witness(rows, cols, minors.shape[1], i_pos, flat),
-            _witness(rows, cols, minors.shape[1], i_neg, flat),
-        )
+        conflict = (_witness(i_pos), _witness(i_neg))
         return SignClass(k, NONE, None, witness_min, conflict)
     if not pos.any() and not neg.any():
         return SignClass(k, ALL_ZERO, None, witness_min)
     signature = 1 if pos.any() else -1
     strict = bool(pos.all() or neg.all())
     return SignClass(k, SSR if strict else SR, signature, witness_min)
-
-
-def _witness(rows, cols, ncols, flat_idx, flat) -> MinorWitness:
-    i, j = divmod(flat_idx, ncols)
-    return MinorWitness(rows=rows[i], cols=cols[j], value=float(flat[flat_idx]))
 
 
 @dataclass(frozen=True)

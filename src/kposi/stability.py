@@ -25,7 +25,7 @@ from .matcore import (
     as_vector,
     is_positive_definite,
     lex_array,
-    lex_index_sets,
+    lex_index_set_at,
     spectral_report,
     zero_tol,
 )
@@ -105,7 +105,6 @@ def construct_dlf_nonneg(A, x=None, y=None, tol: float | None = None) -> DlfCons
     Stein inequality is asserted on the original A before returning.
     """
     A = as_square(A)
-    n = A.shape[0]
     t = zero_tol(tol)
     scale = max(1.0, float(np.max(np.abs(A))))
     sign_flipped = False
@@ -125,6 +124,16 @@ def construct_dlf_nonneg(A, x=None, y=None, tol: float | None = None) -> DlfCons
             f"matrix is not Schur (spectral radius {schur.spectral_radius:.6g}); "
             "no diagonal Stein certificate exists"
         )
+    return _certify_nonneg_schur(A, M, x, y, sign_flipped)
+
+
+def _certify_nonneg_schur(A, M, x, y, sign_flipped: bool) -> DlfConstruction:
+    """The construction proper, for a nonnegative M = +-A already known to be Schur.
+
+    Solves for xi and z, requires both positive, sets d = z / xi and
+    asserts the Stein inequality on A before returning.
+    """
+    n = M.shape[0]
     x = np.ones(n) if x is None else as_vector(x, "x")
     y = np.ones(n) if y is None else as_vector(y, "y")
     if x.size != n or y.size != n:
@@ -147,6 +156,16 @@ def construct_dlf_nonneg(A, x=None, y=None, tol: float | None = None) -> DlfCons
             f"constructed D failed the Stein check (margin {margin:.3g})"
         )
     return DlfConstruction(d=d, xi=xi, z=z, stein_margin=margin, sign_flipped=sign_flipped)
+
+
+def _compound_radius(A: np.ndarray, k: int) -> float:
+    """Spectral radius of A^(k) from one n x n eigen-solve.
+
+    The eigenvalues of A^(k) are the products of k eigenvalues of A with
+    distinct indices, so the largest modulus is the product of the k
+    largest moduli.
+    """
+    return float(np.prod(spectral_report(A).moduli[:k]))
 
 
 @dataclass(frozen=True)
@@ -190,8 +209,9 @@ def certify_k_diag_stability(
     (recorded on the certificate; the Stein form is unchanged by the
     flip).  M must then be entrywise nonnegative, else the verdict is
     NOT_SIGN_REGULAR with the offending minor.  M must be Schur, else
-    COMPOUND_NOT_SCHUR with its spectral radius.  The certificate D, xi,
-    z come from the nonnegative construction with defaults x = y = 1.
+    COMPOUND_NOT_SCHUR with its spectral radius, the product of the k
+    largest eigenvalue moduli of A.  The certificate D, xi, z come from
+    the nonnegative construction with defaults x = y = 1.
     """
     A = as_square(A)
     n = A.shape[0]
@@ -207,20 +227,23 @@ def certify_k_diag_stability(
         sign_flipped = True
     if np.min(M) < -t * scale:
         # only reachable without a flip: a flipped compound is nonnegative
-        rows = lex_index_sets(k, n)
         i, j = divmod(int(np.argmin(M)), r)
         return CertificationFailure(
             k=k,
             r=r,
             reason=NOT_SIGN_REGULAR,
-            witness=MinorWitness(rows=rows[i], cols=rows[j], value=float(M[i, j])),
+            witness=MinorWitness(
+                rows=lex_index_set_at(i, k, n),
+                cols=lex_index_set_at(j, k, n),
+                value=float(M[i, j]),
+            ),
         )
-    rho = spectral_report(M).spectral_radius
+    rho = _compound_radius(A, k)
     if not rho < 1.0 - t:
         return CertificationFailure(
             k=k, r=r, reason=COMPOUND_NOT_SCHUR, compound_spectral_radius=rho
         )
-    built = construct_dlf_nonneg(M, x=x, y=y, tol=tol)
+    built = _certify_nonneg_schur(M, M, x, y, sign_flipped)
     # Margin reported against the original compound; the flip leaves
     # M^T D M invariant so the value is identical either way.
     xi_image = M @ built.xi

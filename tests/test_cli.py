@@ -129,6 +129,21 @@ class TestVerdictCommands:
         assert rep["verdicts"]["witness"]["kappa"] == [2, 3]
         assert rep["verdicts"]["witness"]["value"] == pytest.approx(-150.0, abs=1e-9)
 
+    def test_check_necessary_reads_kposi_tol(self, tmp_path, capsys, monkeypatch):
+        # -0.9*I maps to I/19 under the Cayley transform: principal minors
+        # 19^-1, 19^-2, 19^-3, so a 0.01 threshold first fails at order 2
+        path = write_json(tmp_path / "a.json", matrix_document(-0.9 * np.eye(3)))
+        monkeypatch.setenv("KPOSI_TOL", "0.01")
+        assert run_cli(["check-necessary", "--in", path, "--mode", "dt"]) == 1
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["tolerances"]["minor_tol"] == 0.01
+        assert rep["verdicts"]["witness"]["kappa"] == [1, 2]
+        assert run_cli(["check-necessary", "--in", path, "--mode", "dt", "--tol", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["tolerances"]["minor_tol"] == 0.0
+        monkeypatch.delenv("KPOSI_TOL")
+        assert run_cli(["check-necessary", "--in", path, "--mode", "dt"]) == 0
+        assert json.loads(capsys.readouterr().out)["tolerances"]["minor_tol"] == 0.0
+
     def test_certify_success(self, tmp_path, capsys):
         path = write_json(tmp_path / "a.json", matrix_document(CERT_3X3))
         assert run_cli(["certify", "--in", path, "-k", "2"]) == 0

@@ -347,6 +347,24 @@ class TestLyapunovReport:
         assert not rep.monotone and rep.worst_increase > 0.0
         assert len(traj.v_increase_steps) > 0
 
+    def test_rises_are_seen_however_small_v_is(self):
+        # V grows 1.44x a step from 1.25e-22, far below the 1e-9 tolerance
+        sys_ = NonlinearSystem(1.2 * np.eye(2), (ScalarMap.identity(),) * 2, (-1.0, 1.0))
+        traj = wedge_trajectory(sys_, 1, [np.array([1e-11, 5e-12])], np.ones(2), 4)
+        assert traj.v_series[0] == pytest.approx(1.25e-22, rel=1e-12)
+        assert traj.v_increase_steps == (1, 2, 3, 4)
+        rep = lyapunov_decrement_report(traj)
+        assert not rep.monotone and not rep.strict_ok
+
+    def test_constant_v_is_no_rise_at_any_scale(self):
+        # a constant V neither rises nor strictly decreases, however small
+        sys_ = NonlinearSystem(np.eye(2), (ScalarMap.identity(),) * 2, (-1.0, 1.0))
+        for scale in (1e-12, 1.0):
+            traj = wedge_trajectory(sys_, 1, [scale * np.array([0.5, 0.25])], np.ones(2), 3)
+            assert traj.v_increase_steps == ()
+            rep = lyapunov_decrement_report(traj)
+            assert rep.monotone and not rep.strict_ok and rep.worst_increase == 0.0
+
 
 class TestCsvExport:
     def test_header_and_roundtrip_precision(self):

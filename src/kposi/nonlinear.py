@@ -9,9 +9,11 @@ simulated trajectories, which is what the trajectory tools measure.
 
 from __future__ import annotations
 
-import csv
+from collections.abc import Callable
 from dataclasses import InitVar, dataclass, field
+from functools import partial
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,17 +59,14 @@ class ScalarMap:
     c: float = 1.0
     p: float = 1.0
     points: tuple[tuple[float, float], ...] | None = None
-    # TABLE breakpoints as arrays (xs, ys), then their mirror: -xs and -ys
-    # reversed, which is increasing again.
-    _table: tuple[np.ndarray, ...] | None = field(
+    # This map's phi: the one-map case of the evaluator a system builds
+    # for each group of its coordinates (_kind_phi).
+    _phi: Callable[[np.ndarray], np.ndarray] = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
-        if self.points is not None:
-            xs = np.array([z for z, _ in self.points])
-            ys = np.array([v for _, v in self.points])
-            object.__setattr__(self, "_table", (xs, ys, -xs[::-1], -ys[::-1]))
+        object.__setattr__(self, "_phi", _kind_phi((self,), stacked=False))
 
     @classmethod
     def identity(cls) -> "ScalarMap":
@@ -87,25 +86,7 @@ class ScalarMap:
         return cls(TABLE, points=pts)
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.kind == IDENTITY:
-            out = s.copy()
-        elif self.kind == LINEAR:
-            out = self.c * s
-        elif self.kind == POWER:
-            if float(self.p).is_integer():
-                out = s ** int(self.p)
-            else:
-                out = np.sign(s) * np.abs(s) ** self.p
-        elif self.kind == TABLE:
-            # np.interp works from the breakpoint left of its argument.  For
-            # z < 0 that is the one farther from 0, and its rounding (about
-            # eps times the spacing) swamps a small phi(z); the mirrored
-            # table starts from the breakpoint nearer 0 instead.
-            xs, ys, mxs, mys = self._table
-            out = np.where(s < 0.0, -np.interp(-s, mxs, mys), np.interp(s, xs, ys))
-        else:
-            raise DomainError(f"unknown scalar map kind {self.kind!r}")
+        out = self._phi(np.asarray(s, dtype=float))
         return out if out.ndim else float(out)
 
     def validate(self, domain: tuple[float, float]) -> None:
@@ -140,6 +121,195 @@ class ScalarMap:
                     )
             return
         raise DomainError(f"unknown scalar map kind {self.kind!r}")
+
+
+def _group_key(m: ScalarMap) -> tuple:
+    """Maps with equal keys are evaluated together: one kind, and one
+    exponent (POWER) or one breakpoint count (TABLE)."""
+    if m.kind == POWER:
+        return (POWER, m.p)
+    if m.kind == TABLE:
+        return (TABLE, len(m.points or ()))
+    return (m.kind,)
+
+
+def _kind_phi(maps: tuple[ScalarMap, ...], stacked: bool = True):
+    """phi of maps sharing one group key, as one numpy evaluation.
+
+    With stacked=True the argument's last axis runs over `maps`; with
+    stacked=False there is a single map and no such axis, so a 0-d
+    argument stays 0-d.
+    """
+    m = maps[0]
+    if m.kind == IDENTITY:
+        return _copy
+    if m.kind == LINEAR:
+        c = np.array([q.c for q in maps])
+        return partial(_linear, c if stacked else c[0])
+    if m.kind == POWER:
+        if float(m.p).is_integer():
+            return partial(_int_power, int(m.p))
+        return partial(_odd_power, m.p)
+    if m.kind == TABLE and m.points:
+        if len(m.points) == 1:
+            # np.interp on one breakpoint: its value everywhere, NaN included
+            y = np.array([q.points[0][1] for q in maps])
+            return partial(_constant, y if stacked else y[0])
+        return partial(_table_phi, _table_plan(maps, stacked))
+    return partial(_refuse, m)
+
+
+def _copy(s):
+    return s.copy()
+
+
+def _linear(c, s):
+    return c * s
+
+
+def _int_power(p, s):
+    return s**p
+
+
+def _odd_power(p, s):
+    return np.sign(s) * np.abs(s) ** p
+
+
+def _constant(y, s):
+    out = np.empty_like(s)
+    out[...] = y
+    return out
+
+
+def _refuse(m, s):
+    if m.kind == TABLE:
+        raise DomainError("TABLE needs at least one breakpoint")
+    raise DomainError(f"unknown scalar map kind {m.kind!r}")
+
+
+class _TablePlan(NamedTuple):
+    """Breakpoints of g tables with K breakpoints each, laid out for one
+    vectorised lookup (see _table_phi).  Table i sits in the flat arrays
+    at base[i] = i*(K+2): xs and ys padded with a copy of each end value,
+    slopes (slopes[1] is the first segment's) with zeros.  Stacked,
+    lo/hi/xt/base carry a trailing axis of length g; for one map, and
+    lo/hi/xt where all g tables share one breakpoint grid, they do not."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    xt: np.ndarray
+    ones: np.ndarray
+    base: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    slopes: np.ndarray
+    nonfinite: bool
+
+
+def _table_plan(maps: tuple[ScalarMap, ...], stacked: bool) -> _TablePlan:
+    xs = np.array([[z for z, _ in q.points] for q in maps])
+    ys = np.array([[v for _, v in q.points] for q in maps])
+    g, K = xs.shape
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        seg = np.diff(ys, axis=1) / np.diff(xs, axis=1)
+    slopes = np.zeros((g, K + 2))
+    slopes[:, 1:K] = seg
+    # Counting xt <= s gives #(x <= s) for s >= 0 and #(x < s) for s < 0:
+    # a negative breakpoint x counts for s < 0 only if nextafter(x, inf) <= s.
+    xt = np.where(xs < 0.0, np.nextafter(xs, np.inf), xs)
+    base = np.arange(g) * (K + 2)
+    lo, hi = xs[:, 0], xs[:, -1]
+    if not stacked:
+        base = base[0]
+    if not stacked or (xs == xs[0]).all():
+        # one breakpoint grid for all: counted by one searchsorted
+        lo, hi, xt = lo[0], hi[0], xt[0]
+    return _TablePlan(
+        lo=lo,
+        hi=hi,
+        xt=xt,
+        ones=np.ones(K, dtype=np.intp),
+        base=base,
+        xs=np.pad(xs, ((0, 0), (1, 1)), mode="edge").ravel(),
+        ys=np.pad(ys, ((0, 0), (1, 1)), mode="edge").ravel(),
+        slopes=slopes.ravel(),
+        nonfinite=not (np.isfinite(xs).all() and np.isfinite(ys).all() and np.isfinite(seg).all()),
+    )
+
+
+def _table_phi(t: _TablePlan, s):
+    """Piecewise-linear phi, bit for bit the rule of np.interp per branch.
+
+    For s >= 0 it is np.interp(s, xs, ys), measured from the breakpoint at
+    or left of s; for s < 0 it is -np.interp(-s, -xs[::-1], -ys[::-1]),
+    measured from the breakpoint at or right of s, the one nearer 0, so a
+    small phi(s) keeps its relative accuracy.  Outside the table it is the
+    end value, and at a breakpoint its value, as np.interp gives them.
+    """
+    if t.nonfinite:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return _table_retry(t, s, *_table_lookup(t, s))
+    return _table_lookup(t, s)[0]
+
+
+def _table_lookup(t: _TablePlan, s):
+    """np.interp's first try, with the lookup it made."""
+    # Clamped, an argument outside the table lands on an end breakpoint
+    # (never inf - x); a NaN stays NaN and comes out unchanged.
+    sc = np.minimum(np.maximum(s, t.lo), t.hi)
+    neg = sc < 0.0
+    # Counted on s itself, so outside the table i lands on a padded end.
+    if t.xt.ndim == 1:
+        i = t.xt.searchsorted(s, "right")
+    else:
+        i = (t.xt <= s[..., None]) @ t.ones
+    i += t.base
+    sb = t.slopes.take(i)  # the segment ending (s < 0) or starting at b
+    b = i + neg  # the base breakpoint, padded index
+    xb, yb = t.xs.take(b), t.ys.take(b)
+    # sig folds the mirrored table in: -s - (-x) and -y, then the outer minus
+    sig = np.where(neg, -1.0, 1.0)
+    out = sc - xb
+    out *= sig
+    out *= sb
+    out += yb * sig
+    out *= sig
+    out = np.where(sc == xb, yb, out)
+    return out, sc, neg, b, xb, yb, sb, sig
+
+
+def _table_retry(t: _TablePlan, s, out, sc, neg, b, xb, yb, sb, sig):
+    """np.interp's second try where an infinite slope or value made NaN:
+    from the segment's far end, then the common value of a flat segment.
+    The mirrored values are negated as np.negative does, NaN signs too."""
+    far = b + 1 - 2 * neg
+    xo, yo = t.xs.take(far, mode="clip"), t.ys.take(far, mode="clip")
+    again = sb * ((sc - xo) * sig) + np.where(neg, -yo, yo)
+    again = np.where(np.isnan(again) & (yb == yo), yb, np.where(neg, -again, again))
+    out = np.where(np.isnan(out) & (sc != xb) & (sc == sc), again, out)
+    return np.where(sc == sc, out, s)
+
+
+def _phi_plan(maps: tuple[ScalarMap, ...]) -> Callable[[np.ndarray], np.ndarray]:
+    """phi over the last axis of a state array: one evaluation per group.
+
+    Built per call, never stored on the (mutable) system.  A single group
+    is applied to the whole array, with no gather or scatter.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, m in enumerate(maps):
+        groups.setdefault(_group_key(m), []).append(i)
+    if len(groups) == 1:
+        return _kind_phi(maps)
+    parts = [(np.array(idx), _kind_phi(tuple(maps[i] for i in idx))) for idx in groups.values()]
+
+    def phi(x):
+        out = np.empty_like(x)
+        for idx, f in parts:
+            out[..., idx] = f(x[..., idx])
+        return out
+
+    return phi
 
 
 @dataclass
@@ -190,16 +360,9 @@ def _as_state(sys: NonlinearSystem, a, name: str) -> np.ndarray:
     return x
 
 
-def _apply_phi(sys: NonlinearSystem, x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    for i, m in enumerate(sys.maps):
-        out[..., i] = m(x[..., i])
-    return out
-
-
 def eval_phi(sys: NonlinearSystem, x) -> np.ndarray:
     """Apply phi componentwise to a state in S^n."""
-    return _apply_phi(sys, _as_state(sys, x, "x"))
+    return _phi_plan(sys.maps)(_as_state(sys, x, "x"))
 
 
 @dataclass(frozen=True)
@@ -225,12 +388,13 @@ def _iterate(sys: NonlinearSystem, starts: dict, steps: int) -> tuple[np.ndarray
     if steps < 0:
         raise DomainError("steps must be nonnegative")
     lo, hi = sys.domain
+    phi = _phi_plan(sys.maps)
     rows = [x]
     for j in range(steps):
         # A @ p per start, written so each row rounds exactly as A @ p does
-        x = (sys.A @ _apply_phi(sys, x)[..., None])[..., 0]
+        x = (sys.A @ phi(x)[..., None])[..., 0]
         rows.append(x)
-        if np.any(x < lo) or np.any(x > hi):
+        if (x < lo).any() or (x > hi).any():
             return np.array(rows), j + 1
     return np.array(rows), None
 
@@ -274,18 +438,21 @@ class ContentReport:
     strict: bool
 
 
-def _wedge_coords_batch(tuples: np.ndarray, k: int, n: int) -> np.ndarray:
+def _wedge_coords_batch(tuples: np.ndarray, k: int, n: int, phi=None) -> np.ndarray:
     """Wedge coordinates for a (T, k, n) batch of k-tuples; result (T, r).
 
     Row t equals wedge(tuples[t]).coords bit for bit: both are the order-k
-    minors of the n x k column stack, from the one minor kernel.  The
-    kernel runs on _WEDGE_CHUNK tuples at a time, so its per-level
-    gathers stay small next to the result however long the batch is.
+    minors of the n x k column stack, from the one minor kernel.  With
+    phi given, row t is the wedge of phi(tuples[t]) instead.  Both run on
+    _WEDGE_CHUNK tuples at a time, so their temporaries stay small next
+    to the result however long the batch is.
     """
-    cols = np.swapaxes(tuples, 1, 2)
-    coords = np.empty((cols.shape[0], compound_size(k, n)))
-    for s in range(0, cols.shape[0], _WEDGE_CHUNK):
-        coords[s : s + _WEDGE_CHUNK] = _minors(cols[s : s + _WEDGE_CHUNK], k)[..., 0]
+    coords = np.empty((tuples.shape[0], compound_size(k, n)))
+    for s in range(0, tuples.shape[0], _WEDGE_CHUNK):
+        chunk = tuples[s : s + _WEDGE_CHUNK]
+        if phi is not None:
+            chunk = phi(chunk)
+        coords[s : s + _WEDGE_CHUNK] = _minors(np.swapaxes(chunk, 1, 2), k)[..., 0]
     return coords
 
 
@@ -327,7 +494,7 @@ def check_k_content_preserving(
     tuples = np.concatenate([grid_tuples, random_tuples], axis=0)
 
     p = _wedge_coords_batch(tuples, k, n)
-    q = _wedge_coords_batch(_apply_phi(sys, tuples), k, n)
+    q = _wedge_coords_batch(tuples, k, n, _phi_plan(sys.maps))
 
     p_zero = np.abs(p) <= t
     weak_bad = np.where(p_zero, np.abs(q) > t, np.abs(q) > np.abs(p) + t)
@@ -412,7 +579,7 @@ def wedge_trajectory(
     run, exit_step = _iterate(sys, starts, steps)
 
     y = _wedge_coords_batch(run, k, n)
-    w_phi = _wedge_coords_batch(_apply_phi(sys, run[:-1]), k, n)
+    w_phi = _wedge_coords_batch(run[:-1], k, n, _phi_plan(sys.maps))
     err = np.max(np.abs(y[1:] - w_phi @ Ak.T), axis=1)
     scale = np.maximum(
         np.prod(np.linalg.norm(run[1:], axis=2), axis=1),
@@ -481,10 +648,11 @@ def write_csv(fp, columns: list[str], rows) -> None:
     """CSV with header j,<columns>, one numbered line per row of floats.
 
     Floats carry 17 significant digits, so they re-ingest bit-identically.
+    Column names are written as given, so they must not need CSV quoting.
     """
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["j", *columns])
-    writer.writerows([str(j), *(f"{v:.17g}" for v in row)] for j, row in enumerate(rows))
+    line = "%d" + ",%.17g" * len(columns) + "\n"
+    body = "".join([line % (j, *row) for j, row in enumerate(np.asarray(rows, dtype=float).tolist())])
+    fp.write(",".join(["j", *columns]) + "\n" + body)
 
 
 def export_trajectory_csv(traj: WedgeTrajectory, fp, include_states: bool = False) -> None:

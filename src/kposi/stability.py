@@ -302,14 +302,17 @@ def cayley(A, tol: float | None = None) -> np.ndarray:
     """The transform B = -(A + I)(A - I)^{-1}.
 
     Bridges the Stein and Lyapunov inequality necessary conditions; A must
-    not have 1 as an eigenvalue.
+    not have 1 as an eigenvalue.  A - I counts as singular when its
+    smallest singular value is at most tol times its largest; tol defaults
+    to n * eps, the rank rule of np.linalg.matrix_rank, whatever the scale
+    of A.
     """
     A = as_square(A)
     n = A.shape[0]
     eye = np.eye(n)
     M = A - eye
-    scale = max(1.0, float(np.max(np.abs(M)))) ** n
-    if abs(float(np.linalg.det(M))) <= zero_tol(tol) * scale:
+    sv = np.linalg.svd(M, compute_uv=False)
+    if sv[-1] <= (n * np.finfo(float).eps if tol is None else tol) * sv[0]:
         raise DomainError("A - I is singular (1 is an eigenvalue); transform undefined")
     return np.linalg.solve(M.T, -(A + eye).T).T
 

@@ -283,3 +283,27 @@ class TestPaperExamples:
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == 14
         assert all(l.startswith("PASS") for l in lines)
+
+
+class TestCayleyThreshold:
+    def test_check_necessary_dt_is_not_refused_under_a_large_kposi_tol(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # |det(A - I)| (0.125, 0.008) was once read as "singular" against
+        # KPOSI_TOL=5 (exit 2); now the screen itself decides.  Cayley(c I)
+        # is (1+c)/(1-c) I: minors 3, 9, 27 for c = 0.5 fail a threshold of
+        # 5 at order 1, minors 9, 81, 729 for c = 0.8 pass it.
+        monkeypatch.setenv("KPOSI_TOL", "5")
+        path = write_json(tmp_path / "a.json", matrix_document(0.5 * np.eye(3)))
+        assert run_cli(["check-necessary", "--in", path, "--mode", "dt"]) == 1
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["tolerances"]["minor_tol"] == 5.0
+        assert rep["verdicts"]["witness"] == {"kappa": [1], "value": pytest.approx(3.0)}
+        path = write_json(tmp_path / "b.json", matrix_document(0.8 * np.eye(3)))
+        assert run_cli(["check-necessary", "--in", path, "--mode", "dt"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdicts"]["passed"] is True
+
+    def test_cayley_of_identity_still_exits_two(self, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path / "i.json", matrix_document(np.eye(3)))
+        monkeypatch.setenv("KPOSI_TOL", "1e-300")
+        assert run_cli(["cayley", "--in", path]) == 2

@@ -1,0 +1,318 @@
+"""phi evaluated per group of coordinates sharing a map kind.
+
+The oracle here is written independently of kposi.nonlinear: each
+coordinate on its own, a TABLE map as np.interp on the plain table for
+s >= 0 and on the mirrored table for s < 0.  Results are compared with
+tobytes(), so signed zeros and NaN payloads count.
+"""
+
+import csv
+import io
+import warnings
+
+import numpy as np
+import pytest
+
+from kposi import (
+    NonlinearSystem,
+    ScalarMap,
+    WedgeTrajectory,
+    eval_phi,
+    export_trajectory_csv,
+    nonlinear,
+    simulate,
+    wedge_trajectory,
+)
+from kposi.nonlinear import write_csv
+
+TINY = 5e-324
+
+TABLES = (
+    # through (0, 0), five breakpoints
+    [(-1.0, -0.9), (-0.5, -0.5), (0.0, 0.0), (0.5, 0.45), (1.0, 0.99)],
+    # without (0, 0), three breakpoints
+    [(-1.0, -0.7), (0.25, 0.2), (1.0, 0.6)],
+    # five breakpoints on another grid
+    [(-2.0, -1.5), (-0.3, -0.2), (0.0, 0.0), (0.7, 0.5), (2.0, 1.0)],
+    # every breakpoint positive: negative arguments lie outside the table
+    [(0.1, 0.05), (0.4, 0.3), (0.8, 0.6), (1.5, 1.1)],
+    # zero values of either sign, which a breakpoint must return as they are
+    [(-1.0, 0.0), (0.0, -0.0), (1.0, 0.5)],
+    # one breakpoint: np.interp gives its value everywhere, NaN included
+    [(0.5, 0.2)],
+)
+
+
+def oracle_map(kind, param, col):
+    """One coordinate's phi on the array `col`, elementwise by definition."""
+    if kind == "identity":
+        return col.copy()
+    if kind == "linear":
+        return param * col
+    if kind == "power":
+        if float(param).is_integer():
+            return col ** int(param)
+        return np.sign(col) * np.abs(col) ** param
+    xs = np.array([z for z, _ in param])
+    ys = np.array([v for _, v in param])
+    out = np.empty_like(col)
+    for idx in np.ndindex(col.shape):
+        s = col[idx]
+        if s < 0.0:
+            out[idx] = -np.interp(-s, -xs[::-1], -ys[::-1])
+        else:
+            out[idx] = np.interp(s, xs, ys)
+    return out
+
+
+def make_map(kind, param):
+    if kind == "identity":
+        return ScalarMap.identity()
+    if kind == "linear":
+        return ScalarMap.linear(param)
+    if kind == "power":
+        return ScalarMap.power(param)
+    return ScalarMap.table(param)
+
+
+MIXED = (
+    ("table", TABLES[0]),
+    ("identity", None),
+    ("power", 3.0),
+    ("table", TABLES[1]),
+    ("linear", 0.7),
+    ("power", 1.5),
+    ("table", TABLES[2]),
+    ("power", 2.0),
+    ("table", TABLES[3]),
+    ("linear", 0.25),
+    ("power", 1.0005),
+    ("table", TABLES[4]),
+)
+
+
+def special_arguments(rng, shape, specs):
+    """Random values with breakpoints, signed zeros, NaN, infinities,
+    subnormals and out-of-table values mixed in, per coordinate."""
+    x = rng.uniform(-2.5, 2.5, shape)
+    for i, (kind, param) in enumerate(specs):
+        pool = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, TINY, -TINY, 1e-310, -1e-310, 3.0, -3.0]
+        if kind == "table":
+            zs = [z for z, _ in param]
+            pool += zs + [-z for z in zs] + list(np.nextafter(zs, np.inf)) + list(np.nextafter(zs, -np.inf))
+        col = x[..., i]
+        mask = rng.random(col.shape) < 0.5
+        col[mask] = rng.choice(np.array(pool), int(mask.sum()))
+    return x
+
+
+def oracle_phi(specs, x):
+    """Per coordinate, always on arrays (never 0-d), as np.power's array
+    loop may round differently from its scalar one."""
+    x2 = np.atleast_2d(x)
+    out = np.empty_like(x2)
+    for i, (kind, param) in enumerate(specs):
+        out[..., i] = oracle_map(kind, param, x2[..., i])
+    return out.reshape(x.shape)
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (40, 3)])
+def test_mixed_kinds_match_the_per_coordinate_oracle(lead):
+    rng = np.random.default_rng(3)
+    maps = tuple(make_map(*s) for s in MIXED)
+    phi = nonlinear._phi_plan(maps)
+    for _ in range(20):
+        x = special_arguments(rng, lead + (len(MIXED),), MIXED)
+        assert phi(x).tobytes() == oracle_phi(MIXED, x).tobytes()
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (40, 3)])
+def test_table_groups_match_the_oracle(lead):
+    # all the tables in one system, grouped by breakpoint count
+    rng = np.random.default_rng(4)
+    specs = tuple(("table", t) for t in TABLES) + (("table", TABLES[0]),)
+    phi = nonlinear._phi_plan(tuple(make_map(*s) for s in specs))
+    for _ in range(20):
+        x = special_arguments(rng, lead + (len(specs),), specs)
+        assert phi(x).tobytes() == oracle_phi(specs, x).tobytes()
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (40, 3)])
+def test_tables_on_one_shared_grid_match_the_oracle(lead):
+    rng = np.random.default_rng(6)
+    grid = [z for z, _ in TABLES[0]]
+    specs = tuple(("table", [(z, float(v)) for z, v in zip(grid, rng.uniform(-1, 1, 5))]) for _ in range(3))
+    specs += (("table", [(z, 0.5 * z) for z in grid]),)
+    phi = nonlinear._phi_plan(tuple(make_map(*s) for s in specs))
+    for _ in range(20):
+        x = special_arguments(rng, lead + (len(specs),), specs)
+        assert phi(x).tobytes() == oracle_phi(specs, x).tobytes()
+
+
+INFINITE_TABLES = (
+    # saturation: flat beyond +-1 out to infinite breakpoints
+    [(-np.inf, -1.0), (-1.0, -1.0), (0.0, 0.0), (1.0, 1.0), (np.inf, 1.0)],
+    # no (0, 0) next to an infinite breakpoint: 0 * inf on the first try
+    [(-np.inf, -1.0), (1.0, 1.0)],
+    [(-1.0, -1.0), (0.5, 0.25), (np.inf, 2.0)],
+    # infinite values: NaN slopes, and a flat infinite segment
+    [(-2.0, -np.inf), (-1.0, -np.inf), (0.0, 0.0), (1.0, np.inf), (2.0, np.inf)],
+)
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (40, 3)])
+def test_infinite_breakpoints_and_values_match_the_oracle(lead):
+    rng = np.random.default_rng(8)
+    specs = tuple(("table", t) for t in INFINITE_TABLES)
+    maps = tuple(make_map(*s) for s in specs)
+    phi = nonlinear._phi_plan(maps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(20):
+            x = special_arguments(rng, lead + (len(specs),), specs)
+            assert phi(x).tobytes() == oracle_phi(specs, x).tobytes()
+
+
+def test_one_group_is_applied_to_the_whole_array():
+    gains = (0.99, 0.995, 1.0)
+    maps = tuple(ScalarMap.table([(z, c * z) for z in (-1.0, 0.0, 1.0)]) for c in gains)
+    phi = nonlinear._phi_plan(maps)
+    # the group's own evaluator, with no gather/scatter wrapper around it
+    assert phi.func is nonlinear._table_phi
+    assert nonlinear._phi_plan((ScalarMap.power(1.5),) * 4).func is nonlinear._odd_power
+
+
+@pytest.mark.parametrize("kind, param", MIXED)
+def test_scalar_map_call_on_scalars(kind, param):
+    m = make_map(kind, param)
+    args = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, TINY, -TINY, 0.3, -0.3, 5.0, -5.0]
+    if kind == "table":
+        args += [z for z, _ in param] + [-z for z, _ in param]
+    for s in args:
+        got = m(s)
+        assert type(got) is float
+        # 0-d, as the map sees a scalar
+        want = oracle_map(kind, param, np.asarray(s))
+        assert np.float64(got).tobytes() == np.asarray(want).tobytes(), s
+
+
+def test_scalar_map_call_on_arrays():
+    rng = np.random.default_rng(5)
+    for kind, param in MIXED:
+        x = special_arguments(rng, (7, 5, 1), ((kind, param),))[..., 0]
+        assert make_map(kind, param)(x).tobytes() == oracle_map(kind, param, x).tobytes()
+
+
+def test_unknown_kind_refused_when_called():
+    m = ScalarMap("SINE")
+    with pytest.raises(nonlinear.DomainError, match="unknown scalar map kind"):
+        m(0.1)
+
+
+def test_eval_phi_on_a_mixed_state():
+    specs = (("table", TABLES[0]), ("linear", 0.5), ("power", 2.0))
+    sys_ = NonlinearSystem(np.eye(3) * 0.5, tuple(make_map(*s) for s in specs), (-1.0, 1.0))
+    x = np.array([-0.3, 0.8, -0.6])
+    assert eval_phi(sys_, x).tobytes() == oracle_phi(specs, x).tobytes()
+
+
+def reference_simulation(A, specs, x0, lo, hi, steps):
+    """One state per step: phi per coordinate, then A @ p."""
+    rows = [np.asarray(x0, dtype=float)]
+    for _ in range(steps):
+        x = A @ oracle_phi(specs, rows[-1][None])[0]
+        rows.append(x)
+        if np.any(x < lo) or np.any(x > hi):
+            return np.array(rows), len(rows) - 1
+    return np.array(rows), None
+
+
+@pytest.mark.parametrize("growth, exits", [(0.0, False), (1.2, True)])
+def test_simulate_matches_a_per_step_loop(growth, exits):
+    specs = (
+        ("table", TABLES[0]),
+        ("identity", None),
+        ("linear", 0.8),
+        ("power", 3.0),
+        ("table", [(-1.0, -1.0), (-0.2, -0.15), (0.0, 0.0), (0.2, 0.15), (1.0, 1.0)]),
+    )
+    rng = np.random.default_rng(11)
+    A = rng.uniform(-1.0, 1.0, (5, 5)) / 5 + growth * np.eye(5)
+    sys_ = NonlinearSystem(A, tuple(make_map(*s) for s in specs), (-1.0, 1.0))
+    x0 = rng.uniform(-0.9, 0.9, 5)
+    res = simulate(sys_, x0, 300)
+    states, exit_step = reference_simulation(A, specs, x0, -1.0, 1.0, 300)
+    assert (res.exit_step is not None) == exits
+    assert res.exit_step == exit_step
+    assert res.states.tobytes() == states.tobytes()
+
+
+def test_wedge_trajectory_never_calls_a_scalar_map(monkeypatch):
+    rng = np.random.default_rng(2)
+    n, k = 4, 3
+    maps = tuple(
+        ScalarMap.table([(z, c * z) for z in (-1.0, -0.5, 0.0, 0.5, 1.0)])
+        for c in rng.uniform(0.9995, 1.0, n)
+    )
+    A = np.roll(np.eye(n), 1, axis=1) * 0.999
+    sys_ = NonlinearSystem(A, maps, (-1.0, 1.0))
+    initials = list(rng.uniform(-0.5, 0.5, (k, n)))
+
+    def refuse(self, s):
+        raise AssertionError("ScalarMap.__call__ used in the batched loop")
+
+    monkeypatch.setattr(ScalarMap, "__call__", refuse)
+    traj = wedge_trajectory(sys_, k, initials, np.ones(4), 2000)
+    assert traj.v_series.shape == (2001,) and traj.exit_step is None
+
+
+def reference_csv(columns, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["j", *columns])
+    writer.writerows([str(j), *(f"{v:.17g}" for v in row)] for j, row in enumerate(rows))
+    return buf.getvalue()
+
+
+SPECIAL_ROWS = np.array(
+    [
+        [0.1, np.nan, -0.0],
+        [np.inf, -np.inf, 0.0],
+        [TINY, -TINY, 1e-310],
+        [1.0 / 3.0, -2.0 / 3.0, 1e300],
+        [123456789.0, 1e-5, -7.0],
+    ]
+)
+
+
+def test_write_csv_matches_the_csv_module():
+    buf = io.StringIO()
+    write_csv(buf, ["a", "b", "c"], SPECIAL_ROWS)
+    assert buf.getvalue() == reference_csv(["a", "b", "c"], SPECIAL_ROWS)
+    buf = io.StringIO()
+    write_csv(buf, ["a"], np.empty((0, 1)))
+    assert buf.getvalue() == "j,a\n"
+
+
+def test_trajectory_csv_with_state_columns_matches_the_csv_module():
+    k, n, T = 2, 3, SPECIAL_ROWS.shape[0]
+    rng = np.random.default_rng(1)
+    states = rng.uniform(-1.0, 1.0, (k, T, n))
+    states[0, :, 0] = SPECIAL_ROWS[:, 0]
+    states[1, :, 2] = SPECIAL_ROWS[:, 2]
+    traj = WedgeTrajectory(
+        k=k,
+        initials=states[:, 0],
+        states=states,
+        y_series=np.zeros((T, 3)),
+        v_series=SPECIAL_ROWS[:, 1].copy(),
+        d_used=np.ones(3),
+        v_increase_steps=(),
+        exit_step=None,
+    )
+    columns = ["V"] + [f"x{i}_{c}" for i in (1, 2) for c in (1, 2, 3)]
+    table = np.column_stack([traj.v_series, states.swapaxes(0, 1).reshape(T, k * n)])
+    for include_states, cols, rows in ((False, ["V"], table[:, :1]), (True, columns, table)):
+        buf = io.StringIO()
+        export_trajectory_csv(traj, buf, include_states=include_states)
+        assert buf.getvalue() == reference_csv(cols, rows)

@@ -301,3 +301,33 @@ class TestDiagonalStabilityPropagation:
     def test_end_to_end_recovery_from_reference_certificate(self):
         p = solve_top_compound_diagonal(CERT_D_REF)
         assert stein_holds(CERT_3X3, p).ok
+
+
+class TestCayleySingularity:
+    # the strictly totally positive Vandermonde matrix on nodes 0.5, 1, ..., 3
+    V = np.vander(np.arange(1, 7) * 0.5, increasing=True)
+
+    def test_well_conditioned_large_scale_is_accepted(self):
+        A = 1e6 * self.V
+        assert np.linalg.cond(A - np.eye(6)) < 1e5
+        B = cayley(A)
+        np.testing.assert_allclose(B @ (A - np.eye(6)), -(A + np.eye(6)), rtol=1e-9, atol=1e-3)
+
+    def test_threshold_ignores_kposi_tol(self, monkeypatch):
+        monkeypatch.setenv("KPOSI_TOL", "5")
+        np.testing.assert_allclose(cayley(0.5 * np.eye(3)), 3.0 * np.eye(3), rtol=1e-15)
+        monkeypatch.setenv("KPOSI_TOL", "1e-300")
+        with pytest.raises(DomainError, match="A - I is singular"):
+            cayley(np.eye(3))
+
+    def test_rank_deficient_difference_is_refused(self):
+        # A - I = u v^T has rank one, so 1 is an eigenvalue of A
+        A = np.eye(4) + np.outer([1.0, 2.0, 3.0, 4.0], [1.0, -1.0, 2.0, 0.5])
+        with pytest.raises(DomainError, match="A - I is singular"):
+            cayley(A)
+
+    def test_explicit_tolerance(self):
+        A = np.diag([0.5, 1.0 + 1e-8])
+        cayley(A)
+        with pytest.raises(DomainError):
+            cayley(A, tol=1e-6)

@@ -12,6 +12,7 @@ necessary conditions that rule diagonal stability out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -39,6 +40,8 @@ NEGATE_CT = "NEGATE_CT"
 
 # Principal-minor screens sweep all 2^n - 1 subsets; keep n sane.
 _SCREEN_DIM_LIMIT = 20
+# Screens up to this dimension keep their index sets (under 0.5 MB in all).
+_SCREEN_CACHE_DIM = 12
 
 
 def diag_entries(D, name: str = "D", positive: bool = True) -> np.ndarray:
@@ -324,14 +327,23 @@ class NecessaryConditionReport:
     transform_used: str
 
 
+@lru_cache(maxsize=None)
+def _screen_sets(k: int, n: int) -> np.ndarray:
+    """lex_array(k, n), read-only, built once per (k, n) up to _SCREEN_CACHE_DIM."""
+    sets = lex_array(k, n)
+    sets.setflags(write=False)
+    return sets
+
+
 def _principal_minor_screen(B: np.ndarray, tol: float):
     n = B.shape[0]
     if n > _SCREEN_DIM_LIMIT:
         raise CapacityError(
             f"principal-minor screen sweeps 2^{n} subsets; refusing n > {_SCREEN_DIM_LIMIT}"
         )
+    subsets = _screen_sets if n <= _SCREEN_CACHE_DIM else lex_array
     for k in range(1, n + 1):
-        sets = lex_array(k, n)
+        sets = subsets(k, n)
         stack = B[sets[:, :, None], sets[:, None, :]]
         values = det_stack(np.ascontiguousarray(stack))
         bad = np.nonzero(~(values > tol))[0]

@@ -18,6 +18,7 @@ from kposi import (
     solve_top_compound_diagonal,
     stein_holds,
 )
+from kposi import stability
 from kposi.stability import COMPOUND_NOT_SCHUR, NOT_SIGN_REGULAR
 
 from matrices import CERT_3X3, CERT_D_REF, CERT_P_REF, CT_NO_DLF, CYCLIC_WEDGE, DT_NO_DLF
@@ -277,6 +278,18 @@ class TestNecessaryScreens:
             assert necessary_dt_diag(A).passed
             confirmed += 1
         assert confirmed >= 20
+
+    @pytest.mark.parametrize("n", [4, 13])
+    def test_screen_is_the_same_with_and_without_its_index_cache(self, n, monkeypatch):
+        # the principal k-minors of I - cJ are 1 - k c: only the full one fails
+        A = np.ones((n, n)) / (n - 0.5) - np.eye(n)
+        for cache_dim in (stability._SCREEN_CACHE_DIM, 0):
+            monkeypatch.setattr(stability, "_SCREEN_CACHE_DIM", cache_dim)
+            for _ in range(2):
+                kappa, value = necessary_ct_diag(A).failing_minor
+                assert kappa.indices == tuple(range(1, n + 1))
+                assert value == pytest.approx(1 - n / (n - 0.5), rel=1e-9)
+        assert not stability._screen_sets(2, 4).flags.writeable
 
 
 class TestDiagonalStabilityPropagation:

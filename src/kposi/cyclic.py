@@ -16,7 +16,6 @@ import numpy as np
 
 from .compound import mult_compound
 from .errors import NumericError, PreconditionError
-from .matcore import spectral_report, zero_tol
 from .signreg import ALL_ZERO, SR, SSR, SignClass, _classify_minors
 from .stability import is_schur
 
@@ -95,8 +94,7 @@ def analyze_cyclic(spec: CyclicSpec, tol: float | None = None) -> CyclicAnalysis
             f"(verdict {sc.verdict}, signature {sc.signature}); this contradicts "
             "the structural nonnegativity of cyclic minors"
         )
-    rho = spectral_report(M).spectral_radius
-    ell_diag_stable = rho < 1.0 - zero_tol(tol)
+    compound_schur = is_schur(M, tol)
     if spec.ell % 2 == 1:
         nonneg = bool(np.min(A) >= 0.0)
         diag_stable = is_schur(A, tol).ok
@@ -105,8 +103,8 @@ def analyze_cyclic(spec: CyclicSpec, tol: float | None = None) -> CyclicAnalysis
         diag_stable = None
     return CyclicAnalysis(
         sign_class_at_ell=sc,
-        ell_diag_stable=ell_diag_stable,
-        compound_rho=rho,
+        ell_diag_stable=compound_schur.ok,
+        compound_rho=compound_schur.spectral_radius,
         diag_stable_if_odd=diag_stable,
         nonneg_entrywise=nonneg,
     )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, DomainError, NumericError
 
-# Default tolerances.  Sign tests treat |value| <= tol * scale as zero;
+# Default tolerances.  Sign tests treat values inside zero_band as zero;
 # definiteness tests require an eigenvalue margin above TAU_PD.
 TAU_ZERO = 1e-9
 TAU_PD = 1e-10
@@ -51,6 +51,17 @@ def _resolve_tol(tol: float | None, default: float) -> float:
 def zero_tol(tol: float | None = None) -> float:
     """Resolve a sign-test tolerance (default TAU_ZERO)."""
     return _resolve_tol(tol, TAU_ZERO)
+
+
+def zero_band(values: np.ndarray, tol: float | None = None) -> float:
+    """Half-width of the band a sign test reads as zero.
+
+    A value v of `values` counts as zero when |v| <= zero_tol(tol) *
+    max(1, max |values|).  The floor of 1 makes the band absolute for
+    arrays whose entries are all below 1 in magnitude, so verdicts on
+    such arrays change with their scale (ROADMAP item 1).
+    """
+    return zero_tol(tol) * max(1.0, float(np.max(np.abs(values))))
 
 
 def pd_tol(tol: float | None = None) -> float:

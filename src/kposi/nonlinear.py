@@ -110,6 +110,8 @@ class ScalarMap:
             if self.points is None or len(self.points) < 2:
                 raise PreconditionError("TABLE needs at least two breakpoints")
             xs = [z for z, _ in self.points]
+            if any(b < a for a, b in zip(xs, xs[1:])):
+                raise PreconditionError("TABLE breakpoints must be in nondecreasing order")
             if not (xs[0] <= lo and hi <= xs[-1]):
                 raise PreconditionError("TABLE breakpoints must cover the domain")
             if (0.0, 0.0) not in self.points:

@@ -22,6 +22,7 @@ from .matcore import (
     as_vector,
     lex_index_set_at,
     minor_table,
+    zero_band,
     zero_tol,
 )
 
@@ -107,10 +108,13 @@ class SignClass:
 def classify_sign_regularity(A, k: int, tol: float | None = None) -> SignClass:
     """Classify all k-minors of A by sign.
 
-    A minor counts as zero when |value| <= tol * max(1, largest |minor|),
-    which keeps verdicts scale-free.  Verdicts: "SSR" when every minor is
-    strictly one sign, "SR" when weakly one sign with at least one nonzero,
-    "ALL_ZERO" when every minor vanishes, "NONE" on a strict sign conflict.
+    A minor counts as zero when |value| <= tol * max(1, largest |minor|)
+    (matcore.zero_band).  The floor of 1 makes the band absolute when every
+    minor is below 1 in magnitude, so verdicts there are not scale-free:
+    classify_sign_regularity(1e-5 * A, 2) can read ALL_ZERO where A is SSR
+    (ROADMAP item 1).  Verdicts: "SSR" when every minor is strictly one
+    sign, "SR" when weakly one sign with at least one nonzero, "ALL_ZERO"
+    when every minor vanishes, "NONE" on a strict sign conflict.
     """
     A = as_matrix(A)
     return _classify_minors(minor_table(A, k), k, A.shape, tol)
@@ -118,8 +122,6 @@ def classify_sign_regularity(A, k: int, tol: float | None = None) -> SignClass:
 
 def _classify_minors(minors: np.ndarray, k: int, shape: tuple[int, int], tol) -> SignClass:
     """classify_sign_regularity on an already-built table of the k-minors of a `shape` matrix."""
-    t = zero_tol(tol)
-
     def _witness(flat_idx: int) -> MinorWitness:
         i, j = divmod(flat_idx, minors.shape[1])
         return MinorWitness(
@@ -128,7 +130,7 @@ def _classify_minors(minors: np.ndarray, k: int, shape: tuple[int, int], tol) ->
             value=float(flat[flat_idx]),
         )
 
-    band = t * max(1.0, float(np.max(np.abs(minors))))
+    band = zero_band(minors, tol)
     flat = minors.ravel()
     witness_min = _witness(int(np.argmin(np.abs(flat))))
 
@@ -158,7 +160,9 @@ def is_k_positive_system(A, k: int, tol: float | None = None) -> KPositivityRepo
 
     The map preserves the weak order-k variation cone iff A is SR of
     order k, and maps its nonzero part into the strict cone iff A is SSR
-    of order k, so the verdict reduces to classification.
+    of order k, so the verdict reduces to classification.  A counts as
+    singular, and is refused, when |det A| <= tol * max(1, max |A_ij|)^n;
+    like the zero band, this floor is absolute for small A (ROADMAP item 1).
     """
     A = as_square(A)
     t = zero_tol(tol)
@@ -217,16 +221,13 @@ def sampled_cone_invariance(
     weak cone to keep the yield high), keeps those with s_minus <= k-1,
     and verifies s_minus(Ax) <= k-1.  When A is SSR of order k the image
     of every nonzero sample must additionally satisfy s_plus(Ax) <= k-1.
+    A is classified, and refused when singular, by is_k_positive_system.
     """
     A = as_square(A)
     n = A.shape[0]
     if not 1 <= k <= n:
         raise DomainError(f"order k={k} must satisfy 1 <= k <= n={n}")
-    scale = max(1.0, float(np.max(np.abs(A)))) ** n
-    if abs(float(np.linalg.det(A))) <= zero_tol() * scale:
-        raise PreconditionError("matrix is singular; cone invariance is probed for nonsingular maps")
-
-    strong = classify_sign_regularity(A, k).verdict == SSR
+    strong = is_k_positive_system(A, k).strongly_k_positive
     rng = np.random.default_rng(seed)
     violations: list[ConeSampleViolation] = []
     tested = 0

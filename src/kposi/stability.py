@@ -28,6 +28,7 @@ from .matcore import (
     lex_array,
     lex_index_set_at,
     spectral_report,
+    zero_band,
     zero_tol,
 )
 from .signreg import MinorWitness
@@ -66,7 +67,11 @@ class SchurCheck(NamedTuple):
 
 def is_schur(A, tol: float | None = None) -> SchurCheck:
     """True iff the spectral radius is below 1 - tol."""
-    rho = spectral_report(A).spectral_radius
+    return _schur_check(spectral_report(A).spectral_radius, tol)
+
+
+def _schur_check(rho: float, tol: float | None) -> SchurCheck:
+    """The Schur margin, applied to a spectral radius already computed."""
     return SchurCheck(ok=rho < 1.0 - zero_tol(tol), spectral_radius=rho)
 
 
@@ -108,26 +113,31 @@ def construct_dlf_nonneg(A, x=None, y=None, tol: float | None = None) -> DlfCons
     Stein inequality is asserted on the original A before returning.
     """
     A = as_square(A)
-    t = zero_tol(tol)
-    scale = max(1.0, float(np.max(np.abs(A))))
-    sign_flipped = False
-    M = A
-    if np.min(A) < -t * scale:
-        if np.max(A) <= t * scale:
-            M = -A
-            sign_flipped = True
-        else:
-            raise PreconditionError(
-                "matrix has entries of both signs; use certify_k_diag_stability "
-                "to certify through a compound of definite sign"
-            )
+    sign = _nonneg_sign(A, tol)
+    if sign == 0:
+        raise PreconditionError(
+            "matrix has entries of both signs; use certify_k_diag_stability "
+            "to certify through a compound of definite sign"
+        )
     schur = is_schur(A, tol)
     if not schur.ok:
         raise PreconditionError(
             f"matrix is not Schur (spectral radius {schur.spectral_radius:.6g}); "
             "no diagonal Stein certificate exists"
         )
-    return _certify_nonneg_schur(A, M, x, y, sign_flipped)
+    return _certify_nonneg_schur(A, -A if sign < 0 else A, x, y, sign < 0)
+
+
+def _nonneg_sign(M: np.ndarray, tol: float | None) -> int:
+    """The sign s that makes s * M entrywise nonnegative, or 0 if none does.
+
+    Entries inside zero_band(M, tol) count as zero: s is 1 unless some
+    entry lies below the band, and then -1 if none lies above it.
+    """
+    band = zero_band(M, tol)
+    if not np.min(M) < -band:
+        return 1
+    return -1 if np.max(M) <= band else 0
 
 
 def _certify_nonneg_schur(A, M, x, y, sign_flipped: bool) -> DlfConstruction:
@@ -220,16 +230,11 @@ def certify_k_diag_stability(
     n = A.shape[0]
     if not 1 <= k <= n - 1:
         raise DomainError(f"order k={k} must satisfy 1 <= k <= n-1={n - 1}")
-    t = zero_tol(tol)
     M = mult_compound(A, k)
     r = M.shape[0]
-    scale = max(1.0, float(np.max(np.abs(M))))
-    sign_flipped = False
-    if np.max(M) <= t * scale and np.min(M) < -t * scale:
-        M = -M
-        sign_flipped = True
-    if np.min(M) < -t * scale:
-        # only reachable without a flip: a flipped compound is nonnegative
+    sign = _nonneg_sign(M, tol)
+    if sign == 0:
+        # the first most negative minor, classify's negative conflict witness
         i, j = divmod(int(np.argmin(M)), r)
         return CertificationFailure(
             k=k,
@@ -242,10 +247,13 @@ def certify_k_diag_stability(
             ),
         )
     rho = _compound_radius(A, k)
-    if not rho < 1.0 - t:
+    if not _schur_check(rho, tol).ok:
         return CertificationFailure(
             k=k, r=r, reason=COMPOUND_NOT_SCHUR, compound_spectral_radius=rho
         )
+    sign_flipped = sign < 0
+    if sign_flipped:
+        M = -M
     built = _certify_nonneg_schur(M, M, x, y, sign_flipped)
     # Margin reported against the original compound; the flip leaves
     # M^T D M invariant so the value is identical either way.

@@ -89,6 +89,13 @@ class TestScalarMap:
         with pytest.raises(PreconditionError):
             ScalarMap.table([(-0.5, -0.2), (0.0, 0.0), (0.5, 0.2)]).validate((-1.0, 1.0))
 
+    def test_table_validation_rejects_unsorted_breakpoints(self):
+        # interpolating through these points out of order gives m(0.25) = 0.225
+        points = ((-1.0, -0.5), (0.5, 0.1), (0.0, 0.0), (1.0, 0.9))
+        with pytest.raises(PreconditionError, match="nondecreasing"):
+            ScalarMap("TABLE", points=points).validate((-1.0, 1.0))
+        ScalarMap.table(points).validate((-1.0, 1.0))
+
 
 class TestSystemAssembly:
     def test_domain_must_straddle_zero(self):

@@ -15,6 +15,7 @@ is not given.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -200,7 +201,7 @@ def _cmd_classify(args) -> int:
 def _cmd_certify(args) -> int:
     A, digest = _load_matrix(args.infile)
     result = certify_k_diag_stability(A, args.k, args.tol)
-    tolerances = {"zero_tol": zero_tol(args.tol), "pd_tol": pd_tol()}
+    tolerances = {"zero_tol": zero_tol(args.tol), "pd_tol": pd_tol(args.tol)}
     if isinstance(result, CertificationFailure):
         verdicts = {
             "certified": False,
@@ -516,10 +517,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser run_cli uses, built once per process: building it costs
+    about as much as a small subcommand, and parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run_cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if not exc.code else int(exc.code)
     try:

@@ -43,6 +43,9 @@ _GRID_TUPLE_LIMIT = 1_000_000
 # Tuples per call of the minor kernel in _wedge_coords_batch.
 _WEDGE_CHUNK = 256
 
+# Steps per domain test in _iterate.
+_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class ScalarMap:
@@ -386,20 +389,32 @@ def _iterate(sys: NonlinearSystem, phi, starts: dict, steps: int) -> tuple[np.nd
     phi being the system's _phi_plan.
 
     Returns the (T+1, m, n) states and the first step T at which any start
-    left S^n (kept as the last row, iteration stops there), or None.
+    left S^n (kept as the last row, iteration stops there), or None.  A NaN
+    state is never outside S^n.
+
+    Steps run in blocks of _BLOCK with one domain test per block, so up to
+    _BLOCK - 1 steps past an exit are computed and dropped; they may
+    overflow, which is why the loop ignores overflow and invalid results.
     """
     x = np.array([_as_state(sys, a, name) for name, a in starts.items()])
     if steps < 0:
         raise DomainError("steps must be nonnegative")
     lo, hi = sys.domain
-    rows = [x]
-    for j in range(steps):
-        # A @ p per start, written so each row rounds exactly as A @ p does
-        x = (sys.A @ phi(x)[..., None])[..., 0]
-        rows.append(x)
-        if (x < lo).any() or (x > hi).any():
-            return np.array(rows), j + 1
-    return np.array(rows), None
+    A = sys.A
+    blocks = [x[None]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for done in range(0, steps, _BLOCK):
+            buf = np.empty((min(_BLOCK, steps - done), *x.shape))
+            for i in range(buf.shape[0]):
+                # A @ p per start, written so each row rounds exactly as A @ p does
+                x = buf[i] = (A @ phi(x)[..., None])[..., 0]
+            left = np.flatnonzero(((buf < lo) | (buf > hi)).any(axis=(1, 2)))
+            if left.size:
+                t = int(left[0]) + 1
+                blocks.append(buf[:t])
+                return np.concatenate(blocks), done + t
+            blocks.append(buf)
+    return np.concatenate(blocks), None
 
 
 def simulate(sys: NonlinearSystem, x0, steps: int) -> SimResult:

@@ -125,7 +125,7 @@ def construct_dlf_nonneg(A, x=None, y=None, tol: float | None = None) -> DlfCons
             f"matrix is not Schur (spectral radius {schur.spectral_radius:.6g}); "
             "no diagonal Stein certificate exists"
         )
-    return _certify_nonneg_schur(A, -A if sign < 0 else A, x, y, sign < 0)
+    return _certify_nonneg_schur(A, -A if sign < 0 else A, x, y, sign < 0, tol)
 
 
 def _nonneg_sign(M: np.ndarray, tol: float | None) -> int:
@@ -140,11 +140,14 @@ def _nonneg_sign(M: np.ndarray, tol: float | None) -> int:
     return -1 if np.max(M) <= band else 0
 
 
-def _certify_nonneg_schur(A, M, x, y, sign_flipped: bool) -> DlfConstruction:
+def _certify_nonneg_schur(
+    A, M, x, y, sign_flipped: bool, tol: float | None
+) -> DlfConstruction:
     """The construction proper, for a nonnegative M = +-A already known to be Schur.
 
     Solves for xi and z, requires both positive, sets d = z / xi and
-    asserts the Stein inequality on A before returning.
+    asserts the Stein inequality on A, at PD margin pd_tol(tol), before
+    returning.
     """
     n = M.shape[0]
     x = np.ones(n) if x is None else as_vector(x, "x")
@@ -162,7 +165,7 @@ def _certify_nonneg_schur(A, M, x, y, sign_flipped: bool) -> DlfConstruction:
     if np.any(xi <= 0.0) or np.any(z <= 0.0):
         raise NumericError("construction produced nonpositive xi or z entries")
     d = z / xi
-    check = stein_holds(A, d)
+    check = stein_holds(A, d, tol)
     margin = check.margin
     if not check.ok:
         raise NumericError(
@@ -254,7 +257,7 @@ def certify_k_diag_stability(
     sign_flipped = sign < 0
     if sign_flipped:
         M = -M
-    built = _certify_nonneg_schur(M, M, x, y, sign_flipped)
+    built = _certify_nonneg_schur(M, M, x, y, sign_flipped, tol)
     # Margin reported against the original compound; the flip leaves
     # M^T D M invariant so the value is identical either way.
     xi_image = M @ built.xi

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from kposi import compound, minor_table
-from kposi.cli import matrix_document, parse_matrix_document, run_cli
+from kposi import cli, compound, minor_table
+from kposi.cli import build_parser, matrix_document, parse_matrix_document, run_cli
 
 from matrices import CERT_3X3, CERT_D_REF, CERT_P_REF, CT_NO_DLF, CYCLIC_WEDGE, DT_NO_DLF
 
@@ -168,6 +168,19 @@ class TestVerdictCommands:
         assert rep["verdicts"]["ell_diag_stable"] is True
         assert rep["verdicts"]["sign_class_at_ell"]["signature"] == 1
 
+    def test_tol_and_kposi_tol_both_set_the_stein_margin(self, tmp_path, capsys, monkeypatch):
+        # rho = 0.95 passes the Schur margin at 1e-2; the Stein margin of
+        # the constructed D, about 0.0039, does not
+        A = 1.9 * np.array([[0.5, 0.49], [0.0, 0.5]])
+        path = write_json(tmp_path / "a.json", matrix_document(A))
+        assert run_cli(["certify", "--in", path, "-k", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["tolerances"]["pd_tol"] == 1e-10
+        assert run_cli(["certify", "--in", path, "-k", "1", "--tol", "1e-2"]) == 3
+        assert "Stein check" in capsys.readouterr().err
+        monkeypatch.setenv("KPOSI_TOL", "1e-2")
+        assert run_cli(["certify", "--in", path, "-k", "1"]) == 3
+        assert "Stein check" in capsys.readouterr().err
+
     def test_env_tolerance_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("KPOSI_TOL", "1e-6")
         path = write_json(tmp_path / "a.json", eq7_doc())
@@ -274,6 +287,29 @@ class TestErrorPaths:
     def test_singular_cayley_exits_two(self, tmp_path, capsys):
         path = write_json(tmp_path / "i.json", matrix_document(np.eye(3)))
         assert run_cli(["cayley", "--in", path]) == 2
+
+
+class TestParserReuse:
+    def test_one_parser_per_process_answers_as_fresh_ones(self, tmp_path, capsys, monkeypatch):
+        path = write_json(tmp_path / "a.json", matrix_document(CERT_3X3))
+        calls = [["certify", "--in", path], ["--help"], ["certify", "--in", path, "-k", "2"]]
+
+        def answers(fresh_parsers):
+            out = []
+            for argv in calls:
+                if fresh_parsers:
+                    cli._parser.cache_clear()
+                out.append((run_cli(argv), *capsys.readouterr()))
+            return out
+
+        fresh = answers(True)
+        assert [a[0] for a in fresh] == [2, 0, 0]
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        assert answers(False) == fresh
+        assert len(built) == 1
+        assert build_parser() is not build_parser()
 
 
 class TestPaperExamples:

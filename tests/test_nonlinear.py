@@ -1,4 +1,6 @@
 import io
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -169,6 +171,111 @@ class TestSimulate:
         sys_ = squared_map_system()
         with pytest.raises(DomainError):
             simulate(sys_, [0.6, 0.0, 0.0], 3)
+
+
+def per_step_run(sys_, starts, steps):
+    """States and exit step of x(j+1) = A phi(x(j)), one domain test per step."""
+    phi = nonlinear._phi_plan(sys_.maps)
+    lo, hi = sys_.domain
+    x = np.array(starts, dtype=float)
+    rows = [x]
+    for j in range(steps):
+        x = (sys_.A @ phi(x)[..., None])[..., 0]
+        rows.append(x)
+        if ((x < lo) | (x > hi)).any():
+            return np.array(rows), j + 1
+    return np.array(rows), None
+
+
+def doubling_system():
+    # x1 doubles exactly under the identity map, so a start at 1.5 * 2^-t
+    # first leaves [-1, 1] at step t; the other coordinates stay bounded.
+    A = np.array([[2.0, 0.0, 0.0], [0.1, 0.5, -0.3], [0.0, 0.3, 0.5]])
+    maps = (
+        ScalarMap.identity(),
+        ScalarMap.table([(-1.0, -0.9), (-0.3, -0.2), (0.0, 0.0), (0.3, 0.25), (1.0, 0.95)]),
+        ScalarMap.linear(0.9),
+    )
+    return NonlinearSystem(A, maps, (-1.0, 1.0))
+
+
+def exit_starts(t):
+    return [np.array([1.5 * 2.0**-t, 0.3, -0.2]), np.array([0.5 * 2.0**-t, -0.4, 0.6])]
+
+
+class TestBlockStepping:
+    """_iterate tests the domain once per block of steps; every output must
+    still equal the per-step loop's, bit for bit, on and around block edges."""
+
+    @pytest.mark.parametrize("t", [1, 63, 64, 65, 128])
+    def test_exit_at_a_block_edge(self, t):
+        sys_ = doubling_system()
+        starts = exit_starts(t)
+        ref, ref_exit = per_step_run(sys_, starts[:1], t + 200)
+        assert ref_exit == t
+        res = simulate(sys_, starts[0], t + 200)
+        assert res.exit_step == t
+        assert res.states.tobytes() == ref[:, 0].tobytes()
+
+        ref, ref_exit = per_step_run(sys_, starts, t + 200)
+        assert ref_exit == t
+        traj = wedge_trajectory(sys_, 2, starts, np.ones(3), t + 200)
+        assert traj.exit_step == t
+        assert traj.states.tobytes() == ref.swapaxes(0, 1).tobytes()
+        assert traj.v_series.shape == (t + 1,)
+
+    @pytest.mark.parametrize("steps", [0, 1, 63, 64, 65, 130])
+    def test_no_exit_run_lengths(self, steps):
+        sys_ = doubling_system()
+        starts = exit_starts(200)
+        ref, ref_exit = per_step_run(sys_, starts, steps)
+        assert ref_exit is None
+        res = simulate(sys_, starts[0], steps)
+        assert res.exit_step is None
+        assert res.states.tobytes() == ref[:, 0].tobytes()
+        traj = wedge_trajectory(sys_, 2, starts, np.ones(3), steps)
+        assert traj.exit_step is None
+        assert traj.states.tobytes() == ref.swapaxes(0, 1).tobytes()
+
+    def test_early_exit_of_a_huge_run_holds_one_block(self):
+        sys_ = doubling_system()
+        tracemalloc.start()
+        try:
+            res = simulate(sys_, exit_starts(3)[0], 10**9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.exit_step == 3 and res.states.shape == (4, 3)
+        assert peak < 2**20
+
+    def test_steps_past_an_exit_raise_no_warning(self):
+        # phi(1.9) = 1.9^400 ~ 1e111 leaves the box at step 1; the steps
+        # after it overflow to inf, then inf - inf gives NaN
+        sys_ = NonlinearSystem(
+            np.array([[1.0, 0.5], [0.5, 1.0]]),
+            (ScalarMap.power(400),) * 2,
+            (-2.0, 2.0),
+            validate=False,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = simulate(sys_, [1.9, 0.1], 100)
+        assert res.exit_step == 1 and res.states.shape == (2, 2)
+
+    def test_nan_state_never_exits(self):
+        # phi(x)_2 is NaN, and 0 * NaN in A @ phi(x) makes every coordinate
+        # NaN, so x1 = 2 * 0.75 would leave the box at step 1 but never does
+        sys_ = NonlinearSystem(
+            np.diag([2.0, 0.5]),
+            (ScalarMap.identity(), ScalarMap.linear(float("nan"))),
+            (-1.0, 1.0),
+            validate=False,
+        )
+        ref, ref_exit = per_step_run(sys_, [[0.75, 0.5]], 130)
+        res = simulate(sys_, [0.75, 0.5], 130)
+        assert ref_exit is None and res.exit_step is None
+        assert np.isnan(res.states[1:]).all()
+        assert res.states.tobytes() == ref[:, 0].tobytes()
 
 
 class TestContentPreserving:

@@ -5,6 +5,7 @@ from kposi import (
     CertificationFailure,
     DomainError,
     KDiagCertificate,
+    NumericError,
     PreconditionError,
     cayley,
     certify_k_diag_stability,
@@ -112,6 +113,21 @@ class TestConstructDlf:
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(PreconditionError):
             construct_dlf_nonneg(0.5 * np.eye(2), x=np.array([1.0, -1.0]))
+
+    def test_tol_sets_the_stein_margin(self, monkeypatch):
+        # Schur with radius 0.95 < 1 - 1e-2, but the constructed D has a
+        # Stein margin of about 0.0039: above the default PD margin, below
+        # 1e-2, whether tol is passed or read from KPOSI_TOL
+        A = 1.9 * np.array([[0.5, 0.49], [0.0, 0.5]])
+        assert construct_dlf_nonneg(A).stein_margin == pytest.approx(0.00388, abs=1e-5)
+        assert isinstance(certify_k_diag_stability(A, 1), KDiagCertificate)
+        for call in (construct_dlf_nonneg, lambda A, tol: certify_k_diag_stability(A, 1, tol)):
+            with pytest.raises(NumericError, match="Stein check"):
+                call(A, tol=1e-2)
+            monkeypatch.setenv("KPOSI_TOL", "1e-2")
+            with pytest.raises(NumericError, match="Stein check"):
+                call(A, tol=None)
+            monkeypatch.delenv("KPOSI_TOL")
 
 
 class TestCertify:

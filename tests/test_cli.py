@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,6 +313,9 @@ class TestParserReuse:
         assert build_parser() is not build_parser()
 
 
+GOLDEN_PAPER_EXAMPLES = Path(__file__).parent / "data" / "paper_examples.txt"
+
+
 class TestPaperExamples:
     def test_all_bundled_regressions_pass(self, capsys):
         assert run_cli(["paper-examples"]) == 0
@@ -319,6 +323,7 @@ class TestPaperExamples:
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert len(lines) == 14
         assert all(l.startswith("PASS") for l in lines)
+        assert out.encode() == GOLDEN_PAPER_EXAMPLES.read_bytes()
 
 
 class TestCayleyThreshold:

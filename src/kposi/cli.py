@@ -41,11 +41,9 @@ from .stability import (
     CertificationFailure,
     cayley,
     certify_k_diag_stability,
-    is_schur,
     necessary_ct_diag,
     necessary_dt_diag,
     solve_top_compound_diagonal,
-    stein_holds,
 )
 
 EXIT_OK = 0
@@ -352,88 +350,14 @@ def _cmd_wedge_sim(args) -> int:
 # bundled worked-example regressions
 
 
-def _check(results: list, label: str, ok: bool, detail: str = "") -> None:
-    results.append(ok)
-    line = f"{'PASS' if ok else 'FAIL'} {label}"
-    if detail and not ok:
-        line += f" ({detail})"
-    print(line)
-
-
 def _cmd_paper_examples(_args) -> int:
-    results: list[bool] = []
+    from .examples import paper_example_checks  # loaded by this subcommand only
 
-    # 1: mixed-sign 3x3, Schur and strongly 2-positive, yet no diagonal
-    # Lyapunov function (first principal-minor witness of the transform).
-    A1 = np.array([[-4.0, -2.0, 1.0], [1.0, -3.0, -5.0], [7.0, 1.0, -2.0]]) / 7.0
-    _check(results, "ex1 schur", is_schur(A1).ok)
-    sc = classify_sign_regularity(A1, 2)
-    _check(results, "ex1 strictly sign-regular order 2, signature +1",
-           sc.verdict == "SSR" and sc.signature == 1)
-    rep = necessary_dt_diag(A1)
-    ok = (
-        not rep.passed
-        and rep.failing_minor is not None
-        and rep.failing_minor[0].indices == (1, 3)
-        and abs(rep.failing_minor[1] - (-8.0 / 461.0)) <= 1e-9
-    )
-    _check(results, "ex1 dt necessary screen fails at {1,3} = -8/461", ok,
-           f"got {rep.failing_minor}")
-
-    # 2: continuous-time screen counterpart.
-    A2 = np.array([[-21.0, 11.0, -14.0], [18.0, -19.0, 37.0], [-49.0, 21.0, -33.0]])
-    rep = necessary_ct_diag(A2)
-    ok = (
-        not rep.passed
-        and rep.failing_minor is not None
-        and rep.failing_minor[0].indices == (2, 3)
-        and abs(rep.failing_minor[1] - (-150.0)) <= 1e-9
-    )
-    _check(results, "ex2 ct necessary screen fails at {2,3} = -150", ok,
-           f"got {rep.failing_minor}")
-
-    # 3: certificate at order 2 plus recovery of a full diagonal Lyapunov
-    # matrix from the top-order compound equation.
-    A3 = np.array([[-4.0, -2.0, 0.0], [0.0, -3.0, -5.0], [7.0, 0.0, -2.0]]) / 8.0
-    _check(results, "ex3 schur", is_schur(A3).ok)
-    sc = classify_sign_regularity(A3, 2)
-    _check(results, "ex3 strictly sign-regular order 2, signature +1",
-           sc.verdict == "SSR" and sc.signature == 1)
-    d_ref = np.array([23.0 / 21.0, 13.0 / 8.0, 7.0 / 13.0])
-    _check(results, "ex3 reference D satisfies the compound Stein inequality",
-           stein_holds(mult_compound(A3, 2), d_ref).ok)
-    p = solve_top_compound_diagonal(d_ref)
-    p_ref = np.array([np.sqrt(3887.0 / 1176.0), np.sqrt(184.0 / 507.0), np.sqrt(147.0 / 184.0)])
-    _check(results, "ex3 top-compound recovery matches closed-form P",
-           bool(np.max(np.abs(p - p_ref)) <= 1e-12))
-    _check(results, "ex3 recovered P is a diagonal Lyapunov matrix for A",
-           stein_holds(A3, p).ok)
-
-    # 4: unstable cyclic matrix whose order-2 compound is Schur; wedge
-    # Lyapunov function decreases along squared-map trajectories.
-    A4 = np.array([[0.1, 1.9, 0.0], [0.0, 0.05, 1.95], [-0.01, 0.0, 2.01]])
-    rho = is_schur(A4).spectral_radius
-    _check(results, "ex4 spectral radius 2", abs(rho - 2.0) <= 1e-9, f"rho={rho!r}")
-    M = mult_compound(A4, 2)
-    _check(results, "ex4 order-2 compound nonnegative and schur",
-           float(np.min(M)) >= -1e-12 and is_schur(M).ok)
-    cert = certify_k_diag_stability(A4, 2)
-    certified = not isinstance(cert, CertificationFailure)
-    _check(results, "ex4 order-2 certificate", certified)
-    if certified:
-        sys4 = NonlinearSystem(A4, tuple(ScalarMap.power(2) for _ in range(3)), (-0.5, 0.5))
-        a1 = 0.5 * np.ones(3)
-        a2 = np.array([-0.5, 0.5, 0.4])
-        traj = wedge_trajectory(sys4, 2, [a1, a2], cert.d, 5)
-        diffs = np.diff(traj.v_series[1:6])
-        _check(results, "ex4 V strictly decreasing over steps 1..5",
-               bool(np.all(diffs < -1e-12)), f"diffs={diffs}")
-        ok = True
-        for a in (a1, a2):
-            res = simulate(sys4, a, 20)
-            ok = ok and res.exit_step is None
-        _check(results, "ex4 trajectories stay in the state box for 20 steps", ok)
-
+    results = []
+    for label, ok, detail in paper_example_checks():
+        results.append(ok)
+        suffix = f" ({detail})" if detail and not ok else ""
+        print(f"{'PASS' if ok else 'FAIL'} {label}{suffix}")
     print(f"{sum(results)}/{len(results)} checks passed")
     return EXIT_OK if all(results) else EXIT_VERDICT
 

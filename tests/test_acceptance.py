@@ -35,8 +35,7 @@ from kposi import (
 )
 from kposi.cli import parse_matrix_document
 from kposi.cyclic import CyclicSpec, build_cyclic
-
-from matrices import (
+from kposi.examples import (
     CERT_3X3,
     CERT_D_REF,
     CERT_P_REF,
@@ -45,6 +44,7 @@ from matrices import (
     WEDGE_A1,
     WEDGE_A2,
 )
+
 from oracles import brute_force_splus, random_diagonally_stable, well_conditioned
 
 

@@ -6,8 +6,18 @@ import pytest
 
 from kposi import cli, compound, minor_table
 from kposi.cli import build_parser, matrix_document, parse_matrix_document, run_cli
-
-from matrices import CERT_3X3, CERT_D_REF, CERT_P_REF, CT_NO_DLF, CYCLIC_WEDGE, DT_NO_DLF
+from kposi.examples import (
+    CERT_3X3,
+    CERT_D_REF,
+    CERT_P_REF,
+    CT_NO_DLF,
+    CT_SCREEN_WITNESS,
+    CYCLIC_WEDGE,
+    DT_NO_DLF,
+    DT_SCREEN_WITNESS,
+    WEDGE_A1,
+    WEDGE_A2,
+)
 
 
 def write_json(path, doc):
@@ -20,7 +30,7 @@ def eq7_doc():
         "rows": 3,
         "cols": 3,
         "scale": "1/7",
-        "data": [[-4, -2, 1], [1, -3, -5], [7, 1, -2]],
+        "data": np.rint(7.0 * DT_NO_DLF).astype(int).tolist(),
     }
 
 
@@ -120,15 +130,17 @@ class TestVerdictCommands:
         assert run_cli(["check-necessary", "--in", path, "--mode", "dt"]) == 1
         rep = json.loads(capsys.readouterr().out)
         assert rep["verdicts"]["passed"] is False
-        assert rep["verdicts"]["witness"]["kappa"] == [1, 3]
-        assert rep["verdicts"]["witness"]["value"] == pytest.approx(-8.0 / 461.0, abs=1e-9)
+        kappa, value = DT_SCREEN_WITNESS
+        assert rep["verdicts"]["witness"]["kappa"] == list(kappa)
+        assert rep["verdicts"]["witness"]["value"] == pytest.approx(value, abs=1e-9)
 
     def test_check_necessary_ct_regression(self, tmp_path, capsys):
         path = write_json(tmp_path / "a.json", matrix_document(CT_NO_DLF))
         assert run_cli(["check-necessary", "--in", path, "--mode", "ct"]) == 1
         rep = json.loads(capsys.readouterr().out)
-        assert rep["verdicts"]["witness"]["kappa"] == [2, 3]
-        assert rep["verdicts"]["witness"]["value"] == pytest.approx(-150.0, abs=1e-9)
+        kappa, value = CT_SCREEN_WITNESS
+        assert rep["verdicts"]["witness"]["kappa"] == list(kappa)
+        assert rep["verdicts"]["witness"]["value"] == pytest.approx(value, abs=1e-9)
 
     def test_check_necessary_reads_kposi_tol(self, tmp_path, capsys, monkeypatch):
         # -0.9*I maps to I/19 under the Cayley transform: principal minors
@@ -194,20 +206,20 @@ class TestSimulationCommands:
     def test_simulate_states_csv(self, tmp_path, capsys):
         path = write_json(tmp_path / "sys.json", system5_doc())
         code = run_cli(
-            ["simulate", "--system", path, "--x0", "-0.5", "0.5", "0.4", "--steps", "3"]
+            ["simulate", "--system", path, "--x0", *map(str, WEDGE_A2), "--steps", "3"]
         )
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "j,x1,x2,x3"
         assert len(lines) == 5
         first = [float(v) for v in lines[1].split(",")[1:]]
-        np.testing.assert_allclose(first, [-0.5, 0.5, 0.4])
+        np.testing.assert_allclose(first, WEDGE_A2)
         second = [float(v) for v in lines[2].split(",")[1:]]
         np.testing.assert_allclose(second, CYCLIC_WEDGE @ np.array([0.25, 0.25, 0.16]))
 
     def test_wedge_sim_decreasing_v_column(self, tmp_path, capsys):
         sys_path = write_json(tmp_path / "sys.json", system5_doc())
-        inits = np.column_stack([0.5 * np.ones(3), [-0.5, 0.5, 0.4]])
+        inits = np.column_stack([WEDGE_A1, WEDGE_A2])
         init_path = write_json(tmp_path / "init.json", matrix_document(inits))
         code = run_cli(
             [
@@ -236,7 +248,7 @@ class TestSimulationCommands:
 
     def test_wedge_sim_without_certificate_uses_unit_weights(self, tmp_path, capsys):
         sys_path = write_json(tmp_path / "sys.json", system5_doc())
-        inits = np.column_stack([0.5 * np.ones(3), [-0.5, 0.5, 0.4]])
+        inits = np.column_stack([WEDGE_A1, WEDGE_A2])
         init_path = write_json(tmp_path / "init.json", matrix_document(inits))
         code = run_cli(
             ["wedge-sim", "--system", sys_path, "--initials", init_path, "-k", "2", "--steps", "2"]
@@ -250,7 +262,7 @@ class TestSimulationCommands:
         # only A^(2) is built: the unit weights need no compound, and the
         # wedges of all steps come from one batched pass
         sys_path = write_json(tmp_path / "sys.json", system5_doc())
-        inits = np.column_stack([0.5 * np.ones(3), [-0.5, 0.5, 0.4]])
+        inits = np.column_stack([WEDGE_A1, WEDGE_A2])
         init_path = write_json(tmp_path / "init.json", matrix_document(inits))
         calls = []
 

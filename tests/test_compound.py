@@ -13,8 +13,8 @@ from kposi import (
     spectral_report,
     wedge,
 )
+from kposi.examples import DT_NO_DLF
 
-from matrices import DT_NO_DLF
 from oracles import well_conditioned
 
 

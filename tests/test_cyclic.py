@@ -17,10 +17,9 @@ from kposi import (
     signreg,
     spectral_report,
 )
+from kposi.examples import CYCLIC_WEDGE
 from kposi.matcore import zero_tol
 from kposi.signreg import SR, SSR
-
-from matrices import CYCLIC_WEDGE
 
 
 def random_spec(rng, n, ell, scale=1.2):

@@ -13,9 +13,9 @@ from kposi import (
     minor_table,
     spectral_report,
 )
+from kposi.examples import CERT_3X3, CYCLIC_WEDGE, DT_NO_DLF, DT_SCREEN_WITNESS
 from kposi.matcore import det_stack
 
-from matrices import CERT_3X3, CYCLIC_WEDGE, DT_NO_DLF
 from oracles import leibniz_det, sylvester_positive_definite
 
 
@@ -66,7 +66,7 @@ class TestMinor:
 
     def test_transform_block_minor(self):
         B = np.array([[204.0, 140.0], [497.0, 323.0]]) / 461.0
-        assert minor(B, (1, 2), (1, 2)) == pytest.approx(-8.0 / 461.0, rel=1e-12)
+        assert minor(B, (1, 2), (1, 2)) == pytest.approx(DT_SCREEN_WITNESS[1], rel=1e-12)
 
     def test_against_permutation_sum(self):
         rng = np.random.default_rng(11)

@@ -23,8 +23,7 @@ from kposi import (
     wedge,
     wedge_trajectory,
 )
-
-from matrices import CYCLIC_WEDGE, WEDGE_A1, WEDGE_A2
+from kposi.examples import CYCLIC_WEDGE, WEDGE_A1, WEDGE_A2
 
 
 def squared_map_system():

@@ -10,9 +10,9 @@ from kposi import (
     sampled_cone_invariance,
     sign_variations,
 )
+from kposi.examples import CYCLIC_WEDGE, DT_NO_DLF
 from kposi.signreg import ALL_ZERO, NONE, SR, SSR
 
-from matrices import CYCLIC_WEDGE, DT_NO_DLF
 from oracles import brute_force_splus, count_sign_changes_no_zeros
 
 

@@ -20,9 +20,18 @@ from kposi import (
     stein_holds,
 )
 from kposi import stability
+from kposi.examples import (
+    CERT_3X3,
+    CERT_D_REF,
+    CERT_P_REF,
+    CT_NO_DLF,
+    CT_SCREEN_WITNESS,
+    CYCLIC_WEDGE,
+    DT_NO_DLF,
+    DT_SCREEN_WITNESS,
+)
 from kposi.stability import COMPOUND_NOT_SCHUR, NOT_SIGN_REGULAR
 
-from matrices import CERT_3X3, CERT_D_REF, CERT_P_REF, CT_NO_DLF, CYCLIC_WEDGE, DT_NO_DLF
 from oracles import random_diagonally_stable, search_diagonal_stein
 
 
@@ -253,8 +262,8 @@ class TestNecessaryScreens:
         rep = necessary_dt_diag(DT_NO_DLF)
         assert not rep.passed and rep.transform_used == "CAYLEY_DT"
         kappa, value = rep.failing_minor
-        assert kappa.indices == (1, 3)
-        assert value == pytest.approx(-8.0 / 461.0, abs=1e-9)
+        assert kappa.indices == DT_SCREEN_WITNESS[0]
+        assert value == pytest.approx(DT_SCREEN_WITNESS[1], abs=1e-9)
 
     def test_dt_zero_matrix_passes(self):
         rep = necessary_dt_diag(np.zeros((3, 3)))
@@ -268,8 +277,8 @@ class TestNecessaryScreens:
         rep = necessary_ct_diag(CT_NO_DLF)
         assert not rep.passed and rep.transform_used == "NEGATE_CT"
         kappa, value = rep.failing_minor
-        assert kappa.indices == (2, 3)
-        assert value == pytest.approx(-150.0, abs=1e-9)
+        assert kappa.indices == CT_SCREEN_WITNESS[0]
+        assert value == pytest.approx(CT_SCREEN_WITNESS[1], abs=1e-9)
 
     def test_ct_negative_identity_passes(self):
         assert necessary_ct_diag(-np.eye(3)).passed

@@ -59,7 +59,18 @@ EXIT_NUMERIC = 3
 def _load_json(path: str):
     with open(path, "rb") as fh:
         raw = fh.read()
-    return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text: {exc}") from exc
+    return json.loads(text), hashlib.sha256(raw).hexdigest()
+
+
+def _float_array(obj, what: str) -> np.ndarray:
+    try:
+        return np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} is not a rectangular array of numbers: {exc}") from exc
 
 
 def parse_matrix_document(doc) -> np.ndarray:
@@ -69,11 +80,13 @@ def parse_matrix_document(doc) -> np.ndarray:
     for key in ("rows", "cols", "data"):
         if key not in doc:
             raise DomainError(f"matrix document is missing the {key!r} field")
-    arr = np.asarray(doc["data"], dtype=float)
-    if arr.ndim != 2 or arr.shape != (int(doc["rows"]), int(doc["cols"])):
-        raise DomainError(
-            f"data has shape {arr.shape}, expected ({doc['rows']}, {doc['cols']})"
-        )
+    arr = _float_array(doc["data"], "matrix document 'data'")
+    try:
+        shape = (int(doc["rows"]), int(doc["cols"]))
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"matrix document 'rows' and 'cols' must be integers: {exc}") from exc
+    if arr.ndim != 2 or arr.shape != shape:
+        raise DomainError(f"data has shape {arr.shape}, expected {shape}")
     scale = doc.get("scale")
     if scale is not None:
         try:
@@ -97,11 +110,18 @@ def _load_matrix(path: str) -> tuple[np.ndarray, str]:
     doc, digest = _load_json(path)
     if isinstance(doc, dict) and "data" in doc and "rows" not in doc:
         # plain vector file {"data": [...]}; treat as a single column
-        vec = np.asarray(doc["data"], dtype=float)
+        vec = _float_array(doc["data"], "vector document 'data'")
         if vec.ndim != 1:
             raise DomainError("vector document 'data' must be a flat list")
         return vec[:, None], digest
     return parse_matrix_document(doc), digest
+
+
+def _number(value, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} must be a number, got {value!r}") from exc
 
 
 def _parse_scalar_map(obj) -> ScalarMap:
@@ -113,15 +133,22 @@ def _parse_scalar_map(obj) -> ScalarMap:
     if kind == "linear":
         if "c" not in obj:
             raise DomainError("linear map needs a gain field 'c'")
-        return ScalarMap.linear(obj["c"])
+        return ScalarMap.linear(_number(obj["c"], "linear map gain 'c'"))
     if kind == "power":
         if "p" not in obj:
             raise DomainError("power map needs an exponent field 'p'")
-        return ScalarMap.power(obj["p"])
+        return ScalarMap.power(_number(obj["p"], "power map exponent 'p'"))
     if kind == "table":
         if "points" not in obj:
             raise DomainError("table map needs a 'points' list of [z, phi] pairs")
-        return ScalarMap.table(obj["points"])
+        pairs = obj["points"]
+        if not isinstance(pairs, list) or any(
+            not isinstance(pt, list) or len(pt) != 2 for pt in pairs
+        ):
+            raise DomainError("table map 'points' must be a list of [z, phi] pairs")
+        return ScalarMap.table(
+            [(_number(z, "table point"), _number(v, "table point")) for z, v in pairs]
+        )
     raise DomainError(f"unknown map kind {obj['kind']!r}")
 
 
@@ -133,10 +160,12 @@ def _load_system(path: str) -> tuple[NonlinearSystem, str]:
         if key not in doc:
             raise DomainError(f"system document is missing the {key!r} field")
     A = parse_matrix_document(doc["A"])
+    if not isinstance(doc["maps"], list):
+        raise DomainError("system document 'maps' must be a list of map objects")
     maps = tuple(_parse_scalar_map(m) for m in doc["maps"])
-    domain = tuple(float(v) for v in doc["domain"])
-    if len(domain) != 2:
+    if not isinstance(doc["domain"], list) or len(doc["domain"]) != 2:
         raise DomainError("domain must be a [lo, hi] pair")
+    domain = tuple(_number(v, "domain bound") for v in doc["domain"])
     validate = bool(doc.get("validate", True))
     return NonlinearSystem(A, maps, domain, validate=validate), digest
 

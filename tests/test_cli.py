@@ -287,6 +287,47 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "line" in err and "column" in err
 
+    @pytest.mark.parametrize(
+        "command, doc",
+        [
+            ("classify", {"rows": "three", "cols": 3, "data": [[1.0] * 3] * 3}),
+            ("classify", {"rows": None, "cols": 3, "data": [[1.0] * 3] * 3}),
+            ("classify", {"rows": 2, "cols": 2, "data": [[1.0, "x"], [0.0, 1.0]]}),
+            ("classify", {"rows": 2, "cols": 2, "data": [[1.0, 0.0], [1.0]]}),
+            ("classify", b'{"rows": 1, "cols": 1, "data": [[1]], "note": "\xff"}'),
+            ("simulate", {"maps": [{"kind": "linear", "c": "x"}] * 3}),
+            ("simulate", {"maps": 5}),
+            ("simulate", {"domain": [-1, "a"]}),
+            ("simulate", {"maps": [{"kind": "table", "points": [[1]]}] * 3}),
+        ],
+        ids=[
+            "rows-string",
+            "rows-null",
+            "data-entry-string",
+            "data-ragged",
+            "not-utf8",
+            "linear-gain-string",
+            "maps-not-a-list",
+            "domain-bound-string",
+            "table-point-short",
+        ],
+    )
+    def test_malformed_document_exits_two(self, tmp_path, capsys, command, doc):
+        path = tmp_path / "doc.json"
+        if isinstance(doc, bytes):  # not UTF-8
+            path.write_bytes(doc)
+        elif command == "simulate":
+            write_json(path, dict(system5_doc(), **doc))
+        else:
+            write_json(path, doc)
+        if command == "classify":
+            argv = ["classify", "--in", str(path), "-k", "1"]
+        else:
+            argv = ["simulate", "--system", str(path), "--x0", "0", "0", "0", "--steps", "1"]
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
     def test_missing_file_exits_two(self, capsys):
         assert run_cli(["classify", "--in", "/nonexistent.json", "-k", "1"]) == 2
 

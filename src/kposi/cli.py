@@ -333,21 +333,15 @@ def _cmd_wedge_sim(args) -> int:
             f"initials file has {inits_mat.shape[1]} columns, expected k={args.k}"
         )
     initials = [inits_mat[:, j] for j in range(args.k)]
+    tolerances = {"zero_tol": zero_tol(args.tol)}
     cert_info = None
     if args.certify:
+        # --tol also sets the Stein margin the certificate is checked at
+        tolerances["pd_tol"] = pd_tol(args.tol)
         result = certify_k_diag_stability(sys_.A, args.k, args.tol)
         if isinstance(result, CertificationFailure):
-            sys.stderr.write(
-                json.dumps(
-                    _report(
-                        "wedge-sim",
-                        digest,
-                        {"certified": False, "failure": result.reason},
-                        {"zero_tol": zero_tol(args.tol)},
-                    )
-                )
-                + "\n"
-            )
+            verdicts = {"certified": False, "failure": result.reason}
+            sys.stderr.write(json.dumps(_report("wedge-sim", digest, verdicts, tolerances)) + "\n")
             return EXIT_VERDICT
         d = result.d
         cert_info = {
@@ -368,10 +362,7 @@ def _cmd_wedge_sim(args) -> int:
         "d_used": [float(v) for v in traj.d_used],
         "certificate": cert_info,
     }
-    sys.stderr.write(
-        json.dumps(_report("wedge-sim", digest, verdicts, {"zero_tol": zero_tol(args.tol)}))
-        + "\n"
-    )
+    sys.stderr.write(json.dumps(_report("wedge-sim", digest, verdicts, tolerances)) + "\n")
     return EXIT_OK
 
 

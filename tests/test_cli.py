@@ -258,6 +258,23 @@ class TestSimulationCommands:
         report = json.loads(captured.err)
         assert report["verdicts"]["d_used"] == [1.0, 1.0, 1.0]
 
+    def test_wedge_sim_certify_reports_the_stein_margin_it_checked(self, tmp_path, capsys):
+        # --tol sets pd_tol, the margin certify checks D at; with --certify
+        # both the success and the failure report name it
+        init_path = write_json(
+            tmp_path / "init.json", matrix_document(np.column_stack([WEDGE_A1, WEDGE_A2]))
+        )
+        unstable = dict(system5_doc(), A=matrix_document(np.eye(3)))
+        argv = ["--initials", init_path, "-k", "2", "--steps", "2", "--tol", "1e-3"]
+        for doc, code in ((system5_doc(), 0), (unstable, 1)):
+            sys_path = write_json(tmp_path / "sys.json", doc)
+            assert run_cli(["wedge-sim", "--system", sys_path, *argv, "--certify"]) == code
+            report = json.loads(capsys.readouterr().err)
+            assert report["verdicts"].get("certified", True) is (code == 0)
+            assert report["tolerances"] == {"zero_tol": 1e-3, "pd_tol": 1e-3}
+        assert run_cli(["wedge-sim", "--system", sys_path, *argv]) == 0
+        assert json.loads(capsys.readouterr().err)["tolerances"] == {"zero_tol": 1e-3}
+
     def test_wedge_sim_builds_the_compound_once(self, tmp_path, capsys, monkeypatch):
         # only A^(2) is built: the unit weights need no compound, and the
         # wedges of all steps come from one batched pass

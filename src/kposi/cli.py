@@ -73,6 +73,16 @@ def _float_array(obj, what: str) -> np.ndarray:
         raise DomainError(f"{what} is not a rectangular array of numbers: {exc}") from exc
 
 
+def _dimension(doc: dict, key: str) -> int:
+    """A matrix document's `key` field: a JSON integer (2 or 2.0, not 2.5, "2" or true)."""
+    value = doc[key]
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise DomainError(f"matrix document {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def parse_matrix_document(doc) -> np.ndarray:
     """Decode {"rows", "cols", "data", optional "scale": "p/q"}."""
     if not isinstance(doc, dict):
@@ -81,10 +91,7 @@ def parse_matrix_document(doc) -> np.ndarray:
         if key not in doc:
             raise DomainError(f"matrix document is missing the {key!r} field")
     arr = _float_array(doc["data"], "matrix document 'data'")
-    try:
-        shape = (int(doc["rows"]), int(doc["cols"]))
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"matrix document 'rows' and 'cols' must be integers: {exc}") from exc
+    shape = (_dimension(doc, "rows"), _dimension(doc, "cols"))
     if arr.ndim != 2 or arr.shape != shape:
         raise DomainError(f"data has shape {arr.shape}, expected {shape}")
     scale = doc.get("scale")
@@ -166,7 +173,9 @@ def _load_system(path: str) -> tuple[NonlinearSystem, str]:
     if not isinstance(doc["domain"], list) or len(doc["domain"]) != 2:
         raise DomainError("domain must be a [lo, hi] pair")
     domain = tuple(_number(v, "domain bound") for v in doc["domain"])
-    validate = bool(doc.get("validate", True))
+    validate = doc.get("validate", True)
+    if not isinstance(validate, bool):
+        raise DomainError(f"system document 'validate' must be true or false, got {validate!r}")
     return NonlinearSystem(A, maps, domain, validate=validate), digest
 
 

@@ -41,11 +41,25 @@ _LAPLACE_MAX_ORDER = 8
 
 
 def _resolve_tol(tol: float | None, default: float) -> float:
-    """Explicit argument wins, then the KPOSI_TOL environment variable, then `default`."""
+    """Explicit argument wins, then the KPOSI_TOL environment variable, then `default`.
+
+    A given tolerance must be a finite number (DomainError otherwise);
+    `default` is trusted as it is.
+    """
     if tol is not None:
-        return float(tol)
+        return _finite(tol, "tol")
     env = os.environ.get("KPOSI_TOL")
-    return float(env) if env else default
+    return _finite(env, "KPOSI_TOL") if env else default
+
+
+def _finite(value, source: str) -> float:
+    try:
+        t = float(value)
+    except (TypeError, ValueError):
+        t = math.nan
+    if not math.isfinite(t):
+        raise DomainError(f"{source} must be a finite number, got {value!r}")
+    return t
 
 
 def zero_tol(tol: float | None = None) -> float:

@@ -69,7 +69,7 @@ class ScalarMap:
     )
 
     def __post_init__(self):
-        object.__setattr__(self, "_phi", _kind_phi((self,), stacked=False))
+        object.__setattr__(self, "_phi", _kind_phi((self,)))
 
     @classmethod
     def identity(cls) -> "ScalarMap":
@@ -89,7 +89,11 @@ class ScalarMap:
         return cls(TABLE, points=pts)
 
     def __call__(self, s):
-        out = self._phi(np.asarray(s, dtype=float))
+        s = np.asarray(s, dtype=float)
+        # a one-map group's parameters have length 1, so a 0-d s can come
+        # back with shape (1,).  s itself gains no axis: numpy's odd-power
+        # loop gives -NaN another sign bit on a length-1 array than 0-d
+        out = self._phi(s).reshape(s.shape)
         return out if out.ndim else float(out)
 
     def validate(self, domain: tuple[float, float]) -> None:
@@ -138,19 +142,18 @@ def _group_key(m: ScalarMap) -> tuple:
     return (m.kind,)
 
 
-def _kind_phi(maps: tuple[ScalarMap, ...], stacked: bool = True):
+def _kind_phi(maps: tuple[ScalarMap, ...]):
     """phi of maps sharing one group key, as one numpy evaluation.
 
-    With stacked=True the argument's last axis runs over `maps`; with
-    stacked=False there is a single map and no such axis, so a 0-d
-    argument stays 0-d.
+    The argument's last axis runs over `maps`; a single map's parameters
+    have length 1 and broadcast over any argument.
     """
     m = maps[0]
     if m.kind == IDENTITY:
         return _copy
     if m.kind == LINEAR:
         c = np.array([q.c for q in maps])
-        return partial(_linear, c if stacked else c[0])
+        return partial(_linear, c)
     if m.kind == POWER:
         if float(m.p).is_integer():
             return partial(_int_power, int(m.p))
@@ -159,8 +162,8 @@ def _kind_phi(maps: tuple[ScalarMap, ...], stacked: bool = True):
         if len(m.points) == 1:
             # np.interp on one breakpoint: its value everywhere, NaN included
             y = np.array([q.points[0][1] for q in maps])
-            return partial(_constant, y if stacked else y[0])
-        return partial(_table_phi, _table_plan(maps, stacked))
+            return partial(_constant, y)
+        return partial(_table_phi, _table_plan(maps))
     return partial(_refuse, m)
 
 
@@ -196,9 +199,9 @@ class _TablePlan(NamedTuple):
     """Breakpoints of g tables with K breakpoints each, laid out for one
     vectorised lookup (see _table_phi).  Table i sits in the flat arrays
     at base[i] = i*(K+2): xs and ys padded with a copy of each end value,
-    slopes (slopes[1] is the first segment's) with zeros.  Stacked,
-    lo/hi/xt/base carry a trailing axis of length g; for one map, and
-    lo/hi/xt where all g tables share one breakpoint grid, they do not."""
+    slopes (slopes[1] is the first segment's) with zeros.  lo/hi/xt/base
+    carry a trailing axis of length g, except that lo/hi/xt do not where
+    all g tables share one breakpoint grid (always so for one map)."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -211,7 +214,7 @@ class _TablePlan(NamedTuple):
     nonfinite: bool
 
 
-def _table_plan(maps: tuple[ScalarMap, ...], stacked: bool) -> _TablePlan:
+def _table_plan(maps: tuple[ScalarMap, ...]) -> _TablePlan:
     xs = np.array([[z for z, _ in q.points] for q in maps])
     ys = np.array([[v for _, v in q.points] for q in maps])
     g, K = xs.shape
@@ -224,9 +227,7 @@ def _table_plan(maps: tuple[ScalarMap, ...], stacked: bool) -> _TablePlan:
     xt = np.where(xs < 0.0, np.nextafter(xs, np.inf), xs)
     base = np.arange(g) * (K + 2)
     lo, hi = xs[:, 0], xs[:, -1]
-    if not stacked:
-        base = base[0]
-    if not stacked or (xs == xs[0]).all():
+    if (xs == xs[0]).all():
         # one breakpoint grid for all: counted by one searchsorted, about a
         # fifth of the time of the broadcast count on a few short tables
         lo, hi, xt = lo[0], hi[0], xt[0]

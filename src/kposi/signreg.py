@@ -32,40 +32,27 @@ ALL_ZERO = "ALL_ZERO"
 NONE = "NONE"
 
 
+def _s_minus(x: np.ndarray) -> int:
+    """Sign changes of x after deleting its zero entries, read from sign bits."""
+    neg = np.signbit(x[x != 0.0])
+    return int(np.count_nonzero(neg[1:] != neg[:-1]))
+
+
 def sign_variations(x) -> tuple[int, int]:
     """Return (s_minus, s_plus) for a vector.
 
     s_minus counts sign changes after deleting zero entries (0 for the
     zero vector).  s_plus is the maximum number of sign changes over all
-    ways of replacing each zero entry by +1 or -1; it is computed by a
-    linear scan over the two reachable sign states rather than by
-    enumerating completions.
+    ways of replacing each zero entry by +1 or -1.  It comes from the
+    duality s_plus(x) + s_minus(x*) = n - 1, where x* = (x1, -x2, x3, ...)
+    (Gantmacher-Krein; Karlin, Total Positivity), which also holds for
+    the zero vector.  Both counts read only signs, so they do not change
+    when x is scaled by a nonzero constant.
     """
     x = as_vector(x)
-    nz = x[x != 0.0]
-    s_minus = 0 if nz.size == 0 else int(np.count_nonzero(nz[:-1] * nz[1:] < 0.0))
-
-    # DP over the last-sign state: best[s] = max variations achievable so far
-    # ending on sign s (None while unreachable).
-    best = {1: None, -1: None}
-    first = True
-    for xi in x:
-        allowed = (1,) if xi > 0 else ((-1,) if xi < 0 else (1, -1))
-        nxt: dict[int, int | None] = {1: None, -1: None}
-        for s in allowed:
-            if first:
-                nxt[s] = 0
-            else:
-                cands = [
-                    best[t] + (1 if t != s else 0)
-                    for t in (1, -1)
-                    if best[t] is not None
-                ]
-                nxt[s] = max(cands)
-        best = nxt
-        first = False
-    s_plus = max(v for v in best.values() if v is not None)
-    return s_minus, int(s_plus)
+    alt = x.copy()
+    alt[1::2] *= -1.0
+    return _s_minus(x), x.size - 1 - _s_minus(alt)
 
 
 def cone_membership(x, k: int) -> tuple[bool, bool]:

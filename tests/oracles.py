@@ -26,9 +26,13 @@ def brute_force_splus(x) -> int:
 
 
 def count_sign_changes_no_zeros(x) -> int:
-    """Sign changes of a vector after dropping its zero entries."""
+    """Sign changes of a vector after dropping its zero entries.
+
+    Neighbours are compared through np.sign, so tiny or huge entries
+    cannot underflow or overflow the product.
+    """
     x = np.asarray(x, dtype=float)
-    nz = x[x != 0.0]
+    nz = np.sign(x[x != 0.0])
     if nz.size == 0:
         return 0
     return int(np.count_nonzero(nz[:-1] * nz[1:] < 0.0))

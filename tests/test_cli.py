@@ -316,6 +316,11 @@ class TestErrorPaths:
             ("simulate", {"maps": 5}),
             ("simulate", {"domain": [-1, "a"]}),
             ("simulate", {"maps": [{"kind": "table", "points": [[1]]}] * 3}),
+            ("classify", {"rows": 2.5, "cols": 2, "data": [[1.0, 0.0], [0.0, 1.0]]}),
+            ("classify", {"rows": 2, "cols": "2", "data": [[1.0, 0.0], [0.0, 1.0]]}),
+            ("classify", {"rows": True, "cols": 1, "data": [[1.0]]}),
+            ("simulate", {"validate": "no"}),
+            ("simulate", {"validate": 0}),
         ],
         ids=[
             "rows-string",
@@ -327,6 +332,11 @@ class TestErrorPaths:
             "maps-not-a-list",
             "domain-bound-string",
             "table-point-short",
+            "rows-fractional",
+            "cols-numeric-string",
+            "rows-boolean",
+            "validate-string",
+            "validate-number",
         ],
     )
     def test_malformed_document_exits_two(self, tmp_path, capsys, command, doc):
@@ -344,6 +354,25 @@ class TestErrorPaths:
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf"])
+    @pytest.mark.parametrize("source", ["env", "flag"])
+    def test_non_finite_tolerance_exits_two(self, tmp_path, capsys, monkeypatch, source, value):
+        path = write_json(tmp_path / "i.json", matrix_document(np.eye(2)))
+        argv = ["classify", "--in", path, "-k", "1"]
+        monkeypatch.delenv("KPOSI_TOL", raising=False)
+        if source == "env":
+            monkeypatch.setenv("KPOSI_TOL", value)
+        else:
+            argv.append(f"--tol={value}")
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert sum("error: " in line for line in captured.err.splitlines()) == 1
+
+    def test_integral_float_dimensions_accepted(self, tmp_path, capsys):
+        doc = dict(matrix_document(np.eye(2)), rows=2.0, cols=2.0)
+        assert run_cli(["classify", "--in", write_json(tmp_path / "i.json", doc), "-k", "1"]) == 0
 
     def test_missing_file_exits_two(self, capsys):
         assert run_cli(["classify", "--in", "/nonexistent.json", "-k", "1"]) == 2

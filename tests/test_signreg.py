@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -60,7 +62,20 @@ class TestSignVariations:
         for _ in range(100):
             x = random_vector_with_zeros(rng, int(rng.integers(1, 9)))
             c = float(rng.uniform(0.1, 5.0)) * float(rng.choice([-1.0, 1.0]))
-            assert sign_variations(c * x) == sign_variations(x)
+            # at 1e-170 and 1e170 products of neighbouring entries would
+            # underflow to 0 or overflow
+            for scale in (c, 1e-170, -1e-170, 1e170, -1e170):
+                assert sign_variations(scale * x) == sign_variations(x)
+
+    def test_tiny_alternating_pair(self):
+        assert sign_variations([1e-200, -1e-200]) == (1, 1)
+        assert cone_membership([1e-200, -1e-200], 1) == (False, False)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_exhaustive_small_sign_patterns(self, n):
+        for entries in itertools.product((-1.0, -0.0, 0.0, 1.0), repeat=n):
+            x = np.array(entries)
+            assert sign_variations(x) == (count_sign_changes_no_zeros(x), brute_force_splus(x))
 
 
 class TestConeMembership:

@@ -283,8 +283,8 @@ def _cmd_cayley(args) -> int:
 
 def _cmd_check_necessary(args) -> int:
     A, digest = _load_matrix(args.infile)
-    tol = minor_tol(args.tol)
-    rep = necessary_dt_diag(A, tol) if args.mode == "dt" else necessary_ct_diag(A, tol)
+    screen = necessary_dt_diag if args.mode == "dt" else necessary_ct_diag
+    rep = screen(A, args.tol)
     verdicts = {
         "passed": rep.passed,
         "transform_used": rep.transform_used,
@@ -294,7 +294,7 @@ def _cmd_check_necessary(args) -> int:
             else None
         ),
     }
-    _emit(_report("check-necessary", digest, verdicts, {"minor_tol": tol}))
+    _emit(_report("check-necessary", digest, verdicts, {"minor_tol": minor_tol(args.tol)}))
     return EXIT_OK if rep.passed else EXIT_VERDICT
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .compound import mult_compound
 from .errors import NumericError, PreconditionError
 from .signreg import ALL_ZERO, SR, SSR, SignClass, _classify_minors
-from .stability import is_schur
+from .stability import _compound_radius, _schur_check, is_schur
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,9 @@ def analyze_cyclic(spec: CyclicSpec, tol: float | None = None) -> CyclicAnalysis
 
     Requires 1 <= ell <= n-1.  The order-ell minors must come out
     nonnegative (signature +1); anything else contradicts the structural
-    guarantee for cyclic matrices and raises NumericError.
+    guarantee for cyclic matrices and raises NumericError.  compound_rho
+    is the product of the ell largest eigenvalue moduli of A, the radius
+    certify_k_diag_stability uses, and takes the same Schur margin.
     """
     if not 1 <= spec.ell <= spec.n - 1:
         raise PreconditionError(
@@ -94,7 +96,7 @@ def analyze_cyclic(spec: CyclicSpec, tol: float | None = None) -> CyclicAnalysis
             f"(verdict {sc.verdict}, signature {sc.signature}); this contradicts "
             "the structural nonnegativity of cyclic minors"
         )
-    compound_schur = is_schur(M, tol)
+    compound_schur = _schur_check(_compound_radius(A, spec.ell), tol)
     if spec.ell % 2 == 1:
         nonneg = bool(np.min(A) >= 0.0)
         diag_stable = is_schur(A, tol).ok

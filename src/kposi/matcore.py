@@ -43,22 +43,24 @@ _LAPLACE_MAX_ORDER = 8
 def _resolve_tol(tol: float | None, default: float) -> float:
     """Explicit argument wins, then the KPOSI_TOL environment variable, then `default`.
 
-    A given tolerance must be a finite number (DomainError otherwise);
-    `default` is trusted as it is.
+    A given tolerance must be a finite number, not below 0 (DomainError
+    otherwise): a negative zero band reads every value as both signs, and
+    a negative screen threshold passes negative minors.  `default` is
+    trusted as it is.
     """
     if tol is not None:
-        return _finite(tol, "tol")
+        return _checked_tol(tol, "tol")
     env = os.environ.get("KPOSI_TOL")
-    return _finite(env, "KPOSI_TOL") if env else default
+    return _checked_tol(env, "KPOSI_TOL") if env else default
 
 
-def _finite(value, source: str) -> float:
+def _checked_tol(value, source: str) -> float:
     try:
         t = float(value)
     except (TypeError, ValueError):
         t = math.nan
-    if not math.isfinite(t):
-        raise DomainError(f"{source} must be a finite number, got {value!r}")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise DomainError(f"{source} must be a finite nonnegative number, got {value!r}")
     return t
 
 

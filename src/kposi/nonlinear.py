@@ -134,11 +134,11 @@ class ScalarMap:
 
 def _group_key(m: ScalarMap) -> tuple:
     """Maps with equal keys are evaluated together: one kind, and one
-    exponent (POWER) or one breakpoint count (TABLE)."""
+    exponent (POWER) or one breakpoint grid (TABLE)."""
     if m.kind == POWER:
         return (POWER, m.p)
     if m.kind == TABLE:
-        return (TABLE, len(m.points or ()))
+        return (TABLE, tuple(z for z, _ in m.points or ()))
     return (m.kind,)
 
 
@@ -196,17 +196,15 @@ def _refuse(m, s):
 
 
 class _TablePlan(NamedTuple):
-    """Breakpoints of g tables with K breakpoints each, laid out for one
-    vectorised lookup (see _table_phi).  Table i sits in the flat arrays
-    at base[i] = i*(K+2): xs and ys padded with a copy of each end value,
-    slopes (slopes[1] is the first segment's) with zeros.  lo/hi/xt/base
-    carry a trailing axis of length g, except that lo/hi/xt do not where
-    all g tables share one breakpoint grid (always so for one map)."""
+    """Breakpoints of g tables on one grid of K breakpoints, laid out for
+    one vectorised lookup (see _table_phi).  lo and hi are the grid's
+    ends and xt the grid as searchsorted counts it.  Table i sits in the
+    flat arrays at base[i] = i*(K+2): xs and ys padded with a copy of
+    each end value, slopes (slopes[1] is the first segment's) with zeros."""
 
-    lo: np.ndarray
-    hi: np.ndarray
+    lo: float
+    hi: float
     xt: np.ndarray
-    ones: np.ndarray
     base: np.ndarray
     xs: np.ndarray
     ys: np.ndarray
@@ -224,19 +222,12 @@ def _table_plan(maps: tuple[ScalarMap, ...]) -> _TablePlan:
     slopes[:, 1:K] = seg
     # Counting xt <= s gives #(x <= s) for s >= 0 and #(x < s) for s < 0:
     # a negative breakpoint x counts for s < 0 only if nextafter(x, inf) <= s.
-    xt = np.where(xs < 0.0, np.nextafter(xs, np.inf), xs)
-    base = np.arange(g) * (K + 2)
-    lo, hi = xs[:, 0], xs[:, -1]
-    if (xs == xs[0]).all():
-        # one breakpoint grid for all: counted by one searchsorted, about a
-        # fifth of the time of the broadcast count on a few short tables
-        lo, hi, xt = lo[0], hi[0], xt[0]
+    grid = xs[0]
     return _TablePlan(
-        lo=lo,
-        hi=hi,
-        xt=xt,
-        ones=np.ones(K, dtype=np.intp),
-        base=base,
+        lo=grid[0],
+        hi=grid[-1],
+        xt=np.where(grid < 0.0, np.nextafter(grid, np.inf), grid),
+        base=np.arange(g) * (K + 2),
         xs=np.pad(xs, ((0, 0), (1, 1)), mode="edge").ravel(),
         ys=np.pad(ys, ((0, 0), (1, 1)), mode="edge").ravel(),
         slopes=slopes.ravel(),
@@ -266,10 +257,7 @@ def _table_lookup(t: _TablePlan, s):
     sc = np.minimum(np.maximum(s, t.lo), t.hi)
     neg = sc < 0.0
     # Counted on s itself, so outside the table i lands on a padded end.
-    if t.xt.ndim == 1:
-        i = t.xt.searchsorted(s, "right")
-    else:
-        i = (t.xt <= s[..., None]) @ t.ones
+    i = t.xt.searchsorted(s, "right")
     i += t.base
     sb = t.slopes.take(i)  # the segment ending (s < 0) or starting at b
     b = i + neg  # the base breakpoint, padded index

@@ -27,6 +27,7 @@ from .matcore import (
     is_positive_definite,
     lex_array,
     lex_index_set_at,
+    minor_tol,
     spectral_report,
     zero_band,
     zero_tol,
@@ -365,24 +366,25 @@ def _principal_minor_screen(B: np.ndarray, tol: float):
     return True, None
 
 
-def necessary_dt_diag(A, tol: float = 0.0) -> NecessaryConditionReport:
+def necessary_dt_diag(A, tol: float | None = None) -> NecessaryConditionReport:
     """Necessary screen for discrete-time diagonal stability.
 
     If some positive diagonal D satisfies A^T D A < D, then every
-    principal minor of -(A + I)(A - I)^{-1} is positive.  Reports the
-    first failing minor in (order, lexicographic) scan order.
+    principal minor of -(A + I)(A - I)^{-1} is positive.  A minor passes
+    when it exceeds minor_tol(tol).  Reports the first failing minor in
+    (order, lexicographic) scan order.
     """
     B = cayley(A)
-    passed, failing = _principal_minor_screen(B, tol)
+    passed, failing = _principal_minor_screen(B, minor_tol(tol))
     return NecessaryConditionReport(passed=passed, failing_minor=failing, transform_used=CAYLEY_DT)
 
 
-def necessary_ct_diag(A, tol: float = 0.0) -> NecessaryConditionReport:
+def necessary_ct_diag(A, tol: float | None = None) -> NecessaryConditionReport:
     """Necessary screen for continuous-time diagonal stability.
 
     If some positive diagonal D satisfies D A + A^T D < 0, then every
-    principal minor of -A is positive.
+    principal minor of -A is positive, that is, exceeds minor_tol(tol).
     """
     A = as_square(A)
-    passed, failing = _principal_minor_screen(-A, tol)
+    passed, failing = _principal_minor_screen(-A, minor_tol(tol))
     return NecessaryConditionReport(passed=passed, failing_minor=failing, transform_used=NEGATE_CT)

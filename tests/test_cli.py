@@ -355,7 +355,9 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
 
-    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf"])
+    # a negative tolerance is refused too: its zero band would read the
+    # zero minors of I as negative
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf", "-1", "-1e-12"])
     @pytest.mark.parametrize("source", ["env", "flag"])
     def test_non_finite_tolerance_exits_two(self, tmp_path, capsys, monkeypatch, source, value):
         path = write_json(tmp_path / "i.json", matrix_document(np.eye(2)))

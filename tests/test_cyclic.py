@@ -92,11 +92,14 @@ class TestAnalyzeCyclic:
     def test_order_ell_minors_are_built_once(self, monkeypatch):
         spec = random_spec(np.random.default_rng(43), 7, ell=3)
         A = build_cyclic(spec)
-        M = mult_compound(A, 3)
+        # rho(A^(3)) is the product of the 3 largest eigenvalue moduli of A
+        rho = float(np.prod(np.sort(np.abs(np.linalg.eigvals(A)))[::-1][:3]))
+        direct = spectral_report(mult_compound(A, 3)).spectral_radius
+        assert abs(rho - direct) <= 1e-12 * direct
         expected = CyclicAnalysis(
             sign_class_at_ell=classify_sign_regularity(A, 3),
-            ell_diag_stable=spectral_report(M).spectral_radius < 1.0 - zero_tol(),
-            compound_rho=spectral_report(M).spectral_radius,
+            ell_diag_stable=rho < 1.0 - zero_tol(),
+            compound_rho=rho,
             diag_stable_if_odd=is_schur(A).ok,
             nonneg_entrywise=True,
         )

@@ -13,6 +13,7 @@ from kposi import (
     CyclicSpec,
     DomainError,
     KDiagCertificate,
+    analyze_cyclic,
     build_cyclic,
     certify_k_diag_stability,
     lex_index_sets,
@@ -192,7 +193,9 @@ class TestCompoundRadius:
         assert direct > 1.0
         assert abs(res.compound_spectral_radius - direct) <= 1e-12 * direct
 
-    def test_certify_solves_no_eigenproblem_above_order_n(self, monkeypatch):
+    @pytest.fixture
+    def eigvals_shapes(self, monkeypatch):
+        """The shapes of the matrices np.linalg.eigvals is called on."""
         shapes = []
         eigvals = np.linalg.eigvals
 
@@ -201,8 +204,20 @@ class TestCompoundRadius:
             return eigvals(M)
 
         monkeypatch.setattr(np.linalg, "eigvals", recorded)
+        return shapes
+
+    def test_certify_solves_no_eigenproblem_above_order_n(self, eigvals_shapes):
         rng = np.random.default_rng(73)
         spec = CyclicSpec(9, tuple(rng.uniform(0.1, 0.4, 9)), tuple(rng.uniform(0.1, 0.4, 9)), ell=3)
         cert = certify_k_diag_stability(build_cyclic(spec), 3)
         assert isinstance(cert, KDiagCertificate) and cert.r == 84
-        assert shapes == [(9, 9)]
+        assert eigvals_shapes == [(9, 9)]
+
+    @pytest.mark.parametrize("ell, solves", [(2, 1), (3, 2), (4, 1)])
+    def test_analyze_cyclic_solves_no_eigenproblem_above_order_n(self, eigvals_shapes, ell, solves):
+        # an odd ell adds the Schur test of A itself, also n x n
+        rng = np.random.default_rng(74)
+        spec = CyclicSpec(9, tuple(rng.uniform(0.1, 0.4, 9)), tuple(rng.uniform(0.1, 0.4, 9)), ell=ell)
+        rep = analyze_cyclic(spec)
+        assert rep.ell_diag_stable
+        assert eigvals_shapes == [(9, 9)] * solves

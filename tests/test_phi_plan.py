@@ -128,7 +128,7 @@ def test_mixed_kinds_match_the_per_coordinate_oracle(lead):
 
 @pytest.mark.parametrize("lead", [(), (3,), (40, 3)])
 def test_table_groups_match_the_oracle(lead):
-    # all the tables in one system, grouped by breakpoint count
+    # all the tables in one system, grouped by breakpoint grid
     rng = np.random.default_rng(4)
     specs = tuple(("table", t) for t in TABLES) + (("table", TABLES[0]),)
     phi = nonlinear._phi_plan(tuple(make_map(*s) for s in specs))
@@ -180,6 +180,14 @@ def test_one_group_is_applied_to_the_whole_array():
     # the group's own evaluator, with no gather/scatter wrapper around it
     assert phi.func is nonlinear._table_phi
     assert nonlinear._phi_plan((ScalarMap.power(1.5),) * 4).func is nonlinear._odd_power
+
+
+def test_tables_are_grouped_by_breakpoint_grid():
+    # TABLES[0] and TABLES[2] have five breakpoints each, on two grids
+    key = nonlinear._group_key
+    same_grid = ScalarMap.table([(z, 0.5 * z) for z, _ in TABLES[0]])
+    assert key(same_grid) == key(make_map("table", TABLES[0]))
+    assert key(make_map("table", TABLES[2])) != key(make_map("table", TABLES[0]))
 
 
 @pytest.mark.parametrize("kind, param", MIXED)

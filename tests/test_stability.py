@@ -289,6 +289,29 @@ class TestNecessaryScreens:
         kappa, value = rep.failing_minor
         assert kappa.indices == (1,) and value == 0.0
 
+    def test_screens_read_kposi_tol(self, monkeypatch):
+        # Cayley(0.5 I) = 3 I and -(-3 I) = 3 I: order-1 minors of 3 fail a
+        # threshold of 5, as check-necessary reports under KPOSI_TOL=5
+        monkeypatch.setenv("KPOSI_TOL", "5")
+        for screen, A in ((necessary_dt_diag, 0.5 * np.eye(2)), (necessary_ct_diag, -3.0 * np.eye(2))):
+            rep = screen(A)
+            assert not rep.passed
+            kappa, value = rep.failing_minor
+            assert kappa.indices == (1,) and value == pytest.approx(3.0)
+            assert screen(A, 2.0).passed
+        monkeypatch.delenv("KPOSI_TOL")
+        assert necessary_dt_diag(0.5 * np.eye(2)).passed
+
+    @pytest.mark.parametrize("screen", [necessary_dt_diag, necessary_ct_diag])
+    def test_negative_screen_threshold_refused(self, screen, monkeypatch):
+        # a threshold below 0 would let a negative principal minor pass
+        monkeypatch.delenv("KPOSI_TOL", raising=False)
+        with pytest.raises(DomainError, match="tol"):
+            screen(np.diag([0.5, -0.5]), -1.0)
+        monkeypatch.setenv("KPOSI_TOL", "-1e-3")
+        with pytest.raises(DomainError, match="KPOSI_TOL"):
+            screen(np.diag([0.5, -0.5]))
+
     def test_diagonal_stability_implies_dt_screen(self):
         rng = np.random.default_rng(36)
         confirmed = 0

@@ -196,19 +196,29 @@ def _refuse(m, s):
 
 
 class _TablePlan(NamedTuple):
-    """Breakpoints of g tables on one grid of K breakpoints, laid out for
-    one vectorised lookup (see _table_phi).  lo and hi are the grid's
-    ends and xt the grid as searchsorted counts it.  Table i sits in the
-    flat arrays at base[i] = i*(K+2): xs and ys padded with a copy of
-    each end value, slopes (slopes[1] is the first segment's) with zeros."""
+    """Breakpoints of g tables on one grid, laid out so that one gather
+    (see _table_phi) fetches everything a lookup needs.
+
+    `cuts` is the grid as searchsorted counts it, split at 0.  A negative
+    breakpoint x enters as nextafter(x, inf), so a negative argument at x
+    falls in the interval left of it, and 0 is inserted unless a cut is
+    +-0 already.  Each of the L = len(cuts) + 1 intervals then holds
+    arguments of one sign: -0.0 and NaN fall on the + side.  lo and hi are
+    the grid's ends.
+
+    Table i's intervals are columns base[i] + (0..L-1) of `rows`, whose
+    seven rows hold, per interval: the base breakpoint xb and its value
+    yb; the branch sign sig; the slope sb of the segment that starts
+    (sig = +1) or ends (sig = -1) at xb; sig*yb; and that segment's far
+    end xo and value yo.  An interval outside the table has the end
+    breakpoint for base and slope 0.  Every array is read-only, as the
+    plan is shared by all maps of a group."""
 
     lo: float
     hi: float
-    xt: np.ndarray
+    cuts: np.ndarray
     base: np.ndarray
-    xs: np.ndarray
-    ys: np.ndarray
-    slopes: np.ndarray
+    rows: np.ndarray
     nonfinite: bool
 
 
@@ -218,21 +228,42 @@ def _table_plan(maps: tuple[ScalarMap, ...]) -> _TablePlan:
     g, K = xs.shape
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         seg = np.diff(ys, axis=1) / np.diff(xs, axis=1)
+    # Per table, breakpoints padded with a copy of each end, and the slope
+    # of the segment starting at each padded breakpoint (zero at the ends).
+    xp = np.pad(xs, ((0, 0), (1, 1)), mode="edge")
+    yp = np.pad(ys, ((0, 0), (1, 1)), mode="edge")
     slopes = np.zeros((g, K + 2))
     slopes[:, 1:K] = seg
-    # Counting xt <= s gives #(x <= s) for s >= 0 and #(x < s) for s < 0:
-    # a negative breakpoint x counts for s < 0 only if nextafter(x, inf) <= s.
     grid = xs[0]
-    return _TablePlan(
+    xt = np.where(grid < 0.0, np.nextafter(grid, np.inf), grid)
+    cuts = xt if (xt == 0.0).any() else np.insert(xt, xt.searchsorted(0.0), 0.0)
+    # Each interval's least argument stands for all of it: i counts the
+    # breakpoints at or left of it, a negative one only once the argument
+    # is past it.  The base breakpoint is padded index i on the + branch,
+    # i + 1 (the one at or right of the argument, nearer 0) on the - one;
+    # past an end of the table it is that end, which the clamped argument
+    # equals, so the lookup returns its value whatever the branch.
+    first = np.concatenate([[-np.inf], cuts])
+    i = xt.searchsorted(first, "right")
+    neg = first < 0.0
+    b = i + neg
+    sig = np.where(neg, -1.0, 1.0)
+    yb = yp[:, b]
+    far = b + 1 - 2 * neg
+    rows = np.stack(
+        [xp[:, b], yb, np.broadcast_to(sig, yb.shape), slopes[:, i], yb * sig, xp[:, far], yp[:, far]]
+    )
+    plan = _TablePlan(
         lo=grid[0],
         hi=grid[-1],
-        xt=np.where(grid < 0.0, np.nextafter(grid, np.inf), grid),
-        base=np.arange(g) * (K + 2),
-        xs=np.pad(xs, ((0, 0), (1, 1)), mode="edge").ravel(),
-        ys=np.pad(ys, ((0, 0), (1, 1)), mode="edge").ravel(),
-        slopes=slopes.ravel(),
+        cuts=cuts,
+        base=np.arange(g) * first.size,
+        rows=rows.reshape(rows.shape[0], -1),
         nonfinite=not (np.isfinite(xs).all() and np.isfinite(ys).all() and np.isfinite(seg).all()),
     )
+    for arr in (plan.cuts, plan.base, plan.rows):
+        arr.setflags(write=False)
+    return plan
 
 
 def _table_phi(t: _TablePlan, s):
@@ -243,42 +274,46 @@ def _table_phi(t: _TablePlan, s):
     measured from the breakpoint at or right of s, the one nearer 0, so a
     small phi(s) keeps its relative accuracy.  Outside the table it is the
     end value, and at a breakpoint its value, as np.interp gives them.
+
+    One gather from the plan's interval rows, then on both branches
+    sig*((s - xb)*sig*sb + sig*yb): with sig = -1 these are the mirrored
+    np.interp's operations in its order, so a zero result has the sign
+    the mirrored table and the outer minus give it (s = -0.0 is on the +
+    branch, as s < 0 is false).  A NaN comes out as it went in.
     """
     if t.nonfinite:
         with np.errstate(invalid="ignore", over="ignore"):
-            return _table_retry(t, s, *_table_lookup(t, s))
+            return _table_retry(s, *_table_lookup(t, s))
     return _table_lookup(t, s)[0]
 
 
 def _table_lookup(t: _TablePlan, s):
-    """np.interp's first try, with the lookup it made."""
+    """np.interp's first try, with the clamped argument and the plan's
+    rows gathered at each argument's interval."""
     # Clamped, an argument outside the table lands on an end breakpoint
     # (never inf - x); a NaN stays NaN and comes out unchanged.
     sc = np.minimum(np.maximum(s, t.lo), t.hi)
-    neg = sc < 0.0
-    # Counted on s itself, so outside the table i lands on a padded end.
-    i = t.xt.searchsorted(s, "right")
-    i += t.base
-    sb = t.slopes.take(i)  # the segment ending (s < 0) or starting at b
-    b = i + neg  # the base breakpoint, padded index
-    xb, yb = t.xs.take(b), t.ys.take(b)
-    # sig folds the mirrored table in: -s - (-x) and -y, then the outer minus
-    sig = np.where(neg, -1.0, 1.0)
+    # Counted on s itself: NaN lands in the last interval, on the + branch.
+    j = t.cuts.searchsorted(s, "right")
+    j += t.base
+    rows = t.rows.take(j, axis=1)
+    # indexed one by one: unpacking would iterate the array, which costs more
+    xb, yb, sig, sb, syb = rows[0], rows[1], rows[2], rows[3], rows[4]
     out = sc - xb
     out *= sig
     out *= sb
-    out += yb * sig
+    out += syb
     out *= sig
-    out = np.where(sc == xb, yb, out)
-    return out, sc, neg, b, xb, yb, sb, sig
+    np.copyto(out, yb, where=sc == xb)
+    return out, sc, rows
 
 
-def _table_retry(t: _TablePlan, s, out, sc, neg, b, xb, yb, sb, sig):
+def _table_retry(s, out, sc, rows):
     """np.interp's second try where an infinite slope or value made NaN:
     from the segment's far end, then the common value of a flat segment.
     The mirrored values are negated as np.negative does, NaN signs too."""
-    far = b + 1 - 2 * neg
-    xo, yo = t.xs.take(far, mode="clip"), t.ys.take(far, mode="clip")
+    xb, yb, sig, sb, _, xo, yo = rows
+    neg = sig < 0.0
     again = sb * ((sc - xo) * sig) + np.where(neg, -yo, yo)
     again = np.where(np.isnan(again) & (yb == yo), yb, np.where(neg, -again, again))
     out = np.where(np.isnan(out) & (sc != xb) & (sc == sc), again, out)

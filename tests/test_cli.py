@@ -414,7 +414,8 @@ class TestParserReuse:
         assert build_parser() is not build_parser()
 
 
-GOLDEN_PAPER_EXAMPLES = Path(__file__).parent / "data" / "paper_examples.txt"
+DATA = Path(__file__).parent / "data"
+GOLDEN_PAPER_EXAMPLES = DATA / "paper_examples.txt"
 
 
 class TestPaperExamples:
@@ -425,6 +426,20 @@ class TestPaperExamples:
         assert len(lines) == 14
         assert all(l.startswith("PASS") for l in lines)
         assert out.encode() == GOLDEN_PAPER_EXAMPLES.read_bytes()
+
+
+class TestTableWedgeSimGolden:
+    """One table-map run pinned byte for byte: two TABLE groups (two
+    breakpoint grids) on a certified n = 4, k = 3 chain, states included.
+    The starts have mixed signs, so both branches of every table and
+    every segment are visited before the states settle."""
+
+    def test_output_matches_the_golden_file(self, capsys):
+        argv = ["wedge-sim", "--system", str(DATA / "table_system.json"),
+                "--initials", str(DATA / "table_initials.json"),
+                "-k", "3", "--steps", "200", "--certify", "--include-states"]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out.encode() == (DATA / "table_wedge_sim.csv").read_bytes()
 
 
 class TestCayleyThreshold:

@@ -38,6 +38,17 @@ TABLES = (
     [(0.1, 0.05), (0.4, 0.3), (0.8, 0.6), (1.5, 1.1)],
     # zero values of either sign, which a breakpoint must return as they are
     [(-1.0, 0.0), (0.0, -0.0), (1.0, 0.5)],
+    # the lookup splits each grid at 0; tables that split must get right:
+    # every breakpoint negative, so arguments >= 0 lie past the table's end
+    [(-2.0, -1.5), (-1.0, -0.8), (-0.5, -0.3)],
+    # a -0.0 breakpoint, which is the split itself
+    [(-1.0, -0.9), (-0.0, 0.0), (1.0, 0.7)],
+    # zero values of either sign on flat pieces
+    [(-1.0, -0.0), (-0.5, 0.0), (0.0, 0.0), (0.5, -0.0), (1.0, 0.5)],
+    # decreasing
+    [(-1.0, 0.8), (0.0, 0.0), (1.0, -0.6)],
+    # 0 strictly inside a segment
+    [(-1.0, -0.6), (0.7, 0.5), (1.5, 0.9)],
     # one breakpoint: np.interp gives its value everywhere, NaN included
     [(0.5, 0.2)],
 )
@@ -173,6 +184,17 @@ def test_infinite_breakpoints_and_values_match_the_oracle(lead):
             assert phi(x).tobytes() == oracle_phi(specs, x).tobytes()
 
 
+def test_table_plan_arrays_are_read_only():
+    # one plan serves every map of its group, so no caller may write to it
+    maps = (make_map("table", TABLES[0]), ScalarMap.table([(z, 0.5 * z) for z, _ in TABLES[0]]))
+    plan = nonlinear._phi_plan(maps).args[0]
+    arrays = [v for v in plan if isinstance(v, np.ndarray)]
+    assert len(arrays) == 3
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
 def test_one_group_is_applied_to_the_whole_array():
     gains = (0.99, 0.995, 1.0)
     maps = tuple(ScalarMap.table([(z, c * z) for z in (-1.0, 0.0, 1.0)]) for c in gains)
@@ -206,7 +228,7 @@ def test_scalar_map_call_on_scalars(kind, param):
 
 def test_scalar_map_call_on_arrays():
     rng = np.random.default_rng(5)
-    for kind, param in MIXED:
+    for kind, param in MIXED + tuple(("table", t) for t in TABLES):
         x = special_arguments(rng, (7, 5, 1), ((kind, param),))[..., 0]
         assert make_map(kind, param)(x).tobytes() == oracle_map(kind, param, x).tobytes()
 

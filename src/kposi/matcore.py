@@ -39,6 +39,11 @@ _TABLE_ENTRY_LIMIT = 50_000_000
 # each k x k block is factorised instead.
 _LAPLACE_MAX_ORDER = 8
 
+# Entries of a Laplace level the kernel builds in one go.  A larger level
+# is built in blocks of row sets of about this many entries, written into
+# one preallocated table, so its temporaries stay a fraction of the table.
+_LEVEL_BLOCK = 1 << 15
+
 
 def _resolve_tol(tol: float | None, default: float) -> float:
     """Explicit argument wins, then the KPOSI_TOL environment variable, then `default`.
@@ -75,9 +80,10 @@ def zero_band(values: np.ndarray, tol: float | None = None) -> float:
     A value v of `values` counts as zero when |v| <= zero_tol(tol) *
     max(1, max |values|).  The floor of 1 makes the band absolute for
     arrays whose entries are all below 1 in magnitude, so verdicts on
-    such arrays change with their scale (ROADMAP item 1).
+    such arrays change with their scale (ROADMAP item 1).  max |values|
+    is read as max(max v, -min v), with no |values| copy.
     """
-    return zero_tol(tol) * max(1.0, float(np.max(np.abs(values))))
+    return zero_tol(tol) * max(1.0, float(values.max()), -float(values.min()))
 
 
 def pd_tol(tol: float | None = None) -> float:
@@ -240,30 +246,55 @@ def _minors(A: np.ndarray, q: int) -> np.ndarray:
     of its row set over (q-1)-minors of the remaining rows, level by level
     from the entries up: O(C(n,q) C(m,q) q) products, with no k x k
     blocks gathered.  Every entry is summed term by term in column order,
-    so it rounds the same whichever table or batch it sits in, and orders
-    1 and 2 equal the closed forms bit for bit.  The method depends on q
-    alone, so a single minor always matches its table entry.
+    so it rounds the same whichever table, batch or row block it sits in,
+    and orders 1 and 2 equal the closed forms bit for bit.  The method
+    depends on q alone, so a single minor always matches its table entry.
+    A level of more than _LEVEL_BLOCK entries is built in row blocks, so
+    the kernel holds the table, the level below it and small temporaries.
     """
     n, m = A.shape[-2:]
     if q > _LAPLACE_MAX_ORDER:
         R, C = lex_array(q, n), lex_array(q, m)
         return np.linalg.det(A[..., R[:, None, :, None], C[None, :, None, :]])
     table = A[..., q - 1 :, :].copy()
+    batch = math.prod(A.shape[:-2])
     for first, tail, cols, drop in _laplace_plan(n, m, q):
-        head = A[..., first, :]
-        below = table[..., tail, :]
-        table = head[..., cols[0]]
-        table *= below[..., drop[0]]
-        for j in range(1, len(cols)):
-            term = head[..., cols[j]]
-            term *= below[..., drop[j]]
-            if j % 2:
-                table -= term
-            else:
-                table += term
+        per_row = batch * cols.shape[1]
+        if first.size * per_row <= _LEVEL_BLOCK:
+            table = _expand(A, table, first, tail, cols, drop)
+            continue
+        out = np.empty(A.shape[:-2] + (first.size, cols.shape[1]))
+        step = max(1, _LEVEL_BLOCK // per_row)
+        for s in range(0, first.size, step):
+            rows = slice(s, s + step)
+            _expand(A, table, first[rows], tail[rows], cols, drop, out[..., rows, :])
+        table = out
     # fancy indexing can leave a batch axis innermost; BLAS callers such
     # as np.dot round by layout, so hand out the C order a copy would have
     return np.ascontiguousarray(table)
+
+
+def _expand(A, table, first, tail, cols, drop, out=None) -> np.ndarray:
+    """One Laplace level over the row sets (first, tail) of its plan.
+
+    `table` is the level below.  Writes into `out` when given, else
+    returns a new array; the products and sums are the same either way.
+    """
+    head = A[..., first, :]
+    below = table[..., tail, :]
+    if out is None:
+        out = head[..., cols[0]]
+        out *= below[..., drop[0]]
+    else:
+        np.multiply(head[..., cols[0]], below[..., drop[0]], out=out)
+    for j in range(1, len(cols)):
+        term = head[..., cols[j]]
+        term *= below[..., drop[j]]
+        if j % 2:
+            out -= term
+        else:
+            out += term
+    return out
 
 
 def det_stack(stack: np.ndarray) -> np.ndarray:
@@ -362,14 +393,27 @@ class PdCheck(NamedTuple):
 def is_positive_definite(M, tol: float | None = None) -> PdCheck:
     """Positive-definiteness of the symmetric part of M.
 
-    M is symmetrized as (M + M^T)/2 first; the check passes when the
-    smallest eigenvalue (returned as the margin) exceeds `tol`.
+    M is symmetrized as (M + M^T)/2 first, which keeps its quadratic
+    form, and then goes through the PD rule of _pd_check: the check
+    passes when the smallest eigenvalue (returned as the margin) exceeds
+    `tol`.
     """
     M = as_square(M)
+    return _pd_check(0.5 * (M + M.T), tol)
+
+
+def _pd_check(S: np.ndarray, tol: float | None) -> PdCheck:
+    """The PD rule on a symmetric S: its smallest eigenvalue, the margin, exceeds pd_tol(tol).
+
+    S goes to the eigen-solve as it is (LAPACK reads one triangle), so a
+    caller that builds S exactly symmetric needs no symmetrizing copy.
+    A NaN or infinite entry is a DomainError, not a margin.
+    """
     t = pd_tol(tol)
-    sym = 0.5 * (M + M.T)
+    if not (math.isfinite(S.max()) and math.isfinite(S.min())):
+        raise DomainError("matrix contains NaN or infinite entries")
     try:
-        eigs = np.linalg.eigvalsh(sym)
+        eigs = np.linalg.eigvalsh(S)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"symmetric eigenvalue solve failed: {exc}") from exc
     margin = float(eigs[0])

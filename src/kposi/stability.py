@@ -21,10 +21,10 @@ from .compound import mult_compound
 from .errors import CapacityError, DomainError, NumericError, PreconditionError
 from .matcore import (
     LexIndexSet,
+    _pd_check,
     det_stack,
     as_square,
     as_vector,
-    is_positive_definite,
     lex_array,
     lex_index_set_at,
     minor_tol,
@@ -84,7 +84,10 @@ class SteinCheck(NamedTuple):
 def stein_holds(A, D, tol: float | None = None) -> SteinCheck:
     """Whether D - A^T D A is positive definite for positive diagonal D.
 
-    The margin is the smallest eigenvalue of the (symmetrized) difference.
+    A^T D A is formed as X^T X with X = D^{1/2} A, which numpy computes
+    with one BLAS syrk: the difference is exactly symmetric, so it goes
+    to the eigen-solve with no symmetrizing copy.  The margin is its
+    smallest eigenvalue, and the check passes above pd_tol(tol).
     """
     A = as_square(A)
     d = diag_entries(D)
@@ -92,9 +95,19 @@ def stein_holds(A, D, tol: float | None = None) -> SteinCheck:
         raise PreconditionError(
             f"D has {d.size} diagonal entries but A is {A.shape[0]}x{A.shape[0]}"
         )
-    gap = np.diag(d) - A.T @ (d[:, None] * A)
-    check = is_positive_definite(gap, tol)
-    return SteinCheck(ok=check.ok, margin=check.margin)
+    return SteinCheck(*_pd_check(_stein_gap(np.sqrt(d)[:, None] * A, d), tol))
+
+
+def _stein_gap(X: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """D - X^T X for X = D^{1/2} A, that is D - A^T D A, in the Gram's own buffer.
+
+    Off the diagonal an entry is 0 - g, as np.diag(d) - G gives, and on
+    it d_i - g_ii.
+    """
+    G = X.T @ X
+    np.subtract(0.0, G, out=G)
+    G.flat[:: G.shape[0] + 1] += d
+    return G
 
 
 class DlfConstruction(NamedTuple):
@@ -126,7 +139,9 @@ def construct_dlf_nonneg(A, x=None, y=None, tol: float | None = None) -> DlfCons
             f"matrix is not Schur (spectral radius {schur.spectral_radius:.6g}); "
             "no diagonal Stein certificate exists"
         )
-    return _certify_nonneg_schur(A, -A if sign < 0 else A, x, y, sign < 0, tol)
+    xi, z, d = _dlf_solve(-A if sign < 0 else A, x, y)
+    margin = _stein_margin(stein_holds(A, d, tol))
+    return DlfConstruction(d=d, xi=xi, z=z, stein_margin=margin, sign_flipped=sign < 0)
 
 
 def _nonneg_sign(M: np.ndarray, tol: float | None) -> int:
@@ -141,14 +156,14 @@ def _nonneg_sign(M: np.ndarray, tol: float | None) -> int:
     return -1 if np.max(M) <= band else 0
 
 
-def _certify_nonneg_schur(
-    A, M, x, y, sign_flipped: bool, tol: float | None
-) -> DlfConstruction:
-    """The construction proper, for a nonnegative M = +-A already known to be Schur.
+def _dlf_solve(M: np.ndarray, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """xi, z and d = z / xi of the construction, for a nonnegative Schur M.
 
-    Solves for xi and z, requires both positive, sets d = z / xi and
-    asserts the Stein inequality on A, at PD margin pd_tol(tol), before
-    returning.
+    I - M is built once, as 0 - M plus 1 on the diagonal (the entries of
+    np.eye(n) - M bit for bit); xi is solved from it and z from its
+    transpose view, so LAPACK gets the values of I - M^T without a second
+    buffer.  M is left as it is.  xi and z must come out positive, and d
+    must be a valid diagonal (diag_entries).
     """
     n = M.shape[0]
     x = np.ones(n) if x is None else as_vector(x, "x")
@@ -157,22 +172,25 @@ def _certify_nonneg_schur(
         raise DomainError(f"x and y must have dimension {n}")
     if np.any(x <= 0.0) or np.any(y <= 0.0):
         raise PreconditionError("x and y must be strictly positive")
-    eye = np.eye(n)
+    lhs = np.subtract(0.0, M)
+    lhs.flat[:: n + 1] += 1.0
     try:
-        xi = np.linalg.solve(eye - M, x)
-        z = np.linalg.solve(eye - M.T, y)
+        xi = np.linalg.solve(lhs, x)
+        z = np.linalg.solve(lhs.T, y)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"(I - A) solve failed: {exc}") from exc
     if np.any(xi <= 0.0) or np.any(z <= 0.0):
         raise NumericError("construction produced nonpositive xi or z entries")
-    d = z / xi
-    check = stein_holds(A, d, tol)
-    margin = check.margin
+    return xi, z, diag_entries(z / xi)
+
+
+def _stein_margin(check) -> float:
+    """The margin of the constructed D's Stein check, which must pass (NumericError)."""
     if not check.ok:
         raise NumericError(
-            f"constructed D failed the Stein check (margin {margin:.3g})"
+            f"constructed D failed the Stein check (margin {check.margin:.3g})"
         )
-    return DlfConstruction(d=d, xi=xi, z=z, stein_margin=margin, sign_flipped=sign_flipped)
+    return check.margin
 
 
 def _compound_radius(A: np.ndarray, k: int) -> float:
@@ -257,21 +275,23 @@ def certify_k_diag_stability(
         )
     sign_flipped = sign < 0
     if sign_flipped:
-        M = -M
-    built = _certify_nonneg_schur(M, M, x, y, sign_flipped, tol)
-    # Margin reported against the original compound; the flip leaves
-    # M^T D M invariant so the value is identical either way.
-    xi_image = M @ built.xi
-    z_image = M.T @ built.z
-    xi_gap = float(np.min((built.xi - xi_image) / (1.0 + np.abs(built.xi))))
-    z_gap = float(np.min((built.z - z_image) / (1.0 + np.abs(built.z))))
+        np.negative(M, out=M)
+    xi, z, d = _dlf_solve(M, x, y)
+    xi_gap = float(np.min((xi - M @ xi) / (1.0 + np.abs(xi))))
+    z_gap = float(np.min((z - M.T @ z) / (1.0 + np.abs(z))))
+    # M is this call's own compound: scale it into X = D^{1/2} M in place
+    # and drop it before the eigen-solve.  The flip leaves M^T D M, and so
+    # the margin, unchanged.
+    gap = _stein_gap(np.multiply(np.sqrt(d)[:, None], M, out=M), d)
+    del M
+    margin = _stein_margin(_pd_check(gap, tol))
     return KDiagCertificate(
         k=k,
         r=r,
-        d=built.d,
-        xi=built.xi,
-        z=built.z,
-        stein_margin=built.stein_margin,
+        d=d,
+        xi=xi,
+        z=z,
+        stein_margin=margin,
         compound_spectral_radius=rho,
         sign_flipped=sign_flipped,
         xi_gap=xi_gap,

@@ -22,6 +22,7 @@ from kposi import (
     mult_compound,
     spectral_report,
 )
+from kposi import matcore
 from kposi.matcore import lex_index_set_at
 from kposi.stability import COMPOUND_NOT_SCHUR, _compound_radius
 
@@ -97,6 +98,35 @@ class TestLaplaceKernel:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_table_peak_stays_near_one_table(self):
+        # the top level is built in row blocks into one table, so the peak
+        # is the table, the level below it and block temporaries
+        A = np.random.default_rng(64).uniform(-1.0, 1.0, (12, 12))
+        minor_table(A, 5)
+        tracemalloc.start()
+        try:
+            table = minor_table(A, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * table.nbytes
+
+    def test_certify_holds_few_compound_sized_arrays(self):
+        # the compound and one I - M buffer at once; the copies LAPACK
+        # makes inside solve and eigvalsh are not traced
+        rng = np.random.default_rng(65)
+        spec = CyclicSpec(12, tuple(rng.uniform(0.1, 0.4, 12)), tuple(rng.uniform(0.1, 0.4, 12)), ell=5)
+        A = build_cyclic(spec)
+        certify_k_diag_stability(A, 5)
+        tracemalloc.start()
+        try:
+            cert = certify_k_diag_stability(A, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert isinstance(cert, KDiagCertificate) and cert.r == 792
+        assert peak <= 2.5 * 792**2 * 8
+
     def test_orders_above_the_expansion_agree_with_it(self):
         # order 9 is factorised block by block; expanding it along its
         # first row over the Laplace table of order 8 must give the same
@@ -124,6 +154,35 @@ class TestLaplaceKernel:
         assert top[-1, -1] == pytest.approx(np.prod(np.diag(A)[1:]), rel=1e-12)
         full = tuple(range(1, 31))
         assert minor(2.0 * np.eye(30), full, full) == pytest.approx(2.0**30, rel=1e-12)
+
+
+class TestRowBlocks:
+    """Levels above matcore._LEVEL_BLOCK entries are built in row blocks, bit for bit."""
+
+    @staticmethod
+    def whole_and_blocked(monkeypatch, A, q, block):
+        monkeypatch.setattr(matcore, "_LEVEL_BLOCK", 1 << 62)
+        whole = matcore._minors(A, q)
+        monkeypatch.setattr(matcore, "_LEVEL_BLOCK", block)
+        blocked = matcore._minors(A, q)
+        assert blocked.flags.c_contiguous and blocked.shape == whole.shape
+        return whole, blocked
+
+    @pytest.mark.parametrize("block", [1, 3, 40])
+    @pytest.mark.parametrize("shape", [(9, 9), (8, 11), (11, 7)])
+    def test_tables_equal_the_one_block_tables(self, monkeypatch, shape, block):
+        A = np.random.default_rng(sum(shape) + block).standard_normal(shape)
+        for q in range(1, min(*shape, 8) + 1):
+            whole, blocked = self.whole_and_blocked(monkeypatch, A, q, block)
+            assert blocked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 3, 40])
+    @pytest.mark.parametrize("shape", [(50, 7, 3), (4, 3, 8, 5)])
+    def test_batched_wedge_stacks_equal_the_one_block_stacks(self, monkeypatch, shape, block):
+        A = np.random.default_rng(len(shape) + block).standard_normal(shape)
+        for q in range(1, shape[-1] + 1):
+            whole, blocked = self.whole_and_blocked(monkeypatch, A, q, block)
+            assert blocked.tobytes() == whole.tobytes()
 
 
 class TestLexUnranking:

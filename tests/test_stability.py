@@ -3,10 +3,12 @@ import pytest
 
 from kposi import (
     CertificationFailure,
+    CyclicSpec,
     DomainError,
     KDiagCertificate,
     NumericError,
     PreconditionError,
+    build_cyclic,
     cayley,
     certify_k_diag_stability,
     construct_dlf_nonneg,
@@ -73,6 +75,10 @@ class TestSteinHolds:
     def test_size_mismatch(self):
         with pytest.raises(PreconditionError):
             stein_holds(0.5 * np.eye(3), np.ones(2))
+
+    def test_overflowing_gap_is_a_domain_error(self):
+        with np.errstate(over="ignore"), pytest.raises(DomainError):
+            stein_holds(np.full((3, 3), 1e200), np.ones(3))
 
 
 class TestConstructDlf:
@@ -186,6 +192,69 @@ class TestCertify:
                 assert np.all(M.T @ cert.z < cert.z)
                 assert stein_holds(M, cert.d).ok
                 assert cert.xi_gap > 0.0 and cert.z_gap > 0.0
+
+
+def gaussian_kernel(n, scale):
+    """scale * exp(-(i - j)^2 / 4): totally positive, so every compound is nonnegative."""
+    i = np.arange(n)
+    return scale * np.exp(-((i[:, None] - i[None, :]) ** 2) / 4.0)
+
+
+class TestInputsAndSteinGap:
+    # (A, k): k = 1, whose compound is a copy of A; a nonnegative order-2
+    # compound; and nonpositive compounds, which take the sign flip
+    CASES = [
+        (gaussian_kernel(4, 0.15), 1),
+        (-gaussian_kernel(4, 0.15), 1),
+        (CERT_3X3, 2),
+        (-gaussian_kernel(5, 0.2), 3),
+    ]
+
+    @pytest.mark.parametrize("A, k", CASES)
+    def test_certify_leaves_its_input_unchanged(self, A, k):
+        before = A.copy()
+        cert = certify_k_diag_stability(A, k)
+        assert isinstance(cert, KDiagCertificate)
+        assert cert.sign_flipped == bool(np.all(mult_compound(A, k) <= 0.0))
+        np.testing.assert_array_equal(A, before)
+        # the flip leaves the Stein form, and so the margin, bit for bit
+        assert cert.stein_margin == stein_holds(mult_compound(A, k), cert.d).margin
+
+    @pytest.mark.parametrize("A, k", CASES)
+    def test_construct_and_stein_leave_their_inputs_unchanged(self, A, k):
+        M = mult_compound(A, k)
+        x, y = np.linspace(1.0, 2.0, M.shape[0]), np.linspace(2.0, 1.0, M.shape[0])
+        saved = [a.copy() for a in (M, x, y)]
+        built = construct_dlf_nonneg(M, x, y)
+        D = np.diag(built.d)
+        saved_d = [built.d.copy(), D.copy()]
+        assert stein_holds(M, built.d).ok and stein_holds(M, D).ok
+        for a, b in zip((M, x, y, built.d, D), saved + saved_d):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("r", [7, 84])
+    def test_stein_gap_is_exactly_symmetric(self, r):
+        rng = np.random.default_rng(r)
+        A = rng.uniform(-1.0, 1.0, (r, r))
+        A *= 0.5 / np.linalg.norm(A, 2)
+        d = rng.uniform(1.0, 2.0, r)
+        gap = stability._stein_gap(np.sqrt(d)[:, None] * A, d)
+        assert np.array_equal(gap, gap.T)
+        # the dense formula the Gram replaced, symmetrized before the solve
+        dense = np.diag(d) - A.T @ (d[:, None] * A)
+        margin = np.linalg.eigvalsh(0.5 * (dense + dense.T))[0]
+        assert abs(stein_holds(A, d).margin - margin) <= 1e-13 * abs(margin)
+
+    def test_certified_margin_matches_the_dense_formula(self):
+        rng = np.random.default_rng(34)
+        spec = CyclicSpec(9, tuple(rng.uniform(0.1, 0.4, 9)), tuple(rng.uniform(0.1, 0.4, 9)), ell=3)
+        A = build_cyclic(spec)
+        cert = certify_k_diag_stability(A, 3)
+        assert isinstance(cert, KDiagCertificate) and cert.r == 84
+        M, d = mult_compound(A, 3), cert.d
+        dense = np.diag(d) - M.T @ (d[:, None] * M)
+        margin = np.linalg.eigvalsh(0.5 * (dense + dense.T))[0]
+        assert abs(cert.stein_margin - margin) <= 1e-13 * abs(margin)
 
 
 class TestDlfCompound:

@@ -428,6 +428,16 @@ class TestPaperExamples:
         assert out.encode() == GOLDEN_PAPER_EXAMPLES.read_bytes()
 
 
+class TestVerdictReportsGolden:
+    def test_reports_match_the_golden_file(self, monkeypatch):
+        # stdout and exit code of classify, certify and check-necessary on
+        # the paper's examples and their J A J copies (tests/verdict_reports.py)
+        from verdict_reports import GOLDEN, verdict_reports
+
+        monkeypatch.delenv("KPOSI_TOL", raising=False)
+        assert verdict_reports().encode() == GOLDEN.read_bytes()
+
+
 class TestTableWedgeSimGolden:
     """One table-map run pinned byte for byte: two TABLE groups (two
     breakpoint grids) on a certified n = 4, k = 3 chain, states included.

@@ -100,7 +100,10 @@ def parse_matrix_document(doc) -> np.ndarray:
             frac = Fraction(str(scale))
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"scale {scale!r} is not a valid p/q rational") from exc
-        arr = arr * frac.numerator / frac.denominator
+        try:
+            arr = arr * frac.numerator / frac.denominator
+        except OverflowError as exc:  # p or q beyond the float range, as for 1e400
+            raise DomainError(f"scale {scale!r} is outside the floating-point range") from exc
     return arr
 
 

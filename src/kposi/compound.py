@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .matcore import as_matrix, as_vector, minor_table
+from .matcore import as_vector, minor_table
 
 
 def mult_compound(A, k: int) -> np.ndarray:
@@ -18,7 +18,7 @@ def mult_compound(A, k: int) -> np.ndarray:
     C(n,k) x C(n,k) with A^(1) = A and A^(n) = det(A) as a 1x1 matrix.
     Rectangular inputs are accepted (used for column-stacked wedges).
     """
-    return minor_table(as_matrix(A), k)
+    return minor_table(A, k)
 
 
 @dataclass(frozen=True)

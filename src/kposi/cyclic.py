@@ -16,6 +16,7 @@ import numpy as np
 
 from .compound import mult_compound
 from .errors import NumericError, PreconditionError
+from .matcore import zero_tol
 from .signreg import ALL_ZERO, SR, SSR, SignClass, _classify_minors
 from .stability import _compound_radius, _schur_check, is_schur
 
@@ -88,7 +89,8 @@ def analyze_cyclic(spec: CyclicSpec, tol: float | None = None) -> CyclicAnalysis
         )
     A = build_cyclic(spec)
     M = mult_compound(A, spec.ell)
-    sc = _classify_minors(M, spec.ell, A.shape, tol)
+    t = zero_tol(tol)
+    sc = _classify_minors(M, spec.ell, A.shape, t)
     acceptable = sc.verdict == ALL_ZERO or (sc.verdict in (SR, SSR) and sc.signature == 1)
     if not acceptable:
         raise NumericError(
@@ -96,10 +98,10 @@ def analyze_cyclic(spec: CyclicSpec, tol: float | None = None) -> CyclicAnalysis
             f"(verdict {sc.verdict}, signature {sc.signature}); this contradicts "
             "the structural nonnegativity of cyclic minors"
         )
-    compound_schur = _schur_check(_compound_radius(A, spec.ell), tol)
+    compound_schur = _schur_check(_compound_radius(A, spec.ell), t)
     if spec.ell % 2 == 1:
         nonneg = bool(np.min(A) >= 0.0)
-        diag_stable = is_schur(A, tol).ok
+        diag_stable = is_schur(A, t).ok
     else:
         nonneg = None
         diag_stable = None

@@ -83,7 +83,12 @@ def zero_band(values: np.ndarray, tol: float | None = None) -> float:
     such arrays change with their scale (ROADMAP item 1).  max |values|
     is read as max(max v, -min v), with no |values| copy.
     """
-    return zero_tol(tol) * max(1.0, float(values.max()), -float(values.min()))
+    return _band(zero_tol(tol), float(values.max()), float(values.min()))
+
+
+def _band(t: float, vmax: float, vmin: float) -> float:
+    """zero_band from a resolved tolerance t and the extremes of the values."""
+    return t * max(1.0, vmax, -vmin)
 
 
 def pd_tol(tol: float | None = None) -> float:
@@ -103,7 +108,12 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise DomainError(f"{name} must be 2-dimensional, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DomainError(f"{name} must have at least one row and one column")
-    if not np.all(np.isfinite(arr)):
+    return _require_finite(arr, name)
+
+
+def _require_finite(arr: np.ndarray, name: str) -> np.ndarray:
+    """arr itself when every entry is finite, else DomainError."""
+    if not np.isfinite(arr).all():
         raise DomainError(f"{name} contains NaN or infinite entries")
     return arr
 
@@ -122,9 +132,7 @@ def as_vector(a, name: str = "vector") -> np.ndarray:
         raise DomainError(f"{name} must be 1-dimensional, got ndim={arr.ndim}")
     if arr.size < 1:
         raise DomainError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} contains NaN or infinite entries")
-    return arr
+    return _require_finite(arr, name)
 
 
 @dataclass(frozen=True)
@@ -188,10 +196,13 @@ def lex_array(k: int, n: int) -> np.ndarray:
     return np.array(list(combinations(range(n), k)), dtype=np.intp)
 
 
+@lru_cache(maxsize=4096)
 def lex_index_set_at(rank: int, k: int, n: int) -> LexIndexSet:
     """The rank-th k-subset of [1, n] in lexicographic order (0-based rank).
 
     Equals lex_index_sets(k, n)[rank] without building the other sets.
+    The sets are frozen, so each (rank, k, n) is unranked and validated
+    once and then shared by every witness that names it.
     """
     if not 0 <= rank < math.comb(n, k):
         raise DomainError(f"rank {rank} is outside [0, C({n},{k}))")
@@ -339,13 +350,16 @@ def minor(A, rows, cols) -> float:
     return float(_minors(A[np.ix_(r, c)], r.size)[0, 0])
 
 
-def minor_table(A, k: int) -> np.ndarray:
+def minor_table(A, k: int, *, _checked: bool = False) -> np.ndarray:
     """All k-minors of A as a C(rows,k) x C(cols,k) array.
 
     Row/column subsets run in lexicographic order, so entry (i, j) is the
-    minor selected by the i-th row set and j-th column set.
+    minor selected by the i-th row set and j-th column set.  The verdict
+    functions pass `_checked=True` for an A they have already put through
+    as_matrix, so each call validates its input once.
     """
-    A = as_matrix(A)
+    if not _checked:
+        A = as_matrix(A)
     n, m = A.shape
     if not 1 <= k <= min(n, m):
         raise DomainError(f"order k={k} must satisfy 1 <= k <= min{A.shape}")
@@ -374,15 +388,19 @@ def spectral_report(A) -> SpectralReport:
     (Hessenberg reduction plus shifted QR) and are sorted by modulus,
     with (re, im) tie-breaking for determinism.
     """
-    A = as_square(A)
-    try:
-        w = np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigenvalue iteration failed to converge: {exc}") from exc
+    w = _eigvals(as_square(A))
     order = np.lexsort((-w.imag, -w.real, -np.abs(w)))
     w = w[order]
     moduli = np.abs(w)
     return SpectralReport(eigenvalues=w, moduli=moduli, spectral_radius=float(moduli[0]))
+
+
+def _eigvals(A: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a checked square A, unsorted; NumericError if LAPACK fails."""
+    try:
+        return np.linalg.eigvals(A)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigenvalue iteration failed to converge: {exc}") from exc
 
 
 class PdCheck(NamedTuple):
@@ -399,17 +417,17 @@ def is_positive_definite(M, tol: float | None = None) -> PdCheck:
     `tol`.
     """
     M = as_square(M)
-    return _pd_check(0.5 * (M + M.T), tol)
+    return _pd_check(0.5 * (M + M.T), pd_tol(tol))
 
 
-def _pd_check(S: np.ndarray, tol: float | None) -> PdCheck:
-    """The PD rule on a symmetric S: its smallest eigenvalue, the margin, exceeds pd_tol(tol).
+def _pd_check(S: np.ndarray, t: float) -> PdCheck:
+    """The PD rule on a symmetric S: its smallest eigenvalue, the margin, exceeds t.
 
-    S goes to the eigen-solve as it is (LAPACK reads one triangle), so a
-    caller that builds S exactly symmetric needs no symmetrizing copy.
-    A NaN or infinite entry is a DomainError, not a margin.
+    t is a resolved pd_tol.  S goes to the eigen-solve as it is (LAPACK
+    reads one triangle), so a caller that builds S exactly symmetric needs
+    no symmetrizing copy.  A NaN or infinite entry is a DomainError, not a
+    margin.
     """
-    t = pd_tol(tol)
     if not (math.isfinite(S.max()) and math.isfinite(S.min())):
         raise DomainError("matrix contains NaN or infinite entries")
     try:

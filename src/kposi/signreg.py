@@ -17,12 +17,12 @@ import numpy as np
 from .errors import DomainError, PreconditionError
 from .matcore import (
     LexIndexSet,
+    _band,
     as_matrix,
     as_square,
     as_vector,
     lex_index_set_at,
     minor_table,
-    zero_band,
     zero_tol,
 )
 
@@ -104,11 +104,13 @@ def classify_sign_regularity(A, k: int, tol: float | None = None) -> SignClass:
     when every minor vanishes, "NONE" on a strict sign conflict.
     """
     A = as_matrix(A)
-    return _classify_minors(minor_table(A, k), k, A.shape, tol)
+    minors = minor_table(A, k, _checked=True)
+    return _classify_minors(minors, k, A.shape, zero_tol(tol))
 
 
-def _classify_minors(minors: np.ndarray, k: int, shape: tuple[int, int], tol) -> SignClass:
-    """classify_sign_regularity on an already-built table of the k-minors of a `shape` matrix."""
+def _classify_minors(minors: np.ndarray, k: int, shape: tuple[int, int], t: float) -> SignClass:
+    """classify_sign_regularity on an already-built table of the k-minors of a
+    `shape` matrix, with t a resolved zero_tol."""
     def _witness(flat_idx: int) -> MinorWitness:
         i, j = divmod(flat_idx, minors.shape[1])
         return MinorWitness(
@@ -117,22 +119,23 @@ def _classify_minors(minors: np.ndarray, k: int, shape: tuple[int, int], tol) ->
             value=float(flat[flat_idx]),
         )
 
-    band = zero_band(minors, tol)
+    band = _band(t, float(minors.max()), float(minors.min()))
     flat = minors.ravel()
-    witness_min = _witness(int(np.argmin(np.abs(flat))))
+    witness_min = _witness(int(np.abs(flat).argmin()))
 
     pos = flat > band
     neg = flat < -band
-    if pos.any() and neg.any():
-        i_pos = int(np.argmax(np.where(pos, flat, -np.inf)))
-        i_neg = int(np.argmin(np.where(neg, flat, np.inf)))
+    any_pos, any_neg = bool(pos.any()), bool(neg.any())
+    if any_pos and any_neg:
+        i_pos = int(np.where(pos, flat, -np.inf).argmax())
+        i_neg = int(np.where(neg, flat, np.inf).argmin())
         conflict = (_witness(i_pos), _witness(i_neg))
         return SignClass(k, NONE, None, witness_min, conflict)
-    if not pos.any() and not neg.any():
+    if not any_pos and not any_neg:
         return SignClass(k, ALL_ZERO, None, witness_min)
-    signature = 1 if pos.any() else -1
-    strict = bool(pos.all() or neg.all())
-    return SignClass(k, SSR if strict else SR, signature, witness_min)
+    # one side is empty, so the table is strict iff the other holds every minor
+    strict = bool((pos if any_pos else neg).all())
+    return SignClass(k, SSR if strict else SR, 1 if any_pos else -1, witness_min)
 
 
 @dataclass(frozen=True)
@@ -153,13 +156,13 @@ def is_k_positive_system(A, k: int, tol: float | None = None) -> KPositivityRepo
     """
     A = as_square(A)
     t = zero_tol(tol)
-    scale = max(1.0, float(np.max(np.abs(A)))) ** A.shape[0]
+    scale = max(1.0, float(A.max()), -float(A.min())) ** A.shape[0]
     if abs(float(np.linalg.det(A))) <= t * scale:
         raise PreconditionError(
             "matrix is singular; reduce the dynamics to a lower-dimensional "
             "nonsingular system before testing k-positivity"
         )
-    sc = classify_sign_regularity(A, k, tol)
+    sc = _classify_minors(minor_table(A, k, _checked=True), k, A.shape, t)
     return KPositivityReport(
         k_positive=sc.verdict in (SR, SSR),
         strongly_k_positive=sc.verdict == SSR,

@@ -17,19 +17,22 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .compound import mult_compound
 from .errors import CapacityError, DomainError, NumericError, PreconditionError
 from .matcore import (
     LexIndexSet,
+    _band,
+    _eigvals,
     _pd_check,
+    _require_finite,
     det_stack,
     as_square,
     as_vector,
     lex_array,
     lex_index_set_at,
+    minor_table,
     minor_tol,
+    pd_tol,
     spectral_report,
-    zero_band,
     zero_tol,
 )
 from .signreg import MinorWitness
@@ -42,7 +45,8 @@ NEGATE_CT = "NEGATE_CT"
 
 # Principal-minor screens sweep all 2^n - 1 subsets; keep n sane.
 _SCREEN_DIM_LIMIT = 20
-# Screens up to this dimension keep their index sets (under 0.5 MB in all).
+# Screens up to this dimension keep their index sets and block indices
+# (under 3 MB in all).
 _SCREEN_CACHE_DIM = 12
 
 
@@ -56,7 +60,12 @@ def diag_entries(D, name: str = "D", positive: bool = True) -> np.ndarray:
             raise PreconditionError(f"{name} must be diagonal")
         arr = np.diag(sq)
     d = as_vector(arr, name)
-    if positive and np.any(d <= 0.0):
+    return _require_positive(d, name) if positive else d
+
+
+def _require_positive(d: np.ndarray, name: str) -> np.ndarray:
+    """d itself when every entry is above 0, else PreconditionError."""
+    if (d <= 0.0).any():
         raise PreconditionError(f"{name} must have strictly positive diagonal entries")
     return d
 
@@ -68,12 +77,12 @@ class SchurCheck(NamedTuple):
 
 def is_schur(A, tol: float | None = None) -> SchurCheck:
     """True iff the spectral radius is below 1 - tol."""
-    return _schur_check(spectral_report(A).spectral_radius, tol)
+    return _schur_check(spectral_report(A).spectral_radius, zero_tol(tol))
 
 
-def _schur_check(rho: float, tol: float | None) -> SchurCheck:
-    """The Schur margin, applied to a spectral radius already computed."""
-    return SchurCheck(ok=rho < 1.0 - zero_tol(tol), spectral_radius=rho)
+def _schur_check(rho: float, t: float) -> SchurCheck:
+    """The Schur margin 1 - t, t a resolved zero_tol, on a spectral radius already computed."""
+    return SchurCheck(ok=rho < 1.0 - t, spectral_radius=rho)
 
 
 class SteinCheck(NamedTuple):
@@ -95,7 +104,7 @@ def stein_holds(A, D, tol: float | None = None) -> SteinCheck:
         raise PreconditionError(
             f"D has {d.size} diagonal entries but A is {A.shape[0]}x{A.shape[0]}"
         )
-    return SteinCheck(*_pd_check(_stein_gap(np.sqrt(d)[:, None] * A, d), tol))
+    return SteinCheck(*_pd_check(_stein_gap(np.sqrt(d)[:, None] * A, d), pd_tol(tol)))
 
 
 def _stein_gap(X: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -127,13 +136,14 @@ def construct_dlf_nonneg(A, x=None, y=None, tol: float | None = None) -> DlfCons
     Stein inequality is asserted on the original A before returning.
     """
     A = as_square(A)
-    sign = _nonneg_sign(A, tol)
+    t = zero_tol(tol)
+    sign = _nonneg_sign(A, t)
     if sign == 0:
         raise PreconditionError(
             "matrix has entries of both signs; use certify_k_diag_stability "
             "to certify through a compound of definite sign"
         )
-    schur = is_schur(A, tol)
+    schur = is_schur(A, t)
     if not schur.ok:
         raise PreconditionError(
             f"matrix is not Schur (spectral radius {schur.spectral_radius:.6g}); "
@@ -144,16 +154,18 @@ def construct_dlf_nonneg(A, x=None, y=None, tol: float | None = None) -> DlfCons
     return DlfConstruction(d=d, xi=xi, z=z, stein_margin=margin, sign_flipped=sign < 0)
 
 
-def _nonneg_sign(M: np.ndarray, tol: float | None) -> int:
+def _nonneg_sign(M: np.ndarray, t: float) -> int:
     """The sign s that makes s * M entrywise nonnegative, or 0 if none does.
 
-    Entries inside zero_band(M, tol) count as zero: s is 1 unless some
-    entry lies below the band, and then -1 if none lies above it.
+    Entries inside the zero band of M (matcore.zero_band, t a resolved
+    zero_tol) count as zero: s is 1 unless some entry lies below the
+    band, and then -1 if none lies above it.
     """
-    band = zero_band(M, tol)
-    if not np.min(M) < -band:
+    hi, lo = float(M.max()), float(M.min())
+    band = _band(t, hi, lo)
+    if not lo < -band:
         return 1
-    return -1 if np.max(M) <= band else 0
+    return -1 if hi <= band else 0
 
 
 def _dlf_solve(M: np.ndarray, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -163,15 +175,18 @@ def _dlf_solve(M: np.ndarray, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     np.eye(n) - M bit for bit); xi is solved from it and z from its
     transpose view, so LAPACK gets the values of I - M^T without a second
     buffer.  M is left as it is.  xi and z must come out positive, and d
-    must be a valid diagonal (diag_entries).
+    finite and positive, as diag_entries requires of a diagonal.
     """
     n = M.shape[0]
-    x = np.ones(n) if x is None else as_vector(x, "x")
-    y = np.ones(n) if y is None else as_vector(y, "y")
-    if x.size != n or y.size != n:
-        raise DomainError(f"x and y must have dimension {n}")
-    if np.any(x <= 0.0) or np.any(y <= 0.0):
-        raise PreconditionError("x and y must be strictly positive")
+    if x is None and y is None:
+        x = y = np.ones(n)  # the defaults pass every check below
+    else:
+        x = np.ones(n) if x is None else as_vector(x, "x")
+        y = np.ones(n) if y is None else as_vector(y, "y")
+        if x.size != n or y.size != n:
+            raise DomainError(f"x and y must have dimension {n}")
+        if (x <= 0.0).any() or (y <= 0.0).any():
+            raise PreconditionError("x and y must be strictly positive")
     lhs = np.subtract(0.0, M)
     lhs.flat[:: n + 1] += 1.0
     try:
@@ -179,9 +194,9 @@ def _dlf_solve(M: np.ndarray, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         z = np.linalg.solve(lhs.T, y)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"(I - A) solve failed: {exc}") from exc
-    if np.any(xi <= 0.0) or np.any(z <= 0.0):
+    if (xi <= 0.0).any() or (z <= 0.0).any():
         raise NumericError("construction produced nonpositive xi or z entries")
-    return xi, z, diag_entries(z / xi)
+    return xi, z, _require_positive(_require_finite(z / xi, "D"), "D")
 
 
 def _stein_margin(check) -> float:
@@ -194,13 +209,16 @@ def _stein_margin(check) -> float:
 
 
 def _compound_radius(A: np.ndarray, k: int) -> float:
-    """Spectral radius of A^(k) from one n x n eigen-solve.
+    """Spectral radius of A^(k) from one n x n eigen-solve, for a checked square A.
 
     The eigenvalues of A^(k) are the products of k eigenvalues of A with
     distinct indices, so the largest modulus is the product of the k
-    largest moduli.
+    largest moduli.  They are multiplied in descending order, as
+    spectral_report(A).moduli[:k] lists them; moduli that tie are equal,
+    so their order among themselves cannot change the product.
     """
-    return float(np.prod(spectral_report(A).moduli[:k]))
+    descending = -np.sort(-np.abs(_eigvals(A)))
+    return float(np.prod(descending[:k]))
 
 
 @dataclass(frozen=True)
@@ -252,9 +270,10 @@ def certify_k_diag_stability(
     n = A.shape[0]
     if not 1 <= k <= n - 1:
         raise DomainError(f"order k={k} must satisfy 1 <= k <= n-1={n - 1}")
-    M = mult_compound(A, k)
+    M = minor_table(A, k, _checked=True)
     r = M.shape[0]
-    sign = _nonneg_sign(M, tol)
+    t = zero_tol(tol)
+    sign = _nonneg_sign(M, t)
     if sign == 0:
         # the first most negative minor, classify's negative conflict witness
         i, j = divmod(int(np.argmin(M)), r)
@@ -269,7 +288,7 @@ def certify_k_diag_stability(
             ),
         )
     rho = _compound_radius(A, k)
-    if not _schur_check(rho, tol).ok:
+    if not _schur_check(rho, t).ok:
         return CertificationFailure(
             k=k, r=r, reason=COMPOUND_NOT_SCHUR, compound_spectral_radius=rho
         )
@@ -284,7 +303,7 @@ def certify_k_diag_stability(
     # the margin, unchanged.
     gap = _stein_gap(np.multiply(np.sqrt(d)[:, None], M, out=M), d)
     del M
-    margin = _stein_margin(_pd_check(gap, tol))
+    margin = _stein_margin(_pd_check(gap, pd_tol(tol)))
     return KDiagCertificate(
         k=k,
         r=r,
@@ -367,20 +386,41 @@ def _screen_sets(k: int, n: int) -> np.ndarray:
     return sets
 
 
+def _block_index(sets: np.ndarray, n: int) -> np.ndarray:
+    """Flat indices of the principal blocks picked by `sets` in a C-ordered n x n matrix.
+
+    take on them gives the (C, k, k) stack that B[sets[:, :, None],
+    sets[:, None, :]] gives, in one gather.
+    """
+    return sets[:, :, None] * n + sets[:, None, :]
+
+
+@lru_cache(maxsize=None)
+def _screen_blocks(k: int, n: int) -> np.ndarray:
+    """_block_index of _screen_sets(k, n), read-only, built once per (k, n)."""
+    blocks = _block_index(_screen_sets(k, n), n)
+    blocks.setflags(write=False)
+    return blocks
+
+
 def _principal_minor_screen(B: np.ndarray, tol: float):
     n = B.shape[0]
     if n > _SCREEN_DIM_LIMIT:
         raise CapacityError(
             f"principal-minor screen sweeps 2^{n} subsets; refusing n > {_SCREEN_DIM_LIMIT}"
         )
-    subsets = _screen_sets if n <= _SCREEN_CACHE_DIM else lex_array
+    cached = n <= _SCREEN_CACHE_DIM
+    entries = np.ascontiguousarray(B).ravel()
     for k in range(1, n + 1):
-        sets = subsets(k, n)
-        stack = B[sets[:, :, None], sets[:, None, :]]
-        values = det_stack(np.ascontiguousarray(stack))
-        bad = np.nonzero(~(values > tol))[0]
-        if bad.size:
-            i = int(bad[0])
+        if cached:
+            sets, blocks = _screen_sets(k, n), _screen_blocks(k, n)
+        else:
+            sets = lex_array(k, n)
+            blocks = _block_index(sets, n)
+        values = det_stack(entries.take(blocks))
+        passed = values > tol
+        if not passed.all():
+            i = int(passed.argmin())  # the first minor that does not pass
             kappa = LexIndexSet(n, tuple(int(q) + 1 for q in sets[i]))
             return False, (kappa, float(values[i]))
     return True, None

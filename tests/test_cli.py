@@ -321,6 +321,8 @@ class TestErrorPaths:
             ("classify", {"rows": True, "cols": 1, "data": [[1.0]]}),
             ("simulate", {"validate": "no"}),
             ("simulate", {"validate": 0}),
+            ("classify", {"rows": 1, "cols": 1, "data": [[1.0]], "scale": "1e400"}),
+            ("classify", {"rows": 1, "cols": 1, "data": [[1.0]], "scale": "1e-400"}),
         ],
         ids=[
             "rows-string",
@@ -337,6 +339,8 @@ class TestErrorPaths:
             "rows-boolean",
             "validate-string",
             "validate-number",
+            "scale-overflow",
+            "scale-underflow",
         ],
     )
     def test_malformed_document_exits_two(self, tmp_path, capsys, command, doc):

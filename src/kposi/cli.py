@@ -101,9 +101,16 @@ def parse_matrix_document(doc) -> np.ndarray:
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"scale {scale!r} is not a valid p/q rational") from exc
         try:
-            arr = arr * frac.numerator / frac.denominator
+            # an in-range scale can still take finite data out of range
+            with np.errstate(over="ignore", invalid="ignore"):
+                scaled = arr * frac.numerator / frac.denominator
         except OverflowError as exc:  # p or q beyond the float range, as for 1e400
             raise DomainError(f"scale {scale!r} is outside the floating-point range") from exc
+        if not np.isfinite(scaled).all() and np.isfinite(arr).all():
+            raise DomainError(
+                f"scale {scale!r} takes the matrix data outside the floating-point range"
+            )
+        arr = scaled
     return arr
 
 

@@ -149,7 +149,8 @@ def construct_dlf_nonneg(A, x=None, y=None, tol: float | None = None) -> DlfCons
             f"matrix is not Schur (spectral radius {schur.spectral_radius:.6g}); "
             "no diagonal Stein certificate exists"
         )
-    xi, z, d = _dlf_solve(-A if sign < 0 else A, x, y)
+    # _dlf_solve works in the buffer it is given: hand it a private copy
+    xi, z, d = _dlf_solve(A * sign, x, y)
     margin = _stein_margin(stein_holds(A, d, tol))
     return DlfConstruction(d=d, xi=xi, z=z, stein_margin=margin, sign_flipped=sign < 0)
 
@@ -171,11 +172,15 @@ def _nonneg_sign(M: np.ndarray, t: float) -> int:
 def _dlf_solve(M: np.ndarray, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """xi, z and d = z / xi of the construction, for a nonnegative Schur M.
 
-    I - M is built once, as 0 - M plus 1 on the diagonal (the entries of
-    np.eye(n) - M bit for bit); xi is solved from it and z from its
-    transpose view, so LAPACK gets the values of I - M^T without a second
-    buffer.  M is left as it is.  xi and z must come out positive, and d
-    finite and positive, as diag_entries requires of a diagonal.
+    I - M is built in M's own buffer: M is negated in place and 1 added
+    to its diagonal.  That gives the entries of np.eye(n) - M, except
+    that a zero entry may carry the other sign, a difference LAPACK never
+    turns into a different nonzero result.  xi is solved from it and z
+    from its transpose view, so LAPACK gets the values of I - M^T without
+    a second buffer.  M is then negated back, an exact involution, and
+    its saved diagonal written, which restores it bit for bit.  xi and z
+    must come out positive, and d finite and positive, as diag_entries
+    requires of a diagonal.
     """
     n = M.shape[0]
     if x is None and y is None:
@@ -187,13 +192,17 @@ def _dlf_solve(M: np.ndarray, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             raise DomainError(f"x and y must have dimension {n}")
         if (x <= 0.0).any() or (y <= 0.0).any():
             raise PreconditionError("x and y must be strictly positive")
-    lhs = np.subtract(0.0, M)
-    lhs.flat[:: n + 1] += 1.0
+    diagonal = M.diagonal().copy()
+    np.negative(M, out=M)
+    M.flat[:: n + 1] += 1.0
     try:
-        xi = np.linalg.solve(lhs, x)
-        z = np.linalg.solve(lhs.T, y)
+        xi = np.linalg.solve(M, x)
+        z = np.linalg.solve(M.T, y)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"(I - A) solve failed: {exc}") from exc
+    finally:
+        np.negative(M, out=M)
+        M.flat[:: n + 1] = diagonal
     if (xi <= 0.0).any() or (z <= 0.0).any():
         raise NumericError("construction produced nonpositive xi or z entries")
     return xi, z, _require_positive(_require_finite(z / xi, "D"), "D")

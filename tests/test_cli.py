@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -323,6 +324,7 @@ class TestErrorPaths:
             ("simulate", {"validate": 0}),
             ("classify", {"rows": 1, "cols": 1, "data": [[1.0]], "scale": "1e400"}),
             ("classify", {"rows": 1, "cols": 1, "data": [[1.0]], "scale": "1e-400"}),
+            ("classify", {"rows": 1, "cols": 1, "data": [[1e10]], "scale": "1e300"}),
         ],
         ids=[
             "rows-string",
@@ -341,6 +343,7 @@ class TestErrorPaths:
             "validate-number",
             "scale-overflow",
             "scale-underflow",
+            "scale-product-overflow",
         ],
     )
     def test_malformed_document_exits_two(self, tmp_path, capsys, command, doc):
@@ -355,7 +358,9 @@ class TestErrorPaths:
             argv = ["classify", "--in", str(path), "-k", "1"]
         else:
             argv = ["simulate", "--system", str(path), "--x0", "0", "0", "0", "--steps", "1"]
-        assert run_cli(argv) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no warning before the refusal
+            assert run_cli(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
 

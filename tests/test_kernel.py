@@ -111,12 +111,18 @@ class TestLaplaceKernel:
             tracemalloc.stop()
         assert peak <= 2.5 * table.nbytes
 
-    def test_certify_holds_few_compound_sized_arrays(self):
-        # the compound and one I - M buffer at once; the copies LAPACK
-        # makes inside solve and eigvalsh are not traced
+    @staticmethod
+    def certify_large_chain():
         rng = np.random.default_rng(65)
         spec = CyclicSpec(12, tuple(rng.uniform(0.1, 0.4, 12)), tuple(rng.uniform(0.1, 0.4, 12)), ell=5)
-        A = build_cyclic(spec)
+        return build_cyclic(spec)
+
+    def test_certify_holds_few_compound_sized_arrays(self):
+        # at most two compound-sized arrays at once: the compound while the
+        # kernel builds it and during the solves, X = D^(1/2) M and its Gram
+        # in the Stein step; the copies LAPACK makes inside solve and
+        # eigvalsh are not traced
+        A = self.certify_large_chain()
         certify_k_diag_stability(A, 5)
         tracemalloc.start()
         try:
@@ -126,6 +132,27 @@ class TestLaplaceKernel:
             tracemalloc.stop()
         assert isinstance(cert, KDiagCertificate) and cert.r == 792
         assert peak <= 2.5 * 792**2 * 8
+
+    def test_certify_solves_in_the_compounds_own_buffer(self, monkeypatch):
+        # I - M is built in M's buffer, so when each solve starts the only
+        # traced compound-sized array is M itself
+        A = self.certify_large_chain()
+        certify_k_diag_stability(A, 5)
+        solve, traced = np.linalg.solve, []
+
+        def recording_solve(*args):
+            traced.append(tracemalloc.get_traced_memory()[0])
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        tracemalloc.start()
+        try:
+            cert = certify_k_diag_stability(A, 5)
+        finally:
+            tracemalloc.stop()
+        assert isinstance(cert, KDiagCertificate) and cert.r == 792
+        assert len(traced) == 2
+        assert max(traced) <= 1.25 * 792**2 * 8
 
     def test_orders_above_the_expansion_agree_with_it(self):
         # order 9 is factorised block by block; expanding it along its

@@ -1,21 +1,27 @@
 """Invariants of the verdict path (classify, k-positivity, certify):
-the compound radius, the construction's errors, one minor table per call,
-and shared witness index sets."""
+the compound radius, the construction's errors and solves, inputs left
+as they were, one minor table per call, and shared witness index sets."""
 
+import dataclasses
 import sys
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kposi import (
     DomainError,
+    KDiagCertificate,
     PreconditionError,
     certify_k_diag_stability,
     classify_sign_regularity,
+    construct_dlf_nonneg,
     is_k_positive_system,
     matcore,
+    minor_table,
     spectral_report,
+    stein_holds,
 )
 from kposi.examples import CERT_3X3, CT_NO_DLF, CYCLIC_WEDGE, DT_NO_DLF
 from kposi.matcore import LexIndexSet, lex_index_set_at, lex_index_sets
@@ -95,6 +101,94 @@ class TestDlfSolveErrors:
         explicit = _dlf_solve(M, np.ones(3), np.ones(3))
         for a, b in zip(default, explicit):
             assert a.tobytes() == b.tobytes()
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# nonnegative and Schur, with -0.0 entries: its compounds of orders 1-3
+# hold -0.0 minors, as do those of its negation
+SIGNED_ZEROS = np.array(
+    [[0.3, 0.1, 0.0, -0.0], [0.1, 0.2, -0.0, 0.0], [0.0, -0.0, 0.5, -0.0], [-0.0, 0.0, 0.0, 0.3]]
+)
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's workload module, for its seeded input pools."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    return workloads
+
+
+def certificate_cases(workloads, tmp_path):
+    """(A, k) of the seed-1 verdict-batch certify calls, one certify-large
+    chain, and the signed-zero matrix and its negation at orders 1-3."""
+    pool = workloads.verdict_pool(1, tmp_path)
+    yield from ((item["A"], item["k"]) for item in pool if item["mode"] == "full")
+    yield workloads.certify_pool(1, tmp_path)[0]["A"], workloads.CERT_K
+    for A in (SIGNED_ZEROS, -SIGNED_ZEROS):
+        for k in (1, 2, 3):
+            yield A, k
+
+
+class TestCertifySolves:
+    def test_xi_and_z_are_the_solves_of_eye_minus_the_compound(self, workloads, tmp_path):
+        # the solves run in the compound's own negated buffer; they must give
+        # what solving np.eye(r) - M and its transpose gives, bit for bit
+        certified = signed_zero = 0
+        for A, k in certificate_cases(workloads, tmp_path):
+            cert = certify_k_diag_stability(A, k)
+            if not isinstance(cert, KDiagCertificate):
+                continue
+            M = minor_table(A, k)
+            signed_zero += bool(np.any((M == 0.0) & np.signbit(M)))
+            lhs = np.eye(cert.r) - (-M if cert.sign_flipped else M)
+            ones = np.ones(cert.r)
+            assert cert.xi.tobytes() == np.linalg.solve(lhs, ones).tobytes(), (A, k)
+            assert cert.z.tobytes() == np.linalg.solve(lhs.T, ones).tobytes(), (A, k)
+            certified += 1
+        assert certified >= 30 and signed_zero >= 6
+
+
+def result_bytes(result):
+    """A verdict result field by field: arrays by bytes, floats by hex."""
+    values = result if isinstance(result, tuple) else dataclasses.astuple(result)
+    return tuple(
+        v.tobytes() if isinstance(v, np.ndarray) else v.hex() if isinstance(v, float) else repr(v)
+        for v in values
+    )
+
+
+# name: (the input, the call)
+INPUT_CALLS = {
+    "construct": (SIGNED_ZEROS, construct_dlf_nonneg),
+    "construct-flipped": (-SIGNED_ZEROS, construct_dlf_nonneg),
+    "stein": (SIGNED_ZEROS, lambda A: stein_holds(A, np.array([1.0, 2.0, 0.5, 1.5]))),
+    "certify-k1": (SIGNED_ZEROS, lambda A: certify_k_diag_stability(A, 1)),
+    "certify-k2": (SIGNED_ZEROS, lambda A: certify_k_diag_stability(A, 2)),
+    "certify-k3-flipped": (-SIGNED_ZEROS, lambda A: certify_k_diag_stability(A, 3)),
+}
+
+
+class TestInputsLeftAlone:
+    """The construction works in a buffer of its own, never the caller's."""
+
+    @pytest.mark.parametrize("name", INPUT_CALLS)
+    def test_writable_input_is_unchanged(self, name):
+        given, call = INPUT_CALLS[name]
+        A = given.copy()
+        call(A)
+        assert A.tobytes() == given.tobytes()
+
+    @pytest.mark.parametrize("name", INPUT_CALLS)
+    @pytest.mark.parametrize("layout", ["read-only", "fortran"])
+    def test_read_only_and_fortran_inputs_give_the_same_result(self, name, layout):
+        given, call = INPUT_CALLS[name]
+        A = np.asfortranarray(given) if layout == "fortran" else given.copy()
+        A.setflags(write=layout != "read-only")
+        assert result_bytes(call(A)) == result_bytes(call(given.copy()))
+        assert A.tobytes() == given.tobytes()
 
 
 @pytest.fixture

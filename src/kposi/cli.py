@@ -104,6 +104,10 @@ def parse_matrix_document(doc) -> np.ndarray:
             # an in-range scale can still take finite data out of range
             with np.errstate(over="ignore", invalid="ignore"):
                 scaled = arr * frac.numerator / frac.denominator
+                # where the product with p alone overflows, divide first
+                redo = ~np.isfinite(scaled) & np.isfinite(arr)
+                if redo.any():
+                    scaled[redo] = arr[redo] / frac.denominator * frac.numerator
         except OverflowError as exc:  # p or q beyond the float range, as for 1e400
             raise DomainError(f"scale {scale!r} is outside the floating-point range") from exc
         if not np.isfinite(scaled).all() and np.isfinite(arr).all():

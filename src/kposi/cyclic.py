@@ -18,7 +18,7 @@ from .compound import mult_compound
 from .errors import NumericError, PreconditionError
 from .matcore import zero_tol
 from .signreg import ALL_ZERO, SR, SSR, SignClass, _classify_minors
-from .stability import _compound_radius, _schur_check, is_schur
+from .stability import _descending_moduli, _schur_check
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,8 @@ def analyze_cyclic(spec: CyclicSpec, tol: float | None = None) -> CyclicAnalysis
     nonnegative (signature +1); anything else contradicts the structural
     guarantee for cyclic matrices and raises NumericError.  compound_rho
     is the product of the ell largest eigenvalue moduli of A, the radius
-    certify_k_diag_stability uses, and takes the same Schur margin.
+    certify_k_diag_stability uses, and takes the same Schur margin.  It
+    and, for odd ell, the spectral radius of A come from one eigen-solve.
     """
     if not 1 <= spec.ell <= spec.n - 1:
         raise PreconditionError(
@@ -98,10 +99,11 @@ def analyze_cyclic(spec: CyclicSpec, tol: float | None = None) -> CyclicAnalysis
             f"(verdict {sc.verdict}, signature {sc.signature}); this contradicts "
             "the structural nonnegativity of cyclic minors"
         )
-    compound_schur = _schur_check(_compound_radius(A, spec.ell), t)
+    moduli = _descending_moduli(A)
+    compound_schur = _schur_check(float(np.prod(moduli[: spec.ell])), t)
     if spec.ell % 2 == 1:
         nonneg = bool(np.min(A) >= 0.0)
-        diag_stable = is_schur(A, t).ok
+        diag_stable = _schur_check(float(moduli[0]), t).ok
     else:
         nonneg = None
         diag_stable = None

@@ -28,9 +28,9 @@ TAU_PD = 1e-10
 # prefer a loud failure over exhausting memory.
 CAPACITY_LIMIT = 100_000
 
-# Secondary guard on the work of a full minor table: R*C*k^2, which is k
-# times the R*C*k products of the top Laplace level, and above
-# _LAPLACE_MAX_ORDER the number of scalars in the gathered k x k blocks.
+# Secondary guard on the work of a full minor table: R*C*k up to
+# _LAPLACE_MAX_ORDER, the products of the top Laplace level, and above it
+# R*C*k^2, the scalars in the gathered k x k blocks.
 _TABLE_ENTRY_LIMIT = 50_000_000
 
 # Orders the minor kernel expands by Laplace.  A table of a higher order
@@ -365,7 +365,7 @@ def minor_table(A, k: int, *, _checked: bool = False) -> np.ndarray:
         raise DomainError(f"order k={k} must satisfy 1 <= k <= min{A.shape}")
     R = compound_size(k, n)
     C = compound_size(k, m)
-    if R * C * k * k > _TABLE_ENTRY_LIMIT:
+    if R * C * (k if k <= _LAPLACE_MAX_ORDER else k * k) > _TABLE_ENTRY_LIMIT:
         raise CapacityError(
             f"minor table of {R}x{C} order-{k} blocks is too large"
         )

@@ -10,8 +10,8 @@ simulated trajectories, which is what the trajectory tools measure.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import InitVar, dataclass, field
-from functools import partial
+from dataclasses import InitVar, dataclass
+from functools import cached_property, partial
 from itertools import product
 from typing import NamedTuple
 
@@ -62,14 +62,12 @@ class ScalarMap:
     c: float = 1.0
     p: float = 1.0
     points: tuple[tuple[float, float], ...] | None = None
-    # This map's phi: the one-map case of the evaluator a system builds
-    # for each group of its coordinates (_kind_phi).
-    _phi: Callable[[np.ndarray], np.ndarray] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
-    def __post_init__(self):
-        object.__setattr__(self, "_phi", _kind_phi((self,)))
+    @cached_property
+    def _phi(self) -> Callable[[np.ndarray], np.ndarray]:
+        """This map's phi, built on first call: the one-map case of the
+        evaluator a system builds for each group of its coordinates."""
+        return _kind_phi((self,))
 
     @classmethod
     def identity(cls) -> "ScalarMap":

@@ -32,7 +32,6 @@ from .matcore import (
     minor_table,
     minor_tol,
     pd_tol,
-    spectral_report,
     zero_tol,
 )
 from .signreg import MinorWitness
@@ -45,8 +44,7 @@ NEGATE_CT = "NEGATE_CT"
 
 # Principal-minor screens sweep all 2^n - 1 subsets; keep n sane.
 _SCREEN_DIM_LIMIT = 20
-# Screens up to this dimension keep their index sets and block indices
-# (under 3 MB in all).
+# Screens up to this dimension keep their block indices (under 3 MB in all).
 _SCREEN_CACHE_DIM = 12
 
 
@@ -77,7 +75,7 @@ class SchurCheck(NamedTuple):
 
 def is_schur(A, tol: float | None = None) -> SchurCheck:
     """True iff the spectral radius is below 1 - tol."""
-    return _schur_check(spectral_report(A).spectral_radius, zero_tol(tol))
+    return _schur_check(_compound_radius(as_square(A), 1), zero_tol(tol))
 
 
 def _schur_check(rho: float, t: float) -> SchurCheck:
@@ -132,27 +130,22 @@ def construct_dlf_nonneg(A, x=None, y=None, tol: float | None = None) -> DlfCons
 
     Solves xi = (I-A)^{-1} x and z = (I-A^T)^{-1} y (defaults x = y = 1)
     and returns D = diag(z_i / xi_i).  An entrywise-nonpositive A is
-    handled by negating it first, which leaves A^T D A unchanged.  The
-    Stein inequality is asserted on the original A before returning.
+    handled by negating it first, which leaves A^T D A unchanged.  This
+    is certify_k_diag_stability at k = 1, where A^(1) = A, for any n >= 1;
+    its two negative verdicts raise PreconditionError here.
     """
-    A = as_square(A)
-    t = zero_tol(tol)
-    sign = _nonneg_sign(A, t)
-    if sign == 0:
+    cert = _certify(as_square(A), 1, tol, x, y)
+    if isinstance(cert, KDiagCertificate):
+        return DlfConstruction(cert.d, cert.xi, cert.z, cert.stein_margin, cert.sign_flipped)
+    if cert.reason == NOT_SIGN_REGULAR:
         raise PreconditionError(
             "matrix has entries of both signs; use certify_k_diag_stability "
             "to certify through a compound of definite sign"
         )
-    schur = is_schur(A, t)
-    if not schur.ok:
-        raise PreconditionError(
-            f"matrix is not Schur (spectral radius {schur.spectral_radius:.6g}); "
-            "no diagonal Stein certificate exists"
-        )
-    # _dlf_solve works in the buffer it is given: hand it a private copy
-    xi, z, d = _dlf_solve(A * sign, x, y)
-    margin = _stein_margin(stein_holds(A, d, tol))
-    return DlfConstruction(d=d, xi=xi, z=z, stein_margin=margin, sign_flipped=sign < 0)
+    raise PreconditionError(
+        f"matrix is not Schur (spectral radius {cert.compound_spectral_radius:.6g}); "
+        "no diagonal Stein certificate exists"
+    )
 
 
 def _nonneg_sign(M: np.ndarray, t: float) -> int:
@@ -226,8 +219,12 @@ def _compound_radius(A: np.ndarray, k: int) -> float:
     spectral_report(A).moduli[:k] lists them; moduli that tie are equal,
     so their order among themselves cannot change the product.
     """
-    descending = -np.sort(-np.abs(_eigvals(A)))
-    return float(np.prod(descending[:k]))
+    return float(np.prod(_descending_moduli(A)[:k]))
+
+
+def _descending_moduli(A: np.ndarray) -> np.ndarray:
+    """Eigenvalue moduli of a checked square A, largest first, from one eigen-solve."""
+    return -np.sort(-np.abs(_eigvals(A)))
 
 
 @dataclass(frozen=True)
@@ -279,6 +276,17 @@ def certify_k_diag_stability(
     n = A.shape[0]
     if not 1 <= k <= n - 1:
         raise DomainError(f"order k={k} must satisfy 1 <= k <= n-1={n - 1}")
+    return _certify(A, k, tol, x, y)
+
+
+def _certify(
+    A: np.ndarray, k: int, tol: float | None, x, y
+) -> KDiagCertificate | CertificationFailure:
+    """certify_k_diag_stability on a checked square A, without its k <= n-1 bound.
+
+    construct_dlf_nonneg calls it at k = 1, which a 1 x 1 A needs.
+    """
+    n = A.shape[0]
     M = minor_table(A, k, _checked=True)
     r = M.shape[0]
     t = zero_tol(tol)
@@ -388,26 +396,16 @@ class NecessaryConditionReport:
 
 
 @lru_cache(maxsize=None)
-def _screen_sets(k: int, n: int) -> np.ndarray:
-    """lex_array(k, n), read-only, built once per (k, n) up to _SCREEN_CACHE_DIM."""
-    sets = lex_array(k, n)
-    sets.setflags(write=False)
-    return sets
-
-
-def _block_index(sets: np.ndarray, n: int) -> np.ndarray:
-    """Flat indices of the principal blocks picked by `sets` in a C-ordered n x n matrix.
-
-    take on them gives the (C, k, k) stack that B[sets[:, :, None],
-    sets[:, None, :]] gives, in one gather.
-    """
-    return sets[:, :, None] * n + sets[:, None, :]
-
-
-@lru_cache(maxsize=None)
 def _screen_blocks(k: int, n: int) -> np.ndarray:
-    """_block_index of _screen_sets(k, n), read-only, built once per (k, n)."""
-    blocks = _block_index(_screen_sets(k, n), n)
+    """Flat indices of the principal k x k blocks of a C-ordered n x n matrix.
+
+    take on them gives the (C(n,k), k, k) stack of principal blocks in
+    lexicographic order, in one gather.  Read-only; the screen keeps them
+    per (k, n) up to _SCREEN_CACHE_DIM and builds larger ones through
+    __wrapped__, uncached.
+    """
+    sets = lex_array(k, n)
+    blocks = sets[:, :, None] * n + sets[:, None, :]
     blocks.setflags(write=False)
     return blocks
 
@@ -418,20 +416,14 @@ def _principal_minor_screen(B: np.ndarray, tol: float):
         raise CapacityError(
             f"principal-minor screen sweeps 2^{n} subsets; refusing n > {_SCREEN_DIM_LIMIT}"
         )
-    cached = n <= _SCREEN_CACHE_DIM
+    blocks = _screen_blocks if n <= _SCREEN_CACHE_DIM else _screen_blocks.__wrapped__
     entries = np.ascontiguousarray(B).ravel()
     for k in range(1, n + 1):
-        if cached:
-            sets, blocks = _screen_sets(k, n), _screen_blocks(k, n)
-        else:
-            sets = lex_array(k, n)
-            blocks = _block_index(sets, n)
-        values = det_stack(entries.take(blocks))
+        values = det_stack(entries.take(blocks(k, n)))
         passed = values > tol
         if not passed.all():
             i = int(passed.argmin())  # the first minor that does not pass
-            kappa = LexIndexSet(n, tuple(int(q) + 1 for q in sets[i]))
-            return False, (kappa, float(values[i]))
+            return False, (lex_index_set_at(i, k, n), float(values[i]))
     return True, None
 
 

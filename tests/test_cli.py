@@ -48,6 +48,17 @@ class TestMatrixDocuments:
         A = parse_matrix_document(eq7_doc())
         np.testing.assert_array_equal(A, DT_NO_DLF)
 
+    def test_scale_applied_where_the_product_with_p_alone_overflows(self, capsys):
+        # 1e308 * 3 leaves the float range, 1e308 * 3 / 4 does not; entries
+        # whose product is finite keep its rounding
+        doc = {"rows": 1, "cols": 2, "data": [[1e308, 0.1]], "scale": "3/4"}
+        np.testing.assert_array_equal(parse_matrix_document(doc), [[1e308 / 4 * 3, 0.1 * 3 / 4]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(["classify", "--in", str(DATA / "scale_fits.json"), "-k", "1"]) == 0
+        value = json.loads(capsys.readouterr().out)["verdicts"]["witness_min"]["value"]
+        assert value == 1e308 / 4 * 3
+
     def test_bad_scale_rejected(self):
         doc = eq7_doc()
         doc["scale"] = "1/0"

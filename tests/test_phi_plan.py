@@ -204,6 +204,24 @@ def test_one_group_is_applied_to_the_whole_array():
     assert nonlinear._phi_plan((ScalarMap.power(1.5),) * 4).func is nonlinear._odd_power
 
 
+def test_a_system_builds_one_table_plan_per_group(monkeypatch):
+    # a map builds its own phi only when called on its own, so a six-map
+    # TABLE system plans its one group once, and no map plans itself
+    calls = []
+    plan = nonlinear._table_plan
+
+    def counted(maps):
+        calls.append(maps)
+        return plan(maps)
+
+    monkeypatch.setattr(nonlinear, "_table_plan", counted)
+    maps = tuple(ScalarMap.table([(z, c * z) for z in (-1.0, 0.0, 1.0)])
+                 for c in (0.9, 0.92, 0.94, 0.96, 0.98, 1.0))
+    sys_ = NonlinearSystem(0.15 * np.ones((6, 6)), maps, (-1.0, 1.0))
+    simulate(sys_, np.linspace(-0.5, 0.5, 6), 20)
+    assert len(calls) == 1 and calls[0] == maps
+
+
 def test_tables_are_grouped_by_breakpoint_grid():
     # TABLES[0] and TABLES[2] have five breakpoints each, on two grids
     key = nonlinear._group_key

@@ -129,6 +129,47 @@ class TestConstructDlf:
         with pytest.raises(PreconditionError):
             construct_dlf_nonneg(0.5 * np.eye(2), x=np.array([1.0, -1.0]))
 
+    @staticmethod
+    def same_construction(built, cert):
+        for a, b in ((built.d, cert.d), (built.xi, cert.xi), (built.z, cert.z)):
+            assert a.tobytes() == b.tobytes()
+        assert built.stein_margin == cert.stein_margin
+        assert built.sign_flipped == cert.sign_flipped
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_construction_is_certify_at_order_one(self, n):
+        # both signs, entries of +0.0 and -0.0, and default and custom weights
+        rng = np.random.default_rng(300 + n)
+        for trial in range(8):
+            A = rng.uniform(0.0, 1.0, (n, n))
+            A[rng.random((n, n)) < 0.3] = 0.0
+            A[rng.random((n, n)) < 0.1] = -0.0
+            A *= rng.uniform(0.2, 0.95) / max(np.abs(np.linalg.eigvals(A)).max(), 1e-3)
+            if trial % 2:
+                A = -A
+            x = y = None
+            if trial >= 4:
+                x, y = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+            built = construct_dlf_nonneg(A, x, y)
+            cert = certify_k_diag_stability(A, 1, None, x, y)
+            assert built.sign_flipped == bool(trial % 2)
+            self.same_construction(built, cert)
+
+    @pytest.mark.parametrize("a", [0.5, -0.5, 0.0, -0.0])
+    def test_one_by_one_construction(self, a):
+        # certify_k_diag_stability needs k <= n - 1; the construction
+        # runs its core without that bound
+        A = np.array([[a]])
+        built = construct_dlf_nonneg(A, [2.0], [3.0])
+        assert built.sign_flipped == (a < 0.0)
+        np.testing.assert_allclose(built.xi, [2.0 / (1.0 - abs(a))], rtol=1e-15)
+        np.testing.assert_allclose(built.d, [1.5], rtol=1e-15)
+        assert built.stein_margin == pytest.approx(1.5 * (1.0 - a * a), rel=1e-15)
+        with pytest.raises(DomainError):
+            certify_k_diag_stability(A, 1)
+        with pytest.raises(PreconditionError, match="not Schur"):
+            construct_dlf_nonneg([[1.0]])
+
     def test_tol_sets_the_stein_margin(self, monkeypatch):
         # Schur with radius 0.95 < 1 - 1e-2, but the constructed D has a
         # Stein margin of about 0.0039: above the default PD margin, below
@@ -406,7 +447,7 @@ class TestNecessaryScreens:
                 kappa, value = necessary_ct_diag(A).failing_minor
                 assert kappa.indices == tuple(range(1, n + 1))
                 assert value == pytest.approx(1 - n / (n - 0.5), rel=1e-9)
-        assert not stability._screen_sets(2, 4).flags.writeable
+        assert not stability._screen_blocks(2, 4).flags.writeable
 
 
 class TestDiagonalStabilityPropagation:

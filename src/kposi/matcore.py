@@ -350,16 +350,24 @@ def minor(A, rows, cols) -> float:
     return float(_minors(A[np.ix_(r, c)], r.size)[0, 0])
 
 
-def minor_table(A, k: int, *, _checked: bool = False) -> np.ndarray:
+def minor_table(A, k: int) -> np.ndarray:
     """All k-minors of A as a C(rows,k) x C(cols,k) array.
 
     Row/column subsets run in lexicographic order, so entry (i, j) is the
-    minor selected by the i-th row set and j-th column set.  The verdict
-    functions pass `_checked=True` for an A they have already put through
-    as_matrix, so each call validates its input once.
+    minor selected by the i-th row set and j-th column set.  A minor
+    beyond the float range comes out infinite or NaN, with no
+    RuntimeWarning; the verdicts refuse such a table at their sign gate
+    (signreg._sign_gate).
     """
-    if not _checked:
-        A = as_matrix(A)
+    return _minor_table(as_matrix(A), k)
+
+
+def _minor_table(A: np.ndarray, k: int) -> np.ndarray:
+    """minor_table on an A already put through as_matrix, behind the size guards.
+
+    The verdict functions call it directly, so each call validates its
+    input once.
+    """
     n, m = A.shape
     if not 1 <= k <= min(n, m):
         raise DomainError(f"order k={k} must satisfy 1 <= k <= min{A.shape}")
@@ -369,7 +377,8 @@ def minor_table(A, k: int, *, _checked: bool = False) -> np.ndarray:
         raise CapacityError(
             f"minor table of {R}x{C} order-{k} blocks is too large"
         )
-    return _minors(A, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _minors(A, k)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ the sampling check below probes empirically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +19,11 @@ from .errors import DomainError, PreconditionError
 from .matcore import (
     LexIndexSet,
     _band,
+    _minor_table,
     as_matrix,
     as_square,
     as_vector,
     lex_index_set_at,
-    minor_table,
     zero_tol,
 )
 
@@ -101,41 +102,58 @@ def classify_sign_regularity(A, k: int, tol: float | None = None) -> SignClass:
     classify_sign_regularity(1e-5 * A, 2) can read ALL_ZERO where A is SSR
     (ROADMAP item 1).  Verdicts: "SSR" when every minor is strictly one
     sign, "SR" when weakly one sign with at least one nonzero, "ALL_ZERO"
-    when every minor vanishes, "NONE" on a strict sign conflict.
+    when every minor vanishes, "NONE" on a strict sign conflict.  Minors
+    beyond the float range are refused (DomainError).
     """
     A = as_matrix(A)
-    minors = minor_table(A, k, _checked=True)
-    return _classify_minors(minors, k, A.shape, zero_tol(tol))
+    return _classify_minors(_minor_table(A, k), k, A.shape, zero_tol(tol))
+
+
+def _sign_gate(minors: np.ndarray, t: float) -> tuple[str, int | None]:
+    """(verdict, signature) of a minor table, t a resolved zero_tol.
+
+    The one sign rule of every verdict, read from the table's extremes
+    alone: "NONE" when both lie beyond the zero band (matcore.zero_band),
+    "ALL_ZERO" when neither does; otherwise the far extreme gives the
+    signature and the near one, beyond the band on the same side or not,
+    "SSR" or "SR".  A NaN or infinite extreme is a DomainError, as for an
+    overflowing Stein gap (matcore._pd_check).
+    """
+    hi, lo = float(minors.max()), float(minors.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise DomainError("minors beyond the float range: the table has NaN or infinite entries")
+    band = _band(t, hi, lo)
+    if hi > band:
+        if lo < -band:
+            return NONE, None
+        return (SSR if lo > band else SR), 1
+    if lo < -band:
+        return (SSR if hi < -band else SR), -1
+    return ALL_ZERO, None
+
+
+def _minor_witness(minors: np.ndarray, flat_idx: int, k: int, shape: tuple[int, int]) -> MinorWitness:
+    """Entry flat_idx, in C order, of a table of the k-minors of a `shape` matrix."""
+    i, j = divmod(flat_idx, minors.shape[1])
+    return MinorWitness(
+        rows=lex_index_set_at(i, k, shape[0]),
+        cols=lex_index_set_at(j, k, shape[1]),
+        value=float(minors[i, j]),
+    )
 
 
 def _classify_minors(minors: np.ndarray, k: int, shape: tuple[int, int], t: float) -> SignClass:
     """classify_sign_regularity on an already-built table of the k-minors of a
-    `shape` matrix, with t a resolved zero_tol."""
-    def _witness(flat_idx: int) -> MinorWitness:
-        i, j = divmod(flat_idx, minors.shape[1])
-        return MinorWitness(
-            rows=lex_index_set_at(i, k, shape[0]),
-            cols=lex_index_set_at(j, k, shape[1]),
-            value=float(flat[flat_idx]),
-        )
+    `shape` matrix, with t a resolved zero_tol.
 
-    band = _band(t, float(minors.max()), float(minors.min()))
-    flat = minors.ravel()
-    witness_min = _witness(int(np.abs(flat).argmin()))
-
-    pos = flat > band
-    neg = flat < -band
-    any_pos, any_neg = bool(pos.any()), bool(neg.any())
-    if any_pos and any_neg:
-        i_pos = int(np.where(pos, flat, -np.inf).argmax())
-        i_neg = int(np.where(neg, flat, np.inf).argmin())
-        conflict = (_witness(i_pos), _witness(i_neg))
-        return SignClass(k, NONE, None, witness_min, conflict)
-    if not any_pos and not any_neg:
-        return SignClass(k, ALL_ZERO, None, witness_min)
-    # one side is empty, so the table is strict iff the other holds every minor
-    strict = bool((pos if any_pos else neg).all())
-    return SignClass(k, SSR if strict else SR, 1 if any_pos else -1, witness_min)
+    A conflict's witnesses are the first largest and the first smallest
+    minor, which lie beyond the band on opposite sides.
+    """
+    verdict, signature = _sign_gate(minors, t)
+    witness_min = _minor_witness(minors, int(np.abs(minors).argmin()), k, shape)
+    conflict = None if verdict != NONE else tuple(
+        _minor_witness(minors, int(i), k, shape) for i in (minors.argmax(), minors.argmin()))
+    return SignClass(k, verdict, signature, witness_min, conflict)
 
 
 @dataclass(frozen=True)
@@ -153,16 +171,18 @@ def is_k_positive_system(A, k: int, tol: float | None = None) -> KPositivityRepo
     of order k, so the verdict reduces to classification.  A counts as
     singular, and is refused, when |det A| <= tol * max(1, max |A_ij|)^n;
     like the zero band, this floor is absolute for small A (ROADMAP item 1).
+    Both sides are compared as logarithms, so neither overflows.
     """
     A = as_square(A)
     t = zero_tol(tol)
-    scale = max(1.0, float(A.max()), -float(A.min())) ** A.shape[0]
-    if abs(float(np.linalg.det(A))) <= t * scale:
+    _, logdet = np.linalg.slogdet(A)  # -inf, with sign 0, for an exactly singular A
+    n_log_scale = A.shape[0] * math.log(max(1.0, float(A.max()), -float(A.min())))
+    if logdet <= (math.log(t) + n_log_scale if t > 0.0 else -math.inf):
         raise PreconditionError(
             "matrix is singular; reduce the dynamics to a lower-dimensional "
             "nonsingular system before testing k-positivity"
         )
-    sc = _classify_minors(minor_table(A, k, _checked=True), k, A.shape, t)
+    sc = _classify_minors(_minor_table(A, k), k, A.shape, t)
     return KPositivityReport(
         k_positive=sc.verdict in (SR, SSR),
         strongly_k_positive=sc.verdict == SSR,

@@ -20,8 +20,8 @@ import numpy as np
 from .errors import CapacityError, DomainError, NumericError, PreconditionError
 from .matcore import (
     LexIndexSet,
-    _band,
     _eigvals,
+    _minor_table,
     _pd_check,
     _require_finite,
     det_stack,
@@ -29,12 +29,11 @@ from .matcore import (
     as_vector,
     lex_array,
     lex_index_set_at,
-    minor_table,
     minor_tol,
     pd_tol,
     zero_tol,
 )
-from .signreg import MinorWitness
+from .signreg import NONE, MinorWitness, _minor_witness, _sign_gate
 
 NOT_SIGN_REGULAR = "NOT_SIGN_REGULAR"
 COMPOUND_NOT_SCHUR = "COMPOUND_NOT_SCHUR"
@@ -148,20 +147,6 @@ def construct_dlf_nonneg(A, x=None, y=None, tol: float | None = None) -> DlfCons
     )
 
 
-def _nonneg_sign(M: np.ndarray, t: float) -> int:
-    """The sign s that makes s * M entrywise nonnegative, or 0 if none does.
-
-    Entries inside the zero band of M (matcore.zero_band, t a resolved
-    zero_tol) count as zero: s is 1 unless some entry lies below the
-    band, and then -1 if none lies above it.
-    """
-    hi, lo = float(M.max()), float(M.min())
-    band = _band(t, hi, lo)
-    if not lo < -band:
-        return 1
-    return -1 if hi <= band else 0
-
-
 def _dlf_solve(M: np.ndarray, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """xi, z and d = z / xi of the construction, for a nonnegative Schur M.
 
@@ -199,15 +184,6 @@ def _dlf_solve(M: np.ndarray, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     if (xi <= 0.0).any() or (z <= 0.0).any():
         raise NumericError("construction produced nonpositive xi or z entries")
     return xi, z, _require_positive(_require_finite(z / xi, "D"), "D")
-
-
-def _stein_margin(check) -> float:
-    """The margin of the constructed D's Stein check, which must pass (NumericError)."""
-    if not check.ok:
-        raise NumericError(
-            f"constructed D failed the Stein check (margin {check.margin:.3g})"
-        )
-    return check.margin
 
 
 def _compound_radius(A: np.ndarray, k: int) -> float:
@@ -264,10 +240,12 @@ def certify_k_diag_stability(
 ) -> KDiagCertificate | CertificationFailure:
     """Build a diagonal Stein certificate for A^(k), or explain why not.
 
-    Pipeline: form M = A^(k); if M is entrywise nonpositive flip its sign
-    (recorded on the certificate; the Stein form is unchanged by the
-    flip).  M must then be entrywise nonnegative, else the verdict is
-    NOT_SIGN_REGULAR with the offending minor.  M must be Schur, else
+    Pipeline: form M = A^(k) and read its sign at classify's sign gate
+    (signreg._sign_gate; entries beyond the float range are a DomainError).
+    If M is entrywise nonpositive flip its sign (recorded on the
+    certificate; the Stein form is unchanged by the flip).  M must then
+    be entrywise nonnegative, else the verdict is NOT_SIGN_REGULAR with
+    its first most negative minor as witness.  M must be Schur, else
     COMPOUND_NOT_SCHUR with its spectral radius, the product of the k
     largest eigenvalue moduli of A.  The certificate D, xi, z come from
     the nonnegative construction with defaults x = y = 1.
@@ -286,30 +264,19 @@ def _certify(
 
     construct_dlf_nonneg calls it at k = 1, which a 1 x 1 A needs.
     """
-    n = A.shape[0]
-    M = minor_table(A, k, _checked=True)
+    M = _minor_table(A, k)
     r = M.shape[0]
     t = zero_tol(tol)
-    sign = _nonneg_sign(M, t)
-    if sign == 0:
-        # the first most negative minor, classify's negative conflict witness
-        i, j = divmod(int(np.argmin(M)), r)
-        return CertificationFailure(
-            k=k,
-            r=r,
-            reason=NOT_SIGN_REGULAR,
-            witness=MinorWitness(
-                rows=lex_index_set_at(i, k, n),
-                cols=lex_index_set_at(j, k, n),
-                value=float(M[i, j]),
-            ),
-        )
+    verdict, signature = _sign_gate(M, t)
+    if verdict == NONE:
+        witness = _minor_witness(M, int(M.argmin()), k, A.shape)
+        return CertificationFailure(k=k, r=r, reason=NOT_SIGN_REGULAR, witness=witness)
     rho = _compound_radius(A, k)
     if not _schur_check(rho, t).ok:
         return CertificationFailure(
             k=k, r=r, reason=COMPOUND_NOT_SCHUR, compound_spectral_radius=rho
         )
-    sign_flipped = sign < 0
+    sign_flipped = signature == -1
     if sign_flipped:
         np.negative(M, out=M)
     xi, z, d = _dlf_solve(M, x, y)
@@ -320,14 +287,16 @@ def _certify(
     # the margin, unchanged.
     gap = _stein_gap(np.multiply(np.sqrt(d)[:, None], M, out=M), d)
     del M
-    margin = _stein_margin(_pd_check(gap, pd_tol(tol)))
+    check = _pd_check(gap, pd_tol(tol))
+    if not check.ok:
+        raise NumericError(f"constructed D failed the Stein check (margin {check.margin:.3g})")
     return KDiagCertificate(
         k=k,
         r=r,
         d=d,
         xi=xi,
         z=z,
-        stein_margin=margin,
+        stein_margin=check.margin,
         compound_spectral_radius=rho,
         sign_flipped=sign_flipped,
         xi_gap=xi_gap,

@@ -2,8 +2,8 @@
 
 Each helper deliberately avoids the code path it validates: sign-variation
 counts by exhaustive completion, determinants by the permutation-sum
-formula, definiteness by leading principal minors, and diagonal Stein
-certificates by random search.
+formula, definiteness by leading principal minors, diagonal Stein
+certificates by random search, and sign verdicts by entrywise masks.
 """
 
 from itertools import permutations, product
@@ -100,3 +100,36 @@ def well_conditioned(rng, n: int, smin: float = 0.5, smax: float = 2.0):
     q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
     s = rng.uniform(smin, smax, n)
     return q1 @ np.diag(s) @ q2
+
+
+def mask_sign_verdict(M, tol: float):
+    """(verdict, signature, i_max, i_min, i_small) of a table, by entrywise masks.
+
+    An entry is zero when |v| <= tol * max(1, max |M|).  The verdict is
+    "NONE" when some entry is positive and some negative beyond that
+    band, "ALL_ZERO" when none is beyond it, else "SSR" when every entry
+    is beyond it on one side and "SR" when not; the signature is that
+    side.  i_max, i_min and i_small are the C-order flat indices of the
+    first largest, first smallest and first smallest-magnitude entries,
+    found by a Python scan.
+    """
+    M = np.asarray(M, dtype=float)
+    band = tol * max(1.0, float(np.max(np.abs(M))))
+    pos, neg = M > band, M < -band
+    if pos.any() and neg.any():
+        verdict, signature = "NONE", None
+    elif pos.any() or neg.any():
+        side = pos if pos.any() else neg
+        verdict, signature = ("SSR" if side.all() else "SR"), (1 if pos.any() else -1)
+    else:
+        verdict, signature = "ALL_ZERO", None
+    flat = M.ravel().tolist()
+    i_max = i_min = i_small = 0
+    for i, v in enumerate(flat):
+        if v > flat[i_max]:
+            i_max = i
+        if v < flat[i_min]:
+            i_min = i
+        if abs(v) < abs(flat[i_small]):
+            i_small = i
+    return verdict, signature, i_max, i_min, i_small

@@ -392,6 +392,17 @@ class TestErrorPaths:
         assert captured.out == ""
         assert sum("error: " in line for line in captured.err.splitlines()) == 1
 
+    # 1e160 * CERT_3X3: its 2-minors leave the float range, so no sign is read
+    @pytest.mark.parametrize("command", ["classify", "certify"])
+    def test_overflowing_minors_exit_two(self, capsys, command):
+        argv = [command, "--in", str(DATA / "minor_overflow.json"), "-k", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # no warning before the refusal
+            assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
     def test_integral_float_dimensions_accepted(self, tmp_path, capsys):
         doc = dict(matrix_document(np.eye(2)), rows=2.0, cols=2.0)
         assert run_cli(["classify", "--in", write_json(tmp_path / "i.json", doc), "-k", "1"]) == 0

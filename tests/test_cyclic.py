@@ -10,11 +10,10 @@ from kposi import (
     build_cyclic,
     certify_k_diag_stability,
     classify_sign_regularity,
-    compound,
     is_schur,
+    matcore,
     minor_table,
     mult_compound,
-    signreg,
     spectral_report,
 )
 from kposi.examples import CYCLIC_WEDGE
@@ -104,13 +103,14 @@ class TestAnalyzeCyclic:
             nonneg_entrywise=True,
         )
         calls = []
+        original = matcore._minor_table
 
         def counted(*args):
             calls.append(args)
-            return minor_table(*args)
+            return original(*args)
 
-        monkeypatch.setattr(compound, "minor_table", counted)
-        monkeypatch.setattr(signreg, "minor_table", counted)
+        # every minor table, public or internal, is built by matcore._minor_table
+        monkeypatch.setattr(matcore, "_minor_table", counted)
         assert analyze_cyclic(spec) == expected
         assert len(calls) == 1
 

@@ -193,17 +193,18 @@ class TestInputsLeftAlone:
 
 @pytest.fixture
 def table_calls(monkeypatch):
-    """Count the calls that reach matcore.minor_table through any kposi module."""
+    """Count the calls that reach matcore._minor_table, which builds every minor
+    table, through any kposi module."""
     calls = []
-    original = matcore.minor_table
+    original = matcore._minor_table
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
-        if (name == "kposi" or name.startswith("kposi.")) and getattr(mod, "minor_table", None) is original:
-            monkeypatch.setattr(mod, "minor_table", counted)
+        if (name == "kposi" or name.startswith("kposi.")) and getattr(mod, "_minor_table", None) is original:
+            monkeypatch.setattr(mod, "_minor_table", counted)
     return calls
 
 

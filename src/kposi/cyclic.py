@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compound import mult_compound
 from .errors import NumericError, PreconditionError
-from .matcore import zero_tol
+from .matcore import _minor_table, zero_tol
 from .signreg import ALL_ZERO, SR, SSR, SignClass, _classify_minors
 from .stability import _descending_moduli, _schur_check
 
@@ -89,9 +88,8 @@ def analyze_cyclic(spec: CyclicSpec, tol: float | None = None) -> CyclicAnalysis
             f"analysis needs 1 <= ell <= n-1, got ell={spec.ell}, n={spec.n}"
         )
     A = build_cyclic(spec)
-    M = mult_compound(A, spec.ell)
     t = zero_tol(tol)
-    sc = _classify_minors(M, spec.ell, A.shape, t)
+    sc = _classify_minors(_minor_table(A, spec.ell), spec.ell, A.shape, t)
     acceptable = sc.verdict == ALL_ZERO or (sc.verdict in (SR, SSR) and sc.signature == 1)
     if not acceptable:
         raise NumericError(
@@ -101,12 +99,10 @@ def analyze_cyclic(spec: CyclicSpec, tol: float | None = None) -> CyclicAnalysis
         )
     moduli = _descending_moduli(A)
     compound_schur = _schur_check(float(np.prod(moduli[: spec.ell])), t)
+    nonneg = diag_stable = None
     if spec.ell % 2 == 1:
         nonneg = bool(np.min(A) >= 0.0)
         diag_stable = _schur_check(float(moduli[0]), t).ok
-    else:
-        nonneg = None
-        diag_stable = None
     return CyclicAnalysis(
         sign_class_at_ell=sc,
         ell_diag_stable=compound_schur.ok,

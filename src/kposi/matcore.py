@@ -355,19 +355,16 @@ def minor_table(A, k: int) -> np.ndarray:
 
     Row/column subsets run in lexicographic order, so entry (i, j) is the
     minor selected by the i-th row set and j-th column set.  A minor
-    beyond the float range comes out infinite or NaN, with no
-    RuntimeWarning; the verdicts refuse such a table at their sign gate
-    (signreg._sign_gate).
+    beyond the float range is a DomainError.
     """
-    return _minor_table(as_matrix(A), k)
+    T = _minor_table(as_matrix(A), k)
+    _finite_extremes(T)
+    return T
 
 
 def _minor_table(A: np.ndarray, k: int) -> np.ndarray:
-    """minor_table on an A already put through as_matrix, behind the size guards.
-
-    The verdict functions call it directly, so each call validates its
-    input once.
-    """
+    """minor_table on a checked A, for the verdicts: they read the table's
+    extremes, and so refuse a non-finite one, at their sign gate."""
     n, m = A.shape
     if not 1 <= k <= min(n, m):
         raise DomainError(f"order k={k} must satisfy 1 <= k <= min{A.shape}")
@@ -379,6 +376,14 @@ def _minor_table(A: np.ndarray, k: int) -> np.ndarray:
         )
     with np.errstate(over="ignore", invalid="ignore"):
         return _minors(A, k)
+
+
+def _finite_extremes(T: np.ndarray) -> tuple[float, float]:
+    """(max, min) of a minor table; a NaN or infinite minor is a DomainError."""
+    hi, lo = float(T.max()), float(T.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise DomainError("minors beyond the float range: the table has NaN or infinite entries")
+    return hi, lo
 
 
 @dataclass(frozen=True)

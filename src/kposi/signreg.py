@@ -19,6 +19,7 @@ from .errors import DomainError, PreconditionError
 from .matcore import (
     LexIndexSet,
     _band,
+    _finite_extremes,
     _minor_table,
     as_matrix,
     as_square,
@@ -116,12 +117,9 @@ def _sign_gate(minors: np.ndarray, t: float) -> tuple[str, int | None]:
     alone: "NONE" when both lie beyond the zero band (matcore.zero_band),
     "ALL_ZERO" when neither does; otherwise the far extreme gives the
     signature and the near one, beyond the band on the same side or not,
-    "SSR" or "SR".  A NaN or infinite extreme is a DomainError, as for an
-    overflowing Stein gap (matcore._pd_check).
+    "SSR" or "SR".  A NaN or infinite extreme is a DomainError.
     """
-    hi, lo = float(minors.max()), float(minors.min())
-    if not (math.isfinite(hi) and math.isfinite(lo)):
-        raise DomainError("minors beyond the float range: the table has NaN or infinite entries")
+    hi, lo = _finite_extremes(minors)
     band = _band(t, hi, lo)
     if hi > band:
         if lo < -band:
@@ -171,13 +169,17 @@ def is_k_positive_system(A, k: int, tol: float | None = None) -> KPositivityRepo
     of order k, so the verdict reduces to classification.  A counts as
     singular, and is refused, when |det A| <= tol * max(1, max |A_ij|)^n;
     like the zero band, this floor is absolute for small A (ROADMAP item 1).
-    Both sides are compared as logarithms, so neither overflows.
+    Where max(1, max |A_ij|)^n overflows, A and max(1, max |A_ij|) are
+    first scaled by one power of two.
     """
-    A = as_square(A)
-    t = zero_tol(tol)
-    _, logdet = np.linalg.slogdet(A)  # -inf, with sign 0, for an exactly singular A
-    n_log_scale = A.shape[0] * math.log(max(1.0, float(A.max()), -float(A.min())))
-    if logdet <= (math.log(t) + n_log_scale if t > 0.0 else -math.inf):
+    A, t = as_square(A), zero_tol(tol)
+    m = max(1.0, float(A.max()), -float(A.min()))
+    try:
+        e, scale = 0, m ** A.shape[0]
+    except OverflowError:
+        e = math.frexp(m)[1]
+        scale = math.ldexp(m, -e) ** A.shape[0]
+    if abs(float(np.linalg.det(np.ldexp(A, -e)))) <= t * scale:
         raise PreconditionError(
             "matrix is singular; reduce the dynamics to a lower-dimensional "
             "nonsingular system before testing k-positivity"

@@ -273,9 +273,7 @@ def _certify(
         return CertificationFailure(k=k, r=r, reason=NOT_SIGN_REGULAR, witness=witness)
     rho = _compound_radius(A, k)
     if not _schur_check(rho, t).ok:
-        return CertificationFailure(
-            k=k, r=r, reason=COMPOUND_NOT_SCHUR, compound_spectral_radius=rho
-        )
+        return CertificationFailure(k=k, r=r, reason=COMPOUND_NOT_SCHUR, compound_spectral_radius=rho)
     sign_flipped = signature == -1
     if sign_flipped:
         np.negative(M, out=M)

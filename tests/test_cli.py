@@ -392,10 +392,11 @@ class TestErrorPaths:
         assert captured.out == ""
         assert sum("error: " in line for line in captured.err.splitlines()) == 1
 
-    # 1e160 * CERT_3X3: its 2-minors leave the float range, so no sign is read
-    @pytest.mark.parametrize("command", ["classify", "certify"])
+    # 1e160 * CERT_3X3: its 2-minors (and its determinant, the wedge of its
+    # columns) leave the float range, so no sign is read and no table printed
+    @pytest.mark.parametrize("command", ["classify", "certify", "compound", "wedge"])
     def test_overflowing_minors_exit_two(self, capsys, command):
-        argv = [command, "--in", str(DATA / "minor_overflow.json"), "-k", "2"]
+        argv = [command, "--in", str(DATA / "minor_overflow.json")] + (["-k", "2"] if command != "wedge" else [])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)  # no warning before the refusal
             assert run_cli(argv) == 2

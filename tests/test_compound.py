@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from kposi import (
     is_positive_definite,
     k_content,
     minor,
+    minor_table,
     mult_compound,
     spectral_report,
     wedge,
 )
-from kposi.examples import DT_NO_DLF
+from kposi.examples import CERT_3X3, DT_NO_DLF
 
 from oracles import well_conditioned
 
@@ -213,3 +215,20 @@ class TestKContent:
             assert k_content([a, b]) == pytest.approx(
                 float(np.linalg.norm(np.cross(a, b))), rel=1e-12
             )
+
+
+# 1e160 * CERT_3X3: its 2-minors (~1e320) and its determinant leave the
+# float range; the 1e200 matrix's 2-minor is inf - inf, that is NaN
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: minor_table(1e160 * CERT_3X3, 2),
+        lambda: mult_compound(np.full((2, 2), 1e200), 2),
+        lambda: wedge(list(1e160 * CERT_3X3.T)),
+    ],
+)
+def test_minors_beyond_the_float_range_are_refused_without_a_warning(build):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="float range"):
+            build()

@@ -11,7 +11,6 @@ from kposi import (
     certify_k_diag_stability,
     classify_sign_regularity,
     is_schur,
-    matcore,
     minor_table,
     mult_compound,
     spectral_report,
@@ -88,7 +87,7 @@ class TestAnalyzeCyclic:
         assert rep.compound_rho == pytest.approx(1.0, abs=1e-12)
         assert not rep.ell_diag_stable
 
-    def test_order_ell_minors_are_built_once(self, monkeypatch):
+    def test_order_ell_minors_are_built_once(self, table_calls):
         spec = random_spec(np.random.default_rng(43), 7, ell=3)
         A = build_cyclic(spec)
         # rho(A^(3)) is the product of the 3 largest eigenvalue moduli of A
@@ -102,17 +101,10 @@ class TestAnalyzeCyclic:
             diag_stable_if_odd=is_schur(A).ok,
             nonneg_entrywise=True,
         )
-        calls = []
-        original = matcore._minor_table
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        # every minor table, public or internal, is built by matcore._minor_table
-        monkeypatch.setattr(matcore, "_minor_table", counted)
+        table_calls.clear()  # the tables built for `expected` above
         assert analyze_cyclic(spec) == expected
-        assert len(calls) == 1
+        assert len(table_calls) == 1
+        assert table_calls[0][1] == 3
 
     def test_order_out_of_range(self):
         spec = CyclicSpec(3, (0.1,) * 3, (0.1,) * 3, ell=3)

@@ -19,6 +19,7 @@ from kposi import (
     CyclicSpec,
     DomainError,
     KDiagCertificate,
+    PreconditionError,
     analyze_cyclic,
     certify_k_diag_stability,
     classify_sign_regularity,
@@ -128,3 +129,39 @@ def test_determinant_guard_does_not_overflow():
         report = is_k_positive_system(1e110 * CERT_3X3, 2)
     assert report.strongly_k_positive
     assert report.sign_class == classify_sign_regularity(1e110 * CERT_3X3, 2)
+
+
+def test_determinant_guard_refuses_a_large_singular_matrix():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(PreconditionError, match="singular"):
+            is_k_positive_system(1e110 * np.arange(1.0, 10.0).reshape(3, 3), 2)
+
+
+# |det A| within a few ulps of the floor tol * max(1, max|A_ij|)^n: the guard
+# decides exactly as that comparison does where the floor is finite
+NEAR_FLOOR = [
+    np.diag([1.0, 1e-9]),
+    np.diag([1.0, 1.0000000000000003e-09]),
+    np.diag([1.0, 9.999999999999997e-10]),
+    np.diag([1.0, 9.999999999999988e-10]),
+    np.diag([1000.0, 1.0000000000000002e-06]),
+    np.diag([7.25, 7.250000000000001e-09]),
+    np.array([[0.0, 0.0, 3.0000000000000012e-09], [0.0, 3.0, 0.0], [3.0, 0.0, 0.0]]),
+    np.array([[0.0, 0.0, 3.0000000000000004e-09], [0.0, 3.0, 0.0], [3.0, 0.0, 0.0]]),
+]
+
+
+def test_near_floor_cases_cover_both_sides():
+    floor = [abs(np.linalg.det(A)) <= 1e-9 * max(1.0, np.abs(A).max()) ** A.shape[0] for A in NEAR_FLOOR]
+    assert 0 < sum(floor) < len(floor)
+
+
+@pytest.mark.parametrize("A", NEAR_FLOOR)
+def test_determinant_guard_at_the_floor_reads_the_linear_comparison(A):
+    singular = abs(np.linalg.det(A)) <= 1e-9 * max(1.0, np.abs(A).max()) ** A.shape[0]
+    if singular:
+        with pytest.raises(PreconditionError, match="singular"):
+            is_k_positive_system(A, 1, 1e-9)
+    else:
+        assert is_k_positive_system(A, 1, 1e-9).k_positive

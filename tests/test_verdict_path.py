@@ -3,7 +3,6 @@ the compound radius, the construction's errors and solves, inputs left
 as they were, one minor table per call, and shared witness index sets."""
 
 import dataclasses
-import sys
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -18,7 +17,6 @@ from kposi import (
     classify_sign_regularity,
     construct_dlf_nonneg,
     is_k_positive_system,
-    matcore,
     minor_table,
     spectral_report,
     stein_holds,
@@ -189,23 +187,6 @@ class TestInputsLeftAlone:
         A.setflags(write=layout != "read-only")
         assert result_bytes(call(A)) == result_bytes(call(given.copy()))
         assert A.tobytes() == given.tobytes()
-
-
-@pytest.fixture
-def table_calls(monkeypatch):
-    """Count the calls that reach matcore._minor_table, which builds every minor
-    table, through any kposi module."""
-    calls = []
-    original = matcore._minor_table
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for name, mod in list(sys.modules.items()):
-        if (name == "kposi" or name.startswith("kposi.")) and getattr(mod, "_minor_table", None) is original:
-            monkeypatch.setattr(mod, "_minor_table", counted)
-    return calls
 
 
 # (matrix, k): certified, flipped and certified, not sign-regular, not Schur

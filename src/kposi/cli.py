@@ -15,6 +15,7 @@ is not given.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import json
@@ -26,7 +27,7 @@ import numpy as np
 from .compound import mult_compound, wedge
 from .cyclic import CyclicSpec, analyze_cyclic, build_cyclic
 from .errors import CapacityError, DomainError, NumericError, PreconditionError
-from .matcore import compound_size, minor_tol, pd_tol, zero_tol
+from .matcore import LexIndexSet, compound_size, minor_tol, pd_tol, zero_tol
 from .nonlinear import (
     NonlinearSystem,
     ScalarMap,
@@ -207,12 +208,21 @@ def _emit(doc) -> None:
     sys.stdout.write("\n")
 
 
-def _witness_dict(w) -> dict:
-    return {
-        "rows": list(w.rows.indices),
-        "cols": list(w.cols.indices),
-        "value": w.value,
-    }
+def _encode(obj, names=None):
+    """A result object as JSON values: a dataclass as its fields in
+    declaration order (or the given names, in their order), a LexIndexSet
+    as its 1-based indices, an array as a list of floats, a tuple as a list.
+    """
+    if isinstance(obj, LexIndexSet):
+        return list(obj.indices)
+    if dataclasses.is_dataclass(obj):
+        names = names or [f.name for f in dataclasses.fields(obj)]
+        return {name: _encode(getattr(obj, name)) for name in names}
+    if isinstance(obj, np.ndarray):
+        return np.asarray(obj, dtype=float).tolist()
+    if isinstance(obj, tuple):
+        return [_encode(v) for v in obj]
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -227,24 +237,14 @@ def _cmd_compound(args) -> int:
 
 def _cmd_wedge(args) -> int:
     M, _ = _load_matrix(args.infile)
-    wv = wedge([M[:, j] for j in range(M.shape[1])])
-    _emit({"n": wv.n, "k": wv.k, "coords": [float(v) for v in wv.coords]})
+    _emit(_encode(wedge([M[:, j] for j in range(M.shape[1])])))
     return EXIT_OK
 
 
 def _cmd_classify(args) -> int:
     A, digest = _load_matrix(args.infile)
     sc = classify_sign_regularity(A, args.k, args.tol)
-    verdicts = {
-        "k": sc.k,
-        "verdict": sc.verdict,
-        "signature": sc.signature,
-        "witness_min": _witness_dict(sc.witness_min),
-        "witness_conflict": (
-            [_witness_dict(w) for w in sc.witness_conflict] if sc.witness_conflict else None
-        ),
-    }
-    _emit(_report("classify", digest, verdicts, {"zero_tol": zero_tol(args.tol)}))
+    _emit(_report("classify", digest, _encode(sc), {"zero_tol": zero_tol(args.tol)}))
     return EXIT_VERDICT if sc.verdict == NONE else EXIT_OK
 
 
@@ -252,31 +252,13 @@ def _cmd_certify(args) -> int:
     A, digest = _load_matrix(args.infile)
     result = certify_k_diag_stability(A, args.k, args.tol)
     tolerances = {"zero_tol": zero_tol(args.tol), "pd_tol": pd_tol(args.tol)}
+    fields = _encode(result)
     if isinstance(result, CertificationFailure):
-        verdicts = {
-            "certified": False,
-            "failure": result.reason,
-            "k": result.k,
-            "r": result.r,
-            "witness": _witness_dict(result.witness) if result.witness else None,
-            "compound_spectral_radius": result.compound_spectral_radius,
-        }
+        # a failure's reason is reported as "failure", right after "certified"
+        verdicts = {"certified": False, "failure": fields.pop("reason"), **fields}
         _emit(_report("certify", digest, verdicts, tolerances))
         return EXIT_VERDICT
-    verdicts = {
-        "certified": True,
-        "k": result.k,
-        "r": result.r,
-        "d": [float(v) for v in result.d],
-        "xi": [float(v) for v in result.xi],
-        "z": [float(v) for v in result.z],
-        "stein_margin": result.stein_margin,
-        "compound_spectral_radius": result.compound_spectral_radius,
-        "sign_flipped": result.sign_flipped,
-        "xi_gap": result.xi_gap,
-        "z_gap": result.z_gap,
-    }
-    _emit(_report("certify", digest, verdicts, tolerances))
+    _emit(_report("certify", digest, {"certified": True, **fields}, tolerances))
     return EXIT_OK
 
 
@@ -299,15 +281,10 @@ def _cmd_check_necessary(args) -> int:
     A, digest = _load_matrix(args.infile)
     screen = necessary_dt_diag if args.mode == "dt" else necessary_ct_diag
     rep = screen(A, args.tol)
-    verdicts = {
-        "passed": rep.passed,
-        "transform_used": rep.transform_used,
-        "witness": (
-            {"kappa": list(rep.failing_minor[0].indices), "value": rep.failing_minor[1]}
-            if rep.failing_minor
-            else None
-        ),
-    }
+    verdicts = _encode(rep)
+    # the failing minor is reported last, as "witness" {kappa, value}
+    failing = verdicts.pop("failing_minor")
+    verdicts["witness"] = dict(zip(("kappa", "value"), failing)) if failing else None
     _emit(_report("check-necessary", digest, verdicts, {"minor_tol": minor_tol(args.tol)}))
     return EXIT_OK if rep.passed else EXIT_VERDICT
 
@@ -321,18 +298,12 @@ def _cmd_cyclic(args) -> int:
         _emit(matrix_document(build_cyclic(spec)))
         return EXIT_OK
     analysis = analyze_cyclic(spec, args.tol)
-    sc = analysis.sign_class_at_ell
-    verdicts = {
-        "sign_class_at_ell": {
-            "verdict": sc.verdict,
-            "signature": sc.signature,
-            "witness_min": _witness_dict(sc.witness_min),
-        },
-        "ell_diag_stable": analysis.ell_diag_stable,
-        "compound_rho": analysis.compound_rho,
-        "diag_stable_if_odd": analysis.diag_stable_if_odd,
-        "nonneg_entrywise": analysis.nonneg_entrywise,
-    }
+    verdicts = _encode(analysis)
+    # the order ell is the spec's, so its sign class is reported without k
+    # and without a conflict witness
+    verdicts["sign_class_at_ell"] = _encode(
+        analysis.sign_class_at_ell, ("verdict", "signature", "witness_min")
+    )
     _emit(_report("cyclic", digest, verdicts, {"zero_tol": zero_tol(args.tol)}))
     return EXIT_OK if analysis.ell_diag_stable else EXIT_VERDICT
 
@@ -367,22 +338,15 @@ def _cmd_wedge_sim(args) -> int:
             sys.stderr.write(json.dumps(_report("wedge-sim", digest, verdicts, tolerances)) + "\n")
             return EXIT_VERDICT
         d = result.d
-        cert_info = {
-            "stein_margin": result.stein_margin,
-            "compound_spectral_radius": result.compound_spectral_radius,
-        }
+        cert_info = _encode(result, ("stein_margin", "compound_spectral_radius"))
     else:
         d = np.ones(compound_size(args.k, sys_.n))
     traj = wedge_trajectory(sys_, args.k, initials, d, args.steps, tol=args.tol)
     export_trajectory_csv(traj, sys.stdout, include_states=args.include_states)
-    rep = lyapunov_decrement_report(traj, args.tol)
+    # of the trajectory only these fields, in this order: not its state series
     verdicts = {
-        "monotone": rep.monotone,
-        "worst_increase": rep.worst_increase,
-        "strict_ok": rep.strict_ok,
-        "v_increase_steps": list(traj.v_increase_steps),
-        "exit_step": traj.exit_step,
-        "d_used": [float(v) for v in traj.d_used],
+        **_encode(lyapunov_decrement_report(traj, args.tol)),
+        **_encode(traj, ("v_increase_steps", "exit_step", "d_used")),
         "certificate": cert_info,
     }
     sys.stderr.write(json.dumps(_report("wedge-sim", digest, verdicts, tolerances)) + "\n")
@@ -416,70 +380,58 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_in(p):
+        p.add_argument("--in", dest="infile", required=True)
+
+    def add_k(p):
+        p.add_argument("-k", type=int, required=True)
+
     def add_tol(p):
         p.add_argument("--tol", type=float, default=None, help="tolerance override")
 
-    p = sub.add_parser("compound", help="k-th multiplicative compound of a matrix")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.set_defaults(func=_cmd_compound)
+    def command(name, func, help, *adders):
+        p = sub.add_parser(name, help=help)
+        for add in adders:
+            add(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("wedge", help="wedge product of the columns of a matrix")
-    p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(func=_cmd_wedge)
+    command("compound", _cmd_compound, "k-th multiplicative compound of a matrix", add_in, add_k)
+    command("wedge", _cmd_wedge, "wedge product of the columns of a matrix", add_in)
+    command("classify", _cmd_classify, "sign-regularity classification at order k",
+            add_in, add_k, add_tol)
+    command("certify", _cmd_certify, "diagonal Stein certificate for the k-th compound",
+            add_in, add_k, add_tol)
+    command("dlf-recover", _cmd_dlf_recover, "solve P^(n-1) = D for a positive diagonal P", add_in)
+    command("cayley", _cmd_cayley, "the transform -(A+I)(A-I)^{-1}", add_in)
 
-    p = sub.add_parser("classify", help="sign-regularity classification at order k")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("-k", type=int, required=True)
-    add_tol(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("certify", help="diagonal Stein certificate for the k-th compound")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("-k", type=int, required=True)
-    add_tol(p)
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("dlf-recover", help="solve P^(n-1) = D for a positive diagonal P")
-    p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(func=_cmd_dlf_recover)
-
-    p = sub.add_parser("cayley", help="the transform -(A+I)(A-I)^{-1}")
-    p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(func=_cmd_cayley)
-
-    p = sub.add_parser("check-necessary", help="principal-minor necessary screens")
-    p.add_argument("--in", dest="infile", required=True)
+    p = command("check-necessary", _cmd_check_necessary, "principal-minor necessary screens",
+                add_in)
     p.add_argument("--mode", choices=("dt", "ct"), required=True)
     add_tol(p)
-    p.set_defaults(func=_cmd_check_necessary)
 
-    p = sub.add_parser("cyclic", help="build or analyze a cyclic chain matrix")
+    p = command("cyclic", _cmd_cyclic, "build or analyze a cyclic chain matrix")
     p.add_argument("--alphas", type=float, nargs="+", required=True)
     p.add_argument("--betas", type=float, nargs="+", required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--analyze", action="store_true")
     add_tol(p)
-    p.set_defaults(func=_cmd_cyclic)
 
-    p = sub.add_parser("simulate", help="iterate x(j+1) = A phi(x(j)), CSV states out")
+    p = command("simulate", _cmd_simulate, "iterate x(j+1) = A phi(x(j)), CSV states out")
     p.add_argument("--system", required=True)
     p.add_argument("--x0", type=float, nargs="+", required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("wedge-sim", help="wedge trajectory with Lyapunov series, CSV j,V out")
+    p = command("wedge-sim", _cmd_wedge_sim, "wedge trajectory with Lyapunov series, CSV j,V out")
     p.add_argument("--system", required=True)
     p.add_argument("--initials", required=True, help="matrix JSON whose columns are the k starts")
-    p.add_argument("-k", type=int, required=True)
+    add_k(p)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--certify", action="store_true", help="derive D from a compound certificate")
     p.add_argument("--include-states", action="store_true")
     add_tol(p)
-    p.set_defaults(func=_cmd_wedge_sim)
 
-    p = sub.add_parser("paper-examples", help="run the bundled worked-example regressions")
-    p.set_defaults(func=_cmd_paper_examples)
+    command("paper-examples", _cmd_paper_examples, "run the bundled worked-example regressions")
 
     return parser
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, PreconditionError
+from .errors import DomainError, NumericError, PreconditionError
 from .matcore import _minor_table, zero_tol
 from .signreg import ALL_ZERO, SR, SSR, SignClass, _classify_minors
 from .stability import _descending_moduli, _schur_check
@@ -36,10 +36,14 @@ class CyclicSpec:
             raise PreconditionError("cyclic matrices need n >= 2 (corner and diagonal collide at n=1)")
         if len(self.alphas) != self.n or len(self.betas) != self.n:
             raise PreconditionError(f"need exactly n={self.n} alphas and betas")
+        if not np.isfinite(self.alphas + self.betas).all():
+            raise DomainError("alphas and betas must be finite")
         if any(a < 0 for a in self.alphas) or any(b < 0 for b in self.betas):
             raise PreconditionError("alphas and betas must be nonnegative")
-        if self.ell < 0 or self.ell != int(self.ell):
+        if not (isinstance(self.ell, (int, float, np.integer, np.floating))
+                and float(self.ell).is_integer() and self.ell >= 0):
             raise PreconditionError("ell must be a nonnegative integer")
+        object.__setattr__(self, "ell", int(self.ell))  # 2.0 is stored as 2
 
 
 def build_cyclic(spec: CyclicSpec) -> np.ndarray:

@@ -511,12 +511,17 @@ def check_k_content_preserving(
     For p = wedge(a^1..a^k) and q = wedge(phi(a^1)..phi(a^k)), every
     coordinate must satisfy: p_i = 0 (within tol) implies q_i = 0, and
     otherwise |q_i| <= |p_i| + tol.  Tuples come from the full per-axis
-    grid product plus `num_random` seeded uniform draws.  The first
-    violation is returned as a concrete counterexample.
+    grid product plus `num_random` seeded uniform draws; both counts are
+    integers, samples_per_axis >= 1 and num_random >= 0, or DomainError.
+    The first violation is returned as a concrete counterexample.
     """
     n = sys.n
     if not 1 <= k <= n - 1:
         raise DomainError(f"order k={k} must satisfy 1 <= k <= n-1={n - 1}")
+    for name, count, least in (("samples_per_axis", samples_per_axis, 1),
+                               ("num_random", num_random, 0)):
+        if not isinstance(count, (int, np.integer)) or count < least:
+            raise DomainError(f"{name} must be an integer >= {least}, got {count!r}")
     t = zero_tol(tol)
     lo, hi = sys.domain
     axis = np.linspace(lo, hi, samples_per_axis)

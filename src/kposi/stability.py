@@ -11,6 +11,7 @@ necessary conditions that rule diagonal stability out.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -20,7 +21,9 @@ import numpy as np
 from .errors import CapacityError, DomainError, NumericError, PreconditionError
 from .matcore import (
     LexIndexSet,
+    _checked_tol,
     _eigvals,
+    _finite_extremes,
     _minor_table,
     _pd_check,
     _require_finite,
@@ -318,8 +321,9 @@ def solve_top_compound_diagonal(D) -> np.ndarray:
 
     The s-th lexicographic (n-1)-subset omits exactly one index j(s), and
     log p_s = (sum_q log d_q)/(n-1) - log d_{j(s)}.  Computed in the log
-    domain to tolerate extreme entry ranges; the round trip is asserted
-    to 1e-10 relative error before returning.
+    domain to tolerate extreme entry ranges; a P whose entries leave the
+    float range, to inf or to 0, is a DomainError.  The round trip is
+    asserted to 1e-10 relative error before returning.
     """
     d = diag_entries(D, "D")
     n = d.size
@@ -328,8 +332,11 @@ def solve_top_compound_diagonal(D) -> np.ndarray:
     logd = np.log(d)
     # lex (n-1)-subsets omit indices n, n-1, ..., 1 in that order
     missing = (n - 1) - np.arange(n)
-    p = np.exp(logd.sum() / (n - 1) - logd[missing])
-    recon = dlf_compound(p, n - 1)
+    with np.errstate(over="ignore", under="ignore"):
+        p = np.exp(logd.sum() / (n - 1) - logd[missing])
+        if not (np.isfinite(p).all() and p.min() > 0.0):
+            raise DomainError("the solution P of P^(n-1) = D leaves the floating-point range")
+        recon = dlf_compound(p, n - 1)
     rel = float(np.max(np.abs(recon - d) / d))
     if rel > 1e-10:
         raise NumericError(f"compound round-trip error {rel:.3g} exceeds 1e-10")
@@ -343,16 +350,21 @@ def cayley(A, tol: float | None = None) -> np.ndarray:
     not have 1 as an eigenvalue.  A - I counts as singular when its
     smallest singular value is at most tol times its largest; tol defaults
     to n * eps, the rank rule of np.linalg.matrix_rank, whatever the scale
-    of A.
+    of A.  A tol that is not a finite nonnegative number is a DomainError,
+    and a failed solve a NumericError.
     """
     A = as_square(A)
     n = A.shape[0]
+    t = n * np.finfo(float).eps if tol is None else _checked_tol(tol, "tol")
     eye = np.eye(n)
     M = A - eye
     sv = np.linalg.svd(M, compute_uv=False)
-    if sv[-1] <= (n * np.finfo(float).eps if tol is None else tol) * sv[0]:
+    if sv[-1] <= t * sv[0]:
         raise DomainError("A - I is singular (1 is an eigenvalue); transform undefined")
-    return np.linalg.solve(M.T, -(A + eye).T).T
+    try:
+        return np.linalg.solve(M.T, -(A + eye).T).T
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"(A - I) solve failed: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -378,6 +390,16 @@ def _screen_blocks(k: int, n: int) -> np.ndarray:
 
 
 def _principal_minor_screen(B: np.ndarray, tol: float):
+    """(passed, first failing minor) of the sweep of B's principal minors,
+    order by order.  An order with a minor beyond the float range is refused
+    (DomainError), as the sign gate refuses such a table.
+
+    An order-k minor, and every intermediate of its LU with partial
+    pivoting, is at most (2^(k-1) m)^k in magnitude, m = max |B_ij|.  Where
+    that stays below 2^1000 at k = n no minor can leave the float range, and
+    the sweep runs unchecked; otherwise it runs under one np.errstate and
+    checks each order's minors.
+    """
     n = B.shape[0]
     if n > _SCREEN_DIM_LIMIT:
         raise CapacityError(
@@ -385,12 +407,16 @@ def _principal_minor_screen(B: np.ndarray, tol: float):
         )
     blocks = _screen_blocks if n <= _SCREEN_CACHE_DIM else _screen_blocks.__wrapped__
     entries = np.ascontiguousarray(B).ravel()
-    for k in range(1, n + 1):
-        values = det_stack(entries.take(blocks(k, n)))
-        passed = values > tol
-        if not passed.all():
-            i = int(passed.argmin())  # the first minor that does not pass
-            return False, (lex_index_set_at(i, k, n), float(values[i]))
+    checked = not float(np.abs(entries).max()) < 2.0 ** ((1000 - n * (n - 1)) / n)
+    with np.errstate(over="ignore", invalid="ignore") if checked else nullcontext():
+        for k in range(1, n + 1):
+            values = det_stack(entries.take(blocks(k, n)))
+            if checked:
+                _finite_extremes(values)
+            passed = values > tol
+            if not passed.all():
+                i = int(passed.argmin())  # the first minor that does not pass
+                return False, (lex_index_set_at(i, k, n), float(values[i]))
     return True, None
 
 

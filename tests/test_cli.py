@@ -470,6 +470,35 @@ class TestVerdictReportsGolden:
         assert verdict_reports().encode() == GOLDEN.read_bytes()
 
 
+class TestCliReportsGolden:
+    def test_reports_match_the_golden_file(self, monkeypatch):
+        # stdout, stderr and exit code of cyclic, compound, wedge, cayley,
+        # dlf-recover and wedge-sim (tests/cli_reports.py)
+        from cli_reports import GOLDEN, cli_reports
+
+        monkeypatch.delenv("KPOSI_TOL", raising=False)
+        assert cli_reports().encode() == GOLDEN.read_bytes()
+
+
+class TestFloatRangeRefusals:
+    """Inputs that once printed NaN, leaked a RuntimeWarning or raised a
+    misleading error exit 2 with one `error:` line, warnings as errors."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check-necessary", "--mode", "ct", "--in", str(DATA / "screen_overflow.json")],
+        ["dlf-recover", "--in", str(DATA / "dlf_overflow.json")],
+        ["cyclic", "--alphas", "nan", "0.1", "0.1", "--betas", "0.2", "0.2", "0.2", "--ell", "1"],
+        ["cyclic", "--alphas", "inf", "0.1", "0.1", "--betas", "0.2", "0.2", "0.2", "--ell", "1",
+         "--analyze"],
+    ], ids=["screen-overflow", "dlf-recover-overflow", "cyclic-nan", "cyclic-inf"])
+    def test_refused_with_one_error_line(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestTableWedgeSimGolden:
     """One table-map run pinned byte for byte: two TABLE groups (two
     breakpoint grids) on a certified n = 4, k = 3 chain, states included.

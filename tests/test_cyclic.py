@@ -5,6 +5,7 @@ from kposi import (
     CyclicAnalysis,
     CyclicSpec,
     KDiagCertificate,
+    DomainError,
     PreconditionError,
     analyze_cyclic,
     build_cyclic,
@@ -59,6 +60,23 @@ class TestBuildCyclic:
     def test_too_small_dimension_rejected(self):
         with pytest.raises(PreconditionError):
             CyclicSpec(1, (0.5,), (0.5,), ell=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_parameters_rejected(self, bad):
+        # NaN passed the sign test and came out as NaN entries, inf as a
+        # minor table beyond the float range
+        with pytest.raises(DomainError, match="finite"):
+            CyclicSpec(3, (bad, 0.1, 0.1), (0.2, 0.2, 0.2), ell=1)
+        with pytest.raises(DomainError, match="finite"):
+            CyclicSpec(3, (0.1, 0.1, 0.1), (0.2, bad, 0.2), ell=1)
+
+    def test_integral_float_ell_is_stored_as_an_int(self):
+        spec = CyclicSpec(3, (0.1, 0.1, 0.1), (0.2, 0.2, 0.2), ell=2.0)
+        assert spec.ell == 2 and type(spec.ell) is int
+        assert analyze_cyclic(spec) == analyze_cyclic(CyclicSpec(3, spec.alphas, spec.betas, ell=2))
+        for bad in (2.5, np.nan, np.inf, "2"):
+            with pytest.raises(PreconditionError, match="ell"):
+                CyclicSpec(3, (0.1, 0.1, 0.1), (0.2, 0.2, 0.2), ell=bad)
 
 
 class TestAnalyzeCyclic:

@@ -11,9 +11,16 @@ positive, unstable bidiagonal), plus cyclic chains.
 - 2^e A, exact in floating point: every k-minor scales by exactly
   2^(e k), so the sign verdicts hold and their witnesses name the same
   minors with values scaled by exactly 2^(e k).
+- c A for c = 10^+-6: every k-minor scales by c^k > 0, so the sign
+  verdicts hold.
 - S A S^-1 with S positive diagonal: the k-minors scale by the positive
   factors s_I / s_J and the spectrum and the principal minors of the
-  Cayley transform are unchanged, so every verdict holds.
+  Cayley transform are unchanged, so every verdict holds.  A certificate
+  d of A^(k) maps to d / (s^(k))^2, s^(k) = dlf_compound(s, k), which
+  stein_holds must accept for the compound of S A S^-1.
+- P A P^T with P a permutation: the principal minors of A, and those of
+  its Cayley transform, are the same set and the spectrum is the same, so
+  the DT and CT screens and the k = 1 certify verdict hold.
 
 A relation the library breaks today is marked xfail(strict=True), naming
 ROADMAP item 1 and the rule at fault, so the fix of item 1 must flip it.
@@ -26,11 +33,16 @@ import pytest
 
 from kposi import (
     CertificationFailure,
+    KDiagCertificate,
     KposiError,
     certify_k_diag_stability,
     classify_sign_regularity,
     is_k_positive_system,
+    dlf_compound,
+    mult_compound,
+    necessary_ct_diag,
     necessary_dt_diag,
+    stein_holds,
 )
 from kposi.examples import CERT_3X3, CT_NO_DLF, CYCLIC_WEDGE, DT_NO_DLF
 
@@ -127,6 +139,11 @@ def screen_verdict(A, k):
     return rep if isinstance(rep, str) else rep.passed
 
 
+def ct_screen_verdict(A, k):
+    rep = _outcome(necessary_ct_diag, A)
+    return rep if isinstance(rep, str) else rep.passed
+
+
 VERDICTS = {
     "classify": classify_verdict,
     "kpos": kpos_verdict,
@@ -146,11 +163,13 @@ def _similar(exponents):
     return transform
 
 
-SIMILARITIES = {
-    "simil-2^+-20": _similar(lambda n: np.exp2(np.round(np.linspace(-20.0, 20.0, n)))),
-    "simil-10^+-2": _similar(lambda n: 10.0 ** np.linspace(-2.0, 2.0, n)),
-    "simil-10^+-4": _similar(lambda n: 10.0 ** np.linspace(-4.0, 4.0, n)),
+# the diagonal s of S, per dimension n
+DIAGONALS = {
+    "simil-2^+-20": lambda n: np.exp2(np.round(np.linspace(-20.0, 20.0, n))),
+    "simil-10^+-2": lambda n: 10.0 ** np.linspace(-2.0, 2.0, n),
+    "simil-10^+-4": lambda n: 10.0 ** np.linspace(-4.0, 4.0, n),
 }
+SIMILARITIES = {name: _similar(s) for name, s in DIAGONALS.items()}
 TRANSFORMS = {"JAJ": _reverse, "transpose": lambda A: A.T.copy(), **SIMILARITIES}
 
 # (transform, verdict) pairs that break today, with the ROADMAP item 1 rule at fault
@@ -159,6 +178,8 @@ ITEM_1 = {
     "kpos": "ROADMAP item 1: |det A| is compared with the absolute floor tol * max(1, max|A_ij|)^n",
     "certify": "ROADMAP item 1: the constructed D's Stein margin is compared with an absolute pd_tol",
     "screen": "ROADMAP item 1: cayley's singular-value rule refuses A - I as singular",
+    "stein": "ROADMAP item 1: stein_holds reads the smallest eigenvalue of the unscaled "
+             "D - A^T D A against an absolute pd_tol",
 }
 BROKEN = {
     ("simil-2^+-20", "classify"), ("simil-2^+-20", "kpos"),
@@ -210,3 +231,57 @@ def test_power_of_two_scaling_keeps_the_verdict_and_scales_witnesses_exactly(e, 
         if (sc.verdict, sc.signature, expected) != (sc_scaled.verdict, sc_scaled.signature, got):
             changed.append(name)
     assert not changed, changed
+
+
+# (c, verdict) pairs that break today, with the ROADMAP item 1 rule at fault
+DECIMAL_BROKEN = {(1e-6, "classify"), (1e-6, "kpos")}
+
+
+def _decimal_cases():
+    for c in (1e-6, 1e6):
+        for v in ("classify", "kpos"):
+            yield pytest.param(c, v, marks=_xfail_if((c, v) in DECIMAL_BROKEN, v), id=f"{c:g}-{v}")
+
+
+@pytest.mark.parametrize("c, verdict", _decimal_cases())
+def test_decimal_scaling_keeps_the_sign_verdicts(c, verdict):
+    fn = VERDICTS[verdict]
+    changed = [name for name, k, A in POOL if fn(c * A, k) != fn(A, k)]
+    assert not changed, changed
+
+
+def _permute(A):
+    """P A P^T for one seeded permutation per dimension; for the pool's
+    n = 3..7 none of them is the identity."""
+    n = A.shape[0]
+    p = np.random.default_rng([n, 11]).permutation(n)
+    return A[np.ix_(p, p)]
+
+
+@pytest.mark.parametrize("verdict", ["screen", "ct-screen", "certify-k1"])
+def test_permutation_similarity_keeps_the_screens_and_the_k1_certificate(verdict):
+    fn = {"screen": screen_verdict, "ct-screen": ct_screen_verdict,
+          "certify-k1": lambda A, k: certify_verdict(A, 1)}[verdict]
+    changed = [name for name, k, A in POOL if fn(_permute(A), k) != fn(A, k)]
+    assert not changed, changed
+
+
+# similarities whose mapped certificates stein_holds refuses today
+CERTIFICATE_BROKEN = {"simil-2^+-20", "simil-10^+-4"}
+
+
+@pytest.mark.parametrize("similarity", [
+    pytest.param(t, marks=_xfail_if(t in CERTIFICATE_BROKEN, "stein"), id=t) for t in SIMILARITIES
+])
+def test_similarity_maps_the_certificate(similarity):
+    """A certificate d of A^(k) maps to d / (s^(k))^2 for (S A S^-1)^(k)."""
+    refused, certified = [], 0
+    for name, k, A in POOL:
+        cert = None if k > A.shape[0] - 1 else _outcome(certify_k_diag_stability, A, k)
+        if not isinstance(cert, KDiagCertificate):
+            continue
+        certified += 1
+        d = cert.d / dlf_compound(DIAGONALS[similarity](A.shape[0]), k) ** 2
+        if not stein_holds(mult_compound(SIMILARITIES[similarity](A), k), d).ok:
+            refused.append(name)
+    assert certified and not refused, refused

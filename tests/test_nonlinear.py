@@ -312,6 +312,20 @@ class TestContentPreserving:
         with pytest.raises(DomainError):
             check_k_content_preserving(squared_map_system(), 3, seed=1)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"samples_per_axis": 0}, {"samples_per_axis": -1}, {"samples_per_axis": 2.5},
+        {"num_random": -1}, {"num_random": 2.5},
+    ], ids=["samples-0", "samples-negative", "samples-fractional", "random-negative",
+            "random-fractional"])
+    def test_invalid_sample_counts_refused(self, kwargs):
+        # once IndexError, ValueError or TypeError from the grid and draws
+        with pytest.raises(DomainError, match=next(iter(kwargs))):
+            check_k_content_preserving(squared_map_system(), 1, seed=1, **kwargs)
+
+    def test_smallest_sample_counts_run(self):
+        rep = check_k_content_preserving(squared_map_system(), 1, 1, 0, seed=1)
+        assert rep.num_tuples == 1
+
 
 class TestWedgeTrajectory:
     def test_lyapunov_series_decreases(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -349,6 +351,16 @@ class TestSolveTopCompound:
         with pytest.raises(PreconditionError):
             solve_top_compound_diagonal(np.array([2.0]))
 
+    @pytest.mark.parametrize("d", [[1e-300, 1e300, 1e300], [1e300, 1e-300, 1e-300]],
+                             ids=["p-overflows", "p-underflows"])
+    def test_solution_beyond_the_float_range_is_refused(self, d):
+        # p_3 would be 1e450 and 1e-450: once an exp RuntimeWarning and a
+        # complaint about P's own entries, now one DomainError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="solution P .* floating-point range"):
+                solve_top_compound_diagonal(np.array(d))
+
 
 class TestCayley:
     def test_zero_matrix(self):
@@ -365,6 +377,19 @@ class TestCayley:
     def test_eigenvalue_one_rejected(self):
         with pytest.raises(DomainError):
             cayley(np.eye(3))
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, "x"])
+    def test_invalid_tol_refused(self, tol, monkeypatch):
+        monkeypatch.setenv("KPOSI_TOL", "1e-3")  # the default is not read from it
+        with pytest.raises(DomainError, match="tol"):
+            cayley(np.eye(3), tol=tol)
+        assert cayley(np.zeros((3, 3))).shape == (3, 3)
+
+    def test_failed_solve_is_a_numeric_error(self):
+        # A - I = [[1, 1], [1, 1]]: its smallest singular value rounds above
+        # 0, so tol = 0 lets it through to an exactly singular LU
+        with pytest.raises(NumericError, match="solve failed"):
+            cayley(np.array([[2.0, 1.0], [1.0, 2.0]]), tol=0.0)
 
 
 class TestNecessaryScreens:
@@ -411,6 +436,28 @@ class TestNecessaryScreens:
             assert screen(A, 2.0).passed
         monkeypatch.delenv("KPOSI_TOL")
         assert necessary_dt_diag(0.5 * np.eye(2)).passed
+
+    @pytest.mark.parametrize("A", [
+        [[-1e200, 1.0, 0.0], [0.0, -1e200, 1.0], [1.0, 0.0, -1e200]],
+        [[-1e200, 1e300], [1e300, -1e200]],
+    ], ids=["order-2-overflows", "order-2-nan"])
+    def test_ct_screen_refuses_minors_beyond_the_float_range(self, A):
+        # once two RuntimeWarnings and "passed", or a NaN witness
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="beyond the float range"):
+                necessary_ct_diag(np.array(A))
+
+    def test_checked_sweep_decides_minors_within_the_float_range(self):
+        # entries of 1e100 lie above the unchecked bound (2^331 at n = 3),
+        # but their minors (up to 1e300) do not leave the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert necessary_ct_diag(-1e100 * np.eye(3)).passed
+            rep = necessary_ct_diag(np.diag([-1e100, -1e100, 1e100]))
+        assert not rep.passed
+        kappa, value = rep.failing_minor
+        assert kappa.indices == (3,) and value == -1e100
 
     @pytest.mark.parametrize("screen", [necessary_dt_diag, necessary_ct_diag])
     def test_negative_screen_threshold_refused(self, screen, monkeypatch):

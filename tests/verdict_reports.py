@@ -31,16 +31,22 @@ COMMANDS = (
 )
 
 
+def run(argv: list[str]) -> tuple[str, str, int]:
+    """stdout, stderr and exit code of one in-process kposi run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run_cli(argv)
+    return out.getvalue(), err.getvalue(), rc
+
+
 def verdict_reports() -> str:
     """The report text: per run a `$ kposi ...` line, its stdout and `exit N`."""
     chunks = []
     for name in NAMES:
         for fname in (f"{name}.json", f"{name}-JAJ.json"):
             for cmd, *opts in COMMANDS:
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                    rc = run_cli([cmd, "--in", str(INPUTS / fname), *opts])
-                chunks.append(f"$ kposi {cmd} --in {fname} {' '.join(opts)}\n{out.getvalue()}exit {rc}\n")
+                out, _, rc = run([cmd, "--in", str(INPUTS / fname), *opts])
+                chunks.append(f"$ kposi {cmd} --in {fname} {' '.join(opts)}\n{out}exit {rc}\n")
     return "".join(chunks)
 
 

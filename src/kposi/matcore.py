@@ -33,11 +33,31 @@ CAPACITY_LIMIT = 100_000
 # R*C*k^2, the scalars in the gathered k x k blocks.
 _TABLE_ENTRY_LIMIT = 50_000_000
 
+# Bytes a path that grows with its input may hold at its peak: the 5e7
+# float64 entries the table guard admits.
+_BYTE_BUDGET = 8 * _TABLE_ENTRY_LIMIT
+
 # Orders the minor kernel expands by Laplace.  A table of a higher order
 # fits the guards only near full order, where the expansion would pass
 # through far more minors of middle order than the table holds, so there
 # each k x k block is factorised instead.
 _LAPLACE_MAX_ORDER = 8
+
+# Orders from which _pd_check takes the margin of a symmetric Z-matrix its
+# caller vouches for from Lanczos and a Collatz-Wielandt bound, not from a
+# full eigen-solve; below it the eigen-solve is the faster of the two
+# (crossover measured in BENCH_lanczos.json).
+_LANCZOS_MIN_ORDER = 250
+
+# Lanczos steps after which the enclosure gives up and the eigen-solve
+# decides, and the Ritz residual, relative to the largest Ritz value, at
+# which it stops.
+_LANCZOS_MAX_STEPS = 256
+_LANCZOS_RTOL = 1e-14
+
+# Steps between two convergence checks of the Lanczos run at most, and
+# before the first one.
+_LANCZOS_CHECK_STEPS = 16
 
 # Entries of a Laplace level the kernel builds in one go.  A larger level
 # is built in blocks of row sets of about this many entries, written into
@@ -178,6 +198,18 @@ def compound_size(k: int, n: int) -> int:
             f"C({n},{k}) = {r} exceeds the capacity guard of {CAPACITY_LIMIT}"
         )
     return r
+
+
+def _require_budget(nbytes: int, what: str) -> None:
+    """CapacityError when a path priced at `nbytes` at its peak exceeds _BYTE_BUDGET.
+
+    Called with the price before anything of that size is allocated.
+    """
+    if nbytes > _BYTE_BUDGET:
+        raise CapacityError(
+            f"{what} would hold about {nbytes / 1e6:.4g} MB, "
+            f"beyond the budget of {_BYTE_BUDGET / 1e6:.4g} MB"
+        )
 
 
 def lex_index_sets(k: int, n: int) -> list[LexIndexSet]:
@@ -434,19 +466,147 @@ def is_positive_definite(M, tol: float | None = None) -> PdCheck:
     return _pd_check(0.5 * (M + M.T), pd_tol(tol))
 
 
-def _pd_check(S: np.ndarray, t: float) -> PdCheck:
+def _pd_check(S: np.ndarray, t: float, z_matrix: bool = False) -> PdCheck:
     """The PD rule on a symmetric S: its smallest eigenvalue, the margin, exceeds t.
 
     t is a resolved pd_tol.  S goes to the eigen-solve as it is (LAPACK
     reads one triangle), so a caller that builds S exactly symmetric needs
     no symmetrizing copy.  A NaN or infinite entry is a DomainError, not a
     margin.
+
+    A caller passes z_matrix=True only when no entry of S off its diagonal
+    is positive.  From order _LANCZOS_MIN_ORDER on, such an S is first
+    tried by _z_matrix_check, whose pass is a proof; every case it leaves
+    open goes to the eigen-solve, as any other S does.
     """
     if not (math.isfinite(S.max()) and math.isfinite(S.min())):
         raise DomainError("matrix contains NaN or infinite entries")
+    if z_matrix and S.shape[0] >= _LANCZOS_MIN_ORDER:
+        check = _z_matrix_check(S, t)
+        if check is not None:
+            return check
     try:
         eigs = np.linalg.eigvalsh(S)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"symmetric eigenvalue solve failed: {exc}") from exc
     margin = float(eigs[0])
     return PdCheck(ok=margin > t, margin=margin)
+
+
+def _z_matrix_check(S: np.ndarray, t: float) -> PdCheck | None:
+    """A proven pass of the PD rule on a finite symmetric Z-matrix S, or None.
+
+    The Ritz pair (θ, v) of _lanczos_smallest is made componentwise
+    accurate by _perron_step.  Once v is strictly positive it gives a lower
+    bound on the smallest eigenvalue by Collatz-Wielandt
+    (_collatz_wielandt_bound), and the pass reports θ as the margin, as
+    the eigen-solve would to rounding.  None, for the eigen-solve to
+    decide, when Lanczos does not converge, θ is not below the whole
+    diagonal, v is not strictly positive (S reducible, or the run settled
+    on another eigenvalue, whose eigenvector the step keeps) or the bound
+    does not clear t.
+    """
+    ritz = _lanczos_smallest(S)
+    if ritz is None:
+        return None
+    v = _perron_step(S, *ritz)
+    if v is None or not v.min() > 0.0:
+        return None
+    bound = _collatz_wielandt_bound(S, v)
+    if not t < bound <= ritz[0]:
+        return None
+    return PdCheck(ok=True, margin=ritz[0])
+
+
+def _perron_step(S: np.ndarray, theta: float, v: np.ndarray) -> np.ndarray | None:
+    """N v / (diag(S) - θ) for N = diag(S) - S, or None unless θ is below every diagonal entry.
+
+    With N nonnegative (S a Z-matrix), the smallest eigenvector u of S is
+    the Perron vector of N + c I and can be taken positive, and
+    (diag(S) - λ) u = N u.  One step of that equation from a Ritz pair
+    makes each entry a sum of positive terms, so entries that Lanczos
+    holds only to its normwise error come out to rounding.
+    """
+    diagonal = S.diagonal()
+    pivots = diagonal - theta
+    if not pivots.min() > 0.0:
+        return None
+    return (diagonal * v - S @ v) / pivots
+
+
+def _lanczos_smallest(S: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """(θ, v): the smallest Ritz value of symmetric S and its Ritz vector, or None.
+
+    Lanczos (Parlett, The Symmetric Eigenvalue Problem, 1998) from the
+    all-ones vector, each new direction orthogonalised against the whole
+    basis twice (classical Gram-Schmidt, twice is enough).  The work is one
+    mat-vec with S per step plus two products with the basis, which holds
+    at most _LANCZOS_MAX_STEPS vectors: no r x r array is made.  The run
+    stops once the Ritz residual |beta_j s_j| of θ is at most
+    _LANCZOS_RTOL times the largest Ritz value in modulus, and returns
+    None if that takes more than _LANCZOS_MAX_STEPS steps.  The
+    tridiagonal matrix is solved at checks spaced by the residual's own
+    rate of decrease, at most _LANCZOS_CHECK_STEPS apart.  v has unit norm
+    and a positive sum.
+    """
+    r = S.shape[0]
+    steps = min(_LANCZOS_MAX_STEPS, r)
+    basis = np.empty((steps, r))
+    basis[0] = 1.0 / math.sqrt(r)
+    alpha, beta = np.empty(steps), np.empty(steps)
+    check, last = min(_LANCZOS_CHECK_STEPS, steps), None
+    for j in range(steps):
+        Q = basis[: j + 1]
+        w = S @ Q[j]
+        alpha[j] = Q[j] @ w
+        w -= (Q @ w) @ Q
+        w -= (Q @ w) @ Q
+        beta[j] = math.sqrt(w @ w)
+        if j + 1 == check or beta[j] == 0.0:
+            T = np.diag(alpha[: j + 1])
+            T.flat[1 :: j + 2] = T.flat[j + 1 :: j + 2] = beta[:j]
+            try:
+                theta, s = np.linalg.eigh(T)
+            except np.linalg.LinAlgError:
+                return None
+            residual = beta[j] * abs(s[-1, 0])
+            target = _LANCZOS_RTOL * max(abs(theta[0]), abs(theta[-1]))
+            if residual <= target:
+                v = s[:, 0] @ Q
+                return float(theta[0]), (v if v.sum() > 0.0 else -v)
+            check = min(j + 1 + _next_check(last, (j + 1, residual), target), steps)
+            last = (j + 1, residual)
+        if j + 1 < steps:
+            basis[j + 1] = w / beta[j]
+    return None
+
+
+def _next_check(last, now, target: float) -> int:
+    """Steps to the next convergence check: as many as the residual, falling at
+    its rate since the last check, needs to reach target, within 1 and
+    _LANCZOS_CHECK_STEPS."""
+    if last is None or not 0.0 < now[1] < last[1]:
+        return _LANCZOS_CHECK_STEPS
+    rate = math.log(last[1] / now[1]) / (now[0] - last[0])
+    need = math.log(now[1] / target) / rate if target > 0.0 else math.inf
+    return int(min(max(math.ceil(need), 1), _LANCZOS_CHECK_STEPS))
+
+
+def _collatz_wielandt_bound(S: np.ndarray, v: np.ndarray) -> float:
+    """A lower bound on the smallest eigenvalue of a symmetric Z-matrix S, from v > 0.
+
+    With c I - S nonnegative, its Perron root is at most max_i
+    ((c I - S) v)_i / v_i (Collatz-Wielandt; Horn and Johnson, Matrix
+    Analysis, 8.1), so λ_min(S) >= min_i (S v)_i / v_i.  The computed
+    mat-vec f is within γ_r (|S| v)_i of (S v)_i, and as S is a Z-matrix,
+    |S| v = (|diag S| + diag S) v - S v, read off f.  γ is taken as
+    (r + 10) eps, twice γ_r with room for the few roundings after the
+    mat-vec, and r times the smallest subnormal covers underflow.
+    """
+    r = S.shape[0]
+    f = S @ v
+    diagonal = S.diagonal()
+    spread = (np.abs(diagonal) + diagonal) * v - f
+    fin = np.finfo(float)
+    f -= (r + 10) * fin.eps * spread + r * fin.smallest_subnormal
+    return float(np.min(f / v))

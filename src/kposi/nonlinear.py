@@ -22,6 +22,7 @@ from .errors import CapacityError, DomainError, NumericError, PreconditionError
 from .matcore import (
     LexIndexSet,
     _minors,
+    _require_budget,
     as_square,
     as_vector,
     compound_size,
@@ -531,6 +532,11 @@ def check_k_content_preserving(
         raise CapacityError(
             f"grid of {total_grid} tuples exceeds {_GRID_TUPLE_LIMIT}; lower samples_per_axis"
         )
+    # the tuples twice while they are joined, then p, q and the arrays of
+    # their size that compare them, and 64 KiB of small ones
+    count = total_grid + num_random
+    _require_budget(8 * count * (6 * compound_size(k, n) + 2 * k * n) + (1 << 16),
+                    f"a content check of {count} tuples")
     grid_vectors = np.array(list(product(axis, repeat=n)))
     idx = np.array(list(product(range(per_vector), repeat=k)))
     grid_tuples = grid_vectors[idx]  # (total_grid, k, n)
@@ -616,6 +622,12 @@ def wedge_trajectory(
     if len(starts) != k:
         raise DomainError(f"need exactly k={k} initial conditions, got {len(starts)}")
     d = diag_entries(D, "D")
+    # the states twice while their blocks are joined, y, w_phi and the
+    # arrays of their size in the cross-check, the compound and its build,
+    # and 64 KiB of small arrays
+    r = compound_size(k, n)
+    _require_budget(8 * ((steps + 1) * (5 * r + 2 * k * n) + 3 * r * r) + (1 << 16),
+                    f"a wedge trajectory of {steps} steps")
     Ak = mult_compound(sys.A, k)
     if d.size != Ak.shape[0]:
         raise PreconditionError(

@@ -96,7 +96,9 @@ def stein_holds(A, D, tol: float | None = None) -> SteinCheck:
     A^T D A is formed as X^T X with X = D^{1/2} A, which numpy computes
     with one BLAS syrk: the difference is exactly symmetric, so it goes
     to the eigen-solve with no symmetrizing copy.  The margin is its
-    smallest eigenvalue, and the check passes above pd_tol(tol).
+    smallest eigenvalue, and the check passes above pd_tol(tol).  For an
+    entrywise nonnegative A the Gram is too, so the difference is a
+    Z-matrix, and _pd_check may prove the pass without the eigen-solve.
     """
     A = as_square(A)
     d = diag_entries(D)
@@ -104,7 +106,8 @@ def stein_holds(A, D, tol: float | None = None) -> SteinCheck:
         raise PreconditionError(
             f"D has {d.size} diagonal entries but A is {A.shape[0]}x{A.shape[0]}"
         )
-    return SteinCheck(*_pd_check(_stein_gap(np.sqrt(d)[:, None] * A, d), pd_tol(tol)))
+    gap = _stein_gap(np.sqrt(d)[:, None] * A, d)
+    return SteinCheck(*_pd_check(gap, pd_tol(tol), z_matrix=bool(A.min() >= 0.0)))
 
 
 def _stein_gap(X: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -285,10 +288,13 @@ def _certify(
     z_gap = float(np.min((z - M.T @ z) / (1.0 + np.abs(z))))
     # M is this call's own compound: scale it into X = D^{1/2} M in place
     # and drop it before the eigen-solve.  The flip leaves M^T D M, and so
-    # the margin, unchanged.
+    # the margin, unchanged.  The sign gate lets in-band negative minors
+    # through; an M with none has a nonnegative Gram, which makes the gap
+    # a Z-matrix.
+    z_matrix = bool(M.min() >= 0.0)
     gap = _stein_gap(np.multiply(np.sqrt(d)[:, None], M, out=M), d)
     del M
-    check = _pd_check(gap, pd_tol(tol))
+    check = _pd_check(gap, pd_tol(tol), z_matrix)
     if not check.ok:
         raise NumericError(f"constructed D failed the Stein check (margin {check.margin:.3g})")
     return KDiagCertificate(

@@ -1,4 +1,5 @@
 import io
+import math
 import tracemalloc
 import warnings
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from kposi import (
+    CapacityError,
     DomainError,
     KDiagCertificate,
     NonlinearSystem,
@@ -516,3 +518,76 @@ class TestCsvExport:
         assert header == ["j", "V"] + [f"x{i}_{c}" for i in (1, 2) for c in (1, 2, 3)]
         row1 = buf.getvalue().splitlines()[1].split(",")
         assert float(row1[2]) == traj.states[0, 0, 0]
+
+
+def decaying_chain_system(n):
+    """A cyclic chain with spectral radius 0.95 and identity maps: its wedges
+    decay slowly enough to stay normal floats for thousands of steps."""
+    A = 0.5 * np.eye(n)
+    A[np.arange(n - 1), np.arange(1, n)] = 0.45
+    A[n - 1, 0] = 0.45
+    return NonlinearSystem(A, (ScalarMap.linear(1.0),) * n, (-1.0, 1.0))
+
+
+def chain_starts(n, k):
+    return [np.roll(np.linspace(-0.5, 0.5, n) * (i + 1) / k, i) for i in range(k)]
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+class TestByteBudget:
+    """wedge_trajectory and check_k_content_preserving price their peak bytes
+    against matcore._BYTE_BUDGET before they allocate anything that size."""
+
+    def test_trajectory_refused_before_allocating(self):
+        # 15000 steps at r = 792 are priced at about 505 MB
+        sys_, d = decaying_chain_system(12), np.ones(792)
+
+        def run():
+            with pytest.raises(CapacityError, match="wedge trajectory of 15000 steps"):
+                wedge_trajectory(sys_, 5, chain_starts(12, 5), d, 15_000)
+
+        assert traced_peak(run) < 1_000_000
+
+    def test_content_check_refused_before_allocating(self):
+        # 13001 tuples at r = 792 are priced at about 507 MB
+        sys_ = decaying_chain_system(12)
+
+        def run():
+            with pytest.raises(CapacityError, match="content check of 13001 tuples"):
+                check_k_content_preserving(sys_, 5, samples_per_axis=1, num_random=13_000, seed=1)
+
+        assert traced_peak(run) < 1_000_000
+
+    @pytest.fixture
+    def prices(self, monkeypatch):
+        priced, original = [], nonlinear._require_budget
+
+        def recorded(nbytes, what):
+            priced.append(nbytes)
+            original(nbytes, what)
+
+        monkeypatch.setattr(nonlinear, "_require_budget", recorded)
+        return priced
+
+    @pytest.mark.parametrize("n, k, steps", [(12, 5, 300), (8, 3, 2000), (4, 1, 100), (3, 2, 10)])
+    def test_trajectory_price_bounds_the_traced_peak(self, prices, n, k, steps):
+        sys_, d = decaying_chain_system(n), np.ones(math.comb(n, k))
+        peak = traced_peak(lambda: wedge_trajectory(sys_, k, chain_starts(n, k), d, steps))
+        assert len(prices) == 1 and peak <= prices[0]
+
+    @pytest.mark.parametrize("n, k, axis, draws", [(12, 5, 1, 500), (6, 2, 2, 3000), (3, 2, 5, 100), (3, 1, 3, 0)])
+    def test_content_price_bounds_the_traced_peak(self, prices, n, k, axis, draws):
+        sys_ = decaying_chain_system(n)
+        peak = traced_peak(lambda: check_k_content_preserving(
+            sys_, k, samples_per_axis=axis, num_random=draws, seed=1))
+        assert len(prices) == 1 and peak <= prices[0]
+

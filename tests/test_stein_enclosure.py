@@ -1,0 +1,283 @@
+"""The Stein margin of a vouched Z-matrix from Lanczos and a Collatz-Wielandt bound.
+
+matcore._pd_check tries matcore._z_matrix_check when its caller vouches
+that S has no positive entry off its diagonal and S has order at least
+_LANCZOS_MIN_ORDER.  A pass reports the smallest Ritz value; every other
+case goes to np.linalg.eigvalsh, whose margin must then come out bit for
+bit.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import re
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from kposi import (
+    KDiagCertificate,
+    NumericError,
+    certify_k_diag_stability,
+    construct_dlf_nonneg,
+    matcore,
+    stability,
+    stein_holds,
+)
+from kposi.cli import run_cli
+
+DATA = Path(__file__).parent / "data"
+
+# How far the Ritz value may sit from eigvalsh's smallest eigenvalue,
+# relative to it: the margin change accepted when the Stein Gram moved to
+# one syrk.
+MARGIN_RTOL = 2.5e-14
+
+# `kposi certify -k 5 --in tests/data/chain12.json` as the eigen-solve
+# computed it: the sha256 of stdout with the stein_margin value replaced
+# by null, and the margin.
+CHAIN12_MASKED_SHA256 = "062da9558a7d31ea769c07a4de6342d1fc2e227f31d013617ad13dc8e30ee80c"
+CHAIN12_MARGIN = float.fromhex("0x1.b54947e61c602p-1")
+
+
+def certify_chain(rng, n=12):
+    """A cyclic chain of order n, sign-regular of every odd order.
+
+    Diagonal alpha_i ~ U(0.1, 0.6), superdiagonal and corner
+    beta_i = u_i (0.95 - alpha_i), u_i ~ U(0.2, 1): every row sums to at
+    most 0.95, so every compound is Schur.
+    """
+    alphas = rng.uniform(0.1, 0.6, n)
+    betas = rng.uniform(0.2, 1.0, n) * (0.95 - alphas)
+    A = np.diag(alphas)
+    A[np.arange(n - 1), np.arange(1, n)] = betas[: n - 1]
+    A[n - 1, 0] = betas[n - 1]
+    return A
+
+
+def certify_large_pool(seed):
+    """The four n = 12 chains of the certify-large benchmark pool of `seed`."""
+    rng = np.random.default_rng([seed, 1])
+    return [certify_chain(rng) for _ in range(4)]
+
+
+def stein_gap(A, k, x=None, y=None):
+    """The gap D - M^T D M that certify builds for A^(k), and its d."""
+    M = matcore._minor_table(A, k)
+    if M.max() <= 0.0:
+        np.negative(M, out=M)
+    _, _, d = stability._dlf_solve(M, x, y)
+    return stability._stein_gap(np.sqrt(d)[:, None] * M, d), d
+
+
+def smallest_eigenvalue(S):
+    return float(np.linalg.eigvalsh(S)[0])
+
+
+class EnclosureCalls(list):
+    """The results of the matcore._z_matrix_check calls, in order, and the
+    gap of the last call in `gap`."""
+
+    gap = None
+
+
+@pytest.fixture
+def enclosure_calls(monkeypatch):
+    calls = EnclosureCalls()
+    original = matcore._z_matrix_check
+
+    def recorded(S, t):
+        calls.append(original(S, t))
+        calls.gap = S
+        return calls[-1]
+
+    monkeypatch.setattr(matcore, "_z_matrix_check", recorded)
+    return calls
+
+
+class TestRitzMargin:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_certify_large_margin_matches_the_eigen_solve(self, seed, enclosure_calls):
+        for A in certify_large_pool(seed):
+            cert = certify_k_diag_stability(A, 5)
+            assert isinstance(cert, KDiagCertificate) and cert.r == 792
+            assert len(enclosure_calls) == 1 and enclosure_calls.pop().margin == cert.stein_margin
+            S = enclosure_calls.gap
+            exact = smallest_eigenvalue(S)
+            assert abs(cert.stein_margin - exact) <= MARGIN_RTOL * exact
+            theta, v = matcore._lanczos_smallest(S)
+            v = matcore._perron_step(S, theta, v)
+            assert theta == cert.stein_margin and v.min() > 0.0
+            assert matcore.pd_tol() < matcore._collatz_wielandt_bound(S, v) <= exact
+
+    @pytest.mark.parametrize("density", [1.0, 0.05])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_z_matrices(self, seed, density):
+        # S = c I - B, B symmetric nonnegative, c 10% above B's Perron root
+        rng = np.random.default_rng([seed, 90])
+        r = 300
+        B = rng.uniform(0.0, 1.0, (r, r)) * (rng.uniform(0.0, 1.0, (r, r)) < density)
+        B = B + B.T
+        perron = -smallest_eigenvalue(-B)
+        S = 1.1 * perron * np.eye(r) - B
+        exact = smallest_eigenvalue(S)
+        check = matcore._pd_check(S, matcore.pd_tol(), z_matrix=True)
+        assert check.ok and abs(check.margin - exact) <= MARGIN_RTOL * exact
+        assert check == matcore._z_matrix_check(S, matcore.pd_tol())
+        v = matcore._perron_step(S, *matcore._lanczos_smallest(S))
+        assert v.min() > 0.0 and matcore._collatz_wielandt_bound(S, v) <= exact
+
+    def test_the_path_allocates_nothing_of_order_r_squared(self):
+        S, _ = stein_gap(certify_large_pool(0)[0], 5)
+        r = S.shape[0]
+        matcore._pd_check(S, matcore.pd_tol(), z_matrix=True)
+        tracemalloc.start()
+        try:
+            check = matcore._z_matrix_check(S, matcore.pd_tol())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert check is not None and check.ok
+        # the basis holds at most _LANCZOS_MAX_STEPS vectors of length r
+        assert peak < 0.5 * r * r * 8
+
+    def test_negated_chain_certifies_bit_for_bit(self, enclosure_calls):
+        # -A at odd k has a nonpositive compound; after the flip its zero
+        # entries are -0.0, which min >= 0 admits: the Gram of an M with
+        # signed zeros is still exactly nonnegative, so the path is taken
+        # and sees the same gap as A's
+        A = certify_large_pool(3)[0]
+        M = -matcore._minor_table(-A, 5)
+        assert M.min() >= 0.0 and np.signbit(M[M == 0.0]).any()
+        cert, flipped = certify_k_diag_stability(A, 5), certify_k_diag_stability(-A, 5)
+        assert flipped.sign_flipped and not cert.sign_flipped
+        assert [c is not None for c in enclosure_calls] == [True, True]
+        assert flipped.stein_margin == cert.stein_margin
+        for a, b in ((cert.d, flipped.d), (cert.xi, flipped.xi), (cert.z, flipped.z)):
+            np.testing.assert_array_equal(a, b)
+
+
+def block_cycle(r, gain, coupling):
+    """gain * I plus `coupling` on the cyclic superdiagonal: irreducible, nonnegative."""
+    A = gain * np.eye(r)
+    A[np.arange(r), (np.arange(r) + 1) % r] = coupling
+    return A
+
+
+class TestFallback:
+    """Every case the enclosure leaves open goes to the eigen-solve, bit for bit."""
+
+    def test_reducible_gap_of_a_diagonal_matrix(self, enclosure_calls):
+        r = 300
+        A = np.diag(np.linspace(0.1, 0.8, r))
+        d = np.linspace(1.0, 2.0, r)
+        check = stein_holds(A, d)
+        assert enclosure_calls == [None]
+        S = stability._stein_gap(np.sqrt(d)[:, None] * A, d)
+        assert check.ok and check.margin == smallest_eigenvalue(S)
+
+    def test_reducible_gap_with_an_uncoupled_block(self, enclosure_calls):
+        # the diagonal block's rows of the gap have no entry off the
+        # diagonal, so the Perron step gives them 0
+        r = 300
+        A = np.zeros((r, r))
+        A[:150, :150] = block_cycle(150, 0.3, 0.2)
+        A[150:, 150:] = np.diag(np.linspace(0.1, 0.8, 150))
+        cert = construct_dlf_nonneg(A)
+        assert enclosure_calls == [None]
+        S, _ = stein_gap(A, 1)
+        assert cert.stein_margin == smallest_eigenvalue(S)
+
+    def test_reducible_gap_of_two_coupled_blocks_is_never_misreported(self, enclosure_calls):
+        # the rows of the block that does not hold the smallest eigenvalue
+        # get the Ritz vector's rounding noise: where it comes out positive,
+        # Collatz-Wielandt still bounds, and the margin is the smallest
+        # eigenvalue; elsewhere the eigen-solve decides
+        r = 300
+        A = np.zeros((r, r))
+        A[:150, :150] = block_cycle(150, 0.3, 0.2)
+        A[150:, 150:] = block_cycle(150, 0.5, 0.1)
+        cert = construct_dlf_nonneg(A)
+        S, _ = stein_gap(A, 1)
+        exact = smallest_eigenvalue(S)
+        if enclosure_calls == [None]:
+            assert cert.stein_margin == exact
+        else:
+            assert abs(cert.stein_margin - exact) <= MARGIN_RTOL * exact
+
+    def test_in_band_negative_minors_are_not_vouched(self, enclosure_calls):
+        # the sign gate reads -1e-13 as zero, so A still certifies, but its
+        # Gram may have entries of either sign
+        A = block_cycle(300, 0.3, 0.2)
+        A[0, 5] = -1e-13
+        cert = construct_dlf_nonneg(A)
+        assert enclosure_calls == []
+        S, _ = stein_gap(A, 1)
+        assert cert.stein_margin == smallest_eigenvalue(S)
+
+    def test_positive_off_diagonal_entries_are_not_vouched(self, enclosure_calls):
+        rng = np.random.default_rng(91)
+        A = rng.uniform(-1.0, 1.0, (300, 300))
+        A *= 0.5 / np.linalg.norm(A, 2)
+        d = np.ones(300)
+        check = stein_holds(A, d)
+        assert enclosure_calls == []
+        S = stability._stein_gap(np.sqrt(d)[:, None] * A, d)
+        assert (S - np.diag(np.diag(S))).max() > 0.0
+        assert check.ok and check.margin == smallest_eigenvalue(S)
+        assert matcore.is_positive_definite(S).margin == smallest_eigenvalue(S)
+
+    def test_no_convergence_within_the_step_cap(self, monkeypatch, enclosure_calls):
+        monkeypatch.setattr(matcore, "_LANCZOS_MAX_STEPS", 8)
+        A = certify_large_pool(0)[0]
+        cert = certify_k_diag_stability(A, 5)
+        assert enclosure_calls == [None]
+        S, _ = stein_gap(A, 5)
+        assert matcore._lanczos_smallest(S) is None
+        assert cert.stein_margin == smallest_eigenvalue(S)
+
+    def test_below_the_crossover_order(self, enclosure_calls):
+        A = certify_chain(np.random.default_rng(92), n=9)
+        cert = certify_k_diag_stability(A, 3)
+        assert isinstance(cert, KDiagCertificate) and cert.r < matcore._LANCZOS_MIN_ORDER
+        assert enclosure_calls == []
+        S, _ = stein_gap(A, 3)
+        assert cert.stein_margin == smallest_eigenvalue(S)
+
+    @pytest.mark.parametrize("case", ["diagonal", "cycle"])
+    def test_failed_stein_check_is_unchanged(self, case, enclosure_calls):
+        # a y with one tiny entry makes one d_i tiny and the gap's smallest
+        # eigenvalue with it: the enclosure cannot clear pd_tol, and the
+        # eigen-solve's margin is the one the error names
+        r = 300
+        y = np.ones(r)
+        y[0] = 1e-20
+        if case == "diagonal":
+            A, tol = 0.5 * np.eye(r), None
+        else:
+            A, tol = block_cycle(r, 0.5, 1e-6), 1e-5
+        with pytest.raises(NumericError, match="constructed D failed the Stein check") as info:
+            construct_dlf_nonneg(A, y=y, tol=tol)
+        assert enclosure_calls == [None]
+        S, _ = stein_gap(A, 1, y=y)
+        assert str(info.value) == (
+            f"constructed D failed the Stein check (margin {smallest_eigenvalue(S):.3g})"
+        )
+
+
+def masked(report: str) -> str:
+    return re.sub(r'("stein_margin": )[^,\n]+', r"\1null", report)
+
+
+def test_chain12_certify_report_is_pinned():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = run_cli(["certify", "-k", "5", "--in", str(DATA / "chain12.json")])
+    assert rc == 0
+    report = out.getvalue()
+    assert hashlib.sha256(masked(report).encode()).hexdigest() == CHAIN12_MASKED_SHA256
+    margin = json.loads(report)["verdicts"]["stein_margin"]
+    assert abs(margin - CHAIN12_MARGIN) <= MARGIN_RTOL * CHAIN12_MARGIN

@@ -24,18 +24,13 @@ from .errors import CapacityError, DomainError, NumericError
 TAU_ZERO = 1e-9
 TAU_PD = 1e-10
 
-# Hard limit on C(n, k): compound sizes explode combinatorially and we
-# prefer a loud failure over exhausting memory.
+# Hard limit on C(n, k), the count of k-subsets: it bounds index sets,
+# cached Laplace plans and principal-minor screens before memory runs out.
 CAPACITY_LIMIT = 100_000
 
-# Secondary guard on the work of a full minor table: R*C*k up to
-# _LAPLACE_MAX_ORDER, the products of the top Laplace level, and above it
-# R*C*k^2, the scalars in the gathered k x k blocks.
-_TABLE_ENTRY_LIMIT = 50_000_000
-
-# Bytes a path that grows with its input may hold at its peak: the 5e7
-# float64 entries the table guard admits.
-_BYTE_BUDGET = 8 * _TABLE_ENTRY_LIMIT
+# Bytes of float arrays a path that grows with its input may hold at its
+# peak: minor tables, trajectories and content batches.
+_BYTE_BUDGET = 400_000_000
 
 # Orders the minor kernel expands by Laplace.  A table of a higher order
 # fits the guards only near full order, where the expansion would pass
@@ -87,6 +82,13 @@ def _checked_tol(value, source: str) -> float:
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"{source} must be a finite nonnegative number, got {value!r}")
     return t
+
+
+def _checked_count(value, name: str, least: int) -> int:
+    """value as a Python int: an integer, not a bool, of at least `least`, or DomainError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def zero_tol(tol: float | None = None) -> float:
@@ -203,12 +205,13 @@ def compound_size(k: int, n: int) -> int:
 def _require_budget(nbytes: int, what: str) -> None:
     """CapacityError when a path priced at `nbytes` at its peak exceeds _BYTE_BUDGET.
 
-    Called with the price before anything of that size is allocated.
+    Called with the integer price before anything of that size is
+    allocated; a price beyond the float range is shown by its exponent.
     """
     if nbytes > _BYTE_BUDGET:
+        size = f"{nbytes / 1e6:.4g}" if nbytes < 1e300 else f"1e{math.log10(nbytes) - 6:.0f}"
         raise CapacityError(
-            f"{what} would hold about {nbytes / 1e6:.4g} MB, "
-            f"beyond the budget of {_BYTE_BUDGET / 1e6:.4g} MB"
+            f"{what} would hold about {size} MB, beyond the budget of {_BYTE_BUDGET / 1e6:.4g} MB"
         )
 
 
@@ -400,12 +403,11 @@ def _minor_table(A: np.ndarray, k: int) -> np.ndarray:
     n, m = A.shape
     if not 1 <= k <= min(n, m):
         raise DomainError(f"order k={k} must satisfy 1 <= k <= min{A.shape}")
-    R = compound_size(k, n)
-    C = compound_size(k, m)
-    if R * C * (k if k <= _LAPLACE_MAX_ORDER else k * k) > _TABLE_ENTRY_LIMIT:
-        raise CapacityError(
-            f"minor table of {R}x{C} order-{k} blocks is too large"
-        )
+    # priced at the products of the top Laplace level, and above
+    # _LAPLACE_MAX_ORDER at the scalars of the gathered k x k blocks
+    R, C = compound_size(k, n), compound_size(k, m)
+    _require_budget(8 * R * C * (k if k <= _LAPLACE_MAX_ORDER else k * k),
+                    f"a minor table of {R}x{C} order-{k} minors")
     with np.errstate(over="ignore", invalid="ignore"):
         return _minors(A, k)
 

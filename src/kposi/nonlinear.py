@@ -12,15 +12,15 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import InitVar, dataclass
 from functools import cached_property, partial
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
 
 from .compound import mult_compound
-from .errors import CapacityError, DomainError, NumericError, PreconditionError
+from .errors import DomainError, NumericError, PreconditionError
 from .matcore import (
     LexIndexSet,
+    _checked_count,
     _minors,
     _require_budget,
     as_square,
@@ -38,8 +38,6 @@ TABLE = "TABLE"
 
 # Wedge recursion and direct evaluation must agree to this relative level.
 _RECURSION_RTOL = 1e-9
-
-_GRID_TUPLE_LIMIT = 1_000_000
 
 # Tuples per call of the minor kernel in _wedge_coords_batch.
 _WEDGE_CHUNK = 256
@@ -420,8 +418,7 @@ def _iterate(sys: NonlinearSystem, phi, starts: dict, steps: int) -> tuple[np.nd
     overflow, which is why the loop ignores overflow and invalid results.
     """
     x = np.array([_as_state(sys, a, name) for name, a in starts.items()])
-    if steps < 0:
-        raise DomainError("steps must be nonnegative")
+    steps = _checked_count(steps, "steps", 0)
     lo, hi = sys.domain
     A = sys.A
     blocks = [x[None]]
@@ -519,30 +516,25 @@ def check_k_content_preserving(
     n = sys.n
     if not 1 <= k <= n - 1:
         raise DomainError(f"order k={k} must satisfy 1 <= k <= n-1={n - 1}")
-    for name, count, least in (("samples_per_axis", samples_per_axis, 1),
-                               ("num_random", num_random, 0)):
-        if not isinstance(count, (int, np.integer)) or count < least:
-            raise DomainError(f"{name} must be an integer >= {least}, got {count!r}")
+    samples_per_axis = _checked_count(samples_per_axis, "samples_per_axis", 1)
+    num_random = _checked_count(num_random, "num_random", 0)
     t = zero_tol(tol)
+    # the tuples and the random draws again while they are copied in, then
+    # p, q and the arrays of their size that compare them, and 64 KiB more
+    kn = k * n
+    total_grid = samples_per_axis**kn
+    count = total_grid + num_random
+    _require_budget(8 * count * (6 * compound_size(k, n) + 2 * kn) + (1 << 16),
+                    f"a content check of {count} tuples")
     lo, hi = sys.domain
     axis = np.linspace(lo, hi, samples_per_axis)
-    per_vector = samples_per_axis**n
-    total_grid = per_vector**k
-    if total_grid > _GRID_TUPLE_LIMIT:
-        raise CapacityError(
-            f"grid of {total_grid} tuples exceeds {_GRID_TUPLE_LIMIT}; lower samples_per_axis"
-        )
-    # the tuples twice while they are joined, then p, q and the arrays of
-    # their size that compare them, and 64 KiB of small ones
-    count = total_grid + num_random
-    _require_budget(8 * count * (6 * compound_size(k, n) + 2 * k * n) + (1 << 16),
-                    f"a content check of {count} tuples")
-    grid_vectors = np.array(list(product(axis, repeat=n)))
-    idx = np.array(list(product(range(per_vector), repeat=k)))
-    grid_tuples = grid_vectors[idx]  # (total_grid, k, n)
-    rng = np.random.default_rng(seed)
-    random_tuples = rng.uniform(lo, hi, size=(num_random, k, n))
-    tuples = np.concatenate([grid_tuples, random_tuples], axis=0)
+    # grid tuple t, flattened, reads axis at the kn base-s digits of t, the
+    # first slowest: itertools.product's order, n coordinates by k vectors
+    tuples = np.empty((count, k, n))
+    flat = tuples[:total_grid].reshape(total_grid, kn)
+    for d in range(kn):
+        flat.reshape(samples_per_axis**d, samples_per_axis, -1, kn)[:, :, :, d] = axis[:, None]
+    tuples[total_grid:] = np.random.default_rng(seed).uniform(lo, hi, size=(num_random, k, n))
 
     p = _wedge_coords_batch(tuples, k, n)
     q = _wedge_coords_batch(tuples, k, n, _phi_plan(sys.maps))
@@ -612,7 +604,8 @@ def wedge_trajectory(
     cross-checked against the compound recursion y(j) = A^(k)
     wedge(phi(x(j-1, a^1)), ..., phi(x(j-1, a^k))).  A disagreement beyond
     1e-9 times the larger rounding scale of the two sides, Hadamard's
-    bound prod_i ||x(j, a^i)|| and max(|A^(k)| |wedge(phi(...))|), raises
+    bound prod_i ||x(j, a^i)|| and max(|A^(k)| |wedge(phi(...))|), plus
+    4 (r + k) times the smallest subnormal for underflow, raises
     NumericError, however small the wedge.
     """
     n = sys.n
@@ -622,6 +615,7 @@ def wedge_trajectory(
     if len(starts) != k:
         raise DomainError(f"need exactly k={k} initial conditions, got {len(starts)}")
     d = diag_entries(D, "D")
+    steps = _checked_count(steps, "steps", 0)
     # the states twice while their blocks are joined, y, w_phi and the
     # arrays of their size in the cross-check, the compound and its build,
     # and 64 KiB of small arrays
@@ -643,7 +637,10 @@ def wedge_trajectory(
         np.prod(np.linalg.norm(run[1:], axis=2), axis=1),
         np.max(np.abs(w_phi) @ np.abs(Ak).T, axis=1),
     )
-    bad = np.nonzero(err > _RECURSION_RTOL * scale)[0]
+    # each of the r products of a recursion coordinate and the k of a minor's
+    # top Laplace level may lose a subnormal to underflow; 4 covers the rest
+    floor = 4 * (r + k) * np.finfo(float).smallest_subnormal
+    bad = np.nonzero(err > _RECURSION_RTOL * scale + floor)[0]
     if bad.size:
         j = int(bad[0])
         raise NumericError(

@@ -19,6 +19,7 @@ from .errors import DomainError, PreconditionError
 from .matcore import (
     LexIndexSet,
     _band,
+    _checked_count,
     _finite_extremes,
     _minor_table,
     as_matrix,
@@ -234,11 +235,13 @@ def sampled_cone_invariance(
     and verifies s_minus(Ax) <= k-1.  When A is SSR of order k the image
     of every nonzero sample must additionally satisfy s_plus(Ax) <= k-1.
     A is classified, and refused when singular, by is_k_positive_system.
+    num_samples is an integer >= 1, or DomainError.
     """
     A = as_square(A)
     n = A.shape[0]
     if not 1 <= k <= n:
         raise DomainError(f"order k={k} must satisfy 1 <= k <= n={n}")
+    num_samples = _checked_count(num_samples, "num_samples", 1)
     strong = is_k_positive_system(A, k).strongly_k_positive
     rng = np.random.default_rng(seed)
     violations: list[ConeSampleViolation] = []

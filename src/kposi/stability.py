@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, NumericError, PreconditionError
+from .errors import DomainError, NumericError, PreconditionError
 from .matcore import (
     LexIndexSet,
     _checked_tol,
@@ -30,6 +30,7 @@ from .matcore import (
     det_stack,
     as_square,
     as_vector,
+    compound_size,
     lex_array,
     lex_index_set_at,
     minor_tol,
@@ -44,8 +45,6 @@ COMPOUND_NOT_SCHUR = "COMPOUND_NOT_SCHUR"
 CAYLEY_DT = "CAYLEY_DT"
 NEGATE_CT = "NEGATE_CT"
 
-# Principal-minor screens sweep all 2^n - 1 subsets; keep n sane.
-_SCREEN_DIM_LIMIT = 20
 # Screens up to this dimension keep their block indices (under 3 MB in all).
 _SCREEN_CACHE_DIM = 12
 
@@ -404,13 +403,11 @@ def _principal_minor_screen(B: np.ndarray, tol: float):
     pivoting, is at most (2^(k-1) m)^k in magnitude, m = max |B_ij|.  Where
     that stays below 2^1000 at k = n no minor can leave the float range, and
     the sweep runs unchecked; otherwise it runs under one np.errstate and
-    checks each order's minors.
+    checks each order's minors.  The index-set guard sees the largest
+    order, C(n, n // 2), before order 1, so it refuses n >= 20 whatever B holds.
     """
     n = B.shape[0]
-    if n > _SCREEN_DIM_LIMIT:
-        raise CapacityError(
-            f"principal-minor screen sweeps 2^{n} subsets; refusing n > {_SCREEN_DIM_LIMIT}"
-        )
+    compound_size(n // 2, n)
     blocks = _screen_blocks if n <= _SCREEN_CACHE_DIM else _screen_blocks.__wrapped__
     entries = np.ascontiguousarray(B).ravel()
     checked = not float(np.abs(entries).max()) < 2.0 ** ((1000 - n * (n - 1)) / n)

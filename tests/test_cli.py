@@ -20,6 +20,8 @@ from kposi.examples import (
     WEDGE_A2,
 )
 
+DATA = Path(__file__).parent / "data"
+
 
 def write_json(path, doc):
     path.write_text(json.dumps(doc))
@@ -418,6 +420,21 @@ class TestErrorPaths:
         path = write_json(tmp_path / "big.json", matrix_document(np.eye(40)))
         assert run_cli(["compound", "--in", path, "-k", "20"]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["check-necessary", "--mode", "ct", "--in", str(DATA / "screen_n20.json")],
+        ["wedge-sim", "--system", str(DATA / "table_system.json"),
+         "--initials", str(DATA / "table_initials.json"), "-k", "3", "--steps", "1" + "0" * 400],
+    ], ids=["screen-n20", "steps-401-digits"])
+    def test_capacity_refusals_exit_three_with_one_line(self, capsys, argv):
+        # the n = 20 screen passes orders 1-7, so it once swept them first;
+        # a price beyond the float range once exited 1 with an OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
     def test_singular_cayley_exits_two(self, tmp_path, capsys):
         path = write_json(tmp_path / "i.json", matrix_document(np.eye(3)))
         assert run_cli(["cayley", "--in", path]) == 2
@@ -446,7 +463,6 @@ class TestParserReuse:
         assert build_parser() is not build_parser()
 
 
-DATA = Path(__file__).parent / "data"
 GOLDEN_PAPER_EXAMPLES = DATA / "paper_examples.txt"
 
 

@@ -173,6 +173,14 @@ class TestSimulate:
         with pytest.raises(DomainError):
             simulate(sys_, [0.6, 0.0, 0.0], 3)
 
+    @pytest.mark.parametrize("steps", [-1, 2.5, True])
+    def test_invalid_step_counts_refused(self, steps):
+        # 2.5 once raised TypeError and True ran one step
+        with pytest.raises(DomainError, match="steps"):
+            simulate(squared_map_system(), WEDGE_A1, steps)
+        with pytest.raises(DomainError, match="steps"):
+            wedge_trajectory(squared_map_system(), 1, [WEDGE_A1], np.ones(3), steps)
+
 
 def per_step_run(sys_, starts, steps):
     """States and exit step of x(j+1) = A phi(x(j)), one domain test per step."""
@@ -317,8 +325,9 @@ class TestContentPreserving:
     @pytest.mark.parametrize("kwargs", [
         {"samples_per_axis": 0}, {"samples_per_axis": -1}, {"samples_per_axis": 2.5},
         {"num_random": -1}, {"num_random": 2.5},
+        {"samples_per_axis": True}, {"num_random": False},
     ], ids=["samples-0", "samples-negative", "samples-fractional", "random-negative",
-            "random-fractional"])
+            "random-fractional", "samples-bool", "random-bool"])
     def test_invalid_sample_counts_refused(self, kwargs):
         # once IndexError, ValueError or TypeError from the grid and draws
         with pytest.raises(DomainError, match=next(iter(kwargs))):
@@ -326,6 +335,8 @@ class TestContentPreserving:
 
     def test_smallest_sample_counts_run(self):
         rep = check_k_content_preserving(squared_map_system(), 1, 1, 0, seed=1)
+        assert rep.num_tuples == 1
+        rep = check_k_content_preserving(squared_map_system(), 1, np.int64(1), np.int32(0), seed=1)
         assert rep.num_tuples == 1
 
 
@@ -442,6 +453,38 @@ class TestWedgeTrajectory:
         monkeypatch.setattr(nonlinear, "_iterate", corrupted)
         with pytest.raises(NumericError, match="step 3"):
             wedge_trajectory(sys_, 2, inits, np.ones(3), 6)
+
+    def test_recursion_check_allows_for_subnormal_wedges(self):
+        # the wedges of this decaying run turn subnormal near step 440, where
+        # a rounding of 2 subnormals once read as a disagreement
+        n, k = 8, 3
+        A = 0.4 * np.eye(n)
+        A[np.arange(n), (np.arange(n) + 1) % n] = 0.3
+        sys_ = NonlinearSystem(A, (ScalarMap.linear(0.9),) * n, (-1.0, 1.0))
+        traj = wedge_trajectory(sys_, k, chain_starts(n, k), np.ones(56), 2000)
+        assert traj.exit_step is None and traj.y_series.shape == (2001, 56)
+        tiny = np.abs(traj.y_series[446])
+        assert 0.0 < tiny.max() < np.finfo(float).tiny
+
+    def test_recursion_check_still_catches_corruption_near_1e_300(self, monkeypatch):
+        # states near 1e-100 give wedges near 1e-300, still normal floats:
+        # a 1e-6 relative corruption of one state is far above the
+        # underflow allowance and must be caught
+        sys_ = NonlinearSystem(0.5 * np.eye(3), (ScalarMap.identity(),) * 3, (-1.0, 1.0))
+        inits = [1e-100 * np.roll([1.0, 0.5, 0.25], i) for i in range(3)]
+        traj = wedge_trajectory(sys_, 3, inits, np.ones(1), 6)
+        assert 1e-305 < abs(traj.y_series[3, 0]) < 1e-295
+
+        iterate = nonlinear._iterate
+
+        def corrupted(*args):
+            run, exit_step = iterate(*args)
+            run[3, 1, 0] *= 1.0 + 1e-6
+            return run, exit_step
+
+        monkeypatch.setattr(nonlinear, "_iterate", corrupted)
+        with pytest.raises(NumericError, match="step 3"):
+            wedge_trajectory(sys_, 3, inits, np.ones(1), 6)
 
     def test_domain_exit_truncates_all_series(self):
         sys_ = NonlinearSystem(
@@ -567,6 +610,25 @@ class TestByteBudget:
 
         assert traced_peak(run) < 1_000_000
 
+    def test_large_grid_refused_before_its_axis(self):
+        # 2e6 samples an axis: the axis alone would take 16 MB
+        def run():
+            with pytest.raises(CapacityError, match="content check of 4000000001000 tuples"):
+                check_k_content_preserving(decaying_chain_system(2), 1, samples_per_axis=2_000_000, seed=1)
+
+        assert traced_peak(run) < 1_000_000
+
+    def test_numpy_step_count_is_priced_as_a_python_int(self):
+        # in int64 the price of 2^60 steps at r = 3 wraps to a negative number
+        with pytest.raises(CapacityError, match="wedge trajectory"):
+            wedge_trajectory(decaying_chain_system(3), 1, chain_starts(3, 1), np.ones(3), np.int64(2**60))
+
+    def test_price_beyond_the_float_range_refused(self):
+        with pytest.raises(CapacityError, match="about 1e396 MB"):
+            check_k_content_preserving(decaying_chain_system(2), 1, num_random=10**400, seed=1)
+        with pytest.raises(CapacityError, match="wedge trajectory"):
+            wedge_trajectory(decaying_chain_system(3), 1, chain_starts(3, 1), np.ones(3), 10**400)
+
     @pytest.fixture
     def prices(self, monkeypatch):
         priced, original = [], nonlinear._require_budget
@@ -589,5 +651,14 @@ class TestByteBudget:
         sys_ = decaying_chain_system(n)
         peak = traced_peak(lambda: check_k_content_preserving(
             sys_, k, samples_per_axis=axis, num_random=draws, seed=1))
+        assert len(prices) == 1 and peak <= prices[0]
+
+    def test_grid_over_a_million_tuples_runs_within_its_price(self, prices):
+        # 1001^2 tuples: over the grid limit that once refused them
+        sys_ = decaying_chain_system(2)
+        reports = []
+        peak = traced_peak(lambda: reports.append(check_k_content_preserving(
+            sys_, 1, samples_per_axis=1001, num_random=0, seed=1)))
+        assert reports[0].num_tuples == 1001**2 and reports[0].passed
         assert len(prices) == 1 and peak <= prices[0]
 

@@ -209,3 +209,14 @@ class TestSampledConeInvariance:
         a = sampled_cone_invariance(DT_NO_DLF, 2, 200, seed=7)
         b = sampled_cone_invariance(DT_NO_DLF, 2, 200, seed=7)
         assert a.num_tested == b.num_tested and a.passed == b.passed
+
+    @pytest.mark.parametrize("count", [-3, 0, 2.5, True, "5"])
+    def test_invalid_sample_count_refused(self, count):
+        # -3 and 0 once passed with nothing tested, 2.5 raised TypeError
+        with pytest.raises(DomainError, match="num_samples"):
+            sampled_cone_invariance(np.eye(3), 1, num_samples=count, seed=0)
+
+    def test_numpy_integer_sample_count_accepted(self):
+        a = sampled_cone_invariance(DT_NO_DLF, 2, np.int64(200), seed=7)
+        b = sampled_cone_invariance(DT_NO_DLF, 2, 200, seed=7)
+        assert a.num_tested == b.num_tested and a.passed == b.passed

@@ -1,9 +1,11 @@
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from kposi import (
+    CapacityError,
     CertificationFailure,
     CyclicSpec,
     DomainError,
@@ -495,6 +497,24 @@ class TestNecessaryScreens:
                 assert kappa.indices == tuple(range(1, n + 1))
                 assert value == pytest.approx(1 - n / (n - 0.5), rel=1e-9)
         assert not stability._screen_blocks(2, 4).flags.writeable
+
+    def test_screen_at_n20_is_refused_before_any_order(self):
+        # -I fails at its first 1x1 minor; I - J/8 passes orders 1-7 (minors
+        # 1 - k/8): both are refused at the largest order, C(20,10)
+        failing, passing = np.eye(20), 0.125 * np.ones((20, 20)) - np.eye(20)
+        for A in (failing, passing):
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapacityError, match=r"C\(20,10\) = 184756"):
+                    necessary_ct_diag(A)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
+
+    def test_screen_at_n19_runs(self):
+        kappa, value = necessary_ct_diag(np.eye(19)).failing_minor
+        assert kappa.indices == (1,) and value == -1.0
 
 
 class TestDiagonalStabilityPropagation:

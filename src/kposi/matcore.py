@@ -197,21 +197,31 @@ def compound_size(k: int, n: int) -> int:
     r = math.comb(n, k)
     if r > CAPACITY_LIMIT:
         raise CapacityError(
-            f"C({n},{k}) = {r} exceeds the capacity guard of {CAPACITY_LIMIT}"
+            f"C({_count_text(n)},{_count_text(k)}) = {_count_text(r)} exceeds the capacity guard of {CAPACITY_LIMIT}"
         )
     return r
+
+
+def _count_text(x: int, shift: int = 0) -> str:
+    """x / 10**shift for an error message: every digit of a count (shift 0),
+    4 significant ones of a scaled value, and beyond the float range only
+    the exponent, as 1eN, since Python refuses to write an int of more than
+    4300 digits in decimal."""
+    if x >= 1e300:
+        return f"1e{math.log10(x) - shift:.0f}"
+    return f"{x / 10**shift:.4g}" if shift else str(x)
 
 
 def _require_budget(nbytes: int, what: str) -> None:
     """CapacityError when a path priced at `nbytes` at its peak exceeds _BYTE_BUDGET.
 
     Called with the integer price before anything of that size is
-    allocated; a price beyond the float range is shown by its exponent.
+    allocated.
     """
     if nbytes > _BYTE_BUDGET:
-        size = f"{nbytes / 1e6:.4g}" if nbytes < 1e300 else f"1e{math.log10(nbytes) - 6:.0f}"
         raise CapacityError(
-            f"{what} would hold about {size} MB, beyond the budget of {_BYTE_BUDGET / 1e6:.4g} MB"
+            f"{what} would hold about {_count_text(nbytes, 6)} MB, "
+            f"beyond the budget of {_BYTE_BUDGET / 1e6:.4g} MB"
         )
 
 

@@ -21,6 +21,7 @@ from .errors import DomainError, NumericError, PreconditionError
 from .matcore import (
     LexIndexSet,
     _checked_count,
+    _count_text,
     _minors,
     _require_budget,
     as_square,
@@ -476,7 +477,7 @@ class ContentReport:
     strict: bool
 
 
-def _wedge_coords_batch(tuples: np.ndarray, k: int, n: int, phi=None) -> np.ndarray:
+def _wedge_coords_batch(tuples: np.ndarray, phi=None) -> np.ndarray:
     """Wedge coordinates for a (T, k, n) batch of k-tuples; result (T, r).
 
     Row t equals wedge(tuples[t]).coords bit for bit: both are the order-k
@@ -485,8 +486,9 @@ def _wedge_coords_batch(tuples: np.ndarray, k: int, n: int, phi=None) -> np.ndar
     _WEDGE_CHUNK tuples at a time, so their temporaries stay small next
     to the result however long the batch is.
     """
-    coords = np.empty((tuples.shape[0], compound_size(k, n)))
-    for s in range(0, tuples.shape[0], _WEDGE_CHUNK):
+    T, k, n = tuples.shape
+    coords = np.empty((T, compound_size(k, n)))
+    for s in range(0, T, _WEDGE_CHUNK):
         chunk = tuples[s : s + _WEDGE_CHUNK]
         if phi is not None:
             chunk = phi(chunk)
@@ -525,7 +527,7 @@ def check_k_content_preserving(
     total_grid = samples_per_axis**kn
     count = total_grid + num_random
     _require_budget(8 * count * (6 * compound_size(k, n) + 2 * kn) + (1 << 16),
-                    f"a content check of {count} tuples")
+                    f"a content check of {_count_text(count)} tuples")
     lo, hi = sys.domain
     axis = np.linspace(lo, hi, samples_per_axis)
     # grid tuple t, flattened, reads axis at the kn base-s digits of t, the
@@ -536,8 +538,8 @@ def check_k_content_preserving(
         flat.reshape(samples_per_axis**d, samples_per_axis, -1, kn)[:, :, :, d] = axis[:, None]
     tuples[total_grid:] = np.random.default_rng(seed).uniform(lo, hi, size=(num_random, k, n))
 
-    p = _wedge_coords_batch(tuples, k, n)
-    q = _wedge_coords_batch(tuples, k, n, _phi_plan(sys.maps))
+    p = _wedge_coords_batch(tuples)
+    q = _wedge_coords_batch(tuples, _phi_plan(sys.maps))
 
     p_zero = np.abs(p) <= t
     weak_bad = np.where(p_zero, np.abs(q) > t, np.abs(q) > np.abs(p) + t)
@@ -621,7 +623,7 @@ def wedge_trajectory(
     # and 64 KiB of small arrays
     r = compound_size(k, n)
     _require_budget(8 * ((steps + 1) * (5 * r + 2 * k * n) + 3 * r * r) + (1 << 16),
-                    f"a wedge trajectory of {steps} steps")
+                    f"a wedge trajectory of {_count_text(steps)} steps")
     Ak = mult_compound(sys.A, k)
     if d.size != Ak.shape[0]:
         raise PreconditionError(
@@ -630,8 +632,8 @@ def wedge_trajectory(
     phi = _phi_plan(sys.maps)
     run, exit_step = _iterate(sys, phi, starts, steps)
 
-    y = _wedge_coords_batch(run, k, n)
-    w_phi = _wedge_coords_batch(run[:-1], k, n, phi)
+    y = _wedge_coords_batch(run)
+    w_phi = _wedge_coords_batch(run[:-1], phi)
     err = np.max(np.abs(y[1:] - w_phi @ Ak.T), axis=1)
     scale = np.maximum(
         np.prod(np.linalg.norm(run[1:], axis=2), axis=1),

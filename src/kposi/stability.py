@@ -49,8 +49,9 @@ NEGATE_CT = "NEGATE_CT"
 _SCREEN_CACHE_DIM = 12
 
 
-def diag_entries(D, name: str = "D", positive: bool = True) -> np.ndarray:
-    """Accept a 1-D diagonal-entry vector or a square diagonal matrix."""
+def diag_entries(D, name: str = "D") -> np.ndarray:
+    """Accept a 1-D diagonal-entry vector or a square diagonal matrix with
+    strictly positive entries."""
     arr = np.asarray(D, dtype=float)
     if arr.ndim == 2:
         sq = as_square(arr, name)
@@ -58,8 +59,7 @@ def diag_entries(D, name: str = "D", positive: bool = True) -> np.ndarray:
         if np.any(off != 0.0):
             raise PreconditionError(f"{name} must be diagonal")
         arr = np.diag(sq)
-    d = as_vector(arr, name)
-    return _require_positive(d, name) if positive else d
+    return _require_positive(as_vector(arr, name), name)
 
 
 def _require_positive(d: np.ndarray, name: str) -> np.ndarray:

@@ -20,6 +20,8 @@ from kposi.examples import (
     WEDGE_A2,
 )
 
+import golden_reports
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -375,7 +377,8 @@ class TestErrorPaths:
             warnings.simplefilter("error", RuntimeWarning)  # no warning before the refusal
             assert run_cli(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and captured.out == ""
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
     # a negative tolerance is refused too: its zero band would read the
     # zero minors of I as negative
@@ -415,6 +418,18 @@ class TestErrorPaths:
 
     def test_unknown_subcommand_exits_two(self, capsys):
         assert run_cli(["frobnicate"]) == 2
+
+    # main, the console script's target, exits with run_cli's code
+    @pytest.mark.parametrize("args, code", [
+        (["--help"], 0),
+        (["frobnicate"], 2),
+        (["check-necessary", "--mode", "ct", "--in", str(DATA / "screen_n20.json")], 3),
+    ], ids=["help", "unknown-subcommand", "screen-n20"])
+    def test_main_exits_with_the_run_code(self, capsys, monkeypatch, args, code):
+        monkeypatch.setattr("sys.argv", ["kposi", *args])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == code
 
     def test_capacity_guard_exits_three(self, tmp_path, capsys):
         path = write_json(tmp_path / "big.json", matrix_document(np.eye(40)))
@@ -476,24 +491,14 @@ class TestPaperExamples:
         assert out.encode() == GOLDEN_PAPER_EXAMPLES.read_bytes()
 
 
-class TestVerdictReportsGolden:
-    def test_reports_match_the_golden_file(self, monkeypatch):
-        # stdout and exit code of classify, certify and check-necessary on
-        # the paper's examples and their J A J copies (tests/verdict_reports.py)
-        from verdict_reports import GOLDEN, verdict_reports
-
+class TestGoldenReports:
+    # the verdict subcommands on the paper's examples and their J A J
+    # copies, and the transform, cyclic and wedge-sim subcommands
+    # (tests/golden_reports.py)
+    @pytest.mark.parametrize("golden", list(golden_reports.REPORTS))
+    def test_reports_match_the_golden_file(self, monkeypatch, golden):
         monkeypatch.delenv("KPOSI_TOL", raising=False)
-        assert verdict_reports().encode() == GOLDEN.read_bytes()
-
-
-class TestCliReportsGolden:
-    def test_reports_match_the_golden_file(self, monkeypatch):
-        # stdout, stderr and exit code of cyclic, compound, wedge, cayley,
-        # dlf-recover and wedge-sim (tests/cli_reports.py)
-        from cli_reports import GOLDEN, cli_reports
-
-        monkeypatch.delenv("KPOSI_TOL", raising=False)
-        assert cli_reports().encode() == GOLDEN.read_bytes()
+        assert golden_reports.report(golden).encode() == (DATA / golden).read_bytes()
 
 
 class TestFloatRangeRefusals:

@@ -75,7 +75,7 @@ class TestLaplaceKernel:
         # long enough to span several kernel calls
         rng = np.random.default_rng(60)
         tuples = rng.standard_normal((600, 3, 6))
-        batch = _wedge_coords_batch(tuples, 3, 6)
+        batch = _wedge_coords_batch(tuples)
         assert batch.shape == (600, 20) and batch.flags.c_contiguous
         for t in range(600):
             np.testing.assert_array_equal(batch[t], mult_compound(tuples[t].T, 3)[:, 0])

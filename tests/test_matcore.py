@@ -48,6 +48,16 @@ class TestLexIndexSets:
         with pytest.raises(CapacityError):
             lex_index_sets(20, 40)
 
+    # a count of over 4300 digits, which str() of an int refuses to write,
+    # is written by its exponent
+    @pytest.mark.parametrize("k, n, sizes", [
+        (2, 10**3000, r"C\(1e3000,2\) = 1e6000"),
+        (10**5000 - 1, 10**5000, r"C\(1e5000,1e5000\) = 1e5000"),
+    ], ids=["huge-n", "huge-k"])
+    def test_capacity_guard_writes_a_huge_count_by_its_exponent(self, k, n, sizes):
+        with pytest.raises(CapacityError, match=rf"^{sizes} exceeds [^\n]*\Z"):
+            lex_index_sets(k, n)
+
     def test_index_set_validation(self):
         with pytest.raises(DomainError):
             LexIndexSet(3, (2, 2))

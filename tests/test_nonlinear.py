@@ -629,6 +629,20 @@ class TestByteBudget:
         with pytest.raises(CapacityError, match="wedge trajectory"):
             wedge_trajectory(decaying_chain_system(3), 1, chain_starts(3, 1), np.ones(3), 10**400)
 
+    # a count of over 4300 digits, which str() of an int refuses to write,
+    # is written by its exponent
+    @pytest.mark.parametrize("call, count", [
+        (lambda: check_k_content_preserving(decaying_chain_system(2), 1, num_random=10**5000, seed=1),
+         "content check of 1e5000 tuples"),
+        (lambda: check_k_content_preserving(decaying_chain_system(3), 1, samples_per_axis=10**2000, seed=1),
+         "content check of 1e6000 tuples"),
+        (lambda: wedge_trajectory(decaying_chain_system(3), 1, chain_starts(3, 1), np.ones(3), 10**5000),
+         "wedge trajectory of 1e5000 steps"),
+    ], ids=["num-random", "samples-per-axis", "steps"])
+    def test_count_beyond_the_digit_limit_refused_in_one_line(self, call, count):
+        with pytest.raises(CapacityError, match=f"^a {count} would hold about [^\\n]*\\Z"):
+            call()
+
     @pytest.fixture
     def prices(self, monkeypatch):
         priced, original = [], nonlinear._require_budget

@@ -11,6 +11,7 @@ necessary conditions that rule diagonal stability out.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,6 +48,14 @@ NEGATE_CT = "NEGATE_CT"
 
 # Screens up to this dimension keep their block indices (under 3 MB in all).
 _SCREEN_CACHE_DIM = 12
+
+# The Neumann series for xi and z (two r x r mat-vecs a term) beats the
+# two LUs of I - M up to a term count that measured 5-6 at r = 35 and
+# 63-71 at r = 792-924 on one OpenBLAS thread (BENCH_neumann.json).  r // 16
+# stays below it at every measured r, so the series runs when it is
+# predicted to stop within r // 16 terms.
+_NEUMANN_BREAK_EVEN = 16
+_EPS = float(np.finfo(float).eps)
 
 
 def diag_entries(D, name: str = "D") -> np.ndarray:
@@ -152,18 +161,17 @@ def construct_dlf_nonneg(A, x=None, y=None, tol: float | None = None) -> DlfCons
     )
 
 
-def _dlf_solve(M: np.ndarray, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _dlf_solve(
+    M: np.ndarray, x, y, rho: float = 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """xi, z and d = z / xi of the construction, for a nonnegative Schur M.
 
-    I - M is built in M's own buffer: M is negated in place and 1 added
-    to its diagonal.  That gives the entries of np.eye(n) - M, except
-    that a zero entry may carry the other sign, a difference LAPACK never
-    turns into a different nonzero result.  xi is solved from it and z
-    from its transpose view, so LAPACK gets the values of I - M^T without
-    a second buffer.  M is then negated back, an exact involution, and
-    its saved diagonal written, which restores it bit for bit.  xi and z
-    must come out positive, and d finite and positive, as diag_entries
-    requires of a diagonal.
+    A rho above 0 vouches that M has no negative entry and spectral
+    radius rho.  xi and z are then summed as Neumann series where that is
+    predicted to be cheaper (_neumann_solves); every other case, and a
+    series that does not stop in time, solves I - M by LU (_lu_solves).
+    xi and z must come out positive, and d finite and positive, as
+    diag_entries requires of a diagonal.
     """
     n = M.shape[0]
     if x is None and y is None:
@@ -175,20 +183,80 @@ def _dlf_solve(M: np.ndarray, x, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]
             raise DomainError(f"x and y must have dimension {n}")
         if (x <= 0.0).any() or (y <= 0.0).any():
             raise PreconditionError("x and y must be strictly positive")
+    solved = _neumann_solves(M, x, y, rho)
+    xi, z = _lu_solves(M, x, y) if solved is None else solved
+    if (xi <= 0.0).any() or (z <= 0.0).any():
+        raise NumericError("construction produced nonpositive xi or z entries")
+    return xi, z, _require_positive(_require_finite(z / xi, "D"), "D")
+
+
+def _lu_solves(M: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """xi = (I - M)^{-1} x and z = (I - M^T)^{-1} y by two LU solves.
+
+    I - M is built in M's own buffer: M is negated in place and 1 added
+    to its diagonal.  That gives the entries of np.eye(n) - M, except
+    that a zero entry may carry the other sign, a difference LAPACK never
+    turns into a different nonzero result.  xi is solved from it and z
+    from its transpose view, so LAPACK gets the values of I - M^T without
+    a second buffer.  M is then negated back, an exact involution, and
+    its saved diagonal written, which restores it bit for bit.
+    """
+    n = M.shape[0]
     diagonal = M.diagonal().copy()
     np.negative(M, out=M)
     M.flat[:: n + 1] += 1.0
     try:
-        xi = np.linalg.solve(M, x)
-        z = np.linalg.solve(M.T, y)
+        return np.linalg.solve(M, x), np.linalg.solve(M.T, y)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"(I - A) solve failed: {exc}") from exc
     finally:
         np.negative(M, out=M)
         M.flat[:: n + 1] = diagonal
-    if (xi <= 0.0).any() or (z <= 0.0).any():
-        raise NumericError("construction produced nonpositive xi or z entries")
-    return xi, z, _require_positive(_require_finite(z / xi, "D"), "D")
+
+
+def _neumann_solves(
+    M: np.ndarray, x: np.ndarray, y: np.ndarray, rho: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """xi = sum_j M^j x and z = sum_j (M^T)^j y, for an M >= 0 of spectral
+    radius rho, or None where the LU solves are to be used instead.
+
+    rho = 0, passed for an M not vouched nonnegative and the radius of a
+    nilpotent M, leaves the solves to LU.  Otherwise the series runs when
+    the predicted term count, the least t with rho^t <= eps (1 - rho), is
+    at most the break-even count r // _NEUMANN_BREAK_EVEN, and its result
+    is kept when both sums stop within that count (_neumann_sum).  A
+    non-normal M may need more terms than rho predicts; it reaches the
+    count and goes to LU.
+    """
+    cap = M.shape[0] // _NEUMANN_BREAK_EVEN
+    if not (0.0 < rho < 1.0 and math.log(_EPS * (1.0 - rho)) / math.log(rho) <= cap):
+        return None
+    xi = _neumann_sum(M, x, cap)
+    if xi is None:
+        return None
+    z = _neumann_sum(M.T, y, cap)
+    return None if z is None else (xi, z)
+
+
+def _neumann_sum(M: np.ndarray, x: np.ndarray, cap: int) -> np.ndarray | None:
+    """s = x + M x + M^2 x + ..., up to the first term t = M^j x with
+    t <= eps * s entrywise, or None when no term of the first cap does
+    so or s is not finite.
+
+    Every term of a nonnegative M and positive x is nonnegative.  On the
+    stop, x - (I - M) s is that term t up to the rounding of the
+    mat-vecs, so s solves (I - M) s = x with a componentwise backward
+    error of about eps.  Each term is one dense mat-vec (M may be a
+    transpose view), with no r x r temporary.
+    """
+    s, t = x.copy(), x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cap):
+            t = M @ t
+            if (t <= _EPS * s).all():
+                return s if np.isfinite(s).all() else None
+            s += t
+    return None
 
 
 def _compound_radius(A: np.ndarray, k: int) -> float:
@@ -214,7 +282,7 @@ class KDiagCertificate:
 
     xi and z are the positive vectors with M xi << xi and M^T z << z for
     the (sign-normalized) compound M; xi_gap / z_gap store the worst
-    componentwise slack, normalized as gap / (1 + |rhs|).
+    componentwise slack, (xi - M xi) / (1 + |xi|) and (z - M^T z) / (1 + |z|).
     """
 
     k: int
@@ -282,15 +350,16 @@ def _certify(
     sign_flipped = signature == -1
     if sign_flipped:
         np.negative(M, out=M)
-    xi, z, d = _dlf_solve(M, x, y)
+    # The sign gate lets in-band negative minors through.  An M with none
+    # may be solved by its Neumann series, and has a nonnegative Gram,
+    # which makes the Stein gap a Z-matrix.
+    z_matrix = bool(M.min() >= 0.0)
+    xi, z, d = _dlf_solve(M, x, y, rho if z_matrix else 0.0)
     xi_gap = float(np.min((xi - M @ xi) / (1.0 + np.abs(xi))))
     z_gap = float(np.min((z - M.T @ z) / (1.0 + np.abs(z))))
     # M is this call's own compound: scale it into X = D^{1/2} M in place
     # and drop it before the eigen-solve.  The flip leaves M^T D M, and so
-    # the margin, unchanged.  The sign gate lets in-band negative minors
-    # through; an M with none has a nonnegative Gram, which makes the gap
-    # a Z-matrix.
-    z_matrix = bool(M.min() >= 0.0)
+    # the margin, unchanged.
     gap = _stein_gap(np.multiply(np.sqrt(d)[:, None], M, out=M), d)
     del M
     check = _pd_check(gap, pd_tol(tol), z_matrix)

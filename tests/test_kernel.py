@@ -22,11 +22,12 @@ from kposi import (
     mult_compound,
     spectral_report,
 )
-from kposi import matcore
+from kposi import matcore, stability
 from kposi.matcore import lex_index_set_at
 from kposi.stability import COMPOUND_NOT_SCHUR, _compound_radius
 
 from oracles import leibniz_det
+from test_neumann import lu_chain
 
 
 def hadamard_scale(A, rows, cols):
@@ -152,8 +153,9 @@ class TestLaplaceKernel:
 
     def test_certify_solves_in_the_compounds_own_buffer(self, monkeypatch):
         # I - M is built in M's buffer, so when each solve starts the only
-        # traced compound-sized array is M itself
-        A = self.certify_large_chain()
+        # traced compound-sized array is M itself; lu_chain's radius is
+        # too large for the Neumann series
+        A = lu_chain()
         certify_k_diag_stability(A, 5)
         solve, traced = np.linalg.solve, []
 
@@ -170,6 +172,33 @@ class TestLaplaceKernel:
         assert isinstance(cert, KDiagCertificate) and cert.r == 792
         assert len(traced) == 2
         assert max(traced) <= 1.25 * 792**2 * 8
+
+    def test_certify_sums_the_series_beside_the_compound(self, monkeypatch):
+        # the Neumann sums hold vectors of length r: while they run, the
+        # only traced compound-sized array is M itself, and no LU is made
+        A = self.certify_large_chain()
+        certify_k_diag_stability(A, 5)
+        series, peaks = stability._neumann_solves, []
+
+        def recording_series(*args):
+            tracemalloc.reset_peak()
+            solved = series(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return solved
+
+        def no_solve(*args):
+            raise AssertionError("np.linalg.solve called on the series path")
+
+        monkeypatch.setattr(stability, "_neumann_solves", recording_series)
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        tracemalloc.start()
+        try:
+            cert = certify_k_diag_stability(A, 5)
+        finally:
+            tracemalloc.stop()
+        assert isinstance(cert, KDiagCertificate) and cert.r == 792
+        assert len(peaks) == 1
+        assert peaks[0] <= 1.25 * 792**2 * 8
 
     def test_orders_above_the_expansion_agree_with_it(self):
         # order 9 is factorised block by block; expanding it along its

@@ -36,10 +36,11 @@ DATA = Path(__file__).parent / "data"
 # one syrk.
 MARGIN_RTOL = 2.5e-14
 
-# `kposi certify -k 5 --in tests/data/chain12.json` as the eigen-solve
-# computed it: the sha256 of stdout with the stein_margin value replaced
-# by null, and the margin.
-CHAIN12_MASKED_SHA256 = "062da9558a7d31ea769c07a4de6342d1fc2e227f31d013617ad13dc8e30ee80c"
+# `kposi certify -k 5 --in tests/data/chain12.json`: the sha256 of stdout
+# with the stein_margin value replaced by null, its d, xi and z summed as
+# Neumann series (within 3.3e-15 of the LU solves, componentwise), and
+# the margin as the eigen-solve computed it.
+CHAIN12_MASKED_SHA256 = "50589a315b4320c8b27b6bc9f1d38c19fe537eb95e7e46eb00a399490b28cd1a"
 CHAIN12_MARGIN = float.fromhex("0x1.b54947e61c602p-1")
 
 
@@ -65,11 +66,14 @@ def certify_large_pool(seed):
 
 
 def stein_gap(A, k, x=None, y=None):
-    """The gap D - M^T D M that certify builds for A^(k), and its d."""
+    """The gap D - M^T D M that certify builds for A^(k), and its d, solved
+    as certify solves it: by the Neumann series where M has no negative
+    entry and its spectral radius makes the series the cheaper path."""
     M = matcore._minor_table(A, k)
     if M.max() <= 0.0:
         np.negative(M, out=M)
-    _, _, d = stability._dlf_solve(M, x, y)
+    rho = stability._compound_radius(A, k) if M.min() >= 0.0 else 0.0
+    _, _, d = stability._dlf_solve(M, x, y, rho)
     return stability._stein_gap(np.sqrt(d)[:, None] * M, d), d
 
 

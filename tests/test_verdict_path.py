@@ -120,11 +120,11 @@ def workloads(monkeypatch):
 
 
 def certificate_cases(workloads, tmp_path):
-    """(A, k) of the seed-1 verdict-batch certify calls, one certify-large
-    chain, and the signed-zero matrix and its negation at orders 1-3."""
+    """(A, k) of the seed-1 verdict-batch certify calls and the signed-zero
+    matrix and its negation at orders 1-3: every one solves by LU (the
+    certify-large chains sum Neumann series; see test_neumann.py)."""
     pool = workloads.verdict_pool(1, tmp_path)
     yield from ((item["A"], item["k"]) for item in pool if item["mode"] == "full")
-    yield workloads.certify_pool(1, tmp_path)[0]["A"], workloads.CERT_K
     for A in (SIGNED_ZEROS, -SIGNED_ZEROS):
         for k in (1, 2, 3):
             yield A, k

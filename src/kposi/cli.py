@@ -8,8 +8,8 @@ wedge-trajectory Lyapunov runs.  Matrices travel as JSON documents
 CSV with 17-significant-digit floats.
 
 Exit codes: 0 success, 1 negative verdict, 2 usage error, 3 numeric or
-capacity error.  KPOSI_TOL overrides the default tolerance when --tol
-is not given.
+capacity error.  KPOSI_TOL, read once per run, sets the tolerance of a
+subcommand that takes --tol and is given none; the library never reads it.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -27,7 +28,7 @@ import numpy as np
 from .compound import mult_compound, wedge
 from .cyclic import CyclicSpec, analyze_cyclic, build_cyclic
 from .errors import CapacityError, DomainError, NumericError, PreconditionError
-from .matcore import LexIndexSet, compound_size, minor_tol, pd_tol, zero_tol
+from .matcore import LexIndexSet, _checked_tol, compound_size, minor_tol, pd_tol, zero_tol
 from .nonlinear import (
     NonlinearSystem,
     ScalarMap,
@@ -449,6 +450,8 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if not exc.code else int(exc.code)
     try:
+        if "tol" in args and args.tol is None and os.environ.get("KPOSI_TOL"):
+            args.tol = _checked_tol(os.environ["KPOSI_TOL"], "KPOSI_TOL")
         return args.func(args)
     except json.JSONDecodeError as exc:
         sys.stderr.write(f"error: malformed JSON: {exc}\n")

@@ -9,7 +9,6 @@ are converted at the boundary.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -61,17 +60,14 @@ _LEVEL_BLOCK = 1 << 15
 
 
 def _resolve_tol(tol: float | None, default: float) -> float:
-    """Explicit argument wins, then the KPOSI_TOL environment variable, then `default`.
+    """The explicit argument if given, else `default`: no other input is read.
 
     A given tolerance must be a finite number, not below 0 (DomainError
     otherwise): a negative zero band reads every value as both signs, and
     a negative screen threshold passes negative minors.  `default` is
     trusted as it is.
     """
-    if tol is not None:
-        return _checked_tol(tol, "tol")
-    env = os.environ.get("KPOSI_TOL")
-    return _checked_tol(env, "KPOSI_TOL") if env else default
+    return default if tol is None else _checked_tol(tol, "tol")
 
 
 def _checked_tol(value, source: str) -> float:
@@ -556,10 +552,11 @@ def _lanczos_smallest(S: np.ndarray) -> tuple[float, np.ndarray] | None:
     at most _LANCZOS_MAX_STEPS vectors: no r x r array is made.  The run
     stops once the Ritz residual |beta_j s_j| of θ is at most
     _LANCZOS_RTOL times the largest Ritz value in modulus, and returns
-    None if that takes more than _LANCZOS_MAX_STEPS steps.  The
-    tridiagonal matrix is solved at checks spaced by the residual's own
-    rate of decrease, at most _LANCZOS_CHECK_STEPS apart.  v has unit norm
-    and a positive sum.
+    None if that takes more than _LANCZOS_MAX_STEPS steps, or if a step
+    leaves the float range (entries of S near the top of it), with no
+    warning.  The tridiagonal matrix is solved at checks spaced by the
+    residual's own rate of decrease, at most _LANCZOS_CHECK_STEPS apart.
+    v has unit norm and a positive sum.
     """
     r = S.shape[0]
     steps = min(_LANCZOS_MAX_STEPS, r)
@@ -567,29 +564,32 @@ def _lanczos_smallest(S: np.ndarray) -> tuple[float, np.ndarray] | None:
     basis[0] = 1.0 / math.sqrt(r)
     alpha, beta = np.empty(steps), np.empty(steps)
     check, last = min(_LANCZOS_CHECK_STEPS, steps), None
-    for j in range(steps):
-        Q = basis[: j + 1]
-        w = S @ Q[j]
-        alpha[j] = Q[j] @ w
-        w -= (Q @ w) @ Q
-        w -= (Q @ w) @ Q
-        beta[j] = math.sqrt(w @ w)
-        if j + 1 == check or beta[j] == 0.0:
-            T = np.diag(alpha[: j + 1])
-            T.flat[1 :: j + 2] = T.flat[j + 1 :: j + 2] = beta[:j]
-            try:
-                theta, s = np.linalg.eigh(T)
-            except np.linalg.LinAlgError:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(steps):
+            Q = basis[: j + 1]
+            w = S @ Q[j]
+            alpha[j] = Q[j] @ w
+            w -= (Q @ w) @ Q
+            w -= (Q @ w) @ Q
+            beta[j] = math.sqrt(w @ w)
+            if not (math.isfinite(alpha[j]) and math.isfinite(beta[j])):
                 return None
-            residual = beta[j] * abs(s[-1, 0])
-            target = _LANCZOS_RTOL * max(abs(theta[0]), abs(theta[-1]))
-            if residual <= target:
-                v = s[:, 0] @ Q
-                return float(theta[0]), (v if v.sum() > 0.0 else -v)
-            check = min(j + 1 + _next_check(last, (j + 1, residual), target), steps)
-            last = (j + 1, residual)
-        if j + 1 < steps:
-            basis[j + 1] = w / beta[j]
+            if j + 1 == check or beta[j] == 0.0:
+                T = np.diag(alpha[: j + 1])
+                T.flat[1 :: j + 2] = T.flat[j + 1 :: j + 2] = beta[:j]
+                try:
+                    theta, s = np.linalg.eigh(T)
+                except np.linalg.LinAlgError:
+                    return None
+                residual = beta[j] * abs(s[-1, 0])
+                target = _LANCZOS_RTOL * max(abs(theta[0]), abs(theta[-1]))
+                if residual <= target:
+                    v = s[:, 0] @ Q
+                    return float(theta[0]), (v if v.sum() > 0.0 else -v)
+                check = min(j + 1 + _next_check(last, (j + 1, residual), target), steps)
+                last = (j + 1, residual)
+            if j + 1 < steps:
+                basis[j + 1] = w / beta[j]
     return None
 
 

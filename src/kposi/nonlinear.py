@@ -442,8 +442,13 @@ def simulate(sys: NonlinearSystem, x0, steps: int) -> SimResult:
     """Iterate x(j+1) = A phi(x(j)) for `steps` steps from x0 in S^n.
 
     Leaving the domain is a reported truncation, not an error: invariance
-    of S^n depends on (A, phi, S) and is not guaranteed in general.
+    of S^n depends on (A, phi, S) and is not guaranteed in general.  The
+    run is priced against the byte budget before it starts.
     """
+    steps = _checked_count(steps, "steps", 0)
+    # the states twice while their blocks are joined, and 64 KiB of small arrays
+    _require_budget(16 * (steps + 1) * sys.n + (1 << 16),
+                    f"a trajectory of {_count_text(steps)} steps")
     run, exit_step = _iterate(sys, _phi_plan(sys.maps), {"x0": x0}, steps)
     return SimResult(states=run[:, 0], exit_step=exit_step)
 

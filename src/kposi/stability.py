@@ -166,28 +166,39 @@ def _dlf_solve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """xi, z and d = z / xi of the construction, for a nonnegative Schur M.
 
-    A rho above 0 vouches that M has no negative entry and spectral
-    radius rho.  xi and z are then summed as Neumann series where that is
+    x and y come checked by _right_hand_sides, or None for all ones.  A
+    rho above 0 vouches that M has no negative entry and spectral radius
+    rho.  xi and z are then summed as Neumann series where that is
     predicted to be cheaper (_neumann_solves); every other case, and a
     series that does not stop in time, solves I - M by LU (_lu_solves).
     xi and z must come out positive, and d finite and positive, as
-    diag_entries requires of a diagonal.
+    diag_entries requires of a diagonal: a d that overflows or underflows
+    is refused as such, with no warning.
     """
-    n = M.shape[0]
-    if x is None and y is None:
-        x = y = np.ones(n)  # the defaults pass every check below
-    else:
-        x = np.ones(n) if x is None else as_vector(x, "x")
-        y = np.ones(n) if y is None else as_vector(y, "y")
-        if x.size != n or y.size != n:
-            raise DomainError(f"x and y must have dimension {n}")
-        if (x <= 0.0).any() or (y <= 0.0).any():
-            raise PreconditionError("x and y must be strictly positive")
+    x = np.ones(M.shape[0]) if x is None else x
+    y = np.ones(M.shape[0]) if y is None else y
     solved = _neumann_solves(M, x, y, rho)
     xi, z = _lu_solves(M, x, y) if solved is None else solved
     if (xi <= 0.0).any() or (z <= 0.0).any():
         raise NumericError("construction produced nonpositive xi or z entries")
-    return xi, z, _require_positive(_require_finite(z / xi, "D"), "D")
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = z / xi
+    return xi, z, _require_positive(_require_finite(d, "D"), "D")
+
+
+def _right_hand_sides(x, y, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as positive vectors of dimension r, all ones where not given.
+
+    DomainError for a vector that is not finite or has another dimension,
+    PreconditionError for an entry not above 0.
+    """
+    x = np.ones(r) if x is None else as_vector(x, "x")
+    y = np.ones(r) if y is None else as_vector(y, "y")
+    if x.size != r or y.size != r:
+        raise DomainError(f"x and y must have dimension {r}")
+    if (x <= 0.0).any() or (y <= 0.0).any():
+        raise PreconditionError("x and y must be strictly positive")
+    return x, y
 
 
 def _lu_solves(M: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -335,8 +346,12 @@ def _certify(
 ) -> KDiagCertificate | CertificationFailure:
     """certify_k_diag_stability on a checked square A, without its k <= n-1 bound.
 
-    construct_dlf_nonneg calls it at k = 1, which a 1 x 1 A needs.
+    construct_dlf_nonneg calls it at k = 1, which a 1 x 1 A needs.  A given
+    x or y is checked before any work, so no verdict hides a bad vector;
+    with neither given the checks are skipped, as the defaults pass them.
     """
+    if x is not None or y is not None:
+        x, y = _right_hand_sides(x, y, compound_size(k, A.shape[0]))
     M = _minor_table(A, k)
     r = M.shape[0]
     t = zero_tol(tol)

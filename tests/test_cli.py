@@ -439,7 +439,9 @@ class TestErrorPaths:
         ["check-necessary", "--mode", "ct", "--in", str(DATA / "screen_n20.json")],
         ["wedge-sim", "--system", str(DATA / "table_system.json"),
          "--initials", str(DATA / "table_initials.json"), "-k", "3", "--steps", "1" + "0" * 400],
-    ], ids=["screen-n20", "steps-401-digits"])
+        ["simulate", "--system", str(DATA / "table_system.json"), "--x0", "0", "0", "0",
+         "--steps", "1000000000"],
+    ], ids=["screen-n20", "steps-401-digits", "simulate-1e9-steps"])
     def test_capacity_refusals_exit_three_with_one_line(self, capsys, argv):
         # the n = 20 screen passes orders 1-7, so it once swept them first;
         # a price beyond the float range once exited 1 with an OverflowError

@@ -16,6 +16,7 @@ import pytest
 from kposi import (
     CyclicSpec,
     KDiagCertificate,
+    KposiError,
     build_cyclic,
     certify_k_diag_stability,
     construct_dlf_nonneg,
@@ -173,13 +174,15 @@ def refusal(call):
 @pytest.mark.parametrize("name", EXTREME_SIDES)
 def test_extreme_right_hand_sides_are_refused_as_on_lu(name, solves, monkeypatch):
     # each x, y makes the construction refuse: d overflows or underflows,
-    # Lanczos overflows on the Stein gap, or the Stein check fails.  The
-    # refusal must be the one LU gives, whether the series stopped or gave
-    # up.  pyproject.toml turns numpy's RuntimeWarnings into errors here,
-    # and they count as refusals.
+    # or the Stein check fails, on a gap whose entries overflow Lanczos so
+    # that the eigen-solve decides.  The refusal must be the one LU gives,
+    # whether the series stopped or gave up.  pyproject.toml turns numpy's
+    # RuntimeWarnings into errors here, and none may be raised: each
+    # refusal is a KposiError.
     kind, x, y, stopped = EXTREME_SIDES[name]
     A = extreme_matrix(kind)
     series = refusal(lambda: construct_dlf_nonneg(A, x=x, y=y))
+    assert issubclass(series[0], KposiError), series
     assert solves.series == stopped and solves.lu == (0 if all(stopped) else 2)
     monkeypatch.setattr(stability, "_neumann_solves", lambda *args: None)
     assert refusal(lambda: construct_dlf_nonneg(A, x=x, y=y)) == series

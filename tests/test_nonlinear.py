@@ -247,10 +247,12 @@ class TestBlockStepping:
         assert traj.states.tobytes() == ref.swapaxes(0, 1).tobytes()
 
     def test_early_exit_of_a_huge_run_holds_one_block(self):
+        # 10^6 steps are priced at 48 MB, within the byte budget (10^9 are
+        # refused, TestByteBudget); the run exits at step 3, in its first block
         sys_ = doubling_system()
         tracemalloc.start()
         try:
-            res = simulate(sys_, exit_starts(3)[0], 10**9)
+            res = simulate(sys_, exit_starts(3)[0], 10**6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -587,8 +589,9 @@ def traced_peak(call):
 
 
 class TestByteBudget:
-    """wedge_trajectory and check_k_content_preserving price their peak bytes
-    against matcore._BYTE_BUDGET before they allocate anything that size."""
+    """simulate, wedge_trajectory and check_k_content_preserving price their
+    peak bytes against matcore._BYTE_BUDGET before they allocate anything
+    that size."""
 
     def test_trajectory_refused_before_allocating(self):
         # 15000 steps at r = 792 are priced at about 505 MB
@@ -597,6 +600,16 @@ class TestByteBudget:
         def run():
             with pytest.raises(CapacityError, match="wedge trajectory of 15000 steps"):
                 wedge_trajectory(sys_, 5, chain_starts(12, 5), d, 15_000)
+
+        assert traced_peak(run) < 1_000_000
+
+    def test_simulation_refused_before_allocating(self):
+        # 10^9 steps of a 12-state system are priced at about 192 GB
+        sys_ = decaying_chain_system(12)
+
+        def run():
+            with pytest.raises(CapacityError, match="^a trajectory of 1000000000 steps"):
+                simulate(sys_, chain_starts(12, 1)[0], 10**9)
 
         assert traced_peak(run) < 1_000_000
 
@@ -658,6 +671,14 @@ class TestByteBudget:
     def test_trajectory_price_bounds_the_traced_peak(self, prices, n, k, steps):
         sys_, d = decaying_chain_system(n), np.ones(math.comb(n, k))
         peak = traced_peak(lambda: wedge_trajectory(sys_, k, chain_starts(n, k), d, steps))
+        assert len(prices) == 1 and peak <= prices[0]
+
+    @pytest.mark.parametrize("n, steps", [(12, 3000), (6, 64), (3, 65), (2, 0)])
+    def test_simulation_price_bounds_the_traced_peak(self, prices, n, steps):
+        sys_ = decaying_chain_system(n)
+        results = []
+        peak = traced_peak(lambda: results.append(simulate(sys_, chain_starts(n, 1)[0], steps)))
+        assert results[0].states.shape == (steps + 1, n) and results[0].exit_step is None
         assert len(prices) == 1 and peak <= prices[0]
 
     @pytest.mark.parametrize("n, k, axis, draws", [(12, 5, 1, 500), (6, 2, 2, 3000), (3, 2, 5, 100), (3, 1, 3, 0)])

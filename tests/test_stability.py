@@ -177,20 +177,35 @@ class TestConstructDlf:
     def test_tol_sets_the_stein_margin(self, monkeypatch):
         # Schur with radius 0.95 < 1 - 1e-2, but the constructed D has a
         # Stein margin of about 0.0039: above the default PD margin, below
-        # 1e-2, whether tol is passed or read from KPOSI_TOL
+        # 1e-2 passed as tol.  KPOSI_TOL=1e-2 leaves the default in place:
+        # only the command line reads it
         A = 1.9 * np.array([[0.5, 0.49], [0.0, 0.5]])
         assert construct_dlf_nonneg(A).stein_margin == pytest.approx(0.00388, abs=1e-5)
         assert isinstance(certify_k_diag_stability(A, 1), KDiagCertificate)
+        monkeypatch.delenv("KPOSI_TOL", raising=False)
         for call in (construct_dlf_nonneg, lambda A, tol: certify_k_diag_stability(A, 1, tol)):
             with pytest.raises(NumericError, match="Stein check"):
                 call(A, tol=1e-2)
+            unset = call(A, tol=None)
             monkeypatch.setenv("KPOSI_TOL", "1e-2")
-            with pytest.raises(NumericError, match="Stein check"):
-                call(A, tol=None)
+            got = call(A, tol=None)
+            assert (got.stein_margin, got.d.tobytes()) == (unset.stein_margin, unset.d.tobytes())
             monkeypatch.delenv("KPOSI_TOL")
 
 
 class TestCertify:
+    # a bad x is refused before any minor is computed, so no verdict (here
+    # COMPOUND_NOT_SCHUR, NOT_SIGN_REGULAR and a certificate) can hide it
+    @pytest.mark.parametrize("A, k, x, error, text", [
+        (np.eye(3), 1, [-1.0, 5.0], DomainError, "dimension 3"),
+        (DT_NO_DLF, 1, [np.nan], DomainError, "x contains NaN"),
+        (CERT_3X3, 2, [-1.0, 1.0, 1.0], PreconditionError, "strictly positive"),
+    ], ids=["not-schur-short-x", "not-sign-regular-nan-x", "certified-negative-x"])
+    def test_bad_x_refused_before_the_verdict(self, table_calls, A, k, x, error, text):
+        with pytest.raises(error, match=text):
+            certify_k_diag_stability(A, k, x=x)
+        assert table_calls == []
+
     def test_certificate_exists_for_schur_ssr2(self):
         cert = certify_k_diag_stability(CERT_3X3, 2)
         assert isinstance(cert, KDiagCertificate)
@@ -426,18 +441,21 @@ class TestNecessaryScreens:
         kappa, value = rep.failing_minor
         assert kappa.indices == (1,) and value == 0.0
 
-    def test_screens_read_kposi_tol(self, monkeypatch):
+    def test_screens_ignore_kposi_tol(self, monkeypatch):
         # Cayley(0.5 I) = 3 I and -(-3 I) = 3 I: order-1 minors of 3 fail a
-        # threshold of 5, as check-necessary reports under KPOSI_TOL=5
-        monkeypatch.setenv("KPOSI_TOL", "5")
+        # threshold of 5 passed as tol.  KPOSI_TOL=5, which check-necessary
+        # reads, leaves the library's default threshold of 0 in place.
+        monkeypatch.delenv("KPOSI_TOL", raising=False)
         for screen, A in ((necessary_dt_diag, 0.5 * np.eye(2)), (necessary_ct_diag, -3.0 * np.eye(2))):
-            rep = screen(A)
+            rep = screen(A, 5.0)
             assert not rep.passed
             kappa, value = rep.failing_minor
             assert kappa.indices == (1,) and value == pytest.approx(3.0)
             assert screen(A, 2.0).passed
-        monkeypatch.delenv("KPOSI_TOL")
-        assert necessary_dt_diag(0.5 * np.eye(2)).passed
+            unset = screen(A)
+            monkeypatch.setenv("KPOSI_TOL", "5")
+            assert screen(A) == unset and unset.passed
+            monkeypatch.delenv("KPOSI_TOL")
 
     @pytest.mark.parametrize("A", [
         [[-1e200, 1.0, 0.0], [0.0, -1e200, 1.0], [1.0, 0.0, -1e200]],
@@ -463,13 +481,15 @@ class TestNecessaryScreens:
 
     @pytest.mark.parametrize("screen", [necessary_dt_diag, necessary_ct_diag])
     def test_negative_screen_threshold_refused(self, screen, monkeypatch):
-        # a threshold below 0 would let a negative principal minor pass
+        # a threshold below 0 would let a negative principal minor pass.
+        # The library does not read KPOSI_TOL, so a negative value there
+        # changes nothing; the command line refuses it (test_cli.py)
         monkeypatch.delenv("KPOSI_TOL", raising=False)
         with pytest.raises(DomainError, match="tol"):
             screen(np.diag([0.5, -0.5]), -1.0)
+        unset = screen(np.diag([0.5, -0.5]))
         monkeypatch.setenv("KPOSI_TOL", "-1e-3")
-        with pytest.raises(DomainError, match="KPOSI_TOL"):
-            screen(np.diag([0.5, -0.5]))
+        assert screen(np.diag([0.5, -0.5])) == unset
 
     def test_diagonal_stability_implies_dt_screen(self):
         rng = np.random.default_rng(36)

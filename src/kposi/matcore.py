@@ -37,13 +37,13 @@ _BYTE_BUDGET = 400_000_000
 # each k x k block is factorised instead.
 _LAPLACE_MAX_ORDER = 8
 
-# Orders from which _pd_check takes the margin of a symmetric Z-matrix its
-# caller vouches for from Lanczos and a Collatz-Wielandt bound, not from a
+# Orders from which _pd_check proves a pass on a symmetric Z-matrix from its
+# caller's positive vector and takes the margin from Lanczos, not from a
 # full eigen-solve; below it the eigen-solve is the faster of the two
 # (crossover measured in BENCH_lanczos.json).
 _LANCZOS_MIN_ORDER = 250
 
-# Lanczos steps after which the enclosure gives up and the eigen-solve
+# Lanczos steps after which the run gives up and the eigen-solve
 # decides, and the Ritz residual, relative to the largest Ritz value, at
 # which it stops.
 _LANCZOS_MAX_STEPS = 256
@@ -474,7 +474,7 @@ def is_positive_definite(M, tol: float | None = None) -> PdCheck:
     return _pd_check(0.5 * (M + M.T), pd_tol(tol))
 
 
-def _pd_check(S: np.ndarray, t: float, z_matrix: bool = False) -> PdCheck:
+def _pd_check(S: np.ndarray, t: float, proof: np.ndarray | None = None) -> PdCheck:
     """The PD rule on a symmetric S: its smallest eigenvalue, the margin, exceeds t.
 
     t is a resolved pd_tol.  S goes to the eigen-solve as it is (LAPACK
@@ -482,17 +482,23 @@ def _pd_check(S: np.ndarray, t: float, z_matrix: bool = False) -> PdCheck:
     no symmetrizing copy.  A NaN or infinite entry is a DomainError, not a
     margin.
 
-    A caller passes z_matrix=True only when no entry of S off its diagonal
-    is positive.  From order _LANCZOS_MIN_ORDER on, such an S is first
-    tried by _z_matrix_check, whose pass is a proof; every case it leaves
-    open goes to the eigen-solve, as any other S does.
+    A caller passes a proof vector only when it is positive and no entry
+    of S off its diagonal is positive.  From order _LANCZOS_MIN_ORDER on,
+    a Collatz-Wielandt bound from it (_collatz_wielandt_bound) above t
+    proves the pass.  The margin is then the smallest Ritz value θ of
+    _lanczos_smallest, as the eigen-solve would give it to rounding, when
+    Lanczos converges and θ is not below the bound.  Every other case,
+    including a bound that is not finite, goes to the eigen-solve.
     """
     if not (math.isfinite(S.max()) and math.isfinite(S.min())):
         raise DomainError("matrix contains NaN or infinite entries")
-    if z_matrix and S.shape[0] >= _LANCZOS_MIN_ORDER:
-        check = _z_matrix_check(S, t)
-        if check is not None:
-            return check
+    if proof is not None and S.shape[0] >= _LANCZOS_MIN_ORDER:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = _collatz_wielandt_bound(S, proof)
+        if math.isfinite(bound) and bound > t:
+            theta = _lanczos_smallest(S)
+            if theta is not None and bound <= theta:
+                return PdCheck(ok=True, margin=theta)
     try:
         eigs = np.linalg.eigvalsh(S)
     except np.linalg.LinAlgError as exc:
@@ -501,49 +507,8 @@ def _pd_check(S: np.ndarray, t: float, z_matrix: bool = False) -> PdCheck:
     return PdCheck(ok=margin > t, margin=margin)
 
 
-def _z_matrix_check(S: np.ndarray, t: float) -> PdCheck | None:
-    """A proven pass of the PD rule on a finite symmetric Z-matrix S, or None.
-
-    The Ritz pair (θ, v) of _lanczos_smallest is made componentwise
-    accurate by _perron_step.  Once v is strictly positive it gives a lower
-    bound on the smallest eigenvalue by Collatz-Wielandt
-    (_collatz_wielandt_bound), and the pass reports θ as the margin, as
-    the eigen-solve would to rounding.  None, for the eigen-solve to
-    decide, when Lanczos does not converge, θ is not below the whole
-    diagonal, v is not strictly positive (S reducible, or the run settled
-    on another eigenvalue, whose eigenvector the step keeps) or the bound
-    does not clear t.
-    """
-    ritz = _lanczos_smallest(S)
-    if ritz is None:
-        return None
-    v = _perron_step(S, *ritz)
-    if v is None or not v.min() > 0.0:
-        return None
-    bound = _collatz_wielandt_bound(S, v)
-    if not t < bound <= ritz[0]:
-        return None
-    return PdCheck(ok=True, margin=ritz[0])
-
-
-def _perron_step(S: np.ndarray, theta: float, v: np.ndarray) -> np.ndarray | None:
-    """N v / (diag(S) - θ) for N = diag(S) - S, or None unless θ is below every diagonal entry.
-
-    With N nonnegative (S a Z-matrix), the smallest eigenvector u of S is
-    the Perron vector of N + c I and can be taken positive, and
-    (diag(S) - λ) u = N u.  One step of that equation from a Ritz pair
-    makes each entry a sum of positive terms, so entries that Lanczos
-    holds only to its normwise error come out to rounding.
-    """
-    diagonal = S.diagonal()
-    pivots = diagonal - theta
-    if not pivots.min() > 0.0:
-        return None
-    return (diagonal * v - S @ v) / pivots
-
-
-def _lanczos_smallest(S: np.ndarray) -> tuple[float, np.ndarray] | None:
-    """(θ, v): the smallest Ritz value of symmetric S and its Ritz vector, or None.
+def _lanczos_smallest(S: np.ndarray) -> float | None:
+    """θ, the smallest Ritz value of symmetric S, or None.
 
     Lanczos (Parlett, The Symmetric Eigenvalue Problem, 1998) from the
     all-ones vector, each new direction orthogonalised against the whole
@@ -556,7 +521,6 @@ def _lanczos_smallest(S: np.ndarray) -> tuple[float, np.ndarray] | None:
     leaves the float range (entries of S near the top of it), with no
     warning.  The tridiagonal matrix is solved at checks spaced by the
     residual's own rate of decrease, at most _LANCZOS_CHECK_STEPS apart.
-    v has unit norm and a positive sum.
     """
     r = S.shape[0]
     steps = min(_LANCZOS_MAX_STEPS, r)
@@ -584,8 +548,7 @@ def _lanczos_smallest(S: np.ndarray) -> tuple[float, np.ndarray] | None:
                 residual = beta[j] * abs(s[-1, 0])
                 target = _LANCZOS_RTOL * max(abs(theta[0]), abs(theta[-1]))
                 if residual <= target:
-                    v = s[:, 0] @ Q
-                    return float(theta[0]), (v if v.sum() > 0.0 else -v)
+                    return float(theta[0])
                 check = min(j + 1 + _next_check(last, (j + 1, residual), target), steps)
                 last = (j + 1, residual)
             if j + 1 < steps:

@@ -104,7 +104,7 @@ class ScalarMap:
                 raise PreconditionError(f"LINEAR gain must satisfy 0 < c <= 1, got {self.c}")
             return
         if self.kind == POWER:
-            if self.p < 1.0:
+            if not self.p >= 1.0:
                 raise PreconditionError(f"POWER exponent must satisfy p >= 1, got {self.p}")
             if lo < -1.0 or hi > 1.0:
                 raise PreconditionError(
@@ -518,13 +518,18 @@ def check_k_content_preserving(
     otherwise |q_i| <= |p_i| + tol.  Tuples come from the full per-axis
     grid product plus `num_random` seeded uniform draws; both counts are
     integers, samples_per_axis >= 1 and num_random >= 0, or DomainError.
-    The first violation is returned as a concrete counterexample.
+    A domain whose width hi - lo is not finite cannot be sampled, and is a
+    DomainError too.  The first violation is returned as a concrete
+    counterexample.
     """
     n = sys.n
     if not 1 <= k <= n - 1:
         raise DomainError(f"order k={k} must satisfy 1 <= k <= n-1={n - 1}")
     samples_per_axis = _checked_count(samples_per_axis, "samples_per_axis", 1)
     num_random = _checked_count(num_random, "num_random", 0)
+    lo, hi = sys.domain
+    if not np.isfinite(hi - lo):
+        raise DomainError(f"the content check needs a domain of finite width, got [{lo}, {hi}]")
     t = zero_tol(tol)
     # the tuples and the random draws again while they are copied in, then
     # p, q and the arrays of their size that compare them, and 64 KiB more
@@ -533,7 +538,6 @@ def check_k_content_preserving(
     count = total_grid + num_random
     _require_budget(8 * count * (6 * compound_size(k, n) + 2 * kn) + (1 << 16),
                     f"a content check of {_count_text(count)} tuples")
-    lo, hi = sys.domain
     axis = np.linspace(lo, hi, samples_per_axis)
     # grid tuple t, flattened, reads axis at the kn base-s digits of t, the
     # first slowest: itertools.product's order, n coordinates by k vectors

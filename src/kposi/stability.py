@@ -104,9 +104,9 @@ def stein_holds(A, D, tol: float | None = None) -> SteinCheck:
     A^T D A is formed as X^T X with X = D^{1/2} A, which numpy computes
     with one BLAS syrk: the difference is exactly symmetric, so it goes
     to the eigen-solve with no symmetrizing copy.  The margin is its
-    smallest eigenvalue, and the check passes above pd_tol(tol).  For an
-    entrywise nonnegative A the Gram is too, so the difference is a
-    Z-matrix, and _pd_check may prove the pass without the eigen-solve.
+    smallest eigenvalue, and the check passes above pd_tol(tol).  A
+    caller's D comes with no positive vector that proves the pass, so the
+    eigen-solve always decides, whatever the signs of A.
     """
     A = as_square(A)
     d = diag_entries(D)
@@ -115,7 +115,7 @@ def stein_holds(A, D, tol: float | None = None) -> SteinCheck:
             f"D has {d.size} diagonal entries but A is {A.shape[0]}x{A.shape[0]}"
         )
     gap = _stein_gap(np.sqrt(d)[:, None] * A, d)
-    return SteinCheck(*_pd_check(gap, pd_tol(tol), z_matrix=bool(A.min() >= 0.0)))
+    return SteinCheck(*_pd_check(gap, pd_tol(tol)))
 
 
 def _stein_gap(X: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -367,9 +367,11 @@ def _certify(
         np.negative(M, out=M)
     # The sign gate lets in-band negative minors through.  An M with none
     # may be solved by its Neumann series, and has a nonnegative Gram,
-    # which makes the Stein gap a Z-matrix.
-    z_matrix = bool(M.min() >= 0.0)
-    xi, z, d = _dlf_solve(M, x, y, rho if z_matrix else 0.0)
+    # which makes the Stein gap a Z-matrix; xi then proves its pass, as
+    # (D - M^T D M) xi = y' + M^T D x' >= y' > 0 for x' = xi - M xi and
+    # y' = z - M^T z.
+    nonneg = bool(M.min() >= 0.0)
+    xi, z, d = _dlf_solve(M, x, y, rho if nonneg else 0.0)
     xi_gap = float(np.min((xi - M @ xi) / (1.0 + np.abs(xi))))
     z_gap = float(np.min((z - M.T @ z) / (1.0 + np.abs(z))))
     # M is this call's own compound: scale it into X = D^{1/2} M in place
@@ -377,7 +379,7 @@ def _certify(
     # the margin, unchanged.
     gap = _stein_gap(np.multiply(np.sqrt(d)[:, None], M, out=M), d)
     del M
-    check = _pd_check(gap, pd_tol(tol), z_matrix)
+    check = _pd_check(gap, pd_tol(tol), xi if nonneg else None)
     if not check.ok:
         raise NumericError(f"constructed D failed the Stein check (margin {check.margin:.3g})")
     return KDiagCertificate(

@@ -332,6 +332,7 @@ class TestErrorPaths:
             ("simulate", {"maps": 5}),
             ("simulate", {"domain": [-1, "a"]}),
             ("simulate", {"maps": [{"kind": "table", "points": [[1]]}] * 3}),
+            ("simulate", {"maps": [{"kind": "power", "p": float("nan")}] * 3}),
             ("classify", {"rows": 2.5, "cols": 2, "data": [[1.0, 0.0], [0.0, 1.0]]}),
             ("classify", {"rows": 2, "cols": "2", "data": [[1.0, 0.0], [0.0, 1.0]]}),
             ("classify", {"rows": True, "cols": 1, "data": [[1.0]]}),
@@ -351,6 +352,7 @@ class TestErrorPaths:
             "maps-not-a-list",
             "domain-bound-string",
             "table-point-short",
+            "power-exponent-nan",
             "rows-fractional",
             "cols-numeric-string",
             "rows-boolean",

@@ -174,8 +174,8 @@ def refusal(call):
 @pytest.mark.parametrize("name", EXTREME_SIDES)
 def test_extreme_right_hand_sides_are_refused_as_on_lu(name, solves, monkeypatch):
     # each x, y makes the construction refuse: d overflows or underflows,
-    # or the Stein check fails, on a gap whose entries overflow Lanczos so
-    # that the eigen-solve decides.  The refusal must be the one LU gives,
+    # or the Stein check fails: the bound from xi does not clear pd_tol,
+    # so the eigen-solve decides.  The refusal must be the one LU gives,
     # whether the series stopped or gave up.  pyproject.toml turns numpy's
     # RuntimeWarnings into errors here, and none may be raised: each
     # refusal is a KposiError.

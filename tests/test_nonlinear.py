@@ -84,6 +84,13 @@ class TestScalarMap:
             ScalarMap.power(2).validate((-2.0, 2.0))
         ScalarMap.power(2).validate((-1.0, 1.0))
 
+    def test_power_validation_refuses_a_nan_exponent(self):
+        # NaN fails p >= 1 and p < 1 alike; a NaN exponent simulates NaN states
+        with pytest.raises(PreconditionError, match="p >= 1"):
+            ScalarMap.power(float("nan")).validate((-0.5, 0.5))
+        with pytest.raises(PreconditionError, match="p >= 1"):
+            NonlinearSystem(np.eye(2), (ScalarMap.power(float("nan")),) * 2, (-0.5, 0.5))
+
     def test_table_validation(self):
         with pytest.raises(PreconditionError):
             ScalarMap.table([(-1.0, -0.5), (1.0, 0.5)]).validate((-1.0, 1.0))
@@ -334,6 +341,18 @@ class TestContentPreserving:
         # once IndexError, ValueError or TypeError from the grid and draws
         with pytest.raises(DomainError, match=next(iter(kwargs))):
             check_k_content_preserving(squared_map_system(), 1, seed=1, **kwargs)
+
+    @pytest.mark.parametrize("domain", [(-1e308, 1e308), (-np.inf, np.inf)],
+                             ids=["width-overflows", "infinite"])
+    def test_domain_of_infinite_width_refused(self, domain):
+        # the grid and the draws of such a domain overflow; the system
+        # itself stays valid, and simulate runs on it
+        sys_ = NonlinearSystem(np.eye(3) * 0.5, (ScalarMap.linear(0.5),) * 3, domain)
+        with pytest.raises(DomainError, match="finite width"):
+            check_k_content_preserving(sys_, 1, seed=1)
+        with pytest.raises(DomainError, match="finite width"):
+            check_k_content_preserving(sys_, 1, 10**9, seed=1)
+        assert simulate(sys_, [1.0, -2.0, 4.0], 2).exit_step is None
 
     def test_smallest_sample_counts_run(self):
         rep = check_k_content_preserving(squared_map_system(), 1, 1, 0, seed=1)

@@ -1,10 +1,12 @@
-"""The Stein margin of a vouched Z-matrix from Lanczos and a Collatz-Wielandt bound.
+"""The Stein check of certify, proven from its own xi.
 
-matcore._pd_check tries matcore._z_matrix_check when its caller vouches
-that S has no positive entry off its diagonal and S has order at least
-_LANCZOS_MIN_ORDER.  A pass reports the smallest Ritz value; every other
-case goes to np.linalg.eigvalsh, whose margin must then come out bit for
-bit.
+For a nonnegative compound M the construction's xi proves the pass:
+with x' = xi - M xi and y' = z - M^T z, (D - M^T D M) xi = y' + M^T D x'
+>= y' > 0.  From order _LANCZOS_MIN_ORDER on, matcore._pd_check takes a
+Collatz-Wielandt bound from xi, and a bound above pd_tol proves the pass,
+with the smallest Ritz value as the margin.  Every other case, and every
+stein_holds call, goes to np.linalg.eigvalsh, whose margin must then come
+out bit for bit.
 """
 
 import contextlib
@@ -13,6 +15,7 @@ import io
 import json
 import re
 import tracemalloc
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -66,102 +69,55 @@ def certify_large_pool(seed):
 
 
 def stein_gap(A, k, x=None, y=None):
-    """The gap D - M^T D M that certify builds for A^(k), and its d, solved
+    """The gap D - M^T D M that certify builds for A^(k), and its xi, solved
     as certify solves it: by the Neumann series where M has no negative
     entry and its spectral radius makes the series the cheaper path."""
     M = matcore._minor_table(A, k)
     if M.max() <= 0.0:
         np.negative(M, out=M)
     rho = stability._compound_radius(A, k) if M.min() >= 0.0 else 0.0
-    _, _, d = stability._dlf_solve(M, x, y, rho)
-    return stability._stein_gap(np.sqrt(d)[:, None] * M, d), d
+    xi, _, d = stability._dlf_solve(M, x, y, rho)
+    return stability._stein_gap(np.sqrt(d)[:, None] * M, d), xi
 
 
 def smallest_eigenvalue(S):
     return float(np.linalg.eigvalsh(S)[0])
 
 
-class EnclosureCalls(list):
-    """The results of the matcore._z_matrix_check calls, in order, and the
-    gap of the last call in `gap`."""
+@dataclass
+class ProofCall:
+    """One try of the proof path in matcore._pd_check: the gap S, the proof
+    vector, the Collatz-Wielandt bound from it, and the results of the
+    Lanczos runs that followed (none when the bound did not clear pd_tol,
+    None for a run that did not converge)."""
 
-    gap = None
+    S: np.ndarray
+    proof: np.ndarray
+    bound: float
+    ritz: list = field(default_factory=list)
+
+    @property
+    def proven(self) -> bool:
+        """Whether the pass was proven, with the Ritz value as its margin."""
+        return len(self.ritz) == 1 and self.ritz[0] is not None and self.bound <= self.ritz[0]
 
 
 @pytest.fixture
-def enclosure_calls(monkeypatch):
-    calls = EnclosureCalls()
-    original = matcore._z_matrix_check
+def proof_calls(monkeypatch):
+    calls = []
+    bound, lanczos = matcore._collatz_wielandt_bound, matcore._lanczos_smallest
 
-    def recorded(S, t):
-        calls.append(original(S, t))
-        calls.gap = S
-        return calls[-1]
+    def recorded_bound(S, v):
+        calls.append(ProofCall(S, v, bound(S, v)))
+        return calls[-1].bound
 
-    monkeypatch.setattr(matcore, "_z_matrix_check", recorded)
+    def recorded_lanczos(S):
+        calls[-1].ritz.append(lanczos(S))
+        return calls[-1].ritz[-1]
+
+    monkeypatch.setattr(matcore, "_collatz_wielandt_bound", recorded_bound)
+    monkeypatch.setattr(matcore, "_lanczos_smallest", recorded_lanczos)
     return calls
-
-
-class TestRitzMargin:
-    @pytest.mark.parametrize("seed", range(10))
-    def test_certify_large_margin_matches_the_eigen_solve(self, seed, enclosure_calls):
-        for A in certify_large_pool(seed):
-            cert = certify_k_diag_stability(A, 5)
-            assert isinstance(cert, KDiagCertificate) and cert.r == 792
-            assert len(enclosure_calls) == 1 and enclosure_calls.pop().margin == cert.stein_margin
-            S = enclosure_calls.gap
-            exact = smallest_eigenvalue(S)
-            assert abs(cert.stein_margin - exact) <= MARGIN_RTOL * exact
-            theta, v = matcore._lanczos_smallest(S)
-            v = matcore._perron_step(S, theta, v)
-            assert theta == cert.stein_margin and v.min() > 0.0
-            assert matcore.pd_tol() < matcore._collatz_wielandt_bound(S, v) <= exact
-
-    @pytest.mark.parametrize("density", [1.0, 0.05])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_random_z_matrices(self, seed, density):
-        # S = c I - B, B symmetric nonnegative, c 10% above B's Perron root
-        rng = np.random.default_rng([seed, 90])
-        r = 300
-        B = rng.uniform(0.0, 1.0, (r, r)) * (rng.uniform(0.0, 1.0, (r, r)) < density)
-        B = B + B.T
-        perron = -smallest_eigenvalue(-B)
-        S = 1.1 * perron * np.eye(r) - B
-        exact = smallest_eigenvalue(S)
-        check = matcore._pd_check(S, matcore.pd_tol(), z_matrix=True)
-        assert check.ok and abs(check.margin - exact) <= MARGIN_RTOL * exact
-        assert check == matcore._z_matrix_check(S, matcore.pd_tol())
-        v = matcore._perron_step(S, *matcore._lanczos_smallest(S))
-        assert v.min() > 0.0 and matcore._collatz_wielandt_bound(S, v) <= exact
-
-    def test_the_path_allocates_nothing_of_order_r_squared(self):
-        S, _ = stein_gap(certify_large_pool(0)[0], 5)
-        r = S.shape[0]
-        matcore._pd_check(S, matcore.pd_tol(), z_matrix=True)
-        tracemalloc.start()
-        try:
-            check = matcore._z_matrix_check(S, matcore.pd_tol())
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert check is not None and check.ok
-        # the basis holds at most _LANCZOS_MAX_STEPS vectors of length r
-        assert peak < 0.5 * r * r * 8
-
-    def test_negated_chain_certifies_bit_for_bit(self, enclosure_calls):
-        # -A at odd k has a nonpositive compound; after the flip its zero
-        # entries are -0.0, which min >= 0 admits: the Gram of an M with
-        # signed zeros is still exactly nonnegative, so the path is taken
-        # and sees the same gap as A's
-        A = certify_large_pool(3)[0]
-        M = -matcore._minor_table(-A, 5)
-        assert M.min() >= 0.0 and np.signbit(M[M == 0.0]).any()
-        cert, flipped = certify_k_diag_stability(A, 5), certify_k_diag_stability(-A, 5)
-        assert flipped.sign_flipped and not cert.sign_flipped
-        assert [c is not None for c in enclosure_calls] == [True, True]
-        assert flipped.stein_margin == cert.stein_margin
-        for a, b in ((cert.d, flipped.d), (cert.xi, flipped.xi), (cert.z, flipped.z)):
-            np.testing.assert_array_equal(a, b)
 
 
 def block_cycle(r, gain, coupling):
@@ -171,91 +127,170 @@ def block_cycle(r, gain, coupling):
     return A
 
 
-class TestFallback:
-    """Every case the enclosure leaves open goes to the eigen-solve, bit for bit."""
+class TestXiProof:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_certify_large_margin_matches_the_eigen_solve(self, seed, proof_calls):
+        for A in certify_large_pool(seed):
+            cert = certify_k_diag_stability(A, 5)
+            assert isinstance(cert, KDiagCertificate) and cert.r == 792
+            (call,) = proof_calls
+            proof_calls.clear()
+            assert call.proof is cert.xi
+            assert call.proven and call.ritz == [cert.stein_margin]
+            exact = smallest_eigenvalue(call.S)
+            assert abs(cert.stein_margin - exact) <= MARGIN_RTOL * exact
+            # the bound from xi reads most of the margin, not just pd_tol
+            assert 0.95 * exact < call.bound <= exact
 
-    def test_reducible_gap_of_a_diagonal_matrix(self, enclosure_calls):
+    @pytest.mark.parametrize("density", [1.0, 0.05])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_z_matrices(self, seed, density):
+        # S = c I - B, B symmetric nonnegative, c 10% above B's Perron root:
+        # the bound from any positive vector stays at or below eigvalsh's
+        # smallest eigenvalue, down to the Perron vector itself, where the
+        # rounding term alone keeps it there
+        rng = np.random.default_rng([seed, 90])
+        r = 300
+        B = rng.uniform(0.0, 1.0, (r, r)) * (rng.uniform(0.0, 1.0, (r, r)) < density)
+        B = B + B.T
+        perron = -smallest_eigenvalue(-B)
+        S = 1.1 * perron * np.eye(r) - B
+        exact = smallest_eigenvalue(S)
+        perron_vector = np.abs(np.linalg.eigh(S)[1][:, 0])
+        vectors = [np.ones(r), rng.uniform(0.1, 1.0, r), rng.uniform(0.0, 1.0, r) ** 8 + 1e-300,
+                   perron_vector]
+        for v in vectors:
+            assert v.min() > 0.0 and matcore._collatz_wielandt_bound(S, v) <= exact
+        check = matcore._pd_check(S, matcore.pd_tol(), perron_vector)
+        assert check.ok and abs(check.margin - exact) <= MARGIN_RTOL * exact
+
+    def test_the_path_allocates_nothing_of_order_r_squared(self, proof_calls):
+        S, xi = stein_gap(certify_large_pool(0)[0], 5)
+        r = S.shape[0]
+        matcore._pd_check(S, matcore.pd_tol(), xi)
+        tracemalloc.start()
+        try:
+            check = matcore._pd_check(S, matcore.pd_tol(), xi)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert proof_calls[-1].proven and check == (True, proof_calls[-1].ritz[0])
+        # the basis holds at most _LANCZOS_MAX_STEPS vectors of length r
+        assert peak < 0.5 * r * r * 8
+
+    def test_negated_chain_certifies_bit_for_bit(self, proof_calls):
+        # -A at odd k has a nonpositive compound; after the flip its zero
+        # entries are -0.0, which min >= 0 admits: the Gram of an M with
+        # signed zeros is still exactly nonnegative, so the path is taken
+        # and sees the same gap as A's
+        A = certify_large_pool(3)[0]
+        M = -matcore._minor_table(-A, 5)
+        assert M.min() >= 0.0 and np.signbit(M[M == 0.0]).any()
+        cert, flipped = certify_k_diag_stability(A, 5), certify_k_diag_stability(-A, 5)
+        assert flipped.sign_flipped and not cert.sign_flipped
+        assert [c.proven for c in proof_calls] == [True, True]
+        assert flipped.stein_margin == cert.stein_margin
+        for a, b in ((cert.d, flipped.d), (cert.xi, flipped.xi), (cert.z, flipped.z)):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("second", ["diagonal", "cycle"])
+    def test_reducible_gap(self, second, proof_calls):
+        # a cycle block beside a diagonal block, whose rows of the gap have
+        # no entry off the diagonal, or beside a second cycle: xi is
+        # positive on both blocks, so it proves the pass all the same
+        r = 300
+        A = np.zeros((r, r))
+        A[:150, :150] = block_cycle(150, 0.3, 0.2)
+        if second == "diagonal":
+            A[150:, 150:] = np.diag(np.linspace(0.1, 0.8, 150))
+        else:
+            A[150:, 150:] = block_cycle(150, 0.5, 0.1)
+        cert = construct_dlf_nonneg(A)
+        assert [c.proven for c in proof_calls] == [True]
+        exact = smallest_eigenvalue(stein_gap(A, 1)[0])
+        assert abs(cert.stein_margin - exact) <= MARGIN_RTOL * exact
+
+    def test_a_bound_beyond_the_float_range_proves_nothing(self, proof_calls):
+        # S = c I - b (J - I) is positive definite, and S 1 > 0 proves it in
+        # exact arithmetic, but the rounding term of the bound overflows:
+        # the eigen-solve decides, with no warning
+        r = matcore._LANCZOS_MIN_ORDER
+        b = 1e305
+        S = np.full((r, r), -b)
+        S.flat[:: r + 1] = 1.5e308
+        check = matcore._pd_check(S, matcore.pd_tol(), np.ones(r))
+        assert [(c.bound, c.ritz) for c in proof_calls] == [(-np.inf, [])]
+        assert check.ok and check.margin == smallest_eigenvalue(S)
+
+
+class TestFallback:
+    """Every case the proof leaves open goes to the eigen-solve, bit for bit."""
+
+    def test_reducible_gap_of_a_diagonal_matrix(self, proof_calls):
         r = 300
         A = np.diag(np.linspace(0.1, 0.8, r))
         d = np.linspace(1.0, 2.0, r)
         check = stein_holds(A, d)
-        assert enclosure_calls == [None]
+        assert proof_calls == []
         S = stability._stein_gap(np.sqrt(d)[:, None] * A, d)
         assert check.ok and check.margin == smallest_eigenvalue(S)
 
-    def test_reducible_gap_with_an_uncoupled_block(self, enclosure_calls):
-        # the diagonal block's rows of the gap have no entry off the
-        # diagonal, so the Perron step gives them 0
-        r = 300
-        A = np.zeros((r, r))
-        A[:150, :150] = block_cycle(150, 0.3, 0.2)
-        A[150:, 150:] = np.diag(np.linspace(0.1, 0.8, 150))
-        cert = construct_dlf_nonneg(A)
-        assert enclosure_calls == [None]
-        S, _ = stein_gap(A, 1)
-        assert cert.stein_margin == smallest_eigenvalue(S)
+    def test_stein_holds_on_a_certificate(self, proof_calls):
+        # the D certify proved from its xi: stein_holds gets no xi and
+        # runs the eigen-solve, which agrees with the proven margin
+        A = certify_large_pool(0)[0]
+        cert = certify_k_diag_stability(A, 5)
+        assert [c.proven for c in proof_calls] == [True]
+        M = matcore._minor_table(A, 5)
+        check = stein_holds(M, cert.d)
+        assert len(proof_calls) == 1
+        S = stability._stein_gap(np.sqrt(cert.d)[:, None] * M, cert.d)
+        assert check.ok and check.margin == smallest_eigenvalue(S)
+        assert abs(check.margin - cert.stein_margin) <= MARGIN_RTOL * check.margin
 
-    def test_reducible_gap_of_two_coupled_blocks_is_never_misreported(self, enclosure_calls):
-        # the rows of the block that does not hold the smallest eigenvalue
-        # get the Ritz vector's rounding noise: where it comes out positive,
-        # Collatz-Wielandt still bounds, and the margin is the smallest
-        # eigenvalue; elsewhere the eigen-solve decides
-        r = 300
-        A = np.zeros((r, r))
-        A[:150, :150] = block_cycle(150, 0.3, 0.2)
-        A[150:, 150:] = block_cycle(150, 0.5, 0.1)
-        cert = construct_dlf_nonneg(A)
-        S, _ = stein_gap(A, 1)
-        exact = smallest_eigenvalue(S)
-        if enclosure_calls == [None]:
-            assert cert.stein_margin == exact
-        else:
-            assert abs(cert.stein_margin - exact) <= MARGIN_RTOL * exact
-
-    def test_in_band_negative_minors_are_not_vouched(self, enclosure_calls):
+    def test_in_band_negative_minors_are_not_vouched(self, proof_calls):
         # the sign gate reads -1e-13 as zero, so A still certifies, but its
         # Gram may have entries of either sign
         A = block_cycle(300, 0.3, 0.2)
         A[0, 5] = -1e-13
         cert = construct_dlf_nonneg(A)
-        assert enclosure_calls == []
+        assert proof_calls == []
         S, _ = stein_gap(A, 1)
         assert cert.stein_margin == smallest_eigenvalue(S)
 
-    def test_positive_off_diagonal_entries_are_not_vouched(self, enclosure_calls):
+    def test_positive_off_diagonal_entries_are_not_vouched(self, proof_calls):
         rng = np.random.default_rng(91)
         A = rng.uniform(-1.0, 1.0, (300, 300))
         A *= 0.5 / np.linalg.norm(A, 2)
         d = np.ones(300)
         check = stein_holds(A, d)
-        assert enclosure_calls == []
+        assert proof_calls == []
         S = stability._stein_gap(np.sqrt(d)[:, None] * A, d)
         assert (S - np.diag(np.diag(S))).max() > 0.0
         assert check.ok and check.margin == smallest_eigenvalue(S)
         assert matcore.is_positive_definite(S).margin == smallest_eigenvalue(S)
 
-    def test_no_convergence_within_the_step_cap(self, monkeypatch, enclosure_calls):
+    def test_no_convergence_within_the_step_cap(self, monkeypatch, proof_calls):
         monkeypatch.setattr(matcore, "_LANCZOS_MAX_STEPS", 8)
         A = certify_large_pool(0)[0]
         cert = certify_k_diag_stability(A, 5)
-        assert enclosure_calls == [None]
+        assert [(c.bound > matcore.pd_tol(), c.ritz) for c in proof_calls] == [(True, [None])]
         S, _ = stein_gap(A, 5)
-        assert matcore._lanczos_smallest(S) is None
         assert cert.stein_margin == smallest_eigenvalue(S)
 
-    def test_below_the_crossover_order(self, enclosure_calls):
+    def test_below_the_crossover_order(self, proof_calls):
         A = certify_chain(np.random.default_rng(92), n=9)
         cert = certify_k_diag_stability(A, 3)
         assert isinstance(cert, KDiagCertificate) and cert.r < matcore._LANCZOS_MIN_ORDER
-        assert enclosure_calls == []
+        assert proof_calls == []
         S, _ = stein_gap(A, 3)
         assert cert.stein_margin == smallest_eigenvalue(S)
 
     @pytest.mark.parametrize("case", ["diagonal", "cycle"])
-    def test_failed_stein_check_is_unchanged(self, case, enclosure_calls):
+    def test_failed_stein_check_is_unchanged(self, case, proof_calls):
         # a y with one tiny entry makes one d_i tiny and the gap's smallest
-        # eigenvalue with it: the enclosure cannot clear pd_tol, and the
-        # eigen-solve's margin is the one the error names
+        # eigenvalue with it: the bound cannot clear pd_tol, Lanczos does
+        # not run, and the eigen-solve's margin is the one the error names
         r = 300
         y = np.ones(r)
         y[0] = 1e-20
@@ -265,7 +300,7 @@ class TestFallback:
             A, tol = block_cycle(r, 0.5, 1e-6), 1e-5
         with pytest.raises(NumericError, match="constructed D failed the Stein check") as info:
             construct_dlf_nonneg(A, y=y, tol=tol)
-        assert enclosure_calls == [None]
+        assert [c.ritz for c in proof_calls] == [[]]
         S, _ = stein_gap(A, 1, y=y)
         assert str(info.value) == (
             f"constructed D failed the Stein check (margin {smallest_eigenvalue(S):.3g})"

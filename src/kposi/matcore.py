@@ -53,6 +53,9 @@ _LANCZOS_RTOL = 1e-14
 # before the first one.
 _LANCZOS_CHECK_STEPS = 16
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
+
 # Entries of a Laplace level the kernel builds in one go.  A larger level
 # is built in blocks of row sets of about this many entries, written into
 # one preallocated table, so its temporaries stay a fraction of the table.
@@ -484,21 +487,18 @@ def _pd_check(S: np.ndarray, t: float, proof: np.ndarray | None = None) -> PdChe
 
     A caller passes a proof vector only when it is positive and no entry
     of S off its diagonal is positive.  From order _LANCZOS_MIN_ORDER on,
-    a Collatz-Wielandt bound from it (_collatz_wielandt_bound) above t
-    proves the pass.  The margin is then the smallest Ritz value θ of
-    _lanczos_smallest, as the eigen-solve would give it to rounding, when
-    Lanczos converges and θ is not below the bound.  Every other case,
-    including a bound that is not finite, goes to the eigen-solve.
+    _proven_margin tries the proof on S.__matmul__ with the rounding of
+    one mat-vec (_z_matrix_rounding), and its θ is the margin when it
+    proves the pass.  Every other case goes to the eigen-solve.  A gap
+    that is only applied, never formed, goes to _proven_margin directly
+    (stability._certify).
     """
     if not (math.isfinite(S.max()) and math.isfinite(S.min())):
         raise DomainError("matrix contains NaN or infinite entries")
     if proof is not None and S.shape[0] >= _LANCZOS_MIN_ORDER:
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = _collatz_wielandt_bound(S, proof)
-        if math.isfinite(bound) and bound > t:
-            theta = _lanczos_smallest(S)
-            if theta is not None and bound <= theta:
-                return PdCheck(ok=True, margin=theta)
+        theta = _proven_margin(proof, t, S.__matmul__, *_z_matrix_rounding(S))
+        if theta is not None:
+            return PdCheck(ok=True, margin=theta)
     try:
         eigs = np.linalg.eigvalsh(S)
     except np.linalg.LinAlgError as exc:
@@ -507,31 +507,57 @@ def _pd_check(S: np.ndarray, t: float, proof: np.ndarray | None = None) -> PdChe
     return PdCheck(ok=margin > t, margin=margin)
 
 
-def _lanczos_smallest(S: np.ndarray) -> float | None:
-    """θ, the smallest Ritz value of symmetric S, or None.
+def _proven_margin(proof: np.ndarray, t: float, matvec, c, count: int, floor) -> float | None:
+    """θ of _lanczos_smallest on the symmetric Z-matrix S that matvec applies,
+    once the Collatz-Wielandt bound from proof > 0 proves S > t; None, and
+    the eigen-solve decides, in every other case.
+
+    c, count and floor model the rounding of matvec, as
+    _collatz_wielandt_bound reads them.  The bound proves the pass when it
+    is finite and above t, and θ is returned when Lanczos converges and θ
+    is not below the bound.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = _collatz_wielandt_bound(matvec, proof, c, count, floor)
+    if math.isfinite(bound) and bound > t:
+        theta = _lanczos_smallest(matvec, proof.size)
+        if theta is not None and bound <= theta:
+            return theta
+    return None
+
+
+def _z_matrix_rounding(S: np.ndarray):
+    """(c, count, floor) of _collatz_wielandt_bound for one mat-vec with an
+    explicit symmetric Z-matrix S: c = max(diag S, 0), r products a row."""
+    r = S.shape[0]
+    return np.maximum(S.diagonal(), 0.0), r, r * _TINY
+
+
+def _lanczos_smallest(matvec, r: int) -> float | None:
+    """θ, the smallest Ritz value of the symmetric r x r matrix S that matvec applies, or None.
 
     Lanczos (Parlett, The Symmetric Eigenvalue Problem, 1998) from the
     all-ones vector, each new direction orthogonalised against the whole
     basis twice (classical Gram-Schmidt, twice is enough).  The work is one
-    mat-vec with S per step plus two products with the basis, which holds
-    at most _LANCZOS_MAX_STEPS vectors: no r x r array is made.  The run
-    stops once the Ritz residual |beta_j s_j| of θ is at most
-    _LANCZOS_RTOL times the largest Ritz value in modulus, and returns
-    None if that takes more than _LANCZOS_MAX_STEPS steps, or if a step
-    leaves the float range (entries of S near the top of it), with no
-    warning.  The tridiagonal matrix is solved at checks spaced by the
+    call of matvec per step plus two products with the basis, which holds
+    the vectors of the steps up to the next check and grows in place at
+    each check, to at most _LANCZOS_MAX_STEPS vectors: no r x r array is
+    made.  The run stops once the Ritz residual |beta_j s_j| of θ is at
+    most _LANCZOS_RTOL times the largest Ritz value in modulus, and
+    returns None if that takes more than _LANCZOS_MAX_STEPS steps, or if a
+    step leaves the float range (entries of S near the top of it), with
+    no warning.  The tridiagonal matrix is solved at checks spaced by the
     residual's own rate of decrease, at most _LANCZOS_CHECK_STEPS apart.
     """
-    r = S.shape[0]
     steps = min(_LANCZOS_MAX_STEPS, r)
-    basis = np.empty((steps, r))
-    basis[0] = 1.0 / math.sqrt(r)
     alpha, beta = np.empty(steps), np.empty(steps)
     check, last = min(_LANCZOS_CHECK_STEPS, steps), None
+    basis = np.empty((check, r))
+    basis[0] = 1.0 / math.sqrt(r)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(steps):
             Q = basis[: j + 1]
-            w = S @ Q[j]
+            w = matvec(Q[j])
             alpha[j] = Q[j] @ w
             w -= (Q @ w) @ Q
             w -= (Q @ w) @ Q
@@ -539,21 +565,37 @@ def _lanczos_smallest(S: np.ndarray) -> float | None:
             if not (math.isfinite(alpha[j]) and math.isfinite(beta[j])):
                 return None
             if j + 1 == check or beta[j] == 0.0:
-                T = np.diag(alpha[: j + 1])
-                T.flat[1 :: j + 2] = T.flat[j + 1 :: j + 2] = beta[:j]
-                try:
-                    theta, s = np.linalg.eigh(T)
-                except np.linalg.LinAlgError:
+                ritz = _smallest_ritz(alpha[: j + 1], beta[: j + 1])
+                if ritz is None:
                     return None
-                residual = beta[j] * abs(s[-1, 0])
-                target = _LANCZOS_RTOL * max(abs(theta[0]), abs(theta[-1]))
+                theta, residual, target = ritz
                 if residual <= target:
-                    return float(theta[0])
+                    return theta
                 check = min(j + 1 + _next_check(last, (j + 1, residual), target), steps)
                 last = (j + 1, residual)
             if j + 1 < steps:
+                if j + 1 == len(basis):
+                    # grown up to the next check; Q, the one view of the
+                    # basis, goes first, so the reallocation leaves none
+                    del Q
+                    basis.resize((check, r), refcheck=False)
                 basis[j + 1] = w / beta[j]
     return None
+
+
+def _smallest_ritz(alpha: np.ndarray, beta: np.ndarray):
+    """(θ, its Ritz residual |beta_j s_j|, the residual that stops the run)
+    from the tridiagonal matrix of alpha and beta[:-1], or None if its
+    eigen-solve fails.  Its two j x j arrays go at the return, before the
+    run's next mat-vec."""
+    j = alpha.size
+    T = np.diag(alpha)
+    T.flat[1 :: j + 1] = T.flat[j :: j + 1] = beta[:-1]
+    try:
+        theta, s = np.linalg.eigh(T)
+    except np.linalg.LinAlgError:
+        return None
+    return float(theta[0]), beta[-1] * abs(s[-1, 0]), _LANCZOS_RTOL * max(abs(theta[0]), abs(theta[-1]))
 
 
 def _next_check(last, now, target: float) -> int:
@@ -567,21 +609,27 @@ def _next_check(last, now, target: float) -> int:
     return int(min(max(math.ceil(need), 1), _LANCZOS_CHECK_STEPS))
 
 
-def _collatz_wielandt_bound(S: np.ndarray, v: np.ndarray) -> float:
+def _collatz_wielandt_bound(matvec, v: np.ndarray, c, count: int, floor) -> float:
     """A lower bound on the smallest eigenvalue of a symmetric Z-matrix S, from v > 0.
 
-    With c I - S nonnegative, its Perron root is at most max_i
-    ((c I - S) v)_i / v_i (Collatz-Wielandt; Horn and Johnson, Matrix
+    matvec applies S.  With μ I - S nonnegative, its Perron root is at most
+    max_i ((μ I - S) v)_i / v_i (Collatz-Wielandt; Horn and Johnson, Matrix
     Analysis, 8.1), so λ_min(S) >= min_i (S v)_i / v_i.  The computed
-    mat-vec f is within γ_r (|S| v)_i of (S v)_i, and as S is a Z-matrix,
-    |S| v = (|diag S| + diag S) v - S v, read off f.  γ is taken as
-    (r + 10) eps, twice γ_r with room for the few roundings after the
-    mat-vec, and r times the smallest subnormal covers underflow.
+    f = matvec(v) is taken to be within γ_count (2 c∘v - S v) + floor of
+    S v, with γ as (count + 10) eps, twice γ_count with room for the few
+    roundings after the product, and floor for underflow:
+
+    - one mat-vec with an explicit S (_z_matrix_rounding) is within
+      γ_r |S| v, and as S is a Z-matrix, |S| v = 2 c∘v - S v for
+      c = max(diag S, 0); floor is r times the smallest subnormal η;
+    - for M >= 0 with at most a nonzeros in a row and b in a column, and
+      d > 0, S = D - M^T D M applied as fl(d∘v - M^T (d∘(M v))) has an
+      error of at most γ_{a+b+2} (d∘v + M^T (d∘(M v))), and that sum is
+      2 d∘v - S v: c = d, count = a + b + 2, and floor is
+      η (M^T (a d + 1) + b + 1), the underflow of the products of the
+      three stages carried through the later ones.
     """
-    r = S.shape[0]
-    f = S @ v
-    diagonal = S.diagonal()
-    spread = (np.abs(diagonal) + diagonal) * v - f
-    fin = np.finfo(float)
-    f -= (r + 10) * fin.eps * spread + r * fin.smallest_subnormal
+    f = matvec(v)
+    spread = 2.0 * c * v - f
+    f -= (count + 10) * _EPS * spread + floor
     return float(np.min(f / v))

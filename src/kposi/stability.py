@@ -25,8 +25,11 @@ from .matcore import (
     _checked_tol,
     _eigvals,
     _finite_extremes,
+    _LANCZOS_MIN_ORDER,
+    _TINY,
     _minor_table,
     _pd_check,
+    _proven_margin,
     _require_finite,
     det_stack,
     as_square,
@@ -56,6 +59,13 @@ _SCREEN_CACHE_DIM = 12
 # predicted to stop within r // 16 terms.
 _NEUMANN_BREAK_EVEN = 16
 _EPS = float(np.finfo(float).eps)
+
+# A nonnegative compound of order _LANCZOS_MIN_ORDER or more with at most
+# r^2 / _NONZERO_BREAK_EVEN nonzeros is used through them after the table.
+# A sweep at r = 792 on one OpenBLAS thread put the break-even with the
+# dense path near r^2 / 6 (128 nonzeros a row); up to r^2 / 16 the nonzero
+# path took at most 0.62 of the dense time (BENCH_sparse.json).
+_NONZERO_BREAK_EVEN = 16
 
 
 def diag_entries(D, name: str = "D") -> np.ndarray:
@@ -106,7 +116,8 @@ def stein_holds(A, D, tol: float | None = None) -> SteinCheck:
     to the eigen-solve with no symmetrizing copy.  The margin is its
     smallest eigenvalue, and the check passes above pd_tol(tol).  A
     caller's D comes with no positive vector that proves the pass, so the
-    eigen-solve always decides, whatever the signs of A.
+    eigen-solve always decides, whatever the signs or the nonzeros of A;
+    certify forms this gap only where it cannot prove its own pass.
     """
     A = as_square(A)
     d = diag_entries(D)
@@ -162,28 +173,30 @@ def construct_dlf_nonneg(A, x=None, y=None, tol: float | None = None) -> DlfCons
 
 
 def _dlf_solve(
-    M: np.ndarray, x, y, rho: float = 0.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """xi, z and d = z / xi of the construction, for a nonnegative Schur M.
+    M: np.ndarray, x, y, rho: float = 0.0, nonzeros: _Nonzeros | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """xi, z and d = z / xi of the construction, for a nonnegative Schur M,
+    and whether they were summed as Neumann series.
 
     x and y come checked by _right_hand_sides, or None for all ones.  A
     rho above 0 vouches that M has no negative entry and spectral radius
     rho.  xi and z are then summed as Neumann series where that is
-    predicted to be cheaper (_neumann_solves); every other case, and a
-    series that does not stop in time, solves I - M by LU (_lu_solves).
-    xi and z must come out positive, and d finite and positive, as
-    diag_entries requires of a diagonal: a d that overflows or underflows
-    is refused as such, with no warning.
+    predicted to be cheaper (_neumann_solves), through M's nonzeros where
+    they are given; every other case, and a series that does not stop in
+    time, solves I - M by LU (_lu_solves).  xi and z must come out
+    positive, and d finite and positive, as diag_entries requires of a
+    diagonal: a d that overflows or underflows is refused as such, with
+    no warning.
     """
     x = np.ones(M.shape[0]) if x is None else x
     y = np.ones(M.shape[0]) if y is None else y
-    solved = _neumann_solves(M, x, y, rho)
+    solved = _neumann_solves(M, x, y, rho, nonzeros)
     xi, z = _lu_solves(M, x, y) if solved is None else solved
     if (xi <= 0.0).any() or (z <= 0.0).any():
         raise NumericError("construction produced nonpositive xi or z entries")
     with np.errstate(over="ignore", invalid="ignore"):
         d = z / xi
-    return xi, z, _require_positive(_require_finite(d, "D"), "D")
+    return xi, z, _require_positive(_require_finite(d, "D"), "D"), solved is not None
 
 
 def _right_hand_sides(x, y, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -226,10 +239,11 @@ def _lu_solves(M: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray,
 
 
 def _neumann_solves(
-    M: np.ndarray, x: np.ndarray, y: np.ndarray, rho: float
+    M: np.ndarray, x: np.ndarray, y: np.ndarray, rho: float, nonzeros: _Nonzeros | None = None
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """xi = sum_j M^j x and z = sum_j (M^T)^j y, for an M >= 0 of spectral
-    radius rho, or None where the LU solves are to be used instead.
+    radius rho, or None where the LU solves are to be used instead.  The
+    terms are dense mat-vecs, or over M's nonzeros where they are given.
 
     rho = 0, passed for an M not vouched nonnegative and the radius of a
     nilpotent M, leaves the solves to LU.  Otherwise the series runs when
@@ -242,32 +256,95 @@ def _neumann_solves(
     cap = M.shape[0] // _NEUMANN_BREAK_EVEN
     if not (0.0 < rho < 1.0 and math.log(_EPS * (1.0 - rho)) / math.log(rho) <= cap):
         return None
-    xi = _neumann_sum(M, x, cap)
+    matvec, rmatvec = _matvecs(M, nonzeros)
+    xi = _neumann_sum(matvec, x, cap)
     if xi is None:
         return None
-    z = _neumann_sum(M.T, y, cap)
+    z = _neumann_sum(rmatvec, y, cap)
     return None if z is None else (xi, z)
 
 
-def _neumann_sum(M: np.ndarray, x: np.ndarray, cap: int) -> np.ndarray | None:
+def _neumann_sum(matvec, x: np.ndarray, cap: int) -> np.ndarray | None:
     """s = x + M x + M^2 x + ..., up to the first term t = M^j x with
     t <= eps * s entrywise, or None when no term of the first cap does
-    so or s is not finite.
+    so or s is not finite; matvec applies M.
 
     Every term of a nonnegative M and positive x is nonnegative.  On the
     stop, x - (I - M) s is that term t up to the rounding of the
     mat-vecs, so s solves (I - M) s = x with a componentwise backward
-    error of about eps.  Each term is one dense mat-vec (M may be a
-    transpose view), with no r x r temporary.
+    error of about eps.  Each term is one mat-vec, dense (M.__matmul__ of
+    M or of its transpose view) or over M's nonzeros (_Nonzeros), with no
+    r x r temporary.
     """
     s, t = x.copy(), x
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cap):
-            t = M @ t
+            t = matvec(t)
             if (t <= _EPS * s).all():
                 return s if np.isfinite(s).all() else None
             s += t
     return None
+
+
+class _Nonzeros(NamedTuple):
+    """An r x r M >= 0 through its nonzeros, row by row: their columns and
+    values in row-major order, the count of each row, the rows that hold
+    any, and where each of those starts."""
+
+    cols: np.ndarray
+    values: np.ndarray
+    counts: np.ndarray
+    rows: np.ndarray
+    starts: np.ndarray
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """M v: each row's products summed in its column order."""
+        p = v[self.cols]
+        p *= self.values
+        out = np.zeros(self.counts.size)
+        out[self.rows] = np.add.reduceat(p, self.starts)
+        return out
+
+    def rmatvec(self, v: np.ndarray) -> np.ndarray:
+        """M^T v: each column's products summed in row order."""
+        p = np.repeat(v, self.counts)
+        p *= self.values
+        return np.bincount(self.cols, p, self.counts.size)
+
+    def stein_gap(self, d: np.ndarray):
+        """v -> d∘v - M^T (d∘(M v)), the Stein gap D - M^T D M applied, and
+        (c, count, floor) of its rounding for the Collatz-Wielandt bound."""
+        a = int(self.counts.max())
+        b = int(np.bincount(self.cols).max())
+        # a d near the top of the float range makes the floor infinite,
+        # and the bound with it: it then proves nothing, with no warning
+        with np.errstate(over="ignore"):
+            floor = _TINY * (self.rmatvec(a * d + 1.0) + (b + 1))
+        return (lambda v: d * v - self.rmatvec(d * self.matvec(v))), d, a + b + 2, floor
+
+
+def _matvecs(M: np.ndarray, nonzeros: _Nonzeros | None):
+    """v -> M v and v -> M^T v: dense, or over M's nonzeros where they are given."""
+    return (M.__matmul__, M.T.__matmul__) if nonzeros is None else (nonzeros.matvec, nonzeros.rmatvec)
+
+
+def _nonzeros(M: np.ndarray) -> _Nonzeros | None:
+    """The nonzeros of an M >= 0 of order _LANCZOS_MIN_ORDER or more that has
+    at most r^2 / _NONZERO_BREAK_EVEN of them, else None."""
+    r = M.shape[0]
+    if r < _LANCZOS_MIN_ORDER:
+        return None
+    # M has no negative entry: its nonzeros are its positive entries
+    positive = M > 0.0
+    if np.count_nonzero(positive) * _NONZERO_BREAK_EVEN > r * r:
+        return None
+    flat = np.flatnonzero(positive)
+    del positive
+    ends = np.searchsorted(flat, np.arange(1, r + 1) * r)
+    counts = np.diff(ends, prepend=0)
+    rows = np.flatnonzero(counts)
+    values = M.take(flat)
+    return _Nonzeros(np.remainder(flat, r, out=flat), values, counts, rows, (ends - counts)[rows])
 
 
 def _compound_radius(A: np.ndarray, k: int) -> float:
@@ -369,26 +446,36 @@ def _certify(
     # may be solved by its Neumann series, and has a nonnegative Gram,
     # which makes the Stein gap a Z-matrix; xi then proves its pass, as
     # (D - M^T D M) xi = y' + M^T D x' >= y' > 0 for x' = xi - M xi and
-    # y' = z - M^T z.
+    # y' = z - M^T z.  A large sparse one is read once into its nonzeros,
+    # and where its series are summed over them, the gaps, the proof and
+    # the margin use them too: neither the Gram nor the gap is formed.
     nonneg = bool(M.min() >= 0.0)
-    xi, z, d = _dlf_solve(M, x, y, rho if nonneg else 0.0)
-    xi_gap = float(np.min((xi - M @ xi) / (1.0 + np.abs(xi))))
-    z_gap = float(np.min((z - M.T @ z) / (1.0 + np.abs(z))))
-    # M is this call's own compound: scale it into X = D^{1/2} M in place
-    # and drop it before the eigen-solve.  The flip leaves M^T D M, and so
-    # the margin, unchanged.
-    gap = _stein_gap(np.multiply(np.sqrt(d)[:, None], M, out=M), d)
-    del M
-    check = _pd_check(gap, pd_tol(tol), xi if nonneg else None)
-    if not check.ok:
-        raise NumericError(f"constructed D failed the Stein check (margin {check.margin:.3g})")
+    nonzeros = _nonzeros(M) if nonneg else None
+    xi, z, d, summed = _dlf_solve(M, x, y, rho if nonneg else 0.0, nonzeros)
+    if not summed:
+        nonzeros = None
+    matvec, rmatvec = _matvecs(M, nonzeros)
+    xi_gap = float(np.min((xi - matvec(xi)) / (1.0 + np.abs(xi))))
+    z_gap = float(np.min((z - rmatvec(z)) / (1.0 + np.abs(z))))
+    pd = pd_tol(tol)
+    margin = None if nonzeros is None else _proven_margin(xi, pd, *nonzeros.stein_gap(d))
+    if margin is None:
+        # M is this call's own compound, still intact: scale it into
+        # X = D^{1/2} M in place and drop it before the eigen-solve.  The
+        # flip leaves M^T D M, and so the margin, unchanged.
+        gap = _stein_gap(np.multiply(np.sqrt(d)[:, None], M, out=M), d)
+        del M
+        check = _pd_check(gap, pd, xi if nonneg and nonzeros is None else None)
+        if not check.ok:
+            raise NumericError(f"constructed D failed the Stein check (margin {check.margin:.3g})")
+        margin = check.margin
     return KDiagCertificate(
         k=k,
         r=r,
         d=d,
         xi=xi,
         z=z,
-        stein_margin=check.margin,
+        stein_margin=margin,
         compound_spectral_radius=rho,
         sign_flipped=sign_flipped,
         xi_gap=xi_gap,

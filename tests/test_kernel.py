@@ -136,10 +136,11 @@ class TestLaplaceKernel:
         return build_cyclic(spec)
 
     def test_certify_holds_few_compound_sized_arrays(self):
-        # at most two compound-sized arrays at once: the compound while the
-        # kernel builds it and during the solves, X = D^(1/2) M and its Gram
-        # in the Stein step; the copies LAPACK makes inside solve and
-        # eigvalsh are not traced
+        # the chain's compound is sparse, so certify holds one
+        # compound-sized array: the compound, while the kernel builds it
+        # (with the level below it and block temporaries) and then beside
+        # its nonzeros, which the solves, the proof and Lanczos use; no
+        # Gram and no Stein gap is formed
         A = self.certify_large_chain()
         certify_k_diag_stability(A, 5)
         tracemalloc.start()
@@ -149,7 +150,7 @@ class TestLaplaceKernel:
         finally:
             tracemalloc.stop()
         assert isinstance(cert, KDiagCertificate) and cert.r == 792
-        assert peak <= 2.5 * 792**2 * 8
+        assert peak <= 1.75 * 792**2 * 8
 
     def test_certify_solves_in_the_compounds_own_buffer(self, monkeypatch):
         # I - M is built in M's buffer, so when each solve starts the only

@@ -2,11 +2,12 @@
 
 For a nonnegative compound M the construction's xi proves the pass:
 with x' = xi - M xi and y' = z - M^T z, (D - M^T D M) xi = y' + M^T D x'
->= y' > 0.  From order _LANCZOS_MIN_ORDER on, matcore._pd_check takes a
-Collatz-Wielandt bound from xi, and a bound above pd_tol proves the pass,
-with the smallest Ritz value as the margin.  Every other case, and every
-stein_holds call, goes to np.linalg.eigvalsh, whose margin must then come
-out bit for bit.
+>= y' > 0.  From order _LANCZOS_MIN_ORDER on, matcore._proven_margin takes
+a Collatz-Wielandt bound from xi, on the gap matcore._pd_check holds or on
+the one certify applies over a sparse compound's nonzeros, and a bound
+above pd_tol proves the pass, with the smallest Ritz value as the margin.
+Every other case, and every stein_holds call, goes to np.linalg.eigvalsh,
+whose margin must then come out bit for bit.
 """
 
 import contextlib
@@ -41,9 +42,9 @@ MARGIN_RTOL = 2.5e-14
 
 # `kposi certify -k 5 --in tests/data/chain12.json`: the sha256 of stdout
 # with the stein_margin value replaced by null, its d, xi and z summed as
-# Neumann series (within 3.3e-15 of the LU solves, componentwise), and
-# the margin as the eigen-solve computed it.
-CHAIN12_MASKED_SHA256 = "50589a315b4320c8b27b6bc9f1d38c19fe537eb95e7e46eb00a399490b28cd1a"
+# Neumann series over the compound's nonzeros (within 2.5e-16 of the dense
+# sums, componentwise), and the margin as the eigen-solve computed it.
+CHAIN12_MASKED_SHA256 = "63925f80e418fe312bd1fb95a50ec2abaf142794ac1717e4d9c6aac1369a13ea"
 CHAIN12_MARGIN = float.fromhex("0x1.b54947e61c602p-1")
 
 
@@ -69,14 +70,17 @@ def certify_large_pool(seed):
 
 
 def stein_gap(A, k, x=None, y=None):
-    """The gap D - M^T D M that certify builds for A^(k), and its xi, solved
-    as certify solves it: by the Neumann series where M has no negative
-    entry and its spectral radius makes the series the cheaper path."""
+    """The gap D - M^T D M that certify proves or builds for A^(k), and its
+    xi, solved as certify solves it: by the Neumann series where M has no
+    negative entry and its spectral radius makes the series the cheaper
+    path, summed over M's nonzeros where certify reads them."""
     M = matcore._minor_table(A, k)
     if M.max() <= 0.0:
         np.negative(M, out=M)
-    rho = stability._compound_radius(A, k) if M.min() >= 0.0 else 0.0
-    xi, _, d = stability._dlf_solve(M, x, y, rho)
+    nonneg = M.min() >= 0.0
+    rho = stability._compound_radius(A, k) if nonneg else 0.0
+    nonzeros = stability._nonzeros(M) if nonneg else None
+    xi, _, d, _ = stability._dlf_solve(M, x, y, rho, nonzeros)
     return stability._stein_gap(np.sqrt(d)[:, None] * M, d), xi
 
 
@@ -86,12 +90,12 @@ def smallest_eigenvalue(S):
 
 @dataclass
 class ProofCall:
-    """One try of the proof path in matcore._pd_check: the gap S, the proof
-    vector, the Collatz-Wielandt bound from it, and the results of the
-    Lanczos runs that followed (none when the bound did not clear pd_tol,
-    None for a run that did not converge)."""
+    """One try of the proof path, matcore._proven_margin: the mat-vec that
+    applies the gap, the proof vector, the Collatz-Wielandt bound from it,
+    and the results of the Lanczos runs that followed (none when the bound
+    did not clear pd_tol, None for a run that did not converge)."""
 
-    S: np.ndarray
+    matvec: object
     proof: np.ndarray
     bound: float
     ritz: list = field(default_factory=list)
@@ -107,12 +111,12 @@ def proof_calls(monkeypatch):
     calls = []
     bound, lanczos = matcore._collatz_wielandt_bound, matcore._lanczos_smallest
 
-    def recorded_bound(S, v):
-        calls.append(ProofCall(S, v, bound(S, v)))
+    def recorded_bound(matvec, v, *rounding):
+        calls.append(ProofCall(matvec, v, bound(matvec, v, *rounding)))
         return calls[-1].bound
 
-    def recorded_lanczos(S):
-        calls[-1].ritz.append(lanczos(S))
+    def recorded_lanczos(matvec, r):
+        calls[-1].ritz.append(lanczos(matvec, r))
         return calls[-1].ritz[-1]
 
     monkeypatch.setattr(matcore, "_collatz_wielandt_bound", recorded_bound)
@@ -137,7 +141,7 @@ class TestXiProof:
             proof_calls.clear()
             assert call.proof is cert.xi
             assert call.proven and call.ritz == [cert.stein_margin]
-            exact = smallest_eigenvalue(call.S)
+            exact = smallest_eigenvalue(stein_gap(A, 5)[0])
             assert abs(cert.stein_margin - exact) <= MARGIN_RTOL * exact
             # the bound from xi reads most of the margin, not just pd_tol
             assert 0.95 * exact < call.bound <= exact
@@ -160,9 +164,36 @@ class TestXiProof:
         vectors = [np.ones(r), rng.uniform(0.1, 1.0, r), rng.uniform(0.0, 1.0, r) ** 8 + 1e-300,
                    perron_vector]
         for v in vectors:
-            assert v.min() > 0.0 and matcore._collatz_wielandt_bound(S, v) <= exact
+            bound = matcore._collatz_wielandt_bound(S.__matmul__, v, *matcore._z_matrix_rounding(S))
+            assert v.min() > 0.0 and bound <= exact
         check = matcore._pd_check(S, matcore.pd_tol(), perron_vector)
         assert check.ok and abs(check.margin - exact) <= MARGIN_RTOL * exact
+
+    @pytest.mark.parametrize("density", [0.5, 0.05])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_stein_gaps_through_nonzeros(self, seed, density, monkeypatch):
+        # S = D - M^T D M for a random nonnegative M, scaled to
+        # ||D^(1/2) M D^(-1/2)||_2 = 0.9, applied as the two-stage product
+        # over M's nonzeros (read whatever its density): its rounding term
+        # keeps the bound from any positive vector at or below eigvalsh's
+        # smallest eigenvalue, down to the Perron vector itself
+        monkeypatch.setattr(stability, "_NONZERO_BREAK_EVEN", 1)
+        rng = np.random.default_rng([seed, 95])
+        r = 300
+        M = rng.uniform(0.0, 1.0, (r, r)) * (rng.uniform(0.0, 1.0, (r, r)) < density)
+        d = rng.uniform(0.5, 2.0, r)
+        root = np.sqrt(d)
+        M *= 0.9 / np.linalg.norm(root[:, None] * M / root, 2)
+        S = np.diag(d) - M.T @ (d[:, None] * M)
+        exact = smallest_eigenvalue(S)
+        perron_vector = np.abs(np.linalg.eigh(S)[1][:, 0])
+        gap = stability._nonzeros(M).stein_gap(d)
+        vectors = [np.ones(r), rng.uniform(0.1, 1.0, r), rng.uniform(0.0, 1.0, r) ** 8 + 1e-300,
+                   perron_vector]
+        for v in vectors:
+            assert v.min() > 0.0 and matcore._collatz_wielandt_bound(gap[0], v, *gap[1:]) <= exact
+        theta = matcore._proven_margin(perron_vector, matcore.pd_tol(), *gap)
+        assert theta is not None and abs(theta - exact) <= MARGIN_RTOL * exact
 
     def test_the_path_allocates_nothing_of_order_r_squared(self, proof_calls):
         S, xi = stein_gap(certify_large_pool(0)[0], 5)

@@ -37,10 +37,10 @@ _BYTE_BUDGET = 400_000_000
 # each k x k block is factorised instead.
 _LAPLACE_MAX_ORDER = 8
 
-# Orders from which _pd_check proves a pass on a symmetric Z-matrix from its
-# caller's positive vector and takes the margin from Lanczos, not from a
-# full eigen-solve; below it the eigen-solve is the faster of the two
-# (crossover measured in BENCH_lanczos.json).
+# Orders from which certify proves the Stein check of a nonnegative compound
+# from its own positive xi (_proven_margin) and takes the margin from
+# Lanczos, not from a full eigen-solve; below it the eigen-solve is the
+# faster of the two (crossover measured in BENCH_lanczos.json).
 _LANCZOS_MIN_ORDER = 250
 
 # Lanczos steps after which the run gives up and the eigen-solve
@@ -54,7 +54,6 @@ _LANCZOS_RTOL = 1e-14
 _LANCZOS_CHECK_STEPS = 16
 
 _EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).smallest_subnormal)
 
 # Entries of a Laplace level the kernel builds in one go.  A larger level
 # is built in blocks of row sets of about this many entries, written into
@@ -471,34 +470,26 @@ def is_positive_definite(M, tol: float | None = None) -> PdCheck:
     M is symmetrized as (M + M^T)/2 first, which keeps its quadratic
     form, and then goes through the PD rule of _pd_check: the check
     passes when the smallest eigenvalue (returned as the margin) exceeds
-    `tol`.
+    `tol`.  Priced at two n x n arrays, the symmetric part and LAPACK's copy.
     """
     M = as_square(M)
+    n = M.shape[0]
+    _require_budget(16 * n * n, f"a definiteness check of order {n}")
     return _pd_check(0.5 * (M + M.T), pd_tol(tol))
 
 
-def _pd_check(S: np.ndarray, t: float, proof: np.ndarray | None = None) -> PdCheck:
+def _pd_check(S: np.ndarray, t: float) -> PdCheck:
     """The PD rule on a symmetric S: its smallest eigenvalue, the margin, exceeds t.
 
     t is a resolved pd_tol.  S goes to the eigen-solve as it is (LAPACK
     reads one triangle), so a caller that builds S exactly symmetric needs
     no symmetrizing copy.  A NaN or infinite entry is a DomainError, not a
-    margin.
-
-    A caller passes a proof vector only when it is positive and no entry
-    of S off its diagonal is positive.  From order _LANCZOS_MIN_ORDER on,
-    _proven_margin tries the proof on S.__matmul__ with the rounding of
-    one mat-vec (_z_matrix_rounding), and its θ is the margin when it
-    proves the pass.  Every other case goes to the eigen-solve.  A gap
-    that is only applied, never formed, goes to _proven_margin directly
-    (stability._certify).
+    margin.  stein_holds, is_positive_definite and certify's fallback
+    decide by it; certify first tries to prove its gap, which it only
+    applies, through _proven_margin (stability._certify).
     """
     if not (math.isfinite(S.max()) and math.isfinite(S.min())):
         raise DomainError("matrix contains NaN or infinite entries")
-    if proof is not None and S.shape[0] >= _LANCZOS_MIN_ORDER:
-        theta = _proven_margin(proof, t, S.__matmul__, *_z_matrix_rounding(S))
-        if theta is not None:
-            return PdCheck(ok=True, margin=theta)
     try:
         eigs = np.linalg.eigvalsh(S)
     except np.linalg.LinAlgError as exc:
@@ -524,13 +515,6 @@ def _proven_margin(proof: np.ndarray, t: float, matvec, c, count: int, floor) ->
         if theta is not None and bound <= theta:
             return theta
     return None
-
-
-def _z_matrix_rounding(S: np.ndarray):
-    """(c, count, floor) of _collatz_wielandt_bound for one mat-vec with an
-    explicit symmetric Z-matrix S: c = max(diag S, 0), r products a row."""
-    r = S.shape[0]
-    return np.maximum(S.diagonal(), 0.0), r, r * _TINY
 
 
 def _lanczos_smallest(matvec, r: int) -> float | None:
@@ -617,17 +601,14 @@ def _collatz_wielandt_bound(matvec, v: np.ndarray, c, count: int, floor) -> floa
     Analysis, 8.1), so λ_min(S) >= min_i (S v)_i / v_i.  The computed
     f = matvec(v) is taken to be within γ_count (2 c∘v - S v) + floor of
     S v, with γ as (count + 10) eps, twice γ_count with room for the few
-    roundings after the product, and floor for underflow:
-
-    - one mat-vec with an explicit S (_z_matrix_rounding) is within
-      γ_r |S| v, and as S is a Z-matrix, |S| v = 2 c∘v - S v for
-      c = max(diag S, 0); floor is r times the smallest subnormal η;
-    - for M >= 0 with at most a nonzeros in a row and b in a column, and
-      d > 0, S = D - M^T D M applied as fl(d∘v - M^T (d∘(M v))) has an
-      error of at most γ_{a+b+2} (d∘v + M^T (d∘(M v))), and that sum is
-      2 d∘v - S v: c = d, count = a + b + 2, and floor is
-      η (M^T (a d + 1) + b + 1), the underflow of the products of the
-      three stages carried through the later ones.
+    roundings after the product, and floor for underflow.  For M >= 0
+    with at most a nonzeros in a row and b in a column (a = b = r when M
+    is applied densely), and d > 0, S = D - M^T D M applied as
+    fl(d∘v - M^T (d∘(M v))) has an error of at most
+    γ_{a+b+2} (d∘v + M^T (d∘(M v))), and that sum is 2 d∘v - S v: c = d,
+    count = a + b + 2, and floor is η (M^T (a d + 1) + b + 1), η the
+    smallest subnormal, the underflow of the products of the three
+    stages carried through the later ones (stability._Applied.stein_gap).
     """
     f = matvec(v)
     spread = 2.0 * c * v - f

@@ -15,7 +15,7 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,10 +26,10 @@ from .matcore import (
     _eigvals,
     _finite_extremes,
     _LANCZOS_MIN_ORDER,
-    _TINY,
     _minor_table,
     _pd_check,
     _proven_margin,
+    _require_budget,
     _require_finite,
     det_stack,
     as_square,
@@ -59,6 +59,7 @@ _SCREEN_CACHE_DIM = 12
 # predicted to stop within r // 16 terms.
 _NEUMANN_BREAK_EVEN = 16
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
 
 # A nonnegative compound of order _LANCZOS_MIN_ORDER or more with at most
 # r^2 / _NONZERO_BREAK_EVEN nonzeros is used through them after the table.
@@ -116,15 +117,15 @@ def stein_holds(A, D, tol: float | None = None) -> SteinCheck:
     to the eigen-solve with no symmetrizing copy.  The margin is its
     smallest eigenvalue, and the check passes above pd_tol(tol).  A
     caller's D comes with no positive vector that proves the pass, so the
-    eigen-solve always decides, whatever the signs or the nonzeros of A;
-    certify forms this gap only where it cannot prove its own pass.
+    eigen-solve always decides; certify forms this gap only where its own
+    proof fails.  Priced at two n x n arrays, the gap and LAPACK's copy.
     """
     A = as_square(A)
+    n = A.shape[0]
     d = diag_entries(D)
-    if d.size != A.shape[0]:
-        raise PreconditionError(
-            f"D has {d.size} diagonal entries but A is {A.shape[0]}x{A.shape[0]}"
-        )
+    if d.size != n:
+        raise PreconditionError(f"D has {d.size} diagonal entries but A is {n}x{n}")
+    _require_budget(16 * n * n, f"a Stein check of order {n}")
     gap = _stein_gap(np.sqrt(d)[:, None] * A, d)
     return SteinCheck(*_pd_check(gap, pd_tol(tol)))
 
@@ -173,30 +174,29 @@ def construct_dlf_nonneg(A, x=None, y=None, tol: float | None = None) -> DlfCons
 
 
 def _dlf_solve(
-    M: np.ndarray, x, y, rho: float = 0.0, nonzeros: _Nonzeros | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """xi, z and d = z / xi of the construction, for a nonnegative Schur M,
-    and whether they were summed as Neumann series.
+    M: np.ndarray, x, y, rho: float = 0.0, applied: _Applied | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """xi, z and d = z / xi of the construction, for a nonnegative Schur M.
 
     x and y come checked by _right_hand_sides, or None for all ones.  A
     rho above 0 vouches that M has no negative entry and spectral radius
-    rho.  xi and z are then summed as Neumann series where that is
-    predicted to be cheaper (_neumann_solves), through M's nonzeros where
-    they are given; every other case, and a series that does not stop in
-    time, solves I - M by LU (_lu_solves).  xi and z must come out
+    rho.  xi and z are then summed as Neumann series through `applied`
+    where that is predicted to be cheaper (_neumann_solves); every other
+    case, and a series that does not stop in time, solves I - M by LU
+    (_lu_solves).  xi and z must come out
     positive, and d finite and positive, as diag_entries requires of a
     diagonal: a d that overflows or underflows is refused as such, with
     no warning.
     """
     x = np.ones(M.shape[0]) if x is None else x
     y = np.ones(M.shape[0]) if y is None else y
-    solved = _neumann_solves(M, x, y, rho, nonzeros)
+    solved = _neumann_solves(x, y, rho, applied)
     xi, z = _lu_solves(M, x, y) if solved is None else solved
     if (xi <= 0.0).any() or (z <= 0.0).any():
         raise NumericError("construction produced nonpositive xi or z entries")
     with np.errstate(over="ignore", invalid="ignore"):
         d = z / xi
-    return xi, z, _require_positive(_require_finite(d, "D"), "D"), solved is not None
+    return xi, z, _require_positive(_require_finite(d, "D"), "D")
 
 
 def _right_hand_sides(x, y, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -239,11 +239,11 @@ def _lu_solves(M: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray,
 
 
 def _neumann_solves(
-    M: np.ndarray, x: np.ndarray, y: np.ndarray, rho: float, nonzeros: _Nonzeros | None = None
+    x: np.ndarray, y: np.ndarray, rho: float, applied: _Applied | None
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """xi = sum_j M^j x and z = sum_j (M^T)^j y, for an M >= 0 of spectral
     radius rho, or None where the LU solves are to be used instead.  The
-    terms are dense mat-vecs, or over M's nonzeros where they are given.
+    terms are the mat-vecs of `applied`, dense or over M's nonzeros.
 
     rho = 0, passed for an M not vouched nonnegative and the radius of a
     nilpotent M, leaves the solves to LU.  Otherwise the series runs when
@@ -253,14 +253,13 @@ def _neumann_solves(
     non-normal M may need more terms than rho predicts; it reaches the
     count and goes to LU.
     """
-    cap = M.shape[0] // _NEUMANN_BREAK_EVEN
+    cap = x.size // _NEUMANN_BREAK_EVEN
     if not (0.0 < rho < 1.0 and math.log(_EPS * (1.0 - rho)) / math.log(rho) <= cap):
         return None
-    matvec, rmatvec = _matvecs(M, nonzeros)
-    xi = _neumann_sum(matvec, x, cap)
+    xi = _neumann_sum(applied.matvec, x, cap)
     if xi is None:
         return None
-    z = _neumann_sum(rmatvec, y, cap)
+    z = _neumann_sum(applied.rmatvec, y, cap)
     return None if z is None else (xi, z)
 
 
@@ -272,9 +271,8 @@ def _neumann_sum(matvec, x: np.ndarray, cap: int) -> np.ndarray | None:
     Every term of a nonnegative M and positive x is nonnegative.  On the
     stop, x - (I - M) s is that term t up to the rounding of the
     mat-vecs, so s solves (I - M) s = x with a componentwise backward
-    error of about eps.  Each term is one mat-vec, dense (M.__matmul__ of
-    M or of its transpose view) or over M's nonzeros (_Nonzeros), with no
-    r x r temporary.
+    error of about eps.  Each term is one mat-vec of _Applied, dense or
+    over M's nonzeros, with no r x r temporary.
     """
     s, t = x.copy(), x
     with np.errstate(over="ignore", invalid="ignore"):
@@ -286,51 +284,41 @@ def _neumann_sum(matvec, x: np.ndarray, cap: int) -> np.ndarray | None:
     return None
 
 
-class _Nonzeros(NamedTuple):
-    """An r x r M >= 0 through its nonzeros, row by row: their columns and
-    values in row-major order, the count of each row, the rows that hold
-    any, and where each of those starts."""
+class _Applied(NamedTuple):
+    """An r x r M as certify applies it: v -> M v, v -> M^T v, and the most
+    nonzeros a of a row and b of a column, r each when M is dense."""
 
-    cols: np.ndarray
-    values: np.ndarray
-    counts: np.ndarray
-    rows: np.ndarray
-    starts: np.ndarray
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        """M v: each row's products summed in its column order."""
-        p = v[self.cols]
-        p *= self.values
-        out = np.zeros(self.counts.size)
-        out[self.rows] = np.add.reduceat(p, self.starts)
-        return out
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        """M^T v: each column's products summed in row order."""
-        p = np.repeat(v, self.counts)
-        p *= self.values
-        return np.bincount(self.cols, p, self.counts.size)
+    matvec: Callable[[np.ndarray], np.ndarray]
+    rmatvec: Callable[[np.ndarray], np.ndarray]
+    a: int
+    b: int
 
     def stein_gap(self, d: np.ndarray):
-        """v -> d∘v - M^T (d∘(M v)), the Stein gap D - M^T D M applied, and
-        (c, count, floor) of its rounding for the Collatz-Wielandt bound."""
-        a = int(self.counts.max())
-        b = int(np.bincount(self.cols).max())
+        """v -> d∘v - M^T (d∘(M v)), the Stein gap D - M^T D M applied to an
+        M >= 0, and (c, count, floor) of its rounding for the
+        Collatz-Wielandt bound."""
+        matvec, rmatvec, a, b = self
         # a d near the top of the float range makes the floor infinite,
         # and the bound with it: it then proves nothing, with no warning
         with np.errstate(over="ignore"):
-            floor = _TINY * (self.rmatvec(a * d + 1.0) + (b + 1))
-        return (lambda v: d * v - self.rmatvec(d * self.matvec(v))), d, a + b + 2, floor
+            floor = _TINY * (rmatvec(a * d + 1.0) + (b + 1))
+        return (lambda v: d * v - rmatvec(d * matvec(v))), d, a + b + 2, floor
 
 
-def _matvecs(M: np.ndarray, nonzeros: _Nonzeros | None):
-    """v -> M v and v -> M^T v: dense, or over M's nonzeros where they are given."""
-    return (M.__matmul__, M.T.__matmul__) if nonzeros is None else (nonzeros.matvec, nonzeros.rmatvec)
+def _dense(M: np.ndarray) -> _Applied:
+    """M applied as it is: M @ v and M^T @ v, through its transpose view."""
+    r = M.shape[0]
+    return _Applied(M.__matmul__, M.T.__matmul__, r, r)
 
 
-def _nonzeros(M: np.ndarray) -> _Nonzeros | None:
-    """The nonzeros of an M >= 0 of order _LANCZOS_MIN_ORDER or more that has
-    at most r^2 / _NONZERO_BREAK_EVEN of them, else None."""
+def _nonzeros(M: np.ndarray) -> _Applied | None:
+    """An M >= 0 of order _LANCZOS_MIN_ORDER or more that has at most
+    r^2 / _NONZERO_BREAK_EVEN nonzeros, applied over them, else None.
+
+    They are read once, row by row: their columns and values in row-major
+    order, the count of each row, the rows that hold any, and where each
+    of those starts.
+    """
     r = M.shape[0]
     if r < _LANCZOS_MIN_ORDER:
         return None
@@ -343,8 +331,25 @@ def _nonzeros(M: np.ndarray) -> _Nonzeros | None:
     ends = np.searchsorted(flat, np.arange(1, r + 1) * r)
     counts = np.diff(ends, prepend=0)
     rows = np.flatnonzero(counts)
+    starts = (ends - counts)[rows]
     values = M.take(flat)
-    return _Nonzeros(np.remainder(flat, r, out=flat), values, counts, rows, (ends - counts)[rows])
+    cols = np.remainder(flat, r, out=flat)
+
+    def matvec(v: np.ndarray) -> np.ndarray:
+        """M v: each row's products summed in its column order."""
+        p = v[cols]
+        p *= values
+        out = np.zeros(r)
+        out[rows] = np.add.reduceat(p, starts)
+        return out
+
+    def rmatvec(v: np.ndarray) -> np.ndarray:
+        """M^T v: each column's products summed in row order."""
+        p = np.repeat(v, counts)
+        p *= values
+        return np.bincount(cols, p, r)
+
+    return _Applied(matvec, rmatvec, int(counts.max()), int(np.bincount(cols, minlength=r).max()))
 
 
 def _compound_radius(A: np.ndarray, k: int) -> float:
@@ -426,11 +431,14 @@ def _certify(
     construct_dlf_nonneg calls it at k = 1, which a 1 x 1 A needs.  A given
     x or y is checked before any work, so no verdict hides a bad vector;
     with neither given the checks are skipped, as the defaults pass them.
+    After the table the call holds two r x r arrays at its peak (M or the
+    Gram, and LAPACK's copy), priced before the table prices itself.
     """
+    r = compound_size(k, A.shape[0])
     if x is not None or y is not None:
-        x, y = _right_hand_sides(x, y, compound_size(k, A.shape[0]))
+        x, y = _right_hand_sides(x, y, r)
+    _require_budget(16 * r * r, f"a certificate of order {r}")
     M = _minor_table(A, k)
-    r = M.shape[0]
     t = zero_tol(tol)
     verdict, signature = _sign_gate(M, t)
     if verdict == NONE:
@@ -443,29 +451,32 @@ def _certify(
     if sign_flipped:
         np.negative(M, out=M)
     # The sign gate lets in-band negative minors through.  An M with none
-    # may be solved by its Neumann series, and has a nonnegative Gram,
-    # which makes the Stein gap a Z-matrix; xi then proves its pass, as
-    # (D - M^T D M) xi = y' + M^T D x' >= y' > 0 for x' = xi - M xi and
-    # y' = z - M^T z.  A large sparse one is read once into its nonzeros,
-    # and where its series are summed over them, the gaps, the proof and
-    # the margin use them too: neither the Gram nor the gap is formed.
+    # may be solved by its Neumann series, and its Stein gap is a Z-matrix;
+    # xi then proves its pass, as (D - M^T D M) xi = y' + M^T D x' >= y' > 0
+    # for x' = xi - M xi and y' = z - M^T z.  How M is applied is decided
+    # here, once: a large sparse one through its nonzeros, read once, any
+    # other densely.  The series, the gaps, and from _LANCZOS_MIN_ORDER on
+    # the proof and the margin on the implicit gap v -> d v - M^T (d (M v))
+    # all use it: from that order on the Gram is formed only where the
+    # proof fails.
     nonneg = bool(M.min() >= 0.0)
-    nonzeros = _nonzeros(M) if nonneg else None
-    xi, z, d, summed = _dlf_solve(M, x, y, rho if nonneg else 0.0, nonzeros)
-    if not summed:
-        nonzeros = None
-    matvec, rmatvec = _matvecs(M, nonzeros)
-    xi_gap = float(np.min((xi - matvec(xi)) / (1.0 + np.abs(xi))))
-    z_gap = float(np.min((z - rmatvec(z)) / (1.0 + np.abs(z))))
+    applied = _nonzeros(M) if nonneg else None
+    if applied is None:
+        applied = _dense(M)
+    xi, z, d = _dlf_solve(M, x, y, rho if nonneg else 0.0, applied)
+    xi_gap = float(np.min((xi - applied.matvec(xi)) / (1.0 + np.abs(xi))))
+    z_gap = float(np.min((z - applied.rmatvec(z)) / (1.0 + np.abs(z))))
     pd = pd_tol(tol)
-    margin = None if nonzeros is None else _proven_margin(xi, pd, *nonzeros.stein_gap(d))
+    provable = nonneg and r >= _LANCZOS_MIN_ORDER
+    margin = _proven_margin(xi, pd, *applied.stein_gap(d)) if provable else None
     if margin is None:
         # M is this call's own compound, still intact: scale it into
-        # X = D^{1/2} M in place and drop it before the eigen-solve.  The
-        # flip leaves M^T D M, and so the margin, unchanged.
+        # X = D^{1/2} M in place and drop it, and the mat-vecs that hold
+        # it, before the eigen-solve.  The flip leaves M^T D M, and so the
+        # margin, unchanged.
         gap = _stein_gap(np.multiply(np.sqrt(d)[:, None], M, out=M), d)
-        del M
-        check = _pd_check(gap, pd, xi if nonneg and nonzeros is None else None)
+        del M, applied
+        check = _pd_check(gap, pd)
         if not check.ok:
             raise NumericError(f"constructed D failed the Stein check (margin {check.margin:.3g})")
         margin = check.margin

@@ -1,18 +1,17 @@
-"""Certify through a sparse compound's nonzeros after the minor table.
+"""Certify's one proof route after the minor table, dense or through the nonzeros.
 
-Where the compound M has no negative entry, r >= _LANCZOS_MIN_ORDER and M
-has at most r^2 / _NONZERO_BREAK_EVEN nonzeros, stability._certify reads
-them once (stability._nonzeros) and from then on applies M and M^T only
-as mat-vecs over them: the Neumann sums, the gaps, the Collatz-Wielandt
-proof from xi and Lanczos all run on the implicit gap
-v -> d v - M^T (d (M v)), and neither the Gram nor the gap is formed.  A
-bound that does not prove the pass, or a Lanczos run that does not
-converge, forms the gap from the intact M for the eigen-solve, and a
-series that goes to LU leaves the rest to the dense path: each gives
-what the dense path gives on the same d, bit for bit.
+Where the compound M has no negative entry, stability._certify decides
+once how M is applied: where r >= _LANCZOS_MIN_ORDER and M has at most
+r^2 / _NONZERO_BREAK_EVEN nonzeros, over them, read once
+(stability._nonzeros), else densely (stability._dense).  The Neumann
+sums, the gaps, and from r >= _LANCZOS_MIN_ORDER the Collatz-Wielandt
+proof from xi and Lanczos all run on that pair, the last two on the
+implicit gap v -> d v - M^T (d (M v)), whether xi and z were summed or
+solved by LU: neither the Gram nor the gap is formed.  A bound that does
+not prove the pass, or a Lanczos run that does not converge, forms the
+gap from the intact M for the eigen-solve, bit for bit what it gives on
+the same d.
 """
-
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from kposi import (
 
 from test_neumann import AGREEMENT_RTOL, SOLVE, assert_lu_bit_for_bit, upper_shift
 from test_neumann import solves  # noqa: F401 (fixture)
-from test_stein_enclosure import MARGIN_RTOL, certify_large_pool, smallest_eigenvalue
+from test_stein_enclosure import MARGIN_RTOL, certify_large_pool, smallest_eigenvalue, traced_after_table
 from test_stein_enclosure import proof_calls  # noqa: F401 (fixture)
 
 
@@ -119,22 +118,36 @@ class TestAgreement:
                                                  solves, on_path):
         # at r = 300 the nonzero path takes at most 300^2 / 16 = 5625
         # nonzeros: 8 a row (2400) are below that, 30 a row (9000) above;
-        # each matrix also runs the other path, and both agree
+        # each matrix also runs the other path, and both agree, with no
+        # gap formed on either side
         A = sparse_schur(seed, per_row)
         sparse = per_row == 8
         assert (np.count_nonzero(A) * stability._NONZERO_BREAK_EVEN <= A.size) == sparse
         taken = construct_dlf_nonneg(A)
-        assert len(gap_builds) == (0 if sparse else 1)
         other = on_path(not sparse, lambda: construct_dlf_nonneg(A))
-        assert len(gap_builds) == 1 and solves.lu == 0 and solves.series == [True] * 4
+        assert gap_builds == [] and solves.lu == 0 and solves.series == [True] * 4
         for cert, call in zip((taken, other), proof_calls):
             assert_agrees(A, cert, call)
 
+    @pytest.mark.parametrize("rho, lu", [(0.1, 0), (0.3, 2)])
+    def test_a_full_compound_is_proven_on_its_implicit_gap(self, rho, lu, proof_calls, gap_builds,
+                                                           solves):
+        # every entry positive, so M is applied densely: its series (rho =
+        # 0.1) or its LU (rho = 0.3 predicts 31 terms, above r // 16) is
+        # followed by the proof on the implicit gap, with no Gram
+        rng = np.random.default_rng([round(10 * rho), 96])
+        A = rng.uniform(0.1, 1.0, (300, 300))
+        A *= rho / np.max(np.abs(np.linalg.eigvals(A)))
+        cert = construct_dlf_nonneg(A)
+        assert gap_builds == [] and solves.lu == lu and solves.series == [True, True][: 2 - lu]
+        (call,) = proof_calls
+        assert_agrees(A, cert, call)
+
 
 class TestFallback:
-    """What the proof leaves open goes to the dense path's eigen-solve on
-    the gap formed from the intact M, and a series that goes to LU to the
-    whole dense path: bit for bit what the dense path gives."""
+    """What the proof leaves open goes to the eigen-solve on the gap formed
+    from the intact M, bit for bit what the dense form gives; a series
+    that goes to LU keeps the route."""
 
     def test_bound_below_pd_tol(self, proof_calls, gap_builds, solves, on_path):
         # y0 = 1e-20 makes d0 tiny and the gap's smallest eigenvalue with
@@ -176,21 +189,21 @@ class TestFallback:
 
     def test_series_to_lu(self, proof_calls, gap_builds, solves, on_path):
         # 0.1 I plus 0.5 on the superdiagonal is read into its nonzeros,
-        # but its series reaches the cap: LU, and the dense path after it
+        # but its series reaches the cap: LU, and then the proof on the
+        # implicit gap over the nonzeros all the same; applied densely it
+        # takes the same LU and proves the dense implicit gap
         r = 300
         A = 0.1 * np.eye(r) + 0.5 * upper_shift(r)
         assert stability._nonzeros(A) is not None
         cert = certify_k_diag_stability(A, 1)
-        assert solves.series == [False] and solves.lu == 2 and len(gap_builds) == 1
+        assert solves.series == [False] and solves.lu == 2
         assert_lu_bit_for_bit(A, 1, cert)
         dense = on_path(False, lambda: certify_k_diag_stability(A, 1))
+        assert gap_builds == [] and solves.series == [False, False] and solves.lu == 4
         for field in ("xi", "z", "d"):
             assert getattr(cert, field).tobytes() == getattr(dense, field).tobytes()
-        for field in ("stein_margin", "xi_gap", "z_gap"):
-            assert getattr(cert, field) == getattr(dense, field)
-        # both proved it on the explicit gap, as the dense path does
-        assert [c.proven for c in proof_calls] == [True, True]
-        assert all(c.matvec.__self__ is gap for c, (_, _, gap) in zip(proof_calls, gap_builds))
+        for got, call in zip((cert, dense), proof_calls):
+            assert_agrees(A, got, call)
 
 
 def test_a_floor_beyond_the_float_range_proves_nothing(proof_calls):
@@ -205,30 +218,21 @@ def test_a_floor_beyond_the_float_range_proves_nothing(proof_calls):
     assert [(c.bound, c.ritz) for c in proof_calls] == [(-np.inf, [])]
 
 
+def test_an_all_zero_compound(proof_calls, solves):
+    # rho = 0 sends it to LU, and its nonzeros, of which there are none,
+    # apply the gap v -> v: the bound from xi is taken over them, and
+    # clears pd_tol
+    cert = construct_dlf_nonneg(np.zeros((300, 300)))
+    assert solves.lu == 2 and solves.series == []
+    assert cert.d.tobytes() == np.ones(300).tobytes() and cert.stein_margin == 1.0
+    (call,) = proof_calls
+    assert matcore.pd_tol() < call.bound <= 1.0
+
+
 def test_nonzero_path_holds_nothing_of_order_r_squared(monkeypatch):
     # from the end of the table to the return, the path adds its nonzeros
     # (two arrays of nnz), the Lanczos basis (a vector of r a step) and
     # the check's two small tridiagonal arrays above M
-    A = test_kernel.TestLaplaceKernel.certify_large_chain()
-    table, after_table = stability._minor_table, []
-
-    def recording_table(*args):
-        M = table(*args)
-        after_table.append(tracemalloc.get_traced_memory()[0])
-        tracemalloc.reset_peak()
-        return M
-
-    def no_gram(*args):
-        raise AssertionError("the Stein gap was formed on the nonzero path")
-
-    certify_k_diag_stability(A, 5)
-    monkeypatch.setattr(stability, "_minor_table", recording_table)
-    monkeypatch.setattr(stability, "_stein_gap", no_gram)
-    tracemalloc.start()
-    try:
-        cert = certify_k_diag_stability(A, 5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    cert, peak = traced_after_table(monkeypatch, test_kernel.TestLaplaceKernel.certify_large_chain(), 5)
     assert isinstance(cert, KDiagCertificate) and cert.r == 792
-    assert peak - after_table[0] < 0.25 * 792**2 * 8
+    assert peak < 0.25 * 792**2 * 8

@@ -25,7 +25,7 @@ from kposi import (
     solve_top_compound_diagonal,
     stein_holds,
 )
-from kposi import stability
+from kposi import matcore, stability
 from kposi.examples import (
     CERT_3X3,
     CERT_D_REF,
@@ -315,6 +315,43 @@ class TestInputsAndSteinGap:
         dense = np.diag(d) - M.T @ (d[:, None] * M)
         margin = np.linalg.eigvalsh(0.5 * (dense + dense.T))[0]
         assert abs(cert.stein_margin - margin) <= 1e-13 * abs(margin)
+
+
+
+class TestTwoArrayPrice:
+    """certify, stein_holds and is_positive_definite hold two r x r arrays
+    at their peak, and are priced at both before they allocate either."""
+
+    @pytest.fixture(autouse=True)
+    def budget(self, monkeypatch):
+        # between the price of one 300 x 300 array (720 kB) and two
+        monkeypatch.setattr(matcore, "_BYTE_BUDGET", 12 * 300 * 300)
+
+    def test_certify_is_refused_before_its_table(self, monkeypatch):
+        # at k = 1 the table alone is priced at one r x r array, which fits
+        def no_table(*args):
+            raise AssertionError("the minor table was built")
+
+        monkeypatch.setattr(stability, "_minor_table", no_table)
+        A = 0.1 * np.eye(300)
+        for call in (lambda: construct_dlf_nonneg(A), lambda: certify_k_diag_stability(A, 1)):
+            with pytest.raises(CapacityError, match="^a certificate of order 300 would hold about 1.44 MB"):
+                call()
+
+    @pytest.mark.parametrize("check, what", [
+        (lambda A: stein_holds(A, np.ones(300)), "Stein check"),
+        (is_positive_definite, "definiteness check"),
+    ], ids=["stein_holds", "is_positive_definite"])
+    def test_checks_are_refused_before_their_gap(self, check, what):
+        A = 0.1 * np.eye(300)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"^a {what} of order 300 would hold about 1.44 MB"):
+                check(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 300 * 300 * 8
 
 
 class TestDlfCompound:

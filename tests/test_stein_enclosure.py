@@ -2,12 +2,13 @@
 
 For a nonnegative compound M the construction's xi proves the pass:
 with x' = xi - M xi and y' = z - M^T z, (D - M^T D M) xi = y' + M^T D x'
->= y' > 0.  From order _LANCZOS_MIN_ORDER on, matcore._proven_margin takes
-a Collatz-Wielandt bound from xi, on the gap matcore._pd_check holds or on
-the one certify applies over a sparse compound's nonzeros, and a bound
-above pd_tol proves the pass, with the smallest Ritz value as the margin.
-Every other case, and every stein_holds call, goes to np.linalg.eigvalsh,
-whose margin must then come out bit for bit.
+>= y' > 0.  From order _LANCZOS_MIN_ORDER on, certify applies the gap as
+v -> d v - M^T (d (M v)), densely or over a sparse compound's nonzeros,
+and never forms it for the proof: matcore._proven_margin takes a
+Collatz-Wielandt bound from xi on it, and a bound above pd_tol proves the
+pass, with the smallest Ritz value as the margin.  Every other case, and
+every stein_holds call, forms the gap for np.linalg.eigvalsh, whose margin
+must then come out bit for bit.
 """
 
 import contextlib
@@ -79,9 +80,36 @@ def stein_gap(A, k, x=None, y=None):
         np.negative(M, out=M)
     nonneg = M.min() >= 0.0
     rho = stability._compound_radius(A, k) if nonneg else 0.0
-    nonzeros = stability._nonzeros(M) if nonneg else None
-    xi, _, d, _ = stability._dlf_solve(M, x, y, rho, nonzeros)
+    applied = stability._nonzeros(M) if nonneg else None
+    xi, _, d = stability._dlf_solve(M, x, y, rho, applied or stability._dense(M))
     return stability._stein_gap(np.sqrt(d)[:, None] * M, d), xi
+
+
+def traced_after_table(monkeypatch, A, k):
+    """certify_k_diag_stability(A, k) under tracemalloc, and the peak of
+    its traced memory above what it held when the table was built; the
+    gap may not be formed."""
+    table, after_table = stability._minor_table, []
+
+    def recording_table(*args):
+        M = table(*args)
+        after_table.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return M
+
+    def no_gram(*args):
+        raise AssertionError("the Stein gap was formed")
+
+    certify_k_diag_stability(A, k)
+    monkeypatch.setattr(stability, "_minor_table", recording_table)
+    monkeypatch.setattr(stability, "_stein_gap", no_gram)
+    tracemalloc.start()
+    try:
+        cert = certify_k_diag_stability(A, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return cert, peak - after_table[0]
 
 
 def smallest_eigenvalue(S):
@@ -146,37 +174,16 @@ class TestXiProof:
             # the bound from xi reads most of the margin, not just pd_tol
             assert 0.95 * exact < call.bound <= exact
 
-    @pytest.mark.parametrize("density", [1.0, 0.05])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_random_z_matrices(self, seed, density):
-        # S = c I - B, B symmetric nonnegative, c 10% above B's Perron root:
-        # the bound from any positive vector stays at or below eigvalsh's
-        # smallest eigenvalue, down to the Perron vector itself, where the
-        # rounding term alone keeps it there
-        rng = np.random.default_rng([seed, 90])
-        r = 300
-        B = rng.uniform(0.0, 1.0, (r, r)) * (rng.uniform(0.0, 1.0, (r, r)) < density)
-        B = B + B.T
-        perron = -smallest_eigenvalue(-B)
-        S = 1.1 * perron * np.eye(r) - B
-        exact = smallest_eigenvalue(S)
-        perron_vector = np.abs(np.linalg.eigh(S)[1][:, 0])
-        vectors = [np.ones(r), rng.uniform(0.1, 1.0, r), rng.uniform(0.0, 1.0, r) ** 8 + 1e-300,
-                   perron_vector]
-        for v in vectors:
-            bound = matcore._collatz_wielandt_bound(S.__matmul__, v, *matcore._z_matrix_rounding(S))
-            assert v.min() > 0.0 and bound <= exact
-        check = matcore._pd_check(S, matcore.pd_tol(), perron_vector)
-        assert check.ok and abs(check.margin - exact) <= MARGIN_RTOL * exact
-
+    @pytest.mark.parametrize("form", ["nonzeros", "dense"])
     @pytest.mark.parametrize("density", [0.5, 0.05])
     @pytest.mark.parametrize("seed", range(3))
-    def test_random_stein_gaps_through_nonzeros(self, seed, density, monkeypatch):
+    def test_random_stein_gaps_through_nonzeros(self, seed, density, form, monkeypatch):
         # S = D - M^T D M for a random nonnegative M, scaled to
         # ||D^(1/2) M D^(-1/2)||_2 = 0.9, applied as the two-stage product
-        # over M's nonzeros (read whatever its density): its rounding term
-        # keeps the bound from any positive vector at or below eigvalsh's
-        # smallest eigenvalue, down to the Perron vector itself
+        # over M's nonzeros (read whatever its density) or densely: its
+        # rounding term keeps the bound from any positive vector at or
+        # below eigvalsh's smallest eigenvalue, down to the Perron vector
+        # itself, where the rounding term alone keeps it there
         monkeypatch.setattr(stability, "_NONZERO_BREAK_EVEN", 1)
         rng = np.random.default_rng([seed, 95])
         r = 300
@@ -187,7 +194,7 @@ class TestXiProof:
         S = np.diag(d) - M.T @ (d[:, None] * M)
         exact = smallest_eigenvalue(S)
         perron_vector = np.abs(np.linalg.eigh(S)[1][:, 0])
-        gap = stability._nonzeros(M).stein_gap(d)
+        gap = (stability._nonzeros(M) if form == "nonzeros" else stability._dense(M)).stein_gap(d)
         vectors = [np.ones(r), rng.uniform(0.1, 1.0, r), rng.uniform(0.0, 1.0, r) ** 8 + 1e-300,
                    perron_vector]
         for v in vectors:
@@ -195,19 +202,16 @@ class TestXiProof:
         theta = matcore._proven_margin(perron_vector, matcore.pd_tol(), *gap)
         assert theta is not None and abs(theta - exact) <= MARGIN_RTOL * exact
 
-    def test_the_path_allocates_nothing_of_order_r_squared(self, proof_calls):
-        S, xi = stein_gap(certify_large_pool(0)[0], 5)
-        r = S.shape[0]
-        matcore._pd_check(S, matcore.pd_tol(), xi)
-        tracemalloc.start()
-        try:
-            check = matcore._pd_check(S, matcore.pd_tol(), xi)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert proof_calls[-1].proven and check == (True, proof_calls[-1].ritz[0])
-        # the basis holds at most _LANCZOS_MAX_STEPS vectors of length r
-        assert peak < 0.5 * r * r * 8
+    def test_the_path_allocates_nothing_of_order_r_squared(self, proof_calls, monkeypatch):
+        # a certify-large chain applied densely, its series summed: from
+        # the end of the table to the return the path adds the Lanczos
+        # basis (a vector of r a step), the check's two small tridiagonal
+        # arrays and a few vectors above M, and forms no gap
+        monkeypatch.setattr(stability, "_NONZERO_BREAK_EVEN", 10**12)
+        cert, peak = traced_after_table(monkeypatch, certify_large_pool(0)[0], 5)
+        assert isinstance(cert, KDiagCertificate) and cert.r == 792
+        assert proof_calls[-1].proven and proof_calls[-1].ritz == [cert.stein_margin]
+        assert peak < 0.25 * 792**2 * 8
 
     def test_negated_chain_certifies_bit_for_bit(self, proof_calls):
         # -A at odd k has a nonpositive compound; after the flip its zero
@@ -242,16 +246,17 @@ class TestXiProof:
         assert abs(cert.stein_margin - exact) <= MARGIN_RTOL * exact
 
     def test_a_bound_beyond_the_float_range_proves_nothing(self, proof_calls):
-        # S = c I - b (J - I) is positive definite, and S 1 > 0 proves it in
-        # exact arithmetic, but the rounding term of the bound overflows:
-        # the eigen-solve decides, with no warning
+        # a full compound with rho = 0.001, applied densely, and y = 1.5e308:
+        # d is near the top of the float range, and the gap, positive
+        # definite, is proven by xi in exact arithmetic, but the rounding
+        # term of the bound overflows: the eigen-solve decides, with no
+        # warning
         r = matcore._LANCZOS_MIN_ORDER
-        b = 1e305
-        S = np.full((r, r), -b)
-        S.flat[:: r + 1] = 1.5e308
-        check = matcore._pd_check(S, matcore.pd_tol(), np.ones(r))
+        A = np.full((r, r), 0.001 / r)
+        cert = construct_dlf_nonneg(A, y=np.full(r, 1.5e308))
+        assert cert.d.min() > 1e308
         assert [(c.bound, c.ritz) for c in proof_calls] == [(-np.inf, [])]
-        assert check.ok and check.margin == smallest_eigenvalue(S)
+        assert cert.stein_margin == smallest_eigenvalue(stein_gap(A, 1, y=np.full(r, 1.5e308))[0])
 
 
 class TestFallback:

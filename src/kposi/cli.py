@@ -19,6 +19,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -28,7 +29,7 @@ import numpy as np
 from .compound import mult_compound, wedge
 from .cyclic import CyclicSpec, analyze_cyclic, build_cyclic
 from .errors import CapacityError, DomainError, NumericError, PreconditionError
-from .matcore import LexIndexSet, _checked_tol, compound_size, minor_tol, pd_tol, zero_tol
+from .matcore import LexIndexSet, _checked_tol, _count_text, _require_budget, minor_tol, pd_tol, zero_tol
 from .nonlinear import (
     NonlinearSystem,
     ScalarMap,
@@ -341,7 +342,10 @@ def _cmd_wedge_sim(args) -> int:
         d = result.d
         cert_info = _encode(result, ("stein_margin", "compound_spectral_radius"))
     else:
-        d = np.ones(compound_size(args.k, sys_.n))
+        # unit weights, one per wedge coordinate, priced before they are made
+        r = math.comb(sys_.n, args.k)
+        _require_budget(8 * r, f"unit weights of order {_count_text(r)}")
+        d = np.ones(r)
     traj = wedge_trajectory(sys_, args.k, initials, d, args.steps, tol=args.tol)
     export_trajectory_csv(traj, sys.stdout, include_states=args.include_states)
     # of the trajectory only these fields, in this order: not its state series

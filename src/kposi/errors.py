@@ -1,8 +1,8 @@
 """Exception taxonomy shared by every module.
 
 The split mirrors how callers (and the CLI exit codes) need to react:
-bad input (DomainError / PreconditionError), deliberate size guards
-(CapacityError), and floating-point trouble (NumericError).
+bad input (DomainError / PreconditionError), a size refused by the byte
+budget (CapacityError), and floating-point trouble (NumericError).
 """
 
 
@@ -19,7 +19,7 @@ class PreconditionError(KposiError, ValueError):
 
 
 class CapacityError(KposiError, RuntimeError):
-    """A combinatorial size guard was exceeded; refusing to run."""
+    """A path's priced peak exceeds the byte budget; refusing to run."""
 
 
 class NumericError(KposiError, RuntimeError):

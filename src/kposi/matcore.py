@@ -23,16 +23,14 @@ from .errors import CapacityError, DomainError, NumericError
 TAU_ZERO = 1e-9
 TAU_PD = 1e-10
 
-# Hard limit on C(n, k), the count of k-subsets: it bounds index sets,
-# cached Laplace plans and principal-minor screens before memory runs out.
-CAPACITY_LIMIT = 100_000
-
-# Bytes of float arrays a path that grows with its input may hold at its
-# peak: minor tables, trajectories and content batches.
+# Bytes a path that grows with its input may hold at its peak: minor
+# tables, index sets, screens, trajectories and content batches.  Each such
+# path is priced in integers before it allocates, and an lru_cache of 64
+# entries keeps only entries of at most _BYTE_BUDGET // 64 (_cache_rule).
 _BYTE_BUDGET = 400_000_000
 
 # Orders the minor kernel expands by Laplace.  A table of a higher order
-# fits the guards only near full order, where the expansion would pass
+# fits the byte budget only near full order, where the expansion would pass
 # through far more minors of middle order than the table holds, so there
 # each k x k block is factorised instead.
 _LAPLACE_MAX_ORDER = 8
@@ -186,20 +184,6 @@ class LexIndexSet:
         return np.asarray(self.indices, dtype=np.intp) - 1
 
 
-def compound_size(k: int, n: int) -> int:
-    """C(n, k), the order of the k-th compound of an n x n matrix.
-
-    Raises CapacityError beyond CAPACITY_LIMIT, before anything of that
-    size is built.
-    """
-    r = math.comb(n, k)
-    if r > CAPACITY_LIMIT:
-        raise CapacityError(
-            f"C({_count_text(n)},{_count_text(k)}) = {_count_text(r)} exceeds the capacity guard of {CAPACITY_LIMIT}"
-        )
-    return r
-
-
 def _count_text(x: int, shift: int = 0) -> str:
     """x / 10**shift for an error message: every digit of a count (shift 0),
     4 significant ones of a scaled value, and beyond the float range only
@@ -223,20 +207,89 @@ def _require_budget(nbytes: int, what: str) -> None:
         )
 
 
-def lex_index_sets(k: int, n: int) -> list[LexIndexSet]:
-    """All k-subsets of [1, n] in lexicographic order (length C(n, k))."""
+def _cacheable(nbytes: int) -> bool:
+    """Whether an lru_cache of 64 entries may keep an entry of nbytes: at
+    most _BYTE_BUDGET // 64, so the cache never holds more than the budget."""
+    return nbytes <= _BYTE_BUDGET // 64
+
+
+def _cache_rule(cached, nbytes: int):
+    """`cached`, an lru_cache of 64 entries, where the entry it would keep,
+    of nbytes, is _cacheable; else the function it wraps, which builds afresh."""
+    return cached if _cacheable(nbytes) else cached.__wrapped__
+
+
+def _check_order(k: int, n: int) -> None:
     if not 1 <= k <= n:
         raise DomainError(f"order k={k} must satisfy 1 <= k <= n={n}")
-    compound_size(k, n)
+
+
+def lex_index_sets(k: int, n: int) -> list[LexIndexSet]:
+    """All k-subsets of [1, n] in lexicographic order (length C(n, k)).
+
+    Priced before the first set is made at 8 k + 512 bytes a set, for the
+    LexIndexSet, its tuple and its slot in the list (the ints are range's
+    own), and 64 KiB more.
+    """
+    _check_order(k, n)
+    count = math.comb(n, k)
+    _require_budget(count * (8 * k + 512) + (1 << 16), f"{_count_text(count)} index sets of order {_count_text(k)}")
     return [LexIndexSet(n, c) for c in combinations(range(1, n + 1), k)]
 
 
 def lex_array(k: int, n: int) -> np.ndarray:
-    """0-based (C(n,k), k) index array in the same lexicographic order."""
-    if not 1 <= k <= n:
-        raise DomainError(f"order k={k} must satisfy 1 <= k <= n={n}")
-    compound_size(k, n)
-    return np.array(list(combinations(range(n), k)), dtype=np.intp)
+    """0-based (C(n,k), k) index array in the same lexicographic order.
+
+    Priced at _lex_bytes(k, n) before it builds.
+    """
+    _check_order(k, n)
+    _require_budget(_lex_bytes(k, n), f"an array of {_count_text(math.comb(n, k))} index sets of order {_count_text(k)}")
+    return _lex_subsets(k, n)
+
+
+def _lex_bytes(k: int, n: int) -> int:
+    """Bytes _lex_subsets(k, n) holds at its peak, at most: the k columns of
+    the result, its levels, whose sets number C(n+1, k) in all, twice, and
+    two index vectors, within (k + 4) C(n+1, k) entries, and 64 KiB of
+    small arrays."""
+    return 8 * (k + 4) * math.comb(n + 1, k) + (1 << 16)
+
+
+def _lex_levels(k: int, n: int) -> list[tuple[np.ndarray, np.ndarray | None]]:
+    """(first, tail) of the levels j = 1..k of the k-subsets of range(n).
+
+    Level j lists the j-subsets of range(k - j, n), the tails a k-subset
+    can end in, in lexicographic order: set i is first[i] followed by set
+    tail[i] of level j - 1 (level 1 has no tail, and None for it).  Built
+    from integer arrays alone, with no Python tuple, in the order of
+    itertools.combinations.
+    """
+    first = np.arange(k - 1, n, dtype=np.intp)
+    levels = [(first, None)]
+    for j in range(2, k + 1):
+        # the sets led by a are a followed by each set of the level below
+        # whose first element is above a: the last ones of that level
+        heads = np.arange(k - j, n - j + 1, dtype=np.intp)
+        counts = first.size - np.searchsorted(first, heads, side="right")
+        ends = np.cumsum(counts)
+        tail = np.repeat(first.size - ends, counts)
+        tail += np.arange(tail.size, dtype=np.intp)
+        first = np.repeat(heads, counts)
+        levels.append((first, tail))
+    return levels
+
+
+def _lex_subsets(k: int, n: int) -> np.ndarray:
+    """lex_array(k, n) unpriced: each column read down the levels of _lex_levels."""
+    levels = _lex_levels(k, n)
+    first, rank = levels.pop()
+    sets = np.empty((first.size, k), dtype=np.intp)
+    sets[:, 0] = first
+    for c in range(1, k):
+        first, tail = levels.pop()
+        sets[:, c] = first[rank]
+        rank = tail[rank] if tail is not None else None
+    return sets
 
 
 @lru_cache(maxsize=4096)
@@ -274,16 +327,15 @@ def _laplace_plan(n: int, m: int, q: int) -> tuple[tuple[np.ndarray, ...], ...]:
     Level p holds the p-subsets of rows q-p..n-1, the only row sets a
     q-minor's expansion reaches, and all p-subsets of the m columns, in
     lexicographic order.  first is each row set's first row and tail the
-    rank of the rest at level p-1; cols[j] holds each column set's j-th
-    column and drop[j] the rank of the set without it at level p-1.
-    The arrays are read-only, since every caller shares them.
+    rank of the rest at level p-1, as _lex_levels(q, n) lists them;
+    cols[j] holds each column set's j-th column and drop[j] the rank of
+    the set without it at level p-1.  The arrays, _plan_bytes(n, m, q) in
+    all, are read-only, since every caller shares them; _minors keeps a
+    plan cached under _cache_rule.
     """
     levels = []
-    for p in range(2, q + 1):
-        rows = np.array(list(combinations(range(n - q + p), p)), dtype=np.intp).reshape(-1, p)
-        sets = np.array(list(combinations(range(m), p)), dtype=np.intp).reshape(-1, p)
-        first = rows[:, 0] + (q - p)
-        tail = _lex_rank(rows[:, 1:] - 1, n - q + p - 1)
+    for p, (first, tail) in enumerate(_lex_levels(q, n)[1:], 2):
+        sets = _lex_subsets(p, m)
         cols = np.ascontiguousarray(sets.T)
         drop = np.stack([_lex_rank(np.delete(sets, j, axis=1), m) for j in range(p)])
         plan = (first, tail, cols, drop)
@@ -291,6 +343,11 @@ def _laplace_plan(n: int, m: int, q: int) -> tuple[tuple[np.ndarray, ...], ...]:
             arr.setflags(write=False)
         levels.append(plan)
     return tuple(levels)
+
+
+def _plan_bytes(n: int, m: int, q: int) -> int:
+    """Bytes of the arrays of _laplace_plan(n, m, q)."""
+    return 8 * sum(2 * math.comb(n - q + p, p) + 2 * p * math.comb(m, p) for p in range(2, q + 1))
 
 
 def _minors(A: np.ndarray, q: int) -> np.ndarray:
@@ -312,7 +369,8 @@ def _minors(A: np.ndarray, q: int) -> np.ndarray:
         return np.linalg.det(A[..., R[:, None, :, None], C[None, :, None, :]])
     table = A[..., q - 1 :, :].copy()
     batch = math.prod(A.shape[:-2])
-    for first, tail, cols, drop in _laplace_plan(n, m, q):
+    plan = _cache_rule(_laplace_plan, _plan_bytes(n, m, q))(n, m, q)
+    for first, tail, cols, drop in plan:
         per_row = batch * cols.shape[1]
         if first.size * per_row <= _LEVEL_BLOCK:
             table = _expand(A, table, first, tail, cols, drop)
@@ -405,17 +463,37 @@ def minor_table(A, k: int) -> np.ndarray:
     return T
 
 
+def _table_bytes(n: int, m: int, k: int) -> int:
+    """Bytes _minors(A, k) holds at its peak for an n x m A, at most.
+
+    Up to _LAPLACE_MAX_ORDER: the R C k products of the top Laplace level,
+    which bound the level and the one below it; the temporaries of the
+    widest row block, whose max(1, _LEVEL_BLOCK // C(m,p)) row sets each
+    make a head row, a row of level p-1 and three rows of level p (the
+    result, a term and its gathered factor); the build of the plan, four
+    times its arrays; and 64 KiB of small arrays.  Above: the gathered
+    k x k blocks and their minors, R C (k^2 + 1) entries, and the two
+    index arrays.
+    """
+    R, C = math.comb(n, k), math.comb(m, k)
+    if k > _LAPLACE_MAX_ORDER:
+        return 8 * R * C * (k * k + 1) + _lex_bytes(k, n) + _lex_bytes(k, m)
+    block = max(
+        (max(1, _LEVEL_BLOCK // math.comb(m, p)) * (m + math.comb(m, p - 1) + 3 * math.comb(m, p))
+         for p in range(2, k + 1)),
+        default=0,
+    )
+    return 8 * (R * C * k + block) + 4 * _plan_bytes(n, m, k) + (1 << 16)
+
+
 def _minor_table(A: np.ndarray, k: int) -> np.ndarray:
     """minor_table on a checked A, for the verdicts: they read the table's
     extremes, and so refuse a non-finite one, at their sign gate."""
     n, m = A.shape
     if not 1 <= k <= min(n, m):
         raise DomainError(f"order k={k} must satisfy 1 <= k <= min{A.shape}")
-    # priced at the products of the top Laplace level, and above
-    # _LAPLACE_MAX_ORDER at the scalars of the gathered k x k blocks
-    R, C = compound_size(k, n), compound_size(k, m)
-    _require_budget(8 * R * C * (k if k <= _LAPLACE_MAX_ORDER else k * k),
-                    f"a minor table of {R}x{C} order-{k} minors")
+    _require_budget(_table_bytes(n, m, k),
+                    f"a minor table of {_count_text(math.comb(n, k))}x{_count_text(math.comb(m, k))} order-{k} minors")
     with np.errstate(over="ignore", invalid="ignore"):
         return _minors(A, k)
 
@@ -528,10 +606,16 @@ def _lanczos_smallest(matvec, r: int) -> float | None:
     each check, to at most _LANCZOS_MAX_STEPS vectors: no r x r array is
     made.  The run stops once the Ritz residual |beta_j s_j| of θ is at
     most _LANCZOS_RTOL times the largest Ritz value in modulus, and
-    returns None if that takes more than _LANCZOS_MAX_STEPS steps, or if a
-    step leaves the float range (entries of S near the top of it), with
-    no warning.  The tridiagonal matrix is solved at checks spaced by the
-    residual's own rate of decrease, at most _LANCZOS_CHECK_STEPS apart.
+    checks that at once on a breakdown, a beta_j of at most _LANCZOS_RTOL
+    |alpha_j|, which then passes it, as |alpha_j| <= ||T||.  The basis
+    then spans an invariant subspace to rounding (the start is an
+    eigenvector, say); S being a symmetric Z-matrix, it has a nonnegative
+    bottom eigenvector, which all ones is not orthogonal to, so θ is its
+    smallest eigenvalue.  The run returns None if it takes more than
+    _LANCZOS_MAX_STEPS steps, or if a step leaves the float range
+    (entries of S near the top of it), with no warning.  The tridiagonal
+    matrix is solved at checks spaced by the residual's own rate of
+    decrease, at most _LANCZOS_CHECK_STEPS apart.
     """
     steps = min(_LANCZOS_MAX_STEPS, r)
     alpha, beta = np.empty(steps), np.empty(steps)
@@ -548,7 +632,7 @@ def _lanczos_smallest(matvec, r: int) -> float | None:
             beta[j] = math.sqrt(w @ w)
             if not (math.isfinite(alpha[j]) and math.isfinite(beta[j])):
                 return None
-            if j + 1 == check or beta[j] == 0.0:
+            if j + 1 == check or beta[j] <= _LANCZOS_RTOL * abs(alpha[j]):
                 ritz = _smallest_ritz(alpha[: j + 1], beta[: j + 1])
                 if ritz is None:
                     return None

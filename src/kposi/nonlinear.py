@@ -9,6 +9,7 @@ simulated trajectories, which is what the trajectory tools measure.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import InitVar, dataclass
 from functools import cached_property, partial
@@ -26,7 +27,6 @@ from .matcore import (
     _require_budget,
     as_square,
     as_vector,
-    compound_size,
     lex_index_set_at,
     zero_tol,
 )
@@ -489,10 +489,11 @@ def _wedge_coords_batch(tuples: np.ndarray, phi=None) -> np.ndarray:
     minors of the n x k column stack, from the one minor kernel.  With
     phi given, row t is the wedge of phi(tuples[t]) instead.  Both run on
     _WEDGE_CHUNK tuples at a time, so their temporaries stay small next
-    to the result however long the batch is.
+    to the result however long the batch is.  Unpriced: the content check
+    and the wedge trajectory price the batch before they make it.
     """
     T, k, n = tuples.shape
-    coords = np.empty((T, compound_size(k, n)))
+    coords = np.empty((T, math.comb(n, k)))
     for s in range(0, T, _WEDGE_CHUNK):
         chunk = tuples[s : s + _WEDGE_CHUNK]
         if phi is not None:
@@ -536,7 +537,7 @@ def check_k_content_preserving(
     kn = k * n
     total_grid = samples_per_axis**kn
     count = total_grid + num_random
-    _require_budget(8 * count * (6 * compound_size(k, n) + 2 * kn) + (1 << 16),
+    _require_budget(8 * count * (6 * math.comb(n, k) + 2 * kn) + (1 << 16),
                     f"a content check of {_count_text(count)} tuples")
     axis = np.linspace(lo, hi, samples_per_axis)
     # grid tuple t, flattened, reads axis at the kn base-s digits of t, the
@@ -630,7 +631,7 @@ def wedge_trajectory(
     # the states twice while their blocks are joined, y, w_phi and the
     # arrays of their size in the cross-check, the compound and its build,
     # and 64 KiB of small arrays
-    r = compound_size(k, n)
+    r = math.comb(n, k)
     _require_budget(8 * ((steps + 1) * (5 * r + 2 * k * n) + 3 * r * r) + (1 << 16),
                     f"a wedge trajectory of {_count_text(steps)} steps")
     Ak = mult_compound(sys.A, k)

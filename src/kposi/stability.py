@@ -26,6 +26,10 @@ from .matcore import (
     _eigvals,
     _finite_extremes,
     _LANCZOS_MIN_ORDER,
+    _cache_rule,
+    _cacheable,
+    _check_order,
+    _count_text,
     _minor_table,
     _pd_check,
     _proven_margin,
@@ -34,7 +38,6 @@ from .matcore import (
     det_stack,
     as_square,
     as_vector,
-    compound_size,
     lex_array,
     lex_index_set_at,
     minor_tol,
@@ -48,9 +51,6 @@ COMPOUND_NOT_SCHUR = "COMPOUND_NOT_SCHUR"
 
 CAYLEY_DT = "CAYLEY_DT"
 NEGATE_CT = "NEGATE_CT"
-
-# Screens up to this dimension keep their block indices (under 3 MB in all).
-_SCREEN_CACHE_DIM = 12
 
 # The Neumann series for xi and z (two r x r mat-vecs a term) beats the
 # two LUs of I - M up to a term count that measured 5-6 at r = 35 and
@@ -434,10 +434,10 @@ def _certify(
     After the table the call holds two r x r arrays at its peak (M or the
     Gram, and LAPACK's copy), priced before the table prices itself.
     """
-    r = compound_size(k, A.shape[0])
+    r = math.comb(A.shape[0], k)
     if x is not None or y is not None:
         x, y = _right_hand_sides(x, y, r)
-    _require_budget(16 * r * r, f"a certificate of order {r}")
+    _require_budget(16 * r * r, f"a certificate of order {_count_text(r)}")
     M = _minor_table(A, k)
     t = zero_tol(tol)
     verdict, signature = _sign_gate(M, t)
@@ -498,9 +498,14 @@ def dlf_compound(P, k: int) -> np.ndarray:
     """Diagonal entries of the k-th compound of a positive diagonal matrix.
 
     Entry s is the product of the p_i over the s-th lexicographic k-subset.
+    Priced before the index sets are built, which lex_array prices
+    itself, at the sets, their gathered entries and the products.
     """
     p = diag_entries(P, "P")
     n = p.size
+    _check_order(k, n)
+    count = math.comb(n, k)
+    _require_budget(8 * (2 * k + 1) * count + (1 << 16), f"a compound diagonal of {_count_text(count)} entries")
     sets = lex_array(k, n)
     return np.prod(p[sets], axis=1)
 
@@ -563,14 +568,13 @@ class NecessaryConditionReport:
     transform_used: str
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _screen_blocks(k: int, n: int) -> np.ndarray:
     """Flat indices of the principal k x k blocks of a C-ordered n x n matrix.
 
     take on them gives the (C(n,k), k, k) stack of principal blocks in
     lexicographic order, in one gather.  Read-only; the screen keeps them
-    per (k, n) up to _SCREEN_CACHE_DIM and builds larger ones through
-    __wrapped__, uncached.
+    cached under _cache_rule and builds larger ones through __wrapped__.
     """
     sets = lex_array(k, n)
     blocks = sets[:, :, None] * n + sets[:, None, :]
@@ -587,17 +591,28 @@ def _principal_minor_screen(B: np.ndarray, tol: float):
     pivoting, is at most (2^(k-1) m)^k in magnitude, m = max |B_ij|.  Where
     that stays below 2^1000 at k = n no minor can leave the float range, and
     the sweep runs unchecked; otherwise it runs under one np.errstate and
-    checks each order's minors.  The index-set guard sees the largest
-    order, C(n, n // 2), before order 1, so it refuses n >= 20 whatever B holds.
+    checks each order's minors.
+
+    Priced before order 1, whatever B holds, at the block indices the
+    sweep leaves cached (_cache_rule), three arrays of C(n,k) k^2 entries
+    at its largest order, and 64 KiB of small arrays: at any order the
+    sweep holds at most three such arrays, the indices, take's copy of
+    them (it copies a read-only index array) and the gathered blocks, or
+    the build of the indices, no larger.  So n <= 19 runs and n >= 20 is
+    refused.
     """
     n = B.shape[0]
-    compound_size(n // 2, n)
-    blocks = _screen_blocks if n <= _SCREEN_CACHE_DIM else _screen_blocks.__wrapped__
+    count, sizes = 1, []
+    for k in range(1, n + 1):
+        count = count * (n - k + 1) // k  # C(n, k)
+        sizes.append(8 * count * k * k)
+    kept = sum(size for size in sizes if _cacheable(size))
+    _require_budget(kept + 3 * max(sizes) + (1 << 16), f"a principal-minor screen of order {n}")
     entries = np.ascontiguousarray(B).ravel()
     checked = not float(np.abs(entries).max()) < 2.0 ** ((1000 - n * (n - 1)) / n)
     with np.errstate(over="ignore", invalid="ignore") if checked else nullcontext():
-        for k in range(1, n + 1):
-            values = det_stack(entries.take(blocks(k, n)))
+        for k, size in enumerate(sizes, 1):
+            values = det_stack(entries.take(_cache_rule(_screen_blocks, size)(k, n)))
             if checked:
                 _finite_extremes(values)
             passed = values > tol

@@ -26,3 +26,22 @@ def table_calls(monkeypatch):
         if (name == "kposi" or name.startswith("kposi.")) and getattr(mod, "_minor_table", None) is original:
             monkeypatch.setattr(mod, "_minor_table", counted)
     return calls
+
+
+@pytest.fixture
+def budget_prices(monkeypatch):
+    """Record (nbytes, what) of each call of matcore._require_budget, the
+    one capacity guard, through any kposi module, and let it decide as
+    before.  Modules that import it by name are patched as table_calls
+    patches theirs."""
+    prices = []
+    original = matcore._require_budget
+
+    def recorded(nbytes, what):
+        prices.append((nbytes, what))
+        original(nbytes, what)
+
+    for name, mod in list(sys.modules.items()):
+        if (name == "kposi" or name.startswith("kposi.")) and getattr(mod, "_require_budget", None) is original:
+            monkeypatch.setattr(mod, "_require_budget", recorded)
+    return prices

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -453,6 +454,25 @@ class TestErrorPaths:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+    def test_wedge_sim_refuses_unit_weights_beyond_the_budget(self, tmp_path, capsys):
+        # without --certify the weights are C(40,20) ones, about 1.1 TB:
+        # priced before they are made, not left to numpy's MemoryError
+        doc = {"A": matrix_document(0.5 * np.eye(40)), "maps": [{"kind": "power", "p": 2}] * 40,
+               "domain": [-0.5, 0.5]}
+        sys_path = write_json(tmp_path / "sys.json", doc)
+        init_path = write_json(tmp_path / "init.json", matrix_document(np.zeros((40, 20))))
+        tracemalloc.start()
+        try:
+            code = run_cli(["wedge-sim", "--system", sys_path, "--initials", init_path, "-k", "20", "--steps", "1"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and peak < 1_000_000
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unit weights of order 137846528820 would hold about 1.103e+06 MB")
+        assert len(captured.err.splitlines()) == 1
 
     def test_singular_cayley_exits_two(self, tmp_path, capsys):
         path = write_json(tmp_path / "i.json", matrix_document(np.eye(3)))

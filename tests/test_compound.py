@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from kposi import (
     spectral_report,
     wedge,
 )
+from kposi import matcore
 from kposi.examples import CERT_3X3, DT_NO_DLF
 
 from oracles import well_conditioned
@@ -188,6 +190,51 @@ class TestWedge:
         np.testing.assert_array_equal(
             w.coords, mult_compound(np.column_stack(vs), 3)[:, 0]
         )
+
+    @staticmethod
+    def traced_wedge(vs):
+        tracemalloc.start()
+        try:
+            w = wedge(vs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return w, peak
+
+    def test_five_vectors_in_r30_run_within_their_price(self, budget_prices):
+        # C(30,5) = 142506 coordinates, a one-column table priced with the
+        # build of its Laplace plan (2.7 MB of row indices)
+        matcore._laplace_plan.cache_clear()
+        vs = np.random.default_rng(15).standard_normal((5, 30))
+        w, peak = self.traced_wedge(vs)
+        assert w.coords.shape == (142506,)
+        (price, what), = budget_prices
+        assert what == "a minor table of 142506x1 order-5 minors" and peak <= price
+        stacked, cols = np.column_stack(vs), tuple(range(1, 6))
+        for i in np.random.default_rng(16).integers(0, 142506, 10):
+            assert w.coords[i] == minor(stacked, matcore.lex_index_set_at(int(i), 5, 30), cols)
+
+    @pytest.mark.parametrize("k, n", [(3, 60), (5, 24), (8, 16)])
+    def test_one_column_table_at_the_budget_runs_and_one_over_it_is_refused(self, monkeypatch, budget_prices, k, n):
+        # with the budget at the price of k vectors in R^n, their wedge runs
+        # within it, plan build included, and k vectors in R^(n+1) are
+        # refused before anything of their size is made
+        monkeypatch.setattr(matcore, "_BYTE_BUDGET", matcore._table_bytes(n, k, k))
+        matcore._laplace_plan.cache_clear()
+        rng = np.random.default_rng(17)
+        w, peak = self.traced_wedge(rng.standard_normal((k, n)))
+        assert w.coords.shape == (math.comb(n, k),)
+        assert budget_prices == [(matcore._BYTE_BUDGET, f"a minor table of {math.comb(n, k)}x1 order-{k} minors")]
+        assert peak <= matcore._BYTE_BUDGET
+        vs = rng.standard_normal((k, n + 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match=f"^a minor table of {math.comb(n + 1, k)}x1 order-{k} minors"):
+                wedge(vs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_dimension_mismatch(self):
         with pytest.raises(DomainError):

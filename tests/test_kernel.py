@@ -116,6 +116,40 @@ class TestLaplaceKernel:
             rows, cols = lex_index_set_at(int(i), 4, 16), lex_index_set_at(int(j), 4, 16)
             assert table[i, j] == minor(A, rows, cols)
 
+    def test_plan_cache_holds_at_most_the_budget(self, monkeypatch):
+        # 80 distinct plans of 4 KB to 1.9 MB: the cache keeps only those of
+        # at most a 64th of the budget, so it holds within the budget what,
+        # by entry count alone, would be its last 64 plans, over 40 MB
+        monkeypatch.setattr(matcore, "_BYTE_BUDGET", 6_400_000)
+        shapes = [(n, 3, 3) for n in range(10, 90)]
+        assert sum(matcore._plan_bytes(*shape) for shape in shapes[-64:]) > 6 * matcore._BYTE_BUDGET
+        rng = np.random.default_rng(68)
+        matcore._laplace_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            for n, m, q in shapes:
+                matcore._minors(rng.standard_normal((n, m)), q)
+            held, _ = tracemalloc.get_traced_memory()
+            kept = matcore._laplace_plan.cache_info().currsize
+        finally:
+            tracemalloc.stop()
+            matcore._laplace_plan.cache_clear()
+        assert 0 < kept < 64 and held <= matcore._BYTE_BUDGET
+
+    @pytest.mark.parametrize("n, m, k", [(16, 16, 2), (15, 8, 8), (30, 5, 5), (12, 12, 5), (9, 9, 9), (12, 10, 9), (14, 9, 9)])
+    def test_table_price_bounds_the_traced_peak(self, budget_prices, n, m, k):
+        # the products of the top level, the widest row block and the plan's
+        # build; above order 8 the gathered blocks and the two index arrays
+        A = np.random.default_rng(69).uniform(-1.0, 1.0, (n, m))
+        matcore._laplace_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            minor_table(A, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget_prices[0][0]
+
     def test_table_peak_stays_near_one_table(self):
         # the top level is built in row blocks into one table, so the peak
         # is the table, the level below it and block temporaries

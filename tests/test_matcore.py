@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from kposi import (
     spectral_report,
 )
 from kposi.examples import CERT_3X3, CYCLIC_WEDGE, DT_NO_DLF, DT_SCREEN_WITNESS
+from kposi import matcore
 from kposi.matcore import det_stack
 
 from oracles import leibniz_det, sylvester_positive_definite
@@ -49,14 +52,38 @@ class TestLexIndexSets:
             lex_index_sets(20, 40)
 
     # a count of over 4300 digits, which str() of an int refuses to write,
-    # is written by its exponent
+    # is written by its exponent, and so is its price
     @pytest.mark.parametrize("k, n, sizes", [
-        (2, 10**3000, r"C\(1e3000,2\) = 1e6000"),
-        (10**5000 - 1, 10**5000, r"C\(1e5000,1e5000\) = 1e5000"),
+        (2, 10**3000, r"1e6000 index sets of order 2 would hold about 1e5996 MB"),
+        (10**5000 - 1, 10**5000, r"1e5000 index sets of order 1e5000 would hold about 1e9995 MB"),
     ], ids=["huge-n", "huge-k"])
     def test_capacity_guard_writes_a_huge_count_by_its_exponent(self, k, n, sizes):
-        with pytest.raises(CapacityError, match=rf"^{sizes} exceeds [^\n]*\Z"):
+        with pytest.raises(CapacityError, match=rf"^{sizes}, beyond the budget of 400 MB\Z"):
             lex_index_sets(k, n)
+
+    def test_numpy_builder_equals_combinations(self):
+        for n in range(1, 13):
+            for k in range(1, n + 1):
+                sets = matcore.lex_array(k, n)
+                expected = np.array(list(combinations(range(n), k)), dtype=np.intp)
+                assert sets.dtype == np.intp and sets.shape == expected.shape
+                assert sets.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("build, k, n", [
+        *((matcore.lex_array, k, n) for k, n in [(1, 300), (2, 400), (3, 60), (5, 27), (10, 20), (20, 20)]),
+        *((lex_index_sets, k, n) for k, n in [(1, 300), (2, 200), (3, 40), (6, 14), (14, 14)]),
+    ])
+    def test_index_prices_bound_the_traced_peak(self, budget_prices, build, k, n):
+        # the array is priced in entries, the sets at a fixed size an object
+        tracemalloc.start()
+        try:
+            sets = build(k, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sets) == math.comb(n, k)
+        (price, _), = budget_prices
+        assert peak <= price
 
     def test_index_set_validation(self):
         with pytest.raises(DomainError):

@@ -221,12 +221,32 @@ def test_a_floor_beyond_the_float_range_proves_nothing(proof_calls):
 def test_an_all_zero_compound(proof_calls, solves):
     # rho = 0 sends it to LU, and its nonzeros, of which there are none,
     # apply the gap v -> v: the bound from xi is taken over them, and
-    # clears pd_tol
+    # clears pd_tol, and Lanczos stops on its breakdown with the margin
     cert = construct_dlf_nonneg(np.zeros((300, 300)))
     assert solves.lu == 2 and solves.series == []
-    assert cert.d.tobytes() == np.ones(300).tobytes() and cert.stein_margin == 1.0
+    assert cert.d.tobytes() == np.ones(300).tobytes()
+    assert abs(cert.stein_margin - 1.0) <= MARGIN_RTOL
     (call,) = proof_calls
-    assert matcore.pd_tol() < call.bound <= 1.0
+    assert matcore.pd_tol() < call.bound <= 1.0 and call.ritz == [cert.stein_margin]
+
+
+@pytest.mark.parametrize("gain", [0.1, 0.0])
+def test_lanczos_stops_on_breakdown(gain, monkeypatch):
+    # all ones is an eigenvector of the gap of gain * I: beta comes out as
+    # rounding noise next to alpha, not as 0, and the run stops on it at
+    # its first step with θ, not after _LANCZOS_MAX_STEPS with None
+    steps, thetas, lanczos = [], [], matcore._lanczos_smallest
+
+    def counted(matvec, r):
+        thetas.append(lanczos(lambda v: steps.append(1) or matvec(v), r))
+        return thetas[-1]
+
+    monkeypatch.setattr(matcore, "_lanczos_smallest", counted)
+    A = gain * np.eye(300)
+    cert = construct_dlf_nonneg(A)
+    exact = smallest_eigenvalue(stein_gap_of(A, cert.d))
+    assert len(steps) <= 2 and thetas == [cert.stein_margin]
+    assert abs(cert.stein_margin - exact) <= MARGIN_RTOL * exact
 
 
 def test_nonzero_path_holds_nothing_of_order_r_squared(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 
@@ -379,6 +380,32 @@ class TestDlfCompound:
             dlf_compound(np.diag([1.0, 2.0, 3.0]), 2), [2.0, 3.0, 6.0], rtol=0
         )
 
+    @pytest.mark.parametrize("k, n", [(5, 30), (2, 1000), (12, 20)])
+    def test_price_bounds_the_traced_peak(self, budget_prices, k, n):
+        # the diagonal is priced before its index sets, which lex_array prices
+        p = np.random.default_rng(38).uniform(0.5, 2.0, n)
+        tracemalloc.start()
+        try:
+            d = dlf_compound(p, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert d.shape == (math.comb(n, k),)
+        (price, what), (index_price, _) = budget_prices
+        assert what == f"a compound diagonal of {math.comb(n, k)} entries"
+        assert peak <= max(price, index_price)
+
+    def test_refused_before_its_index_sets(self):
+        # C(60,30), about 1.2e17 entries
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="^a compound diagonal of 118264581564861424 entries"):
+                dlf_compound(np.ones(60), 30)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestSolveTopCompound:
     def test_reference_values(self):
@@ -543,31 +570,56 @@ class TestNecessaryScreens:
             confirmed += 1
         assert confirmed >= 20
 
-    @pytest.mark.parametrize("n", [4, 13])
-    def test_screen_is_the_same_with_and_without_its_index_cache(self, n, monkeypatch):
-        # the principal k-minors of I - cJ are 1 - k c: only the full one fails
+    @pytest.mark.parametrize("n", [4, 13, 16])
+    def test_screen_is_the_same_with_and_without_its_index_cache(self, n):
+        # the principal k-minors of I - cJ are 1 - k c: only the full one
+        # fails.  Up to n = 15 the cache keeps every order's block indices;
+        # at n = 16 it keeps all but orders 8-10, over a 64th of the budget
         A = np.ones((n, n)) / (n - 0.5) - np.eye(n)
-        for cache_dim in (stability._SCREEN_CACHE_DIM, 0):
-            monkeypatch.setattr(stability, "_SCREEN_CACHE_DIM", cache_dim)
-            for _ in range(2):
-                kappa, value = necessary_ct_diag(A).failing_minor
-                assert kappa.indices == tuple(range(1, n + 1))
-                assert value == pytest.approx(1 - n / (n - 0.5), rel=1e-9)
-        assert not stability._screen_blocks(2, 4).flags.writeable
+        for _ in range(2):
+            kappa, value = necessary_ct_diag(A).failing_minor
+            assert kappa.indices == tuple(range(1, n + 1))
+            assert value == pytest.approx(1 - n / (n - 0.5), rel=1e-9)
+        uncached = []
+        for k in range(1, n + 1):
+            blocks = stability._screen_blocks.__wrapped__(k, n)
+            if not matcore._cacheable(blocks.nbytes):
+                uncached.append(k)
+                continue
+            kept = stability._screen_blocks(k, n)
+            assert not kept.flags.writeable and kept.tobytes() == blocks.tobytes()
+        assert uncached == ([8, 9, 10] if n == 16 else [])
 
     def test_screen_at_n20_is_refused_before_any_order(self):
         # -I fails at its first 1x1 minor; I - J/8 passes orders 1-7 (minors
-        # 1 - k/8): both are refused at the largest order, C(20,10)
+        # 1 - k/8): both are refused before order 1, at the price of the
+        # largest order, C(20,10) = 184756 blocks of 10 x 10
         failing, passing = np.eye(20), 0.125 * np.ones((20, 20)) - np.eye(20)
         for A in (failing, passing):
             tracemalloc.start()
             try:
-                with pytest.raises(CapacityError, match=r"C\(20,10\) = 184756"):
+                with pytest.raises(CapacityError, match="^a principal-minor screen of order 20 would hold about 494.8 MB"):
                     necessary_ct_diag(A)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert peak < 1_000_000
+
+    @pytest.mark.parametrize("n", [3, 12, 16])
+    def test_screen_price_bounds_the_traced_peak(self, budget_prices, n):
+        # I - J/(2n) passes every order, so the sweep runs to order n
+        stability._screen_blocks.cache_clear()
+        tracemalloc.start()
+        try:
+            report = necessary_ct_diag(np.ones((n, n)) / (2 * n) - np.eye(n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        # then each order's index sets, as lex_array prices them
+        (price, what), *index_sets = budget_prices
+        assert what == f"a principal-minor screen of order {n}" and peak <= price
+        assert [w.startswith("an array of") for _, w in index_sets] == [True] * n
 
     def test_screen_at_n19_runs(self):
         kappa, value = necessary_ct_diag(np.eye(19)).failing_minor

@@ -345,8 +345,10 @@ def _laplace_plan(n: int, m: int, q: int) -> tuple[tuple[np.ndarray, ...], ...]:
     return tuple(levels)
 
 
+@lru_cache(maxsize=64)
 def _plan_bytes(n: int, m: int, q: int) -> int:
-    """Bytes of the arrays of _laplace_plan(n, m, q)."""
+    """Bytes of the arrays of _laplace_plan(n, m, q); kept, as _minors
+    looks it up for _cache_rule on every call."""
     return 8 * sum(2 * math.comb(n - q + p, p) + 2 * p * math.comb(m, p) for p in range(2, q + 1))
 
 
@@ -463,8 +465,11 @@ def minor_table(A, k: int) -> np.ndarray:
     return T
 
 
+@lru_cache(maxsize=64)
 def _table_bytes(n: int, m: int, k: int) -> int:
-    """Bytes _minors(A, k) holds at its peak for an n x m A, at most.
+    """Bytes _minors(A, k) holds at its peak for an n x m A, at most; kept
+    per shape, as the verdicts price tables of a few shapes over and over,
+    so _LEVEL_BLOCK and _LAPLACE_MAX_ORDER are read once a shape.
 
     Up to _LAPLACE_MAX_ORDER: the R C k products of the top Laplace level,
     which bound the level and the one below it; the temporaries of the

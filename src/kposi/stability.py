@@ -428,16 +428,18 @@ def _certify(
 ) -> KDiagCertificate | CertificationFailure:
     """certify_k_diag_stability on a checked square A, without its k <= n-1 bound.
 
-    construct_dlf_nonneg calls it at k = 1, which a 1 x 1 A needs.  A given
-    x or y is checked before any work, so no verdict hides a bad vector;
-    with neither given the checks are skipped, as the defaults pass them.
-    After the table the call holds two r x r arrays at its peak (M or the
-    Gram, and LAPACK's copy), priced before the table prices itself.
+    construct_dlf_nonneg calls it at k = 1, which a 1 x 1 A needs.  After
+    the table the call holds two r x r arrays at its peak (M or the Gram,
+    and LAPACK's copy), priced first, before the table prices itself and
+    before the unit vectors a given x or y is completed with.  A given x
+    or y is then checked before any minor, so no verdict hides a bad
+    vector; with neither given the checks are skipped, as the defaults
+    pass them.
     """
     r = math.comb(A.shape[0], k)
+    _require_budget(16 * r * r, f"a certificate of order {_count_text(r)}")
     if x is not None or y is not None:
         x, y = _right_hand_sides(x, y, r)
-    _require_budget(16 * r * r, f"a certificate of order {_count_text(r)}")
     M = _minor_table(A, k)
     t = zero_tol(tol)
     verdict, signature = _sign_gate(M, t)
@@ -503,7 +505,7 @@ def dlf_compound(P, k: int) -> np.ndarray:
     """
     p = diag_entries(P, "P")
     n = p.size
-    _check_order(k, n)
+    _check_order(k, n)  # before math.comb, which meets a negative k with ValueError
     count = math.comb(n, k)
     _require_budget(8 * (2 * k + 1) * count + (1 << 16), f"a compound diagonal of {_count_text(count)} entries")
     sets = lex_array(k, n)
@@ -602,10 +604,7 @@ def _principal_minor_screen(B: np.ndarray, tol: float):
     refused.
     """
     n = B.shape[0]
-    count, sizes = 1, []
-    for k in range(1, n + 1):
-        count = count * (n - k + 1) // k  # C(n, k)
-        sizes.append(8 * count * k * k)
+    sizes = [8 * math.comb(n, k) * k * k for k in range(1, n + 1)]
     kept = sum(size for size in sizes if _cacheable(size))
     _require_budget(kept + 3 * max(sizes) + (1 << 16), f"a principal-minor screen of order {n}")
     entries = np.ascontiguousarray(B).ravel()

@@ -207,6 +207,19 @@ class TestCertify:
             certify_k_diag_stability(A, k, x=x)
         assert table_calls == []
 
+    # the unit vectors that complete a given x or y are priced with the
+    # certificate: C(40,20), about 1.4e11, is refused before any is made
+    @pytest.mark.parametrize("given", [{"x": [1.0]}, {"y": [1.0]}], ids=["x", "y"])
+    def test_given_vector_is_refused_before_its_unit_complement(self, given):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="^a certificate of order 137846528820 would hold"):
+                certify_k_diag_stability(0.5 * np.eye(40), 20, **given)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_certificate_exists_for_schur_ssr2(self):
         cert = certify_k_diag_stability(CERT_3X3, 2)
         assert isinstance(cert, KDiagCertificate)
@@ -394,6 +407,11 @@ class TestDlfCompound:
         (price, what), (index_price, _) = budget_prices
         assert what == f"a compound diagonal of {math.comb(n, k)} entries"
         assert peak <= max(price, index_price)
+
+    @pytest.mark.parametrize("k", [-1, 0, 4])
+    def test_order_outside_one_to_n_is_a_domain_error(self, k):
+        with pytest.raises(DomainError, match=f"order k={k} must satisfy 1 <= k <= n=3"):
+            dlf_compound(np.ones(3), k)
 
     def test_refused_before_its_index_sets(self):
         # C(60,30), about 1.2e17 entries

@@ -19,7 +19,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -29,7 +28,7 @@ import numpy as np
 from .compound import mult_compound, wedge
 from .cyclic import CyclicSpec, analyze_cyclic, build_cyclic
 from .errors import CapacityError, DomainError, NumericError, PreconditionError
-from .matcore import LexIndexSet, _checked_tol, _count_text, _require_budget, minor_tol, pd_tol, zero_tol
+from .matcore import LexIndexSet, _checked_tol, minor_tol, pd_tol, zero_tol
 from .nonlinear import (
     NonlinearSystem,
     ScalarMap,
@@ -44,6 +43,7 @@ from .stability import (
     CertificationFailure,
     cayley,
     certify_k_diag_stability,
+    dlf_compound,
     necessary_ct_diag,
     necessary_dt_diag,
     solve_top_compound_diagonal,
@@ -342,10 +342,9 @@ def _cmd_wedge_sim(args) -> int:
         d = result.d
         cert_info = _encode(result, ("stein_margin", "compound_spectral_radius"))
     else:
-        # unit weights, one per wedge coordinate, priced before they are made
-        r = math.comb(sys_.n, args.k)
-        _require_budget(8 * r, f"unit weights of order {_count_text(r)}")
-        d = np.ones(r)
+        # unit weights, one per wedge coordinate: the compound of I's diagonal,
+        # whose products of ones are exactly 1, priced before it is made
+        d = dlf_compound(np.ones(sys_.n), args.k)
     traj = wedge_trajectory(sys_, args.k, initials, d, args.steps, tol=args.tol)
     export_trajectory_csv(traj, sys.stdout, include_states=args.include_states)
     # of the trajectory only these fields, in this order: not its state series

@@ -35,24 +35,6 @@ _BYTE_BUDGET = 400_000_000
 # each k x k block is factorised instead.
 _LAPLACE_MAX_ORDER = 8
 
-# Orders from which certify proves the Stein check of a nonnegative compound
-# from its own positive xi (_proven_margin) and takes the margin from
-# Lanczos, not from a full eigen-solve; below it the eigen-solve is the
-# faster of the two (crossover measured in BENCH_lanczos.json).
-_LANCZOS_MIN_ORDER = 250
-
-# Lanczos steps after which the run gives up and the eigen-solve
-# decides, and the Ritz residual, relative to the largest Ritz value, at
-# which it stops.
-_LANCZOS_MAX_STEPS = 256
-_LANCZOS_RTOL = 1e-14
-
-# Steps between two convergence checks of the Lanczos run at most, and
-# before the first one.
-_LANCZOS_CHECK_STEPS = 16
-
-_EPS = float(np.finfo(float).eps)
-
 # Entries of a Laplace level the kernel builds in one go.  A larger level
 # is built in blocks of row sets of about this many entries, written into
 # one preallocated table, so its temporaries stay a fraction of the table.
@@ -466,29 +448,30 @@ def minor_table(A, k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _table_bytes(n: int, m: int, k: int) -> int:
-    """Bytes _minors(A, k) holds at its peak for an n x m A, at most; kept
-    per shape, as the verdicts price tables of a few shapes over and over,
-    so _LEVEL_BLOCK and _LAPLACE_MAX_ORDER are read once a shape.
+def _table_bytes(n: int, m: int, k: int, batch: int = 1) -> int:
+    """Bytes _minors(A, k) holds at its peak for a (batch, n, m) stack A, at
+    most (batch 1 for a single n x m A); kept per shape, as the verdicts
+    price tables of a few shapes over and over, so _LEVEL_BLOCK and
+    _LAPLACE_MAX_ORDER are read once a shape.
 
-    Up to _LAPLACE_MAX_ORDER: the R C k products of the top Laplace level,
-    which bound the level and the one below it; the temporaries of the
-    widest row block, whose max(1, _LEVEL_BLOCK // C(m,p)) row sets each
-    make a head row, a row of level p-1 and three rows of level p (the
-    result, a term and its gathered factor); the build of the plan, four
-    times its arrays; and 64 KiB of small arrays.  Above: the gathered
-    k x k blocks and their minors, R C (k^2 + 1) entries, and the two
-    index arrays.
+    Up to _LAPLACE_MAX_ORDER: the batch R C k products of the top Laplace
+    level, which bound the level and the one below it; the temporaries of
+    the widest row block, whose max(1, _LEVEL_BLOCK // (batch C(m,p))) row
+    sets each make, per matrix, a head row, a row of level p-1 and three
+    rows of level p (the result, a term and its gathered factor); the
+    build of the plan, four times its arrays; and 64 KiB of small arrays.
+    Above: the gathered k x k blocks and their minors, batch R C (k^2 + 1)
+    entries, and the two index arrays.
     """
     R, C = math.comb(n, k), math.comb(m, k)
     if k > _LAPLACE_MAX_ORDER:
-        return 8 * R * C * (k * k + 1) + _lex_bytes(k, n) + _lex_bytes(k, m)
+        return 8 * batch * R * C * (k * k + 1) + _lex_bytes(k, n) + _lex_bytes(k, m)
     block = max(
-        (max(1, _LEVEL_BLOCK // math.comb(m, p)) * (m + math.comb(m, p - 1) + 3 * math.comb(m, p))
-         for p in range(2, k + 1)),
+        (max(1, _LEVEL_BLOCK // (batch * math.comb(m, p))) * batch
+         * (m + math.comb(m, p - 1) + 3 * math.comb(m, p)) for p in range(2, k + 1)),
         default=0,
     )
-    return 8 * (R * C * k + block) + 4 * _plan_bytes(n, m, k) + (1 << 16)
+    return 8 * (batch * R * C * k + block) + 4 * _plan_bytes(n, m, k) + (1 << 16)
 
 
 def _minor_table(A: np.ndarray, k: int) -> np.ndarray:
@@ -567,9 +550,7 @@ def _pd_check(S: np.ndarray, t: float) -> PdCheck:
     t is a resolved pd_tol.  S goes to the eigen-solve as it is (LAPACK
     reads one triangle), so a caller that builds S exactly symmetric needs
     no symmetrizing copy.  A NaN or infinite entry is a DomainError, not a
-    margin.  stein_holds, is_positive_definite and certify's fallback
-    decide by it; certify first tries to prove its gap, which it only
-    applies, through _proven_margin (stability._certify).
+    margin.
     """
     if not (math.isfinite(S.max()) and math.isfinite(S.min())):
         raise DomainError("matrix contains NaN or infinite entries")
@@ -579,127 +560,3 @@ def _pd_check(S: np.ndarray, t: float) -> PdCheck:
         raise NumericError(f"symmetric eigenvalue solve failed: {exc}") from exc
     margin = float(eigs[0])
     return PdCheck(ok=margin > t, margin=margin)
-
-
-def _proven_margin(proof: np.ndarray, t: float, matvec, c, count: int, floor) -> float | None:
-    """θ of _lanczos_smallest on the symmetric Z-matrix S that matvec applies,
-    once the Collatz-Wielandt bound from proof > 0 proves S > t; None, and
-    the eigen-solve decides, in every other case.
-
-    c, count and floor model the rounding of matvec, as
-    _collatz_wielandt_bound reads them.  The bound proves the pass when it
-    is finite and above t, and θ is returned when Lanczos converges and θ
-    is not below the bound.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = _collatz_wielandt_bound(matvec, proof, c, count, floor)
-    if math.isfinite(bound) and bound > t:
-        theta = _lanczos_smallest(matvec, proof.size)
-        if theta is not None and bound <= theta:
-            return theta
-    return None
-
-
-def _lanczos_smallest(matvec, r: int) -> float | None:
-    """θ, the smallest Ritz value of the symmetric r x r matrix S that matvec applies, or None.
-
-    Lanczos (Parlett, The Symmetric Eigenvalue Problem, 1998) from the
-    all-ones vector, each new direction orthogonalised against the whole
-    basis twice (classical Gram-Schmidt, twice is enough).  The work is one
-    call of matvec per step plus two products with the basis, which holds
-    the vectors of the steps up to the next check and grows in place at
-    each check, to at most _LANCZOS_MAX_STEPS vectors: no r x r array is
-    made.  The run stops once the Ritz residual |beta_j s_j| of θ is at
-    most _LANCZOS_RTOL times the largest Ritz value in modulus, and
-    checks that at once on a breakdown, a beta_j of at most _LANCZOS_RTOL
-    |alpha_j|, which then passes it, as |alpha_j| <= ||T||.  The basis
-    then spans an invariant subspace to rounding (the start is an
-    eigenvector, say); S being a symmetric Z-matrix, it has a nonnegative
-    bottom eigenvector, which all ones is not orthogonal to, so θ is its
-    smallest eigenvalue.  The run returns None if it takes more than
-    _LANCZOS_MAX_STEPS steps, or if a step leaves the float range
-    (entries of S near the top of it), with no warning.  The tridiagonal
-    matrix is solved at checks spaced by the residual's own rate of
-    decrease, at most _LANCZOS_CHECK_STEPS apart.
-    """
-    steps = min(_LANCZOS_MAX_STEPS, r)
-    alpha, beta = np.empty(steps), np.empty(steps)
-    check, last = min(_LANCZOS_CHECK_STEPS, steps), None
-    basis = np.empty((check, r))
-    basis[0] = 1.0 / math.sqrt(r)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(steps):
-            Q = basis[: j + 1]
-            w = matvec(Q[j])
-            alpha[j] = Q[j] @ w
-            w -= (Q @ w) @ Q
-            w -= (Q @ w) @ Q
-            beta[j] = math.sqrt(w @ w)
-            if not (math.isfinite(alpha[j]) and math.isfinite(beta[j])):
-                return None
-            if j + 1 == check or beta[j] <= _LANCZOS_RTOL * abs(alpha[j]):
-                ritz = _smallest_ritz(alpha[: j + 1], beta[: j + 1])
-                if ritz is None:
-                    return None
-                theta, residual, target = ritz
-                if residual <= target:
-                    return theta
-                check = min(j + 1 + _next_check(last, (j + 1, residual), target), steps)
-                last = (j + 1, residual)
-            if j + 1 < steps:
-                if j + 1 == len(basis):
-                    # grown up to the next check; Q, the one view of the
-                    # basis, goes first, so the reallocation leaves none
-                    del Q
-                    basis.resize((check, r), refcheck=False)
-                basis[j + 1] = w / beta[j]
-    return None
-
-
-def _smallest_ritz(alpha: np.ndarray, beta: np.ndarray):
-    """(θ, its Ritz residual |beta_j s_j|, the residual that stops the run)
-    from the tridiagonal matrix of alpha and beta[:-1], or None if its
-    eigen-solve fails.  Its two j x j arrays go at the return, before the
-    run's next mat-vec."""
-    j = alpha.size
-    T = np.diag(alpha)
-    T.flat[1 :: j + 1] = T.flat[j :: j + 1] = beta[:-1]
-    try:
-        theta, s = np.linalg.eigh(T)
-    except np.linalg.LinAlgError:
-        return None
-    return float(theta[0]), beta[-1] * abs(s[-1, 0]), _LANCZOS_RTOL * max(abs(theta[0]), abs(theta[-1]))
-
-
-def _next_check(last, now, target: float) -> int:
-    """Steps to the next convergence check: as many as the residual, falling at
-    its rate since the last check, needs to reach target, within 1 and
-    _LANCZOS_CHECK_STEPS."""
-    if last is None or not 0.0 < now[1] < last[1]:
-        return _LANCZOS_CHECK_STEPS
-    rate = math.log(last[1] / now[1]) / (now[0] - last[0])
-    need = math.log(now[1] / target) / rate if target > 0.0 else math.inf
-    return int(min(max(math.ceil(need), 1), _LANCZOS_CHECK_STEPS))
-
-
-def _collatz_wielandt_bound(matvec, v: np.ndarray, c, count: int, floor) -> float:
-    """A lower bound on the smallest eigenvalue of a symmetric Z-matrix S, from v > 0.
-
-    matvec applies S.  With μ I - S nonnegative, its Perron root is at most
-    max_i ((μ I - S) v)_i / v_i (Collatz-Wielandt; Horn and Johnson, Matrix
-    Analysis, 8.1), so λ_min(S) >= min_i (S v)_i / v_i.  The computed
-    f = matvec(v) is taken to be within γ_count (2 c∘v - S v) + floor of
-    S v, with γ as (count + 10) eps, twice γ_count with room for the few
-    roundings after the product, and floor for underflow.  For M >= 0
-    with at most a nonzeros in a row and b in a column (a = b = r when M
-    is applied densely), and d > 0, S = D - M^T D M applied as
-    fl(d∘v - M^T (d∘(M v))) has an error of at most
-    γ_{a+b+2} (d∘v + M^T (d∘(M v))), and that sum is 2 d∘v - S v: c = d,
-    count = a + b + 2, and floor is η (M^T (a d + 1) + b + 1), η the
-    smallest subnormal, the underflow of the products of the three
-    stages carried through the later ones (stability._Applied.stein_gap).
-    """
-    f = matvec(v)
-    spread = 2.0 * c * v - f
-    f -= (count + 10) * _EPS * spread + floor
-    return float(np.min(f / v))

@@ -25,6 +25,7 @@ from .matcore import (
     _count_text,
     _minors,
     _require_budget,
+    _table_bytes,
     as_square,
     as_vector,
     lex_index_set_at,
@@ -490,7 +491,8 @@ def _wedge_coords_batch(tuples: np.ndarray, phi=None) -> np.ndarray:
     phi given, row t is the wedge of phi(tuples[t]) instead.  Both run on
     _WEDGE_CHUNK tuples at a time, so their temporaries stay small next
     to the result however long the batch is.  Unpriced: the content check
-    and the wedge trajectory price the batch before they make it.
+    and the wedge trajectory price the batch before they make it, the
+    kernel's temporaries at _chunk_bytes.
     """
     T, k, n = tuples.shape
     coords = np.empty((T, math.comb(n, k)))
@@ -500,6 +502,13 @@ def _wedge_coords_batch(tuples: np.ndarray, phi=None) -> np.ndarray:
             chunk = phi(chunk)
         coords[s : s + _WEDGE_CHUNK] = _minors(np.swapaxes(chunk, 1, 2), k)[..., 0]
     return coords
+
+
+def _chunk_bytes(count: int, k: int, n: int) -> int:
+    """Bytes the minor kernel holds at its peak on one chunk of
+    _wedge_coords_batch over count k-tuples in R^n, as _table_bytes prices
+    a table of the chunk's size."""
+    return _table_bytes(n, k, k, min(count, _WEDGE_CHUNK))
 
 
 def check_k_content_preserving(
@@ -533,11 +542,12 @@ def check_k_content_preserving(
         raise DomainError(f"the content check needs a domain of finite width, got [{lo}, {hi}]")
     t = zero_tol(tol)
     # the tuples and the random draws again while they are copied in, then
-    # p, q and the arrays of their size that compare them, and 64 KiB more
+    # p, q and the arrays of their size that compare them, the kernel's
+    # chunk, and 64 KiB more
     kn = k * n
     total_grid = samples_per_axis**kn
     count = total_grid + num_random
-    _require_budget(8 * count * (6 * math.comb(n, k) + 2 * kn) + (1 << 16),
+    _require_budget(8 * count * (6 * math.comb(n, k) + 2 * kn) + _chunk_bytes(count, k, n) + (1 << 16),
                     f"a content check of {_count_text(count)} tuples")
     axis = np.linspace(lo, hi, samples_per_axis)
     # grid tuple t, flattened, reads axis at the kn base-s digits of t, the
@@ -630,9 +640,9 @@ def wedge_trajectory(
     steps = _checked_count(steps, "steps", 0)
     # the states twice while their blocks are joined, y, w_phi and the
     # arrays of their size in the cross-check, the compound and its build,
-    # and 64 KiB of small arrays
+    # the kernel's chunk, and 64 KiB of small arrays
     r = math.comb(n, k)
-    _require_budget(8 * ((steps + 1) * (5 * r + 2 * k * n) + 3 * r * r) + (1 << 16),
+    _require_budget(8 * ((steps + 1) * (5 * r + 2 * k * n) + 3 * r * r) + _chunk_bytes(steps + 1, k, n) + (1 << 16),
                     f"a wedge trajectory of {_count_text(steps)} steps")
     Ak = mult_compound(sys.A, k)
     if d.size != Ak.shape[0]:

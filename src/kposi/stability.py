@@ -25,14 +25,12 @@ from .matcore import (
     _checked_tol,
     _eigvals,
     _finite_extremes,
-    _LANCZOS_MIN_ORDER,
     _cache_rule,
     _cacheable,
     _check_order,
     _count_text,
     _minor_table,
     _pd_check,
-    _proven_margin,
     _require_budget,
     _require_finite,
     det_stack,
@@ -60,6 +58,22 @@ NEGATE_CT = "NEGATE_CT"
 _NEUMANN_BREAK_EVEN = 16
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).smallest_subnormal)
+
+# Orders from which certify proves the Stein check of a nonnegative compound
+# from its own positive xi (_Applied.proven_margin) and takes the margin
+# from Lanczos, not from a full eigen-solve; below it the eigen-solve is the
+# faster of the two (crossover measured in BENCH_lanczos.json).
+_LANCZOS_MIN_ORDER = 250
+
+# Lanczos steps after which the run gives up and the eigen-solve
+# decides, and the Ritz residual, relative to the largest Ritz value, at
+# which it stops.
+_LANCZOS_MAX_STEPS = 256
+_LANCZOS_RTOL = 1e-14
+
+# Steps between two convergence checks of the Lanczos run at most, and
+# before the first one.
+_LANCZOS_CHECK_STEPS = 16
 
 # A nonnegative compound of order _LANCZOS_MIN_ORDER or more with at most
 # r^2 / _NONZERO_BREAK_EVEN nonzeros is used through them after the table.
@@ -293,16 +307,46 @@ class _Applied(NamedTuple):
     a: int
     b: int
 
-    def stein_gap(self, d: np.ndarray):
-        """v -> d∘v - M^T (d∘(M v)), the Stein gap D - M^T D M applied to an
-        M >= 0, and (c, count, floor) of its rounding for the
-        Collatz-Wielandt bound."""
-        matvec, rmatvec, a, b = self
-        # a d near the top of the float range makes the floor infinite,
-        # and the bound with it: it then proves nothing, with no warning
-        with np.errstate(over="ignore"):
-            floor = _TINY * (rmatvec(a * d + 1.0) + (b + 1))
-        return (lambda v: d * v - rmatvec(d * matvec(v))), d, a + b + 2, floor
+    def stein_gap(self, d: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """v -> d∘v - M^T (d∘(M v)): the Stein gap S = D - M^T D M, applied."""
+        return lambda v: d * v - self.rmatvec(d * self.matvec(v))
+
+    def stein_bound(self, d: np.ndarray, v: np.ndarray) -> float:
+        """A lower bound on the smallest eigenvalue of the gap S of an M >= 0, from v > 0.
+
+        S is then a symmetric Z-matrix.  With μ I - S nonnegative, its
+        Perron root is at most max_i ((μ I - S) v)_i / v_i (Collatz-Wielandt;
+        Horn and Johnson, Matrix Analysis, 8.1), so λ_min(S) >= min_i
+        (S v)_i / v_i.  The computed f = fl(d∘v - M^T (d∘(M v))) is within
+        γ_{a+b+2} (d∘v + M^T (d∘(M v))) of S v, and that sum is 2 d∘v - S v.
+        f is lowered by (a + b + 12) eps (2 d∘v - f), twice γ_{a+b+2} (which
+        is about (a + b + 2) eps / 2) with room for the few roundings after
+        the product, and by the floor η (M^T (a d + 1) + b + 1), η the smallest
+        subnormal: the underflow of the products of the three stages carried
+        through the later ones.  A d near the top of the float range makes
+        the floor infinite, and the bound with it: it then proves nothing,
+        with no warning.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            floor = _TINY * (self.rmatvec(self.a * d + 1.0) + (self.b + 1))
+            f = self.stein_gap(d)(v)
+            f -= (self.a + self.b + 12) * _EPS * (2.0 * d * v - f) + floor
+            return float(np.min(f / v))
+
+    def proven_margin(self, d: np.ndarray, xi: np.ndarray, t: float) -> float | None:
+        """θ of _lanczos_smallest on the gap S of an M >= 0, once
+        stein_bound(d, xi) proves S > t; None, and the eigen-solve decides,
+        in every other case.
+
+        The bound proves the pass when it is finite and above t, and θ is
+        returned when Lanczos converges and θ is not below the bound.
+        """
+        bound = self.stein_bound(d, xi)
+        if math.isfinite(bound) and bound > t:
+            theta = _lanczos_smallest(self.stein_gap(d), xi.size)
+            if theta is not None and bound <= theta:
+                return theta
+        return None
 
 
 def _dense(M: np.ndarray) -> _Applied:
@@ -350,6 +394,88 @@ def _nonzeros(M: np.ndarray) -> _Applied | None:
         return np.bincount(cols, p, r)
 
     return _Applied(matvec, rmatvec, int(counts.max()), int(np.bincount(cols, minlength=r).max()))
+
+
+def _lanczos_smallest(matvec, r: int) -> float | None:
+    """θ, the smallest Ritz value of the symmetric r x r matrix S that matvec applies, or None.
+
+    Lanczos (Parlett, The Symmetric Eigenvalue Problem, 1998) from the
+    all-ones vector, each new direction orthogonalised against the whole
+    basis twice (classical Gram-Schmidt, twice is enough).  The work is one
+    call of matvec per step plus two products with the basis, which holds
+    the vectors of the steps up to the next check and grows in place at
+    each check, to at most _LANCZOS_MAX_STEPS vectors: no r x r array is
+    made.  The run stops once the Ritz residual |beta_j s_j| of θ is at
+    most _LANCZOS_RTOL times the largest Ritz value in modulus, and
+    checks that at once on a breakdown, a beta_j of at most _LANCZOS_RTOL
+    |alpha_j|, which then passes it, as |alpha_j| <= ||T||.  The basis
+    then spans an invariant subspace to rounding (the start is an
+    eigenvector, say); S being a symmetric Z-matrix, it has a nonnegative
+    bottom eigenvector, which all ones is not orthogonal to, so θ is its
+    smallest eigenvalue.  The run returns None if it takes more than
+    _LANCZOS_MAX_STEPS steps, or if a step leaves the float range
+    (entries of S near the top of it), with no warning.  The tridiagonal
+    matrix is solved at checks spaced by the residual's own rate of
+    decrease, at most _LANCZOS_CHECK_STEPS apart.
+    """
+    steps = min(_LANCZOS_MAX_STEPS, r)
+    alpha, beta = np.empty(steps), np.empty(steps)
+    check, last = min(_LANCZOS_CHECK_STEPS, steps), None
+    basis = np.empty((check, r))
+    basis[0] = 1.0 / math.sqrt(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(steps):
+            Q = basis[: j + 1]
+            w = matvec(Q[j])
+            alpha[j] = Q[j] @ w
+            w -= (Q @ w) @ Q
+            w -= (Q @ w) @ Q
+            beta[j] = math.sqrt(w @ w)
+            if not (math.isfinite(alpha[j]) and math.isfinite(beta[j])):
+                return None
+            if j + 1 == check or beta[j] <= _LANCZOS_RTOL * abs(alpha[j]):
+                ritz = _smallest_ritz(alpha[: j + 1], beta[: j + 1])
+                if ritz is None:
+                    return None
+                theta, residual, target = ritz
+                if residual <= target:
+                    return theta
+                check = min(j + 1 + _next_check(last, (j + 1, residual), target), steps)
+                last = (j + 1, residual)
+            if j + 1 < steps:
+                if j + 1 == len(basis):
+                    # grown up to the next check; Q, the one view of the
+                    # basis, goes first, so the reallocation leaves none
+                    del Q
+                    basis.resize((check, r), refcheck=False)
+                basis[j + 1] = w / beta[j]
+    return None
+
+
+def _smallest_ritz(alpha: np.ndarray, beta: np.ndarray):
+    """(θ, its Ritz residual |beta_j s_j|, the residual that stops the run)
+    from the tridiagonal matrix of alpha and beta[:-1], or None if its
+    eigen-solve fails.  Its two j x j arrays go at the return, before the
+    run's next mat-vec."""
+    j = alpha.size
+    T = np.diag(alpha)
+    T.flat[1 :: j + 1] = T.flat[j :: j + 1] = beta[:-1]
+    try:
+        theta, s = np.linalg.eigh(T)
+    except np.linalg.LinAlgError:
+        return None
+    return float(theta[0]), beta[-1] * abs(s[-1, 0]), _LANCZOS_RTOL * max(abs(theta[0]), abs(theta[-1]))
+
+
+def _next_check(last, now, target: float) -> int:
+    """Steps to the next convergence check: as many as the residual, falling at
+    its rate since the last check, needs to reach target, within 1 and
+    _LANCZOS_CHECK_STEPS."""
+    if last is None or not 0.0 < now[1] < last[1]:
+        return _LANCZOS_CHECK_STEPS
+    rate = math.log(last[1] / now[1]) / (now[0] - last[0])
+    need = math.log(now[1] / target) / rate if target > 0.0 else math.inf
+    return int(min(max(math.ceil(need), 1), _LANCZOS_CHECK_STEPS))
 
 
 def _compound_radius(A: np.ndarray, k: int) -> float:
@@ -470,7 +596,7 @@ def _certify(
     z_gap = float(np.min((z - applied.rmatvec(z)) / (1.0 + np.abs(z))))
     pd = pd_tol(tol)
     provable = nonneg and r >= _LANCZOS_MIN_ORDER
-    margin = _proven_margin(xi, pd, *applied.stein_gap(d)) if provable else None
+    margin = applied.proven_margin(d, xi, pd) if provable else None
     if margin is None:
         # M is this call's own compound, still intact: scale it into
         # X = D^{1/2} M in place and drop it, and the mat-vecs that hold
@@ -574,8 +700,8 @@ class NecessaryConditionReport:
 def _screen_blocks(k: int, n: int) -> np.ndarray:
     """Flat indices of the principal k x k blocks of a C-ordered n x n matrix.
 
-    take on them gives the (C(n,k), k, k) stack of principal blocks in
-    lexicographic order, in one gather.  Read-only; the screen keeps them
+    Indexing with them gives the (C(n,k), k, k) stack of principal blocks
+    in lexicographic order, in one gather.  Read-only; the screen keeps them
     cached under _cache_rule and builds larger ones through __wrapped__.
     """
     sets = lex_array(k, n)
@@ -596,22 +722,22 @@ def _principal_minor_screen(B: np.ndarray, tol: float):
     checks each order's minors.
 
     Priced before order 1, whatever B holds, at the block indices the
-    sweep leaves cached (_cache_rule), three arrays of C(n,k) k^2 entries
-    at its largest order, and 64 KiB of small arrays: at any order the
-    sweep holds at most three such arrays, the indices, take's copy of
-    them (it copies a read-only index array) and the gathered blocks, or
-    the build of the indices, no larger.  So n <= 19 runs and n >= 20 is
-    refused.
+    sweep leaves cached (_cache_rule), two arrays of C(n,k) k^2 entries at
+    its largest order, and 64 KiB of small arrays: at any order the sweep
+    holds at most two such arrays, the indices and the blocks gathered by
+    indexing with them (np.take would copy the read-only indices first),
+    or the build of the indices, no larger.  So n <= 20 runs and n >= 21
+    is refused.
     """
     n = B.shape[0]
     sizes = [8 * math.comb(n, k) * k * k for k in range(1, n + 1)]
     kept = sum(size for size in sizes if _cacheable(size))
-    _require_budget(kept + 3 * max(sizes) + (1 << 16), f"a principal-minor screen of order {n}")
+    _require_budget(kept + 2 * max(sizes) + (1 << 16), f"a principal-minor screen of order {n}")
     entries = np.ascontiguousarray(B).ravel()
     checked = not float(np.abs(entries).max()) < 2.0 ** ((1000 - n * (n - 1)) / n)
     with np.errstate(over="ignore", invalid="ignore") if checked else nullcontext():
         for k, size in enumerate(sizes, 1):
-            values = det_stack(entries.take(_cache_rule(_screen_blocks, size)(k, n)))
+            values = det_stack(entries[_cache_rule(_screen_blocks, size)(k, n)])
             if checked:
                 _finite_extremes(values)
             passed = values > tol

@@ -426,8 +426,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("args, code", [
         (["--help"], 0),
         (["frobnicate"], 2),
-        (["check-necessary", "--mode", "ct", "--in", str(DATA / "screen_n20.json")], 3),
-    ], ids=["help", "unknown-subcommand", "screen-n20"])
+        (["check-necessary", "--mode", "ct", "--in", str(DATA / "screen_n21.json")], 3),
+    ], ids=["help", "unknown-subcommand", "screen-n21"])
     def test_main_exits_with_the_run_code(self, capsys, monkeypatch, args, code):
         monkeypatch.setattr("sys.argv", ["kposi", *args])
         with pytest.raises(SystemExit) as exc:
@@ -439,14 +439,14 @@ class TestErrorPaths:
         assert run_cli(["compound", "--in", path, "-k", "20"]) == 3
 
     @pytest.mark.parametrize("argv", [
-        ["check-necessary", "--mode", "ct", "--in", str(DATA / "screen_n20.json")],
+        ["check-necessary", "--mode", "ct", "--in", str(DATA / "screen_n21.json")],
         ["wedge-sim", "--system", str(DATA / "table_system.json"),
          "--initials", str(DATA / "table_initials.json"), "-k", "3", "--steps", "1" + "0" * 400],
         ["simulate", "--system", str(DATA / "table_system.json"), "--x0", "0", "0", "0",
          "--steps", "1000000000"],
-    ], ids=["screen-n20", "steps-401-digits", "simulate-1e9-steps"])
+    ], ids=["screen-n21", "steps-401-digits", "simulate-1e9-steps"])
     def test_capacity_refusals_exit_three_with_one_line(self, capsys, argv):
-        # the n = 20 screen passes orders 1-7, so it once swept them first;
+        # the n = 21 screen passes orders 1-7, so it once swept them first;
         # a price beyond the float range once exited 1 with an OverflowError
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -456,8 +456,9 @@ class TestErrorPaths:
         assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
     def test_wedge_sim_refuses_unit_weights_beyond_the_budget(self, tmp_path, capsys):
-        # without --certify the weights are C(40,20) ones, about 1.1 TB:
-        # priced before they are made, not left to numpy's MemoryError
+        # without --certify the weights are the C(40,20) products of ones
+        # of dlf_compound, priced before they are made, not left to
+        # numpy's MemoryError
         doc = {"A": matrix_document(0.5 * np.eye(40)), "maps": [{"kind": "power", "p": 2}] * 40,
                "domain": [-0.5, 0.5]}
         sys_path = write_json(tmp_path / "sys.json", doc)
@@ -471,7 +472,7 @@ class TestErrorPaths:
         assert code == 3 and peak < 1_000_000
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: unit weights of order 137846528820 would hold about 1.103e+06 MB")
+        assert captured.err.startswith("error: a compound diagonal of 137846528820 entries would hold about 4.521e+07 MB")
         assert len(captured.err.splitlines()) == 1
 
     def test_singular_cayley_exits_two(self, tmp_path, capsys):

@@ -686,7 +686,11 @@ class TestByteBudget:
         monkeypatch.setattr(nonlinear, "_require_budget", recorded)
         return priced
 
-    @pytest.mark.parametrize("n, k, steps", [(12, 5, 300), (8, 3, 2000), (4, 1, 100), (3, 2, 10)])
+    # n = 10 at k = 2, 5, 8, 9: the minor kernel's temporaries on a chunk of
+    # _WEDGE_CHUNK states, Laplace row blocks or gathered k x k blocks, are
+    # most of the peak
+    @pytest.mark.parametrize("n, k, steps", [(12, 5, 300), (8, 3, 2000), (4, 1, 100), (3, 2, 10),
+                                             (10, 2, 300), (10, 5, 300), (10, 8, 300), (10, 9, 300)])
     def test_trajectory_price_bounds_the_traced_peak(self, prices, n, k, steps):
         sys_, d = decaying_chain_system(n), np.ones(math.comb(n, k))
         peak = traced_peak(lambda: wedge_trajectory(sys_, k, chain_starts(n, k), d, steps))
@@ -700,7 +704,8 @@ class TestByteBudget:
         assert results[0].states.shape == (steps + 1, n) and results[0].exit_step is None
         assert len(prices) == 1 and peak <= prices[0]
 
-    @pytest.mark.parametrize("n, k, axis, draws", [(12, 5, 1, 500), (6, 2, 2, 3000), (3, 2, 5, 100), (3, 1, 3, 0)])
+    @pytest.mark.parametrize("n, k, axis, draws", [(12, 5, 1, 500), (6, 2, 2, 3000), (3, 2, 5, 100), (3, 1, 3, 0),
+                                                   (10, 2, 1, 299), (10, 5, 1, 299), (10, 8, 1, 299), (10, 9, 1, 299)])
     def test_content_price_bounds_the_traced_peak(self, prices, n, k, axis, draws):
         sys_ = decaying_chain_system(n)
         peak = traced_peak(lambda: check_k_content_preserving(

@@ -176,7 +176,7 @@ class TestFallback:
     def test_lanczos_step_cap(self, monkeypatch, proof_calls, gap_builds, solves):
         # the bound proves the pass but Lanczos stops at the cap: the gap
         # is formed from the intact M and the eigen-solve's margin reported
-        monkeypatch.setattr(matcore, "_LANCZOS_MAX_STEPS", 8)
+        monkeypatch.setattr(stability, "_LANCZOS_MAX_STEPS", 8)
         A = certify_large_pool(0)[0]
         cert = certify_k_diag_stability(A, 5)
         assert solves.series == [True, True]
@@ -213,8 +213,7 @@ def test_a_floor_beyond_the_float_range_proves_nothing(proof_calls):
     A = 0.05 * np.eye(300) + 0.05 * upper_shift(300)
     d = np.ones(300)
     d[0] = 1.5e308
-    gap = stability._nonzeros(A).stein_gap(d)
-    assert matcore._proven_margin(np.ones(300), matcore.pd_tol(), *gap) is None
+    assert stability._nonzeros(A).proven_margin(d, np.ones(300), matcore.pd_tol()) is None
     assert [(c.bound, c.ritz) for c in proof_calls] == [(-np.inf, [])]
 
 
@@ -235,13 +234,13 @@ def test_lanczos_stops_on_breakdown(gain, monkeypatch):
     # all ones is an eigenvector of the gap of gain * I: beta comes out as
     # rounding noise next to alpha, not as 0, and the run stops on it at
     # its first step with θ, not after _LANCZOS_MAX_STEPS with None
-    steps, thetas, lanczos = [], [], matcore._lanczos_smallest
+    steps, thetas, lanczos = [], [], stability._lanczos_smallest
 
     def counted(matvec, r):
         thetas.append(lanczos(lambda v: steps.append(1) or matvec(v), r))
         return thetas[-1]
 
-    monkeypatch.setattr(matcore, "_lanczos_smallest", counted)
+    monkeypatch.setattr(stability, "_lanczos_smallest", counted)
     A = gain * np.eye(300)
     cert = construct_dlf_nonneg(A)
     exact = smallest_eigenvalue(stein_gap_of(A, cert.d))

@@ -608,20 +608,34 @@ class TestNecessaryScreens:
             assert not kept.flags.writeable and kept.tobytes() == blocks.tobytes()
         assert uncached == ([8, 9, 10] if n == 16 else [])
 
-    def test_screen_at_n20_is_refused_before_any_order(self):
+    def test_screen_at_n21_is_refused_before_any_order(self):
         # -I fails at its first 1x1 minor; I - J/8 passes orders 1-7 (minors
         # 1 - k/8): both are refused before order 1, at the price of the
-        # largest order, C(20,10) = 184756 blocks of 10 x 10
-        failing, passing = np.eye(20), 0.125 * np.ones((20, 20)) - np.eye(20)
+        # largest order, C(21,11) = 352716 blocks of 11 x 11
+        failing, passing = np.eye(21), 0.125 * np.ones((21, 21)) - np.eye(21)
         for A in (failing, passing):
             tracemalloc.start()
             try:
-                with pytest.raises(CapacityError, match="^a principal-minor screen of order 20 would hold about 494.8 MB"):
+                with pytest.raises(CapacityError, match="^a principal-minor screen of order 21 would hold about 692 MB"):
                     necessary_ct_diag(A)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert peak < 1_000_000
+
+    def test_screen_at_n20_runs_within_its_budget(self, budget_prices):
+        # I + J/100 passes every order: the sweep gathers C(20,11) = 167960
+        # blocks of 11 x 11 by indexing, beside their indices and no copy
+        # of them, from a cold index cache
+        stability._screen_blocks.cache_clear()
+        tracemalloc.start()
+        try:
+            report = necessary_ct_diag(-np.eye(20) - 0.01 * np.ones((20, 20)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        price, what = budget_prices[0]
+        assert report.passed and what == "a principal-minor screen of order 20" and peak <= price
 
     @pytest.mark.parametrize("n", [3, 12, 16])
     def test_screen_price_bounds_the_traced_peak(self, budget_prices, n):

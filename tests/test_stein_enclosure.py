@@ -4,7 +4,7 @@ For a nonnegative compound M the construction's xi proves the pass:
 with x' = xi - M xi and y' = z - M^T z, (D - M^T D M) xi = y' + M^T D x'
 >= y' > 0.  From order _LANCZOS_MIN_ORDER on, certify applies the gap as
 v -> d v - M^T (d (M v)), densely or over a sparse compound's nonzeros,
-and never forms it for the proof: matcore._proven_margin takes a
+and never forms it for the proof: stability._Applied.proven_margin takes a
 Collatz-Wielandt bound from xi on it, and a bound above pd_tol proves the
 pass, with the smallest Ritz value as the margin.  Every other case, and
 every stein_holds call, forms the gap for np.linalg.eigvalsh, whose margin
@@ -118,12 +118,12 @@ def smallest_eigenvalue(S):
 
 @dataclass
 class ProofCall:
-    """One try of the proof path, matcore._proven_margin: the mat-vec that
-    applies the gap, the proof vector, the Collatz-Wielandt bound from it,
+    """One try of the proof path, stability._Applied.proven_margin: the d of
+    the gap, the proof vector, the Collatz-Wielandt bound from it,
     and the results of the Lanczos runs that followed (none when the bound
     did not clear pd_tol, None for a run that did not converge)."""
 
-    matvec: object
+    d: np.ndarray
     proof: np.ndarray
     bound: float
     ritz: list = field(default_factory=list)
@@ -137,18 +137,18 @@ class ProofCall:
 @pytest.fixture
 def proof_calls(monkeypatch):
     calls = []
-    bound, lanczos = matcore._collatz_wielandt_bound, matcore._lanczos_smallest
+    bound, lanczos = stability._Applied.stein_bound, stability._lanczos_smallest
 
-    def recorded_bound(matvec, v, *rounding):
-        calls.append(ProofCall(matvec, v, bound(matvec, v, *rounding)))
+    def recorded_bound(applied, d, v):
+        calls.append(ProofCall(d, v, bound(applied, d, v)))
         return calls[-1].bound
 
     def recorded_lanczos(matvec, r):
         calls[-1].ritz.append(lanczos(matvec, r))
         return calls[-1].ritz[-1]
 
-    monkeypatch.setattr(matcore, "_collatz_wielandt_bound", recorded_bound)
-    monkeypatch.setattr(matcore, "_lanczos_smallest", recorded_lanczos)
+    monkeypatch.setattr(stability._Applied, "stein_bound", recorded_bound)
+    monkeypatch.setattr(stability, "_lanczos_smallest", recorded_lanczos)
     return calls
 
 
@@ -194,12 +194,12 @@ class TestXiProof:
         S = np.diag(d) - M.T @ (d[:, None] * M)
         exact = smallest_eigenvalue(S)
         perron_vector = np.abs(np.linalg.eigh(S)[1][:, 0])
-        gap = (stability._nonzeros(M) if form == "nonzeros" else stability._dense(M)).stein_gap(d)
+        applied = stability._nonzeros(M) if form == "nonzeros" else stability._dense(M)
         vectors = [np.ones(r), rng.uniform(0.1, 1.0, r), rng.uniform(0.0, 1.0, r) ** 8 + 1e-300,
                    perron_vector]
         for v in vectors:
-            assert v.min() > 0.0 and matcore._collatz_wielandt_bound(gap[0], v, *gap[1:]) <= exact
-        theta = matcore._proven_margin(perron_vector, matcore.pd_tol(), *gap)
+            assert v.min() > 0.0 and applied.stein_bound(d, v) <= exact
+        theta = applied.proven_margin(d, perron_vector, matcore.pd_tol())
         assert theta is not None and abs(theta - exact) <= MARGIN_RTOL * exact
 
     def test_the_path_allocates_nothing_of_order_r_squared(self, proof_calls, monkeypatch):
@@ -251,7 +251,7 @@ class TestXiProof:
         # definite, is proven by xi in exact arithmetic, but the rounding
         # term of the bound overflows: the eigen-solve decides, with no
         # warning
-        r = matcore._LANCZOS_MIN_ORDER
+        r = stability._LANCZOS_MIN_ORDER
         A = np.full((r, r), 0.001 / r)
         cert = construct_dlf_nonneg(A, y=np.full(r, 1.5e308))
         assert cert.d.min() > 1e308
@@ -307,7 +307,7 @@ class TestFallback:
         assert matcore.is_positive_definite(S).margin == smallest_eigenvalue(S)
 
     def test_no_convergence_within_the_step_cap(self, monkeypatch, proof_calls):
-        monkeypatch.setattr(matcore, "_LANCZOS_MAX_STEPS", 8)
+        monkeypatch.setattr(stability, "_LANCZOS_MAX_STEPS", 8)
         A = certify_large_pool(0)[0]
         cert = certify_k_diag_stability(A, 5)
         assert [(c.bound > matcore.pd_tol(), c.ritz) for c in proof_calls] == [(True, [None])]
@@ -317,7 +317,7 @@ class TestFallback:
     def test_below_the_crossover_order(self, proof_calls):
         A = certify_chain(np.random.default_rng(92), n=9)
         cert = certify_k_diag_stability(A, 3)
-        assert isinstance(cert, KDiagCertificate) and cert.r < matcore._LANCZOS_MIN_ORDER
+        assert isinstance(cert, KDiagCertificate) and cert.r < stability._LANCZOS_MIN_ORDER
         assert proof_calls == []
         S, _ = stein_gap(A, 3)
         assert cert.stein_margin == smallest_eigenvalue(S)

@@ -206,8 +206,8 @@ def _report(command: str, digest: str, verdicts: dict, tolerances: dict) -> dict
 
 
 def _emit(doc) -> None:
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # one write: json.dump writes each token on its own
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _encode(obj, names=None):

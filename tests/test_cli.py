@@ -182,6 +182,20 @@ class TestVerdictCommands:
         assert rep["verdicts"]["stein_margin"] > 0.0
         assert len(rep["verdicts"]["d"]) == 3
 
+    def test_certify_report_is_written_in_one_call(self, monkeypatch):
+        # chain12's report, d, xi and z of 792 entries each, goes out in one
+        # write of the bytes json.dump would write token by token
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+        monkeypatch.setattr(cli.sys, "stdout", Recorder())
+        assert run_cli(["certify", "-k", "5", "--in", str(DATA / "chain12.json")]) == 0
+        (text,) = writes
+        assert text == json.dumps(json.loads(text), indent=2) + "\n" and len(text) > 60_000
+
     def test_certify_failure_exits_one(self, tmp_path, capsys):
         path = write_json(tmp_path / "i.json", matrix_document(np.eye(3)))
         assert run_cli(["certify", "--in", path, "-k", "1"]) == 1

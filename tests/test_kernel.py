@@ -1,8 +1,10 @@
 """The Laplace minor kernel, witness unranking and the compound radius."""
 
+import json
 import math
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,10 +26,17 @@ from kposi import (
 )
 from kposi import matcore, stability
 from kposi.matcore import lex_index_set_at
+from kposi.signreg import _classify_minors
 from kposi.stability import COMPOUND_NOT_SCHUR, _compound_radius
 
 from oracles import leibniz_det
 from test_neumann import lu_chain
+from test_stein_enclosure import certify_large_pool
+
+
+def chain12():
+    """The cyclic chain of tests/data/chain12.json."""
+    return np.array(json.loads((Path(__file__).parent / "data" / "chain12.json").read_text())["data"])
 
 
 def hadamard_scale(A, rows, cols):
@@ -149,6 +158,24 @@ class TestLaplaceKernel:
         finally:
             tracemalloc.stop()
         assert peak <= budget_prices[0][0]
+
+    @pytest.mark.parametrize("case", ["chain12-5", "gauss12-6"])
+    def test_head_row_blocks_stay_within_the_budget_price(self, budget_prices, case):
+        # the chain's levels take the sparse form, the Gaussian's the
+        # dense one and, for its small head groups, _expand's
+        if case == "chain12-5":
+            A, k = chain12(), 5
+        else:
+            A, k = np.random.default_rng(75).standard_normal((12, 12)), 6
+        matcore._laplace_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            minor_table(A, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        (price, _), = budget_prices
+        assert price == matcore._table_bytes(12, 12, k) and peak <= price
 
     def test_table_peak_stays_near_one_table(self):
         # the top level is built in row blocks into one table, so the peak
@@ -291,6 +318,89 @@ class TestRowBlocks:
         for q in range(1, shape[-1] + 1):
             whole, blocked = self.whole_and_blocked(monkeypatch, A, q, block)
             assert blocked.tobytes() == whole.tobytes()
+
+    @staticmethod
+    def chains():
+        """The 40 certify-large chains of seeds 0-9."""
+        return [A for seed in range(10) for A in certify_large_pool(seed)]
+
+    @staticmethod
+    def head_forms(A, q):
+        """(sparse, dense) head rows of the top level: those with at most q
+        nonzero entries over the stack, which skip their zero terms."""
+        heads = A[..., : A.shape[-2] - q + 1, :].reshape(-1, A.shape[-2] - q + 1, A.shape[-1])
+        counts = np.count_nonzero(heads.any(axis=0), axis=1)
+        return int((counts <= q).sum()), int((counts > q).sum())
+
+    def test_certify_large_chains_equal_the_one_block_tables(self, monkeypatch):
+        # bidiagonal plus a corner: every head row takes the sparse form
+        for A in self.chains():
+            assert self.head_forms(A, 5) == (8, 0)
+            whole, blocked = self.whole_and_blocked(monkeypatch, A, 5, matcore._LEVEL_BLOCK)
+            assert blocked.tobytes() == whole.tobytes()
+
+    def test_sparse_mixed_sign_tables_equal_the_one_block_tables(self, monkeypatch):
+        # equal in value; a zero minor may differ in its sign bit, which no
+        # verdict, signature or witness reads
+        rng = np.random.default_rng(76)
+        for _ in range(12):
+            n, q = int(rng.integers(10, 14)), int(rng.integers(4, 7))
+            A = rng.standard_normal((n, n)) * (rng.random((n, n)) < rng.uniform(0.15, 0.4))
+            whole, blocked = self.whole_and_blocked(monkeypatch, A, q, 1 << 15)
+            assert np.array_equal(blocked, whole)
+            got, want = (_classify_minors(T, q, A.shape, matcore.TAU_ZERO) for T in (blocked, whole))
+            assert (got.verdict, got.signature) == (want.verdict, want.signature)
+            assert (got.witness_min.rows, got.witness_min.cols) == (want.witness_min.rows, want.witness_min.cols)
+            assert [(w.rows, w.cols) for w in got.witness_conflict or ()] == [(w.rows, w.cols) for w in want.witness_conflict or ()]
+
+    def test_a_level_whose_heads_take_both_forms(self, monkeypatch):
+        # rows 0, 2 and 4 keep two entries: their head rows skip the zero
+        # terms, while the full rows expand every term, broadcast over the
+        # row sets of heads 1 and 3 and gathered for the few of heads 5-7
+        rng = np.random.default_rng(77)
+        A = rng.standard_normal((12, 12))
+        for i in (0, 2, 4):
+            A[i, rng.permutation(12)[2:]] = 0.0
+        assert self.head_forms(A, 5) == (3, 5)
+        whole, blocked = self.whole_and_blocked(monkeypatch, A, 5, 1 << 15)
+        assert np.array_equal(blocked, whole)
+        assert np.count_nonzero(whole == 0.0) > 0
+
+    def test_a_batch_with_different_zero_patterns(self, monkeypatch):
+        # each row of the first two members keeps two entries, in columns
+        # of its own, so a head row is sparse in the stack of the two and
+        # dense once the full third member joins
+        rng = np.random.default_rng(78)
+        A = rng.standard_normal((3, 11, 11))
+        for member in A[:2]:
+            for row in member:
+                row[rng.permutation(11)[2:]] = 0.0
+        assert self.head_forms(A[:2], 4) == (8, 0) and self.head_forms(A, 4) == (0, 8)
+        for stack in (A, A[:2]):
+            whole, blocked = self.whole_and_blocked(monkeypatch, stack, 4, 1 << 15)
+            assert np.array_equal(blocked, whole)
+            for member, table in zip(stack, blocked):
+                assert np.array_equal(table, matcore._minors(member, 4))
+
+    def test_an_all_zero_matrix(self, monkeypatch):
+        whole, blocked = self.whole_and_blocked(monkeypatch, np.zeros((12, 12)), 5, 1 << 15)
+        assert np.array_equal(blocked, whole) and not blocked.any()
+
+    @pytest.mark.parametrize("case", ["chain12", "diagonal"])
+    def test_tables_spoiled_in_one_block_are_still_refused(self, monkeypatch, case):
+        # chain12 scaled by 1e80: its order-4 and order-5 minors overflow.
+        # The diagonal's only order-4 minor beyond the float range meets
+        # nothing but zero rows at order 5: 0 * inf spoils the one-block
+        # table, so the blocked one may not skip those terms
+        if case == "chain12":
+            A = 1e80 * chain12()
+        else:
+            A = np.diag([0.0] * 8 + [1e80] * 4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            whole, blocked = self.whole_and_blocked(monkeypatch, A, 5, 1 << 15)
+        assert not np.isfinite(whole).all() and not np.isfinite(blocked).all()
+        with pytest.raises(DomainError, match="beyond the float range"):
+            minor_table(A, 5)
 
 
 class TestLexUnranking:

@@ -231,15 +231,20 @@ def _encode(obj, names=None):
 # subcommands
 
 
+# a zero minor's sign bit depends on how the kernel's row blocks took its
+# terms (matcore._minors), so the minor reports write every zero as 0.0
+
+
 def _cmd_compound(args) -> int:
     A, _ = _load_matrix(args.infile)
-    _emit(matrix_document(mult_compound(A, args.k)))
+    _emit(matrix_document(mult_compound(A, args.k) + 0.0))
     return EXIT_OK
 
 
 def _cmd_wedge(args) -> int:
     M, _ = _load_matrix(args.infile)
-    _emit(_encode(wedge([M[:, j] for j in range(M.shape[1])])))
+    w = wedge([M[:, j] for j in range(M.shape[1])])
+    _emit(_encode(dataclasses.replace(w, coords=w.coords + 0.0)))
     return EXIT_OK
 
 

@@ -310,9 +310,7 @@ class _Level(NamedTuple):
     tail: np.ndarray
     cols: np.ndarray
     drop: np.ndarray
-    holders: np.ndarray
-    ranks: np.ndarray
-    signs: np.ndarray
+    pairs: np.ndarray
     starts: np.ndarray
 
 
@@ -326,9 +324,9 @@ def _laplace_plan(n: int, m: int, q: int) -> tuple[_Level, ...]:
     rank of the rest at level p-1, as _lex_levels(q, n) lists them;
     cols[j] holds each column set's j-th column and drop[j] the rank of
     the set without it at level p-1.  The same (j, set) pairs, grouped by
-    the column x = cols[j, set]: group x is holders[starts[x]:starts[x+1]],
-    the sets that hold x in increasing order, with ranks = drop[j, set]
-    and signs = (-1)^j beside them.  The arrays, _plan_bytes(n, m, q) in
+    the column x = cols[j, set]: group x is pairs[starts[x]:starts[x+1]],
+    the flat indices j * C(m,p) + set into cols and drop of the sets that
+    hold x, in increasing set order.  The arrays, _plan_bytes(n, m, q) in
     all, are read-only, since every caller shares them; _minors keeps a
     plan cached under _cache_rule.
     """
@@ -342,7 +340,7 @@ def _laplace_plan(n: int, m: int, q: int) -> tuple[_Level, ...]:
         holders, j = np.divmod(np.argsort(sets.ravel(), kind="stable"), p)
         starts = np.zeros(m + 1, dtype=np.intp)
         np.cumsum(np.bincount(sets.ravel(), minlength=m), out=starts[1:])
-        level = _Level(first, tail, cols, drop, holders, drop[j, holders], 1.0 - 2.0 * (j % 2), starts)
+        level = _Level(first, tail, cols, drop, j * sets.shape[0] + holders, starts)
         for arr in level:
             arr.setflags(write=False)
         levels.append(level)
@@ -353,7 +351,7 @@ def _laplace_plan(n: int, m: int, q: int) -> tuple[_Level, ...]:
 def _plan_bytes(n: int, m: int, q: int) -> int:
     """Bytes of the arrays of _laplace_plan(n, m, q); kept, as _minors
     looks it up for _cache_rule on every call."""
-    return 8 * sum(2 * math.comb(n - q + p, p) + 5 * p * math.comb(m, p) + m + 1 for p in range(2, q + 1))
+    return 8 * sum(2 * math.comb(n - q + p, p) + 3 * p * math.comb(m, p) + m + 1 for p in range(2, q + 1))
 
 
 def _minors(A: np.ndarray, q: int) -> np.ndarray:
@@ -365,12 +363,12 @@ def _minors(A: np.ndarray, q: int) -> np.ndarray:
     blocks gathered.  Every entry is summed term by term in column order.
     A level of more than _LEVEL_BLOCK entries is built head row by head
     row in row blocks (_expand_by_heads), so the kernel holds the table,
-    the level below it and small temporaries; there a head row's terms
-    with a zero entry are skipped.  So an entry rounds to the same value
-    whichever table, batch or row block it sits in, though a zero may
-    change its sign, and orders 1 and 2 equal the closed forms bit for
-    bit.  The method depends on q alone, so a single minor always matches
-    its table entry in value.
+    the level below it and small temporaries; there a head row with at
+    most p nonzero entries skips its zero terms.  So an entry rounds to
+    the same value whichever table, batch or row block it sits in, though
+    a zero may change its sign, and orders 1 and 2 equal the closed forms
+    bit for bit.  The method depends on q alone, so a single minor always
+    matches its table entry in value.
     """
     n, m = A.shape[-2:]
     if q > _LAPLACE_MAX_ORDER:
@@ -416,66 +414,52 @@ def _expand_by_heads(A, below, level: _Level, batch: int) -> np.ndarray:
     """One Laplace level of more than _LEVEL_BLOCK entries, built in row
     blocks of at most _LEVEL_BLOCK // (batch C(m,p)) row sets.
 
-    The row sets led by row a take as tails the last rows of `below` (see
+    A head row a with at most p nonzero entries in the stack adds, for
+    each nonzero column x in increasing order, sign * A[a, x] times the
+    matching minors of `below` into the column sets that hold x.  The row
+    sets led by a take as tails the last rows of `below` (see
     _lex_levels), so a block of them reads a slice of it, with no gather.
-    A head row with more than p nonzero entries in the stack adds its p
-    terms j by j over every column set, as _expand does, with its entries
-    broadcast over the block.  One with at most p adds, for each nonzero
-    column x in increasing order, sign * A[a, x] times the matching
-    minors of `below` into the column sets that hold x.  Each entry's
-    terms then come in the same order, less those with a zero entry,
-    which would add an exact zero: the sums are equal in value, though a
-    zero may end with the other sign.  When `below` holds a NaN or an
-    infinity no term is skipped, so that 0 * inf spoils the level as it
-    does in _expand.  Dense heads of fewer than a block's rows are built
-    together by _expand, a block at a time, as one block per head would
-    cost more calls than it saves.
+    Each entry's terms come in _expand's order, less those with a zero
+    entry, which would add an exact zero: the sums are equal in value,
+    though a zero may end with the other sign.  When `below` holds a NaN
+    or an infinity no term is skipped, so that 0 * inf spoils the level
+    as it does in _expand.  The row sets of the other head rows go to
+    _expand, a row block at a time.
     """
-    first, tail, cols, drop, holders, ranks, signs, starts = level
+    first, tail, cols, drop, pairs, starts = level
     p, width = cols.shape
     out = np.empty(A.shape[:-2] + (first.size, width))
     step = max(1, _LEVEL_BLOCK // (batch * width))
-    bounds = np.flatnonzero(np.diff(first)) + 1
-    lows, highs = [0, *bounds.tolist()], [*bounds.tolist(), first.size]
-    # the nonzero columns of each head row over the stack
-    nonzero = A[..., first[lows], :].reshape(-1, len(lows), A.shape[-1]).any(axis=0)
-    sparse = np.count_nonzero(nonzero, axis=1) <= p
+    # the nonzero columns of each head row (top..end-1) over the stack
+    top, end = int(first[0]), int(first[-1]) + 1
+    nonzero = A[..., top:end, :].reshape(-1, end - top, A.shape[-1]).any(axis=0)
+    sparse = nonzero.sum(axis=1) <= p
     if sparse.any() and not (math.isfinite(below.max()) and math.isfinite(below.min())):
         sparse[:] = False
-    runs = []  # row ranges of small dense heads, for _expand
-    for lo, hi, columns, skip in zip(lows, highs, nonzero, sparse.tolist()):
-        if not skip and hi - lo < step:
+    # each head row's range of row sets; a level of dense head rows is one
+    edges = np.searchsorted(first, np.arange(top, end + 1)).tolist() if sparse.any() else [0, first.size]
+    runs = []  # row ranges of dense head rows, for _expand
+    for lo, hi, columns, skip in zip(edges, edges[1:], nonzero, sparse.tolist()):
+        if not skip:
             if runs and runs[-1][1] == lo:
                 runs[-1][1] = hi
             else:
                 runs.append([lo, hi])
             continue
         head = A[..., first[lo], :]
-        if skip:
-            terms = []
-            for x in np.flatnonzero(columns).tolist():
-                g = slice(starts[x], starts[x + 1])
-                terms.append((holders[g], ranks[g], (signs[g] * head[..., x, None])[..., None, :]))
-        else:
-            entries = head[..., cols][..., None, :]
+        terms = []
+        for x in np.flatnonzero(columns).tolist():
+            j, sets = np.divmod(pairs[starts[x] : starts[x + 1]], width)
+            coef = (1.0 - 2.0 * (j % 2)) * head[..., x, None]
+            terms.append((sets, drop[j, sets], coef[..., None, :]))
         for s in range(lo, hi, step):
             block = out[..., s : min(s + step, hi), :]
             rows = below[..., tail[s] : tail[s] + block.shape[-2], :]
-            if skip:
-                block.fill(0.0)
-                for sets, rank, coef in terms:
-                    term = rows[..., rank]
-                    term *= coef
-                    block[..., sets] += term
-                continue
-            np.multiply(rows[..., drop[0]], entries[..., 0, :, :], out=block)
-            for j in range(1, p):
-                term = rows[..., drop[j]]
-                term *= entries[..., j, :, :]
-                if j % 2:
-                    block -= term
-                else:
-                    block += term
+            block.fill(0.0)
+            for sets, rank, coef in terms:
+                term = rows[..., rank]
+                term *= coef
+                block[..., sets] += term
     for lo, hi in runs:
         for s in range(lo, hi, step):
             r = slice(s, min(s + step, hi))
@@ -544,33 +528,29 @@ def _table_bytes(n: int, m: int, k: int, batch: int = 1) -> int:
     price tables of a few shapes over and over, so _LEVEL_BLOCK and
     _LAPLACE_MAX_ORDER are read once a shape.
 
-    Up to _LAPLACE_MAX_ORDER, per matrix, the larger of two counts.  One
-    is the R C k products of the top Laplace level, by which tables have
-    long been priced; it covers the C order copy _minors may hand out.
-    The other is the widest point of the build, at some level p: the
-    level below, and either _expand on the whole level (the head rows and
-    rows of level p-1 it gathers, the level, a term and its gathered
-    factor) or _expand_by_heads (the level, the head rows it reads for
-    their nonzeros, and one row block's temporaries: _expand's on the
-    block, or two gathered rows of the level for each of its row sets and
-    a head row's p rows of entries or coefficients).  Then the build of
-    the plan, four times its arrays, and 64 KiB of small arrays.  Above:
-    the gathered k x k blocks and their minors, batch R C (k^2 + 1)
-    entries, and the two index arrays.
+    Up to _LAPLACE_MAX_ORDER: the batch R C k products of the top Laplace
+    level, which bound the level and the one below it; the temporaries of
+    the widest row block, whose max(1, _LEVEL_BLOCK // (batch C(m,p))) row
+    sets each make, per matrix, a head row, a row of level p-1 and three
+    rows of level p (the result, a term and its gathered factor), and,
+    when the level is built head row by head row, the head rows read for
+    their nonzeros and one sparse head row's terms, p C(m,p) coefficients
+    per matrix and two index arrays, with three arrays of one group while
+    they are made; the build of the plan, four times its arrays; and
+    64 KiB of small arrays.  Above: the gathered k x k blocks and their
+    minors, batch R C (k^2 + 1) entries, and the two index arrays.
     """
     R, C = math.comb(n, k), math.comb(m, k)
     if k > _LAPLACE_MAX_ORDER:
         return 8 * batch * R * C * (k * k + 1) + _lex_bytes(k, n) + _lex_bytes(k, m)
-    peak = R * C * k
+    block = 0
     for p in range(2, k + 1):
-        rows, width, narrow = math.comb(n - k + p, p), math.comb(m, p), math.comb(m, p - 1)
-        below = math.comb(n - k + p - 1, p - 1) * narrow
-        if batch * rows * width <= _LEVEL_BLOCK:
-            peak = max(peak, below + rows * (m + narrow + 3 * width))
-        else:
-            step = min(rows, max(1, _LEVEL_BLOCK // (batch * width)))
-            peak = max(peak, below + rows * width + n * m + step * (m + narrow + 2 * width) + p * width)
-    return 8 * batch * peak + 4 * _plan_bytes(n, m, k) + (1 << 16)
+        width = math.comb(m, p)
+        size = max(1, _LEVEL_BLOCK // (batch * width)) * batch * (m + math.comb(m, p - 1) + 3 * width)
+        if batch * math.comb(n - k + p, p) * width > _LEVEL_BLOCK:
+            size += batch * n * m + (batch + 2) * p * width + 3 * width
+        block = max(block, size)
+    return 8 * (batch * R * C * k + block) + 4 * _plan_bytes(n, m, k) + (1 << 16)
 
 
 def _minor_table(A: np.ndarray, k: int) -> np.ndarray:

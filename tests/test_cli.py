@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kposi import cli, compound, minor_table
+from kposi import cli, compound, matcore, minor_table
 from kposi.cli import build_parser, matrix_document, parse_matrix_document, run_cli
 from kposi.examples import (
     CERT_3X3,
@@ -102,6 +102,28 @@ class TestTransformCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["n"] == 3 and out["k"] == 2
         assert out["coords"] == [2.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("command, shape, k", [("compound", (12, 12), 5), ("wedge", (20, 6), 6)])
+    def test_minor_reports_write_every_zero_as_plus_zero(self, monkeypatch, tmp_path, capsys, command, shape, k):
+        # sparse mixed-sign input: its blocked levels skip zero terms, so
+        # zero minors differ from the one-block table's in their sign bit;
+        # the report is the one-block table's, every zero written as 0.0
+        rng = np.random.default_rng(79)
+        A = rng.standard_normal(shape) * (rng.random(shape) < 0.25)
+        blocked = matcore._minors(A, k)
+        with monkeypatch.context() as m:
+            m.setattr(matcore, "_LEVEL_BLOCK", 1 << 62)
+            whole = matcore._minors(A, k)
+        zero = whole == 0.0
+        assert np.array_equal(blocked, whole) and (np.signbit(blocked[zero]) != np.signbit(whole[zero])).any()
+        path = write_json(tmp_path / "a.json", matrix_document(A))
+        if command == "compound":
+            assert run_cli(["compound", "--in", path, "-k", str(k)]) == 0
+            want = matrix_document(whole + 0.0)
+        else:
+            assert run_cli(["wedge", "--in", path]) == 0
+            want = {"n": shape[0], "k": k, "coords": (whole[:, 0] + 0.0).tolist()}
+        assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
 
     def test_cayley_regression_block(self, tmp_path, capsys):
         path = write_json(tmp_path / "a.json", eq7_doc())

@@ -161,8 +161,8 @@ class TestLaplaceKernel:
 
     @pytest.mark.parametrize("case", ["chain12-5", "gauss12-6"])
     def test_head_row_blocks_stay_within_the_budget_price(self, budget_prices, case):
-        # the chain's levels take the sparse form, the Gaussian's the
-        # dense one and, for its small head groups, _expand's
+        # the chain's blocked levels take the sparse form; the Gaussian's
+        # go through _expand in row blocks
         if case == "chain12-5":
             A, k = chain12(), 5
         else:
@@ -355,8 +355,7 @@ class TestRowBlocks:
 
     def test_a_level_whose_heads_take_both_forms(self, monkeypatch):
         # rows 0, 2 and 4 keep two entries: their head rows skip the zero
-        # terms, while the full rows expand every term, broadcast over the
-        # row sets of heads 1 and 3 and gathered for the few of heads 5-7
+        # terms, while _expand takes every term of the full rows' row sets
         rng = np.random.default_rng(77)
         A = rng.standard_normal((12, 12))
         for i in (0, 2, 4):

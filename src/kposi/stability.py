@@ -67,7 +67,9 @@ _LANCZOS_MIN_ORDER = 250
 
 # Lanczos steps after which the run gives up and the eigen-solve
 # decides, and the Ritz residual, relative to the largest Ritz value, at
-# which it stops.
+# which it stops whatever the gap above θ, and below which, relative to
+# alpha_j, a beta_j is a breakdown.  Most runs stop earlier, on θ's error
+# estimate (_smallest_ritz).
 _LANCZOS_MAX_STEPS = 256
 _LANCZOS_RTOL = 1e-14
 
@@ -400,23 +402,34 @@ def _lanczos_smallest(matvec, r: int) -> float | None:
     """θ, the smallest Ritz value of the symmetric r x r matrix S that matvec applies, or None.
 
     Lanczos (Parlett, The Symmetric Eigenvalue Problem, 1998) from the
-    all-ones vector, each new direction orthogonalised against the whole
-    basis twice (classical Gram-Schmidt, twice is enough).  The work is one
-    call of matvec per step plus two products with the basis, which holds
-    the vectors of the steps up to the next check and grows in place at
-    each check, to at most _LANCZOS_MAX_STEPS vectors: no r x r array is
-    made.  The run stops once the Ritz residual |beta_j s_j| of θ is at
-    most _LANCZOS_RTOL times the largest Ritz value in modulus, and
-    checks that at once on a breakdown, a beta_j of at most _LANCZOS_RTOL
-    |alpha_j|, which then passes it, as |alpha_j| <= ||T||.  The basis
-    then spans an invariant subspace to rounding (the start is an
-    eigenvector, say); S being a symmetric Z-matrix, it has a nonnegative
-    bottom eigenvector, which all ones is not orthogonal to, so θ is its
-    smallest eigenvalue.  The run returns None if it takes more than
-    _LANCZOS_MAX_STEPS steps, or if a step leaves the float range
-    (entries of S near the top of it), with no warning.  The tridiagonal
-    matrix is solved at checks spaced by the residual's own rate of
-    decrease, at most _LANCZOS_CHECK_STEPS apart.
+    all-ones vector.  Each step takes the three-term update
+    w = S q_j - beta_{j-1} q_{j-1} - alpha_j q_j and then one classical
+    Gram-Schmidt pass against the whole basis; a second pass runs only if
+    the first cut ||w||^2 by more than half (Daniel, Gragg, Kaufman and
+    Stewart, Math. Comp. 30, 1976).  The work is one call of matvec per
+    step plus two products with the basis, which holds the vectors of the
+    steps up to the next check and grows in place at each check, to at
+    most _LANCZOS_MAX_STEPS vectors: no r x r array is made.
+
+    The run stops once the Ritz residual |beta_j s_j| of θ reaches the
+    target of _smallest_ritz: from two steps on, θ's error is about the
+    residual squared over the gap θ_2 - θ to the next Ritz value
+    (Parlett, 11.7), and the run stops when that estimate is below half
+    an ulp of θ, or else when the residual is at most _LANCZOS_RTOL times
+    the largest Ritz value in modulus.  The estimate trusts θ_2 as the
+    gap: a second eigenvalue that the basis does not yet resolve (a pair
+    of the order of the residual apart) is not seen, and θ can then sit
+    up to half their distance above the smallest.  A breakdown, a beta_j
+    of at most _LANCZOS_RTOL |alpha_j|, is checked at once and then
+    passes, as |alpha_j| <= ||T||.  The basis then spans an invariant
+    subspace to rounding (the start is an eigenvector, say); S being a
+    symmetric Z-matrix, it has a nonnegative bottom eigenvector, which
+    all ones is not orthogonal to, so θ is its smallest eigenvalue.  The
+    run returns None if it takes more than _LANCZOS_MAX_STEPS steps, or
+    if a step leaves the float range (entries of S near the top of it),
+    with no warning.  The tridiagonal matrix is solved at checks spaced
+    by the residual's own rate of decrease, at most _LANCZOS_CHECK_STEPS
+    apart.
     """
     steps = min(_LANCZOS_MAX_STEPS, r)
     alpha, beta = np.empty(steps), np.empty(steps)
@@ -427,10 +440,16 @@ def _lanczos_smallest(matvec, r: int) -> float | None:
         for j in range(steps):
             Q = basis[: j + 1]
             w = matvec(Q[j])
+            if j:
+                w -= beta[j - 1] * Q[j - 1]
             alpha[j] = Q[j] @ w
-            w -= (Q @ w) @ Q
+            w -= alpha[j] * Q[j]
+            norm = w @ w
             w -= (Q @ w) @ Q
             beta[j] = math.sqrt(w @ w)
+            if beta[j] * beta[j] < 0.5 * norm:
+                w -= (Q @ w) @ Q
+                beta[j] = math.sqrt(w @ w)
             if not (math.isfinite(alpha[j]) and math.isfinite(beta[j])):
                 return None
             if j + 1 == check or beta[j] <= _LANCZOS_RTOL * abs(alpha[j]):
@@ -455,8 +474,11 @@ def _lanczos_smallest(matvec, r: int) -> float | None:
 def _smallest_ritz(alpha: np.ndarray, beta: np.ndarray):
     """(θ, its Ritz residual |beta_j s_j|, the residual that stops the run)
     from the tridiagonal matrix of alpha and beta[:-1], or None if its
-    eigen-solve fails.  Its two j x j arrays go at the return, before the
-    run's next mat-vec."""
+    eigen-solve fails.  The stopping residual is _LANCZOS_RTOL times the
+    largest Ritz value in modulus, and from j = 2 on at least
+    sqrt(eps/2 |θ| (θ_2 - θ)), at which the error estimate
+    residual^2 / (θ_2 - θ) is half an ulp of θ.  Its two j x j arrays go
+    at the return, before the run's next mat-vec."""
     j = alpha.size
     T = np.diag(alpha)
     T.flat[1 :: j + 1] = T.flat[j :: j + 1] = beta[:-1]
@@ -464,7 +486,10 @@ def _smallest_ritz(alpha: np.ndarray, beta: np.ndarray):
         theta, s = np.linalg.eigh(T)
     except np.linalg.LinAlgError:
         return None
-    return float(theta[0]), beta[-1] * abs(s[-1, 0]), _LANCZOS_RTOL * max(abs(theta[0]), abs(theta[-1]))
+    target = _LANCZOS_RTOL * max(abs(theta[0]), abs(theta[-1]))
+    if j > 1:
+        target = max(target, math.sqrt(0.5 * _EPS * abs(theta[0])) * math.sqrt(theta[1] - theta[0]))
+    return float(theta[0]), beta[-1] * abs(s[-1, 0]), target
 
 
 def _next_check(last, now, target: float) -> int:

@@ -232,8 +232,8 @@ def test_an_all_zero_compound(proof_calls, solves):
 @pytest.mark.parametrize("gain", [0.1, 0.0])
 def test_lanczos_stops_on_breakdown(gain, monkeypatch):
     # all ones is an eigenvector of the gap of gain * I: beta comes out as
-    # rounding noise next to alpha, not as 0, and the run stops on it at
-    # its first step with θ, not after _LANCZOS_MAX_STEPS with None
+    # rounding noise next to alpha, not as 0, and the run stops on it
+    # after its first mat-vec with θ, not after _LANCZOS_MAX_STEPS with None
     steps, thetas, lanczos = [], [], stability._lanczos_smallest
 
     def counted(matvec, r):
@@ -244,14 +244,20 @@ def test_lanczos_stops_on_breakdown(gain, monkeypatch):
     A = gain * np.eye(300)
     cert = construct_dlf_nonneg(A)
     exact = smallest_eigenvalue(stein_gap_of(A, cert.d))
-    assert len(steps) <= 2 and thetas == [cert.stein_margin]
+    assert len(steps) == 1 and thetas == [cert.stein_margin]
     assert abs(cert.stein_margin - exact) <= MARGIN_RTOL * exact
 
 
-def test_nonzero_path_holds_nothing_of_order_r_squared(monkeypatch):
+@pytest.mark.parametrize("chain", [
+    pytest.param(test_kernel.TestLaplaceKernel.certify_large_chain, id="kernel"),
+    pytest.param(lambda: certify_large_pool(0)[0], id="seed0-chain0"),
+    pytest.param(lambda: certify_large_pool(5)[2], id="seed5-chain2"),
+])
+def test_nonzero_path_holds_nothing_of_order_r_squared(chain, monkeypatch):
     # from the end of the table to the return, the path adds its nonzeros
     # (two arrays of nnz), the Lanczos basis (a vector of r a step) and
-    # the check's two small tridiagonal arrays above M
-    cert, peak = traced_after_table(monkeypatch, test_kernel.TestLaplaceKernel.certify_large_chain(), 5)
+    # the check's two small tridiagonal arrays above M; the two pool
+    # chains peak highest of the 40 chains of seeds 0-9
+    cert, peak = traced_after_table(monkeypatch, chain(), 5)
     assert isinstance(cert, KDiagCertificate) and cert.r == 792
     assert peak < 0.25 * 792**2 * 8

@@ -377,16 +377,11 @@ def _minors(A: np.ndarray, q: int) -> np.ndarray:
     table = A[..., q - 1 :, :].copy()
     batch = math.prod(A.shape[:-2])
     plan = _cache_rule(_laplace_plan, _plan_bytes(n, m, q))(n, m, q)
-    nonzero = None
     for level in plan:
         if level.first.size * batch * level.cols.shape[1] <= _LEVEL_BLOCK:
             table = _expand(A, table, *level[:4])
         else:
-            if nonzero is None:
-                # each row's nonzero columns over the stack, read once for
-                # every blocked level
-                nonzero = A.reshape(-1, n, m).any(axis=0)
-            table = _expand_by_heads(A, table, level, batch, nonzero)
+            table = _expand_by_heads(A, table, level, batch)
     # fancy indexing can leave a batch axis innermost; BLAS callers such
     # as np.dot round by layout, so hand out the C order a copy would have
     return np.ascontiguousarray(table)
@@ -415,12 +410,11 @@ def _expand(A, table, first, tail, cols, drop, out=None) -> np.ndarray:
     return out
 
 
-def _expand_by_heads(A, below, level: _Level, batch: int, nonzero: np.ndarray) -> np.ndarray:
+def _expand_by_heads(A, below, level: _Level, batch: int) -> np.ndarray:
     """One Laplace level of more than _LEVEL_BLOCK entries, built in row
     blocks of at most _LEVEL_BLOCK // (batch C(m,p)) row sets.
 
-    nonzero[a, x] tells whether A[..., a, x] is nonzero anywhere in the
-    stack.  A head row a with at most p nonzero entries in it adds, for
+    A head row a with at most p nonzero entries in the stack adds, for
     each nonzero column x in increasing order, sign * A[a, x] times the
     matching minors of `below` into the column sets that hold x.  The row
     sets led by a take as tails the last rows of `below` (see
@@ -436,9 +430,9 @@ def _expand_by_heads(A, below, level: _Level, batch: int, nonzero: np.ndarray) -
     p, width = cols.shape
     out = np.empty(A.shape[:-2] + (first.size, width))
     step = max(1, _LEVEL_BLOCK // (batch * width))
-    # the head rows are top..end-1
+    # the nonzero columns of each head row (top..end-1) over the stack
     top, end = int(first[0]), int(first[-1]) + 1
-    nonzero = nonzero[top:end]
+    nonzero = A[..., top:end, :].reshape(-1, end - top, A.shape[-1]).any(axis=0)
     sparse = nonzero.sum(axis=1) <= p
     if sparse.any() and not (math.isfinite(below.max()) and math.isfinite(below.min())):
         sparse[:] = False
@@ -539,13 +533,12 @@ def _table_bytes(n: int, m: int, k: int, batch: int = 1) -> int:
     the widest row block, whose max(1, _LEVEL_BLOCK // (batch C(m,p))) row
     sets each make, per matrix, a head row, a row of level p-1 and three
     rows of level p (the result, a term and its gathered factor), and,
-    when the level is built head row by head row, the stack's rows, read
-    once a table for their nonzeros, and one sparse head row's terms,
-    p C(m,p) coefficients per matrix and two index arrays, with three
-    arrays of one group while they are made; the build of the plan, four
-    times its arrays; and 64 KiB of small arrays.  Above: the gathered
-    k x k blocks and their minors, batch R C (k^2 + 1) entries, and the
-    two index arrays.
+    when the level is built head row by head row, the head rows read for
+    their nonzeros and one sparse head row's terms, p C(m,p) coefficients
+    per matrix and two index arrays, with three arrays of one group while
+    they are made; the build of the plan, four times its arrays; and
+    64 KiB of small arrays.  Above: the gathered k x k blocks and their
+    minors, batch R C (k^2 + 1) entries, and the two index arrays.
     """
     R, C = math.comb(n, k), math.comb(m, k)
     if k > _LAPLACE_MAX_ORDER:

@@ -61,23 +61,19 @@ _TINY = float(np.finfo(float).smallest_subnormal)
 
 # Orders from which certify proves the Stein check of a nonnegative compound
 # from its own positive xi (_Applied.proven_margin) and takes the margin
-# from Lanczos, not from a full eigen-solve; below it the eigen-solve is the
-# faster of the two (crossover measured in BENCH_lanczos.json).
-_LANCZOS_MIN_ORDER = 250
+# from a Davidson run, not from a full eigen-solve; below it the eigen-solve
+# is the faster of the two (crossover measured for Lanczos, which took 5-10
+# times Davidson's mat-vecs, in BENCH_lanczos.json).
+_DAVIDSON_MIN_ORDER = 250
 
-# Lanczos steps after which the run gives up and the eigen-solve
-# decides, and the Ritz residual, relative to the largest Ritz value, at
-# which it stops whatever the gap above θ, and below which, relative to
-# alpha_j, a beta_j is a breakdown.  Most runs stop earlier, on θ's error
-# estimate (_smallest_ritz).
-_LANCZOS_MAX_STEPS = 256
-_LANCZOS_RTOL = 1e-14
+# Davidson steps after which the run gives up and the eigen-solve decides,
+# the residual, relative to the largest Ritz value, at which it stops, and
+# the vectors by which its basis grows.
+_DAVIDSON_MAX_STEPS = 256
+_DAVIDSON_RTOL = 1e-14
+_DAVIDSON_CHUNK = 16
 
-# Steps between two convergence checks of the Lanczos run at most, and
-# before the first one.
-_LANCZOS_CHECK_STEPS = 16
-
-# A nonnegative compound of order _LANCZOS_MIN_ORDER or more with at most
+# A nonnegative compound of order _DAVIDSON_MIN_ORDER or more with at most
 # r^2 / _NONZERO_BREAK_EVEN nonzeros is used through them after the table.
 # A sweep at r = 792 on one OpenBLAS thread put the break-even with the
 # dense path near r^2 / 6 (128 nonzeros a row); up to r^2 / 16 the nonzero
@@ -336,16 +332,16 @@ class _Applied(NamedTuple):
             return float(np.min(f / v))
 
     def proven_margin(self, d: np.ndarray, xi: np.ndarray, t: float) -> float | None:
-        """θ of _lanczos_smallest on the gap S of an M >= 0, once
+        """θ of _davidson_smallest on the gap S of an M >= 0, once
         stein_bound(d, xi) proves S > t; None, and the eigen-solve decides,
         in every other case.
 
         The bound proves the pass when it is finite and above t, and θ is
-        returned when Lanczos converges and θ is not below the bound.
+        returned when Davidson converges and θ is not below the bound.
         """
         bound = self.stein_bound(d, xi)
         if math.isfinite(bound) and bound > t:
-            theta = _lanczos_smallest(self.stein_gap(d), xi.size)
+            theta = _davidson_smallest(self.stein_gap(d), d)
             if theta is not None and bound <= theta:
                 return theta
         return None
@@ -358,7 +354,7 @@ def _dense(M: np.ndarray) -> _Applied:
 
 
 def _nonzeros(M: np.ndarray) -> _Applied | None:
-    """An M >= 0 of order _LANCZOS_MIN_ORDER or more that has at most
+    """An M >= 0 of order _DAVIDSON_MIN_ORDER or more that has at most
     r^2 / _NONZERO_BREAK_EVEN nonzeros, applied over them, else None.
 
     They are read once, row by row: their columns and values in row-major
@@ -366,7 +362,7 @@ def _nonzeros(M: np.ndarray) -> _Applied | None:
     of those starts.
     """
     r = M.shape[0]
-    if r < _LANCZOS_MIN_ORDER:
+    if r < _DAVIDSON_MIN_ORDER:
         return None
     # M has no negative entry: its nonzeros are its positive entries
     positive = M > 0.0
@@ -398,109 +394,70 @@ def _nonzeros(M: np.ndarray) -> _Applied | None:
     return _Applied(matvec, rmatvec, int(counts.max()), int(np.bincount(cols, minlength=r).max()))
 
 
-def _lanczos_smallest(matvec, r: int) -> float | None:
-    """θ, the smallest Ritz value of the symmetric r x r matrix S that matvec applies, or None.
+def _davidson_smallest(matvec, d: np.ndarray) -> float | None:
+    """θ, the smallest Ritz value of the symmetric r x r matrix S that matvec
+    applies, or None; d is the positive diagonal D of S = D - M^T D M.
 
-    Lanczos (Parlett, The Symmetric Eigenvalue Problem, 1998) from the
-    all-ones vector.  Each step takes the three-term update
-    w = S q_j - beta_{j-1} q_{j-1} - alpha_j q_j and then one classical
-    Gram-Schmidt pass against the whole basis; a second pass runs only if
-    the first cut ||w||^2 by more than half (Daniel, Gragg, Kaufman and
-    Stewart, Math. Comp. 30, 1976).  The work is one call of matvec per
-    step plus two products with the basis, which holds the vectors of the
-    steps up to the next check and grows in place at each check, to at
-    most _LANCZOS_MAX_STEPS vectors: no r x r array is made.
+    Davidson's method (Davidson, J. Comput. Phys. 17, 1975; Morgan and
+    Scott, SIAM J. Sci. Stat. Comput. 7, 1986) from the all-ones vector.
+    Each step applies S to the newest basis vector, adds a row to
+    H = V^T S V, and takes θ, the smallest eigenvalue of H, with its Ritz
+    vector u and residual g = S u - θ u, formed from the stored products
+    with S.  The run stops once ||g|| is at most _DAVIDSON_RTOL times the
+    largest Ritz value in modulus.  Otherwise the next basis vector is
+    the correction (D - σ I)^{-1} g, orthogonalised against the basis by
+    one classical Gram-Schmidt pass, and a second one if the first cut
+    its squared norm by more than half (Daniel, Gragg, Kaufman and
+    Stewart, Math. Comp. 30, 1976).  The shift σ = min(θ, min d) - ||g||
+    keeps D - σ I positive definite, and comes within ||g|| of the lower
+    of θ and min d, both at least S's smallest eigenvalue (S <= D).
 
-    The run stops once the Ritz residual |beta_j s_j| of θ reaches the
-    target of _smallest_ritz: from two steps on, θ's error is about the
-    residual squared over the gap θ_2 - θ to the next Ritz value
-    (Parlett, 11.7), and the run stops when that estimate is below half
-    an ulp of θ, or else when the residual is at most _LANCZOS_RTOL times
-    the largest Ritz value in modulus.  The estimate trusts θ_2 as the
-    gap: a second eigenvalue that the basis does not yet resolve (a pair
-    of the order of the residual apart) is not seen, and θ can then sit
-    up to half their distance above the smallest.  A breakdown, a beta_j
-    of at most _LANCZOS_RTOL |alpha_j|, is checked at once and then
-    passes, as |alpha_j| <= ||T||.  The basis then spans an invariant
-    subspace to rounding (the start is an eigenvector, say); S being a
-    symmetric Z-matrix, it has a nonnegative bottom eigenvector, which
-    all ones is not orthogonal to, so θ is its smallest eigenvalue.  The
-    run returns None if it takes more than _LANCZOS_MAX_STEPS steps, or
-    if a step leaves the float range (entries of S near the top of it),
-    with no warning.  The tridiagonal matrix is solved at checks spaced
-    by the residual's own rate of decrease, at most _LANCZOS_CHECK_STEPS
-    apart.
+    Every θ is at least S's smallest eigenvalue, and on the stop one
+    eigenvalue lies within ||g|| of it.  S being a symmetric Z-matrix, it
+    has a nonnegative bottom eigenvector, which all ones, always in the
+    basis, is not orthogonal to.  The basis and S times it grow in place
+    by _DAVIDSON_CHUNK vectors, to at most _DAVIDSON_MAX_STEPS each: no
+    r x r array is made.  The run returns None if it takes more than
+    _DAVIDSON_MAX_STEPS steps, if a step leaves the float range (entries
+    of S near the top of it), or if a correction lies in the basis, with
+    no warning.
     """
-    steps = min(_LANCZOS_MAX_STEPS, r)
-    alpha, beta = np.empty(steps), np.empty(steps)
-    check, last = min(_LANCZOS_CHECK_STEPS, steps), None
-    basis = np.empty((check, r))
-    basis[0] = 1.0 / math.sqrt(r)
+    r = d.size
+    steps = min(_DAVIDSON_MAX_STEPS, r)
+    size = min(_DAVIDSON_CHUNK, steps)
+    V, W, H = np.empty((size, r)), np.empty((size, r)), np.empty((size, size))
+    v, least = np.full(r, 1.0 / math.sqrt(r)), float(d.min())
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(steps):
-            Q = basis[: j + 1]
-            w = matvec(Q[j])
-            if j:
-                w -= beta[j - 1] * Q[j - 1]
-            alpha[j] = Q[j] @ w
-            w -= alpha[j] * Q[j]
-            norm = w @ w
-            w -= (Q @ w) @ Q
-            beta[j] = math.sqrt(w @ w)
-            if beta[j] * beta[j] < 0.5 * norm:
-                w -= (Q @ w) @ Q
-                beta[j] = math.sqrt(w @ w)
-            if not (math.isfinite(alpha[j]) and math.isfinite(beta[j])):
+        for k in range(steps):
+            if k == size:
+                size = min(size + _DAVIDSON_CHUNK, steps)
+                V.resize((size, r), refcheck=False)
+                W.resize((size, r), refcheck=False)
+                H = np.pad(H, (0, size - k))
+            V[k], W[k] = v, matvec(v)
+            H[k, : k + 1] = V[: k + 1] @ W[k]
+            try:
+                theta, Y = np.linalg.eigh(H[: k + 1, : k + 1], UPLO="L")
+            except np.linalg.LinAlgError:
                 return None
-            if j + 1 == check or beta[j] <= _LANCZOS_RTOL * abs(alpha[j]):
-                ritz = _smallest_ritz(alpha[: j + 1], beta[: j + 1])
-                if ritz is None:
-                    return None
-                theta, residual, target = ritz
-                if residual <= target:
-                    return theta
-                check = min(j + 1 + _next_check(last, (j + 1, residual), target), steps)
-                last = (j + 1, residual)
-            if j + 1 < steps:
-                if j + 1 == len(basis):
-                    # grown up to the next check; Q, the one view of the
-                    # basis, goes first, so the reallocation leaves none
-                    del Q
-                    basis.resize((check, r), refcheck=False)
-                basis[j + 1] = w / beta[j]
+            y = Y[:, 0]
+            g = y @ W[: k + 1] - theta[0] * (y @ V[: k + 1])
+            norm = math.sqrt(g @ g)
+            if not math.isfinite(norm):
+                return None
+            if norm <= _DAVIDSON_RTOL * max(abs(theta[0]), abs(theta[-1])):
+                return float(theta[0])
+            v = g / (d - (min(theta[0], least) - norm))
+            before = v @ v
+            v -= (V[: k + 1] @ v) @ V[: k + 1]
+            after = v @ v
+            if after < 0.5 * before:
+                v -= (V[: k + 1] @ v) @ V[: k + 1]
+                after = v @ v
+            if not (math.isfinite(after) and after > 0.0):
+                return None
+            v /= math.sqrt(after)
     return None
-
-
-def _smallest_ritz(alpha: np.ndarray, beta: np.ndarray):
-    """(θ, its Ritz residual |beta_j s_j|, the residual that stops the run)
-    from the tridiagonal matrix of alpha and beta[:-1], or None if its
-    eigen-solve fails.  The stopping residual is _LANCZOS_RTOL times the
-    largest Ritz value in modulus, and from j = 2 on at least
-    sqrt(eps/2 |θ| (θ_2 - θ)), at which the error estimate
-    residual^2 / (θ_2 - θ) is half an ulp of θ.  Its two j x j arrays go
-    at the return, before the run's next mat-vec."""
-    j = alpha.size
-    T = np.diag(alpha)
-    T.flat[1 :: j + 1] = T.flat[j :: j + 1] = beta[:-1]
-    try:
-        theta, s = np.linalg.eigh(T)
-    except np.linalg.LinAlgError:
-        return None
-    target = _LANCZOS_RTOL * max(abs(theta[0]), abs(theta[-1]))
-    if j > 1:
-        target = max(target, math.sqrt(0.5 * _EPS * abs(theta[0])) * math.sqrt(theta[1] - theta[0]))
-    return float(theta[0]), beta[-1] * abs(s[-1, 0]), target
-
-
-def _next_check(last, now, target: float) -> int:
-    """Steps to the next convergence check: as many as the residual, falling at
-    its rate since the last check, needs to reach target, within 1 and
-    _LANCZOS_CHECK_STEPS."""
-    if last is None or not 0.0 < now[1] < last[1]:
-        return _LANCZOS_CHECK_STEPS
-    rate = math.log(last[1] / now[1]) / (now[0] - last[0])
-    need = math.log(now[1] / target) / rate if target > 0.0 else math.inf
-    return int(min(max(math.ceil(need), 1), _LANCZOS_CHECK_STEPS))
 
 
 def _compound_radius(A: np.ndarray, k: int) -> float:
@@ -608,7 +565,7 @@ def _certify(
     # xi then proves its pass, as (D - M^T D M) xi = y' + M^T D x' >= y' > 0
     # for x' = xi - M xi and y' = z - M^T z.  How M is applied is decided
     # here, once: a large sparse one through its nonzeros, read once, any
-    # other densely.  The series, the gaps, and from _LANCZOS_MIN_ORDER on
+    # other densely.  The series, the gaps, and from _DAVIDSON_MIN_ORDER on
     # the proof and the margin on the implicit gap v -> d v - M^T (d (M v))
     # all use it: from that order on the Gram is formed only where the
     # proof fails.
@@ -620,7 +577,7 @@ def _certify(
     xi_gap = float(np.min((xi - applied.matvec(xi)) / (1.0 + np.abs(xi))))
     z_gap = float(np.min((z - applied.rmatvec(z)) / (1.0 + np.abs(z))))
     pd = pd_tol(tol)
-    provable = nonneg and r >= _LANCZOS_MIN_ORDER
+    provable = nonneg and r >= _DAVIDSON_MIN_ORDER
     margin = applied.proven_margin(d, xi, pd) if provable else None
     if margin is None:
         # M is this call's own compound, still intact: scale it into

@@ -200,7 +200,7 @@ class TestLaplaceKernel:
         # the chain's compound is sparse, so certify holds one
         # compound-sized array: the compound, while the kernel builds it
         # (with the level below it and block temporaries) and then beside
-        # its nonzeros, which the solves, the proof and Lanczos use; no
+        # its nonzeros, which the solves, the proof and Davidson use; no
         # Gram and no Stein gap is formed
         A = self.certify_large_chain()
         certify_k_diag_stability(A, 5)

@@ -1,14 +1,14 @@
 """Certify's one proof route after the minor table, dense or through the nonzeros.
 
 Where the compound M has no negative entry, stability._certify decides
-once how M is applied: where r >= _LANCZOS_MIN_ORDER and M has at most
+once how M is applied: where r >= _DAVIDSON_MIN_ORDER and M has at most
 r^2 / _NONZERO_BREAK_EVEN nonzeros, over them, read once
 (stability._nonzeros), else densely (stability._dense).  The Neumann
-sums, the gaps, and from r >= _LANCZOS_MIN_ORDER the Collatz-Wielandt
-proof from xi and Lanczos all run on that pair, the last two on the
+sums, the gaps, and from r >= _DAVIDSON_MIN_ORDER the Collatz-Wielandt
+proof from xi and Davidson all run on that pair, the last two on the
 implicit gap v -> d v - M^T (d (M v)), whether xi and z were summed or
 solved by LU: neither the Gram nor the gap is formed.  A bound that does
-not prove the pass, or a Lanczos run that does not converge, forms the
+not prove the pass, or a Davidson run that does not converge, forms the
 gap from the intact M for the eigen-solve, bit for bit what it gives on
 the same d.
 """
@@ -53,7 +53,7 @@ def gap_builds(monkeypatch):
 @pytest.fixture
 def on_path(monkeypatch):
     """on_path(nonzero, call): call() with every nonnegative compound of
-    order _LANCZOS_MIN_ORDER or more read into its nonzeros (True) or none
+    order _DAVIDSON_MIN_ORDER or more read into its nonzeros (True) or none
     (False), whatever its density."""
 
     def run(nonzero, call):
@@ -151,7 +151,7 @@ class TestFallback:
 
     def test_bound_below_pd_tol(self, proof_calls, gap_builds, solves, on_path):
         # y0 = 1e-20 makes d0 tiny and the gap's smallest eigenvalue with
-        # it: the bound cannot clear pd_tol and Lanczos does not run.  M is
+        # it: the bound cannot clear pd_tol and Davidson does not run.  M is
         # diagonal, so the sums over its nonzeros are the dense mat-vecs'
         # bit for bit, and so is the whole refusal; rho = 0.1 keeps the
         # series within its r // 16 terms
@@ -173,10 +173,10 @@ class TestFallback:
         assert gap_builds[1][1].tobytes() == d.tobytes()
         assert gap_builds[1][2].tobytes() == gap.tobytes()
 
-    def test_lanczos_step_cap(self, monkeypatch, proof_calls, gap_builds, solves):
-        # the bound proves the pass but Lanczos stops at the cap: the gap
+    def test_davidson_step_cap(self, monkeypatch, proof_calls, gap_builds, solves):
+        # the bound proves the pass but Davidson stops at the cap: the gap
         # is formed from the intact M and the eigen-solve's margin reported
-        monkeypatch.setattr(stability, "_LANCZOS_MAX_STEPS", 8)
+        monkeypatch.setattr(stability, "_DAVIDSON_MAX_STEPS", 8)
         A = certify_large_pool(0)[0]
         cert = certify_k_diag_stability(A, 5)
         assert solves.series == [True, True]
@@ -220,7 +220,7 @@ def test_a_floor_beyond_the_float_range_proves_nothing(proof_calls):
 def test_an_all_zero_compound(proof_calls, solves):
     # rho = 0 sends it to LU, and its nonzeros, of which there are none,
     # apply the gap v -> v: the bound from xi is taken over them, and
-    # clears pd_tol, and Lanczos stops on its breakdown with the margin
+    # clears pd_tol, and Davidson stops after one step with the margin
     cert = construct_dlf_nonneg(np.zeros((300, 300)))
     assert solves.lu == 2 and solves.series == []
     assert cert.d.tobytes() == np.ones(300).tobytes()
@@ -230,17 +230,17 @@ def test_an_all_zero_compound(proof_calls, solves):
 
 
 @pytest.mark.parametrize("gain", [0.1, 0.0])
-def test_lanczos_stops_on_breakdown(gain, monkeypatch):
-    # all ones is an eigenvector of the gap of gain * I: beta comes out as
-    # rounding noise next to alpha, not as 0, and the run stops on it
-    # after its first mat-vec with θ, not after _LANCZOS_MAX_STEPS with None
-    steps, thetas, lanczos = [], [], stability._lanczos_smallest
+def test_davidson_stops_on_an_eigenvector(gain, monkeypatch):
+    # all ones is an eigenvector of the gap of gain * I: its residual is
+    # rounding noise, and the run stops after its first mat-vec with θ,
+    # not after _DAVIDSON_MAX_STEPS with None
+    steps, thetas, davidson = [], [], stability._davidson_smallest
 
-    def counted(matvec, r):
-        thetas.append(lanczos(lambda v: steps.append(1) or matvec(v), r))
+    def counted(matvec, d):
+        thetas.append(davidson(lambda v: steps.append(1) or matvec(v), d))
         return thetas[-1]
 
-    monkeypatch.setattr(stability, "_lanczos_smallest", counted)
+    monkeypatch.setattr(stability, "_davidson_smallest", counted)
     A = gain * np.eye(300)
     cert = construct_dlf_nonneg(A)
     exact = smallest_eigenvalue(stein_gap_of(A, cert.d))
@@ -255,9 +255,10 @@ def test_lanczos_stops_on_breakdown(gain, monkeypatch):
 ])
 def test_nonzero_path_holds_nothing_of_order_r_squared(chain, monkeypatch):
     # from the end of the table to the return, the path adds its nonzeros
-    # (two arrays of nnz), the Lanczos basis (a vector of r a step) and
-    # the check's two small tridiagonal arrays above M; the two pool
-    # chains peak highest of the 40 chains of seeds 0-9
+    # (two arrays of nnz), and Davidson's basis, the gap times it (two
+    # vectors of r a step) and its small projected matrix above M; the
+    # two pool chains went above the bound when Lanczos took 118 and 133
+    # steps for θ
     cert, peak = traced_after_table(monkeypatch, chain(), 5)
     assert isinstance(cert, KDiagCertificate) and cert.r == 792
     assert peak < 0.25 * 792**2 * 8

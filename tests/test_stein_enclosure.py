@@ -2,7 +2,7 @@
 
 For a nonnegative compound M the construction's xi proves the pass:
 with x' = xi - M xi and y' = z - M^T z, (D - M^T D M) xi = y' + M^T D x'
->= y' > 0.  From order _LANCZOS_MIN_ORDER on, certify applies the gap as
+>= y' > 0.  From order _DAVIDSON_MIN_ORDER on, certify applies the gap as
 v -> d v - M^T (d (M v)), densely or over a sparse compound's nonzeros,
 and never forms it for the proof: stability._Applied.proven_margin takes a
 Collatz-Wielandt bound from xi on it, and a bound above pd_tol proves the
@@ -120,7 +120,7 @@ def smallest_eigenvalue(S):
 class ProofCall:
     """One try of the proof path, stability._Applied.proven_margin: the d of
     the gap, the proof vector, the Collatz-Wielandt bound from it,
-    and the results of the Lanczos runs that followed (none when the bound
+    and the results of the Davidson runs that followed (none when the bound
     did not clear pd_tol, None for a run that did not converge)."""
 
     d: np.ndarray
@@ -137,18 +137,18 @@ class ProofCall:
 @pytest.fixture
 def proof_calls(monkeypatch):
     calls = []
-    bound, lanczos = stability._Applied.stein_bound, stability._lanczos_smallest
+    bound, davidson = stability._Applied.stein_bound, stability._davidson_smallest
 
     def recorded_bound(applied, d, v):
         calls.append(ProofCall(d, v, bound(applied, d, v)))
         return calls[-1].bound
 
-    def recorded_lanczos(matvec, r):
-        calls[-1].ritz.append(lanczos(matvec, r))
+    def recorded_davidson(matvec, d):
+        calls[-1].ritz.append(davidson(matvec, d))
         return calls[-1].ritz[-1]
 
     monkeypatch.setattr(stability._Applied, "stein_bound", recorded_bound)
-    monkeypatch.setattr(stability, "_lanczos_smallest", recorded_lanczos)
+    monkeypatch.setattr(stability, "_davidson_smallest", recorded_davidson)
     return calls
 
 
@@ -204,9 +204,9 @@ class TestXiProof:
 
     def test_the_path_allocates_nothing_of_order_r_squared(self, proof_calls, monkeypatch):
         # a certify-large chain applied densely, its series summed: from
-        # the end of the table to the return the path adds the Lanczos
-        # basis (a vector of r a step), the check's two small tridiagonal
-        # arrays and a few vectors above M, and forms no gap
+        # the end of the table to the return the path adds Davidson's
+        # basis and the gap times it (two vectors of r a step), its small
+        # projected matrix and a few vectors above M, and forms no gap
         monkeypatch.setattr(stability, "_NONZERO_BREAK_EVEN", 10**12)
         cert, peak = traced_after_table(monkeypatch, certify_large_pool(0)[0], 5)
         assert isinstance(cert, KDiagCertificate) and cert.r == 792
@@ -251,7 +251,7 @@ class TestXiProof:
         # definite, is proven by xi in exact arithmetic, but the rounding
         # term of the bound overflows: the eigen-solve decides, with no
         # warning
-        r = stability._LANCZOS_MIN_ORDER
+        r = stability._DAVIDSON_MIN_ORDER
         A = np.full((r, r), 0.001 / r)
         cert = construct_dlf_nonneg(A, y=np.full(r, 1.5e308))
         assert cert.d.min() > 1e308
@@ -307,7 +307,7 @@ class TestFallback:
         assert matcore.is_positive_definite(S).margin == smallest_eigenvalue(S)
 
     def test_no_convergence_within_the_step_cap(self, monkeypatch, proof_calls):
-        monkeypatch.setattr(stability, "_LANCZOS_MAX_STEPS", 8)
+        monkeypatch.setattr(stability, "_DAVIDSON_MAX_STEPS", 8)
         A = certify_large_pool(0)[0]
         cert = certify_k_diag_stability(A, 5)
         assert [(c.bound > matcore.pd_tol(), c.ritz) for c in proof_calls] == [(True, [None])]
@@ -317,7 +317,7 @@ class TestFallback:
     def test_below_the_crossover_order(self, proof_calls):
         A = certify_chain(np.random.default_rng(92), n=9)
         cert = certify_k_diag_stability(A, 3)
-        assert isinstance(cert, KDiagCertificate) and cert.r < stability._LANCZOS_MIN_ORDER
+        assert isinstance(cert, KDiagCertificate) and cert.r < stability._DAVIDSON_MIN_ORDER
         assert proof_calls == []
         S, _ = stein_gap(A, 3)
         assert cert.stein_margin == smallest_eigenvalue(S)
@@ -325,7 +325,7 @@ class TestFallback:
     @pytest.mark.parametrize("case", ["diagonal", "cycle"])
     def test_failed_stein_check_is_unchanged(self, case, proof_calls):
         # a y with one tiny entry makes one d_i tiny and the gap's smallest
-        # eigenvalue with it: the bound cannot clear pd_tol, Lanczos does
+        # eigenvalue with it: the bound cannot clear pd_tol, Davidson does
         # not run, and the eigen-solve's margin is the one the error names
         r = 300
         y = np.ones(r)

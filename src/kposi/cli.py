@@ -19,9 +19,11 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -126,7 +128,7 @@ def matrix_document(arr: np.ndarray) -> dict:
     return {
         "rows": int(arr.shape[0]),
         "cols": int(arr.shape[1]),
-        "data": [[float(v) for v in row] for row in arr],
+        "data": arr.tolist(),
     }
 
 
@@ -206,8 +208,61 @@ def _report(command: str, digest: str, verdicts: dict, tolerances: dict) -> dict
 
 
 def _emit(doc) -> None:
-    # one write: json.dump writes each token on its own
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    """Write json.dumps(doc, indent=2) and a newline, in one write.
+
+    json's indented output comes from its pure-Python encoder, which spends
+    most of a certificate's report on the floats of d, xi and z.  The same
+    bytes are built here by _indented, which hands each flat list of
+    numbers to json's C encoder.
+    """
+    parts = []
+    _indented(doc, "\n", parts)
+    parts.append("\n")
+    sys.stdout.write("".join(parts))
+
+
+def _indented(obj, pad: str, parts: list) -> None:
+    """Append json.dumps(obj, indent=2) to parts, with pad (a newline and
+    the indent of obj's own line) after each of its newlines.
+
+    Strings, None, bools, ints and finite floats are written as json
+    writes them.  A list whose C encoding holds no string, list or object
+    is that encoding with a line break after each ", ".  Other lists, and
+    objects with string keys, are written item by item; anything else,
+    NaN and the infinities included, is left to json.dumps, which also
+    raises for what it cannot write.
+    """
+    if isinstance(obj, str):
+        parts.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        parts.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float) and math.isfinite(obj):
+        parts.append(float.__repr__(obj))
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = pad + "  "
+        if not isinstance(obj[0], (str, list, tuple, dict)):
+            text = json.dumps(obj)
+            if all(text.find(c, 1) < 0 for c in '"[{'):
+                parts += ["[", inner, text[1:-1].replace(", ", "," + inner), pad, "]"]
+                return
+        sep = "[" + inner
+        for value in obj:
+            parts.append(sep)
+            _indented(value, inner, parts)
+            sep = "," + inner
+        parts += [pad, "]"]
+    elif isinstance(obj, dict) and obj and all(isinstance(key, str) for key in obj):
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            parts += [sep, encode_basestring_ascii(key), ": "]
+            _indented(value, inner, parts)
+            sep = "," + inner
+        parts += [pad, "}"]
+    else:
+        parts.append(json.dumps(obj, indent=2).replace("\n", pad))
 
 
 def _encode(obj, names=None):

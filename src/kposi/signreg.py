@@ -120,7 +120,11 @@ def _sign_gate(minors: np.ndarray, t: float) -> tuple[str, int | None]:
     signature and the near one, beyond the band on the same side or not,
     "SSR" or "SR".  A NaN or infinite extreme is a DomainError.
     """
-    hi, lo = _finite_extremes(minors)
+    return _gate(*_finite_extremes(minors), t)
+
+
+def _gate(hi: float, lo: float, t: float) -> tuple[str, int | None]:
+    """_sign_gate from a table's finite extremes hi and lo."""
     band = _band(t, hi, lo)
     if hi > band:
         if lo < -band:

@@ -42,7 +42,7 @@ from .matcore import (
     pd_tol,
     zero_tol,
 )
-from .signreg import NONE, MinorWitness, _minor_witness, _sign_gate
+from .signreg import NONE, MinorWitness, _gate, _minor_witness
 
 NOT_SIGN_REGULAR = "NOT_SIGN_REGULAR"
 COMPOUND_NOT_SCHUR = "COMPOUND_NOT_SCHUR"
@@ -550,7 +550,8 @@ def _certify(
         x, y = _right_hand_sides(x, y, r)
     M = _minor_table(A, k)
     t = zero_tol(tol)
-    verdict, signature = _sign_gate(M, t)
+    hi, lo = _finite_extremes(M)
+    verdict, signature = _gate(hi, lo, t)
     if verdict == NONE:
         witness = _minor_witness(M, int(M.argmin()), k, A.shape)
         return CertificationFailure(k=k, r=r, reason=NOT_SIGN_REGULAR, witness=witness)
@@ -568,8 +569,9 @@ def _certify(
     # other densely.  The series, the gaps, and from _DAVIDSON_MIN_ORDER on
     # the proof and the margin on the implicit gap v -> d v - M^T (d (M v))
     # all use it: from that order on the Gram is formed only where the
-    # proof fails.
-    nonneg = bool(M.min() >= 0.0)
+    # proof fails.  M's least entry is read from the gate's extremes: lo,
+    # or -hi after the flip.
+    nonneg = (-hi if sign_flipped else lo) >= 0.0
     applied = _nonzeros(M) if nonneg else None
     if applied is None:
         applied = _dense(M)

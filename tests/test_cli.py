@@ -542,6 +542,50 @@ class TestParserReuse:
 GOLDEN_PAPER_EXAMPLES = DATA / "paper_examples.txt"
 
 
+class TestReportWriter:
+    """cli._emit writes the bytes of json.dumps(doc, indent=2) and a newline,
+    with each flat list of numbers encoded by json's C encoder."""
+
+    @staticmethod
+    def emitted(monkeypatch, doc):
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+        monkeypatch.setattr(cli.sys, "stdout", Recorder())
+        cli._emit(doc)
+        (text,) = writes
+        return text
+
+    @pytest.mark.parametrize("doc", [
+        {"specials": [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308, 0.1, 1e16]},
+        {"nan": float("nan"), "inf": float("inf"), "-inf": -float("inf"), "zero": -0.0, "tiny": 5e-324},
+        {"list": [], "dict": {}, "nested": [[], {}, [[]], [{}]]},
+        {"rows": 3, "cols": 2, "data": [[1.0, -0.0], [0.5, 2.25], [1e-300, -1e300]]},
+        {"deep": [1.0, [2.0, [3.0, [float("nan")]]]], "mixed": [1.5, "text", None, [1, 2]]},
+        {"index sets": [[1, 2, 5], [3, 4, 6]], "ints": [1, 2, 12345678901234567890], "flags": [True, False, None]},
+        {"bool": True, "false": False, "none": None, "tuple": (1.5, (2, 3), ()), "np": np.float64(0.1)},
+        {"np list": [np.float64(1e-300), np.float64(-0.0), 2.0], "text": "na\u00efve \u2603 \"q\"\n\t"},
+        {"non-str keys": {1: 2.0, 2.5: [1.0]}, "non-ASCII key \u00fc": [{"a": (1,)}, "s"]},
+        [], {}, 1.0, -0.0, float("nan"), "text", None, True, 7, [[[]]], (1.0, 2.0),
+    ])
+    def test_writes_what_json_dumps_writes(self, monkeypatch, doc):
+        assert self.emitted(monkeypatch, doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_a_value_json_cannot_write_is_refused_as_json_refuses_it(self, monkeypatch):
+        with pytest.raises(TypeError):
+            json.dumps({"a": [np.int64(1)]}, indent=2)
+        with pytest.raises(TypeError):
+            self.emitted(monkeypatch, {"a": [np.int64(1)]})
+
+    def test_matrix_documents_hold_python_floats(self):
+        doc = matrix_document(np.array([[0.1, -0.0], [1e-300, 2.0]]))
+        assert all(type(v) is float for row in doc["data"] for v in row)
+        assert np.signbit(doc["data"][0][1]) and doc["data"][1][0] == 1e-300
+
+
 class TestPaperExamples:
     def test_all_bundled_regressions_pass(self, capsys):
         assert run_cli(["paper-examples"]) == 0

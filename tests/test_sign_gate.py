@@ -26,6 +26,7 @@ from kposi import (
     is_k_positive_system,
     sampled_cone_invariance,
 )
+from kposi import stability
 from kposi.examples import CERT_3X3
 from kposi.stability import COMPOUND_NOT_SCHUR, NOT_SIGN_REGULAR
 from oracles import mask_sign_verdict
@@ -66,9 +67,15 @@ def assert_at(witness, T, flat_idx):
     assert witness.value == T.flat[flat_idx]
 
 
-def test_classify_and_certify_agree_with_the_mask_oracle():
+def test_classify_and_certify_agree_with_the_mask_oracle(monkeypatch):
+    # certify reads its compound through _nonzeros only when the least
+    # entry after the flip is not negative, which it takes from the gate's
+    # extremes; in-band negative minors pass the gate and are not vouched
+    reads = []
+    original = stability._nonzeros
+    monkeypatch.setattr(stability, "_nonzeros", lambda M: reads.append(M) or original(M))
     rng = np.random.default_rng(2024)
-    seen = {"at-band": 0, "tie": 0, "all-zero": 0, "tol-0": 0, "certified": 0, "flipped": 0}
+    seen = {"at-band": 0, "tie": 0, "all-zero": 0, "tol-0": 0, "certified": 0, "flipped": 0, "not vouched": 0}
     verdicts = set()
     for case in range(10_000):
         T, tol = gate_table(rng, case)
@@ -83,6 +90,7 @@ def test_classify_and_certify_agree_with_the_mask_oracle():
         sc = classify_sign_regularity(T, 1, tol)
         assert (sc.verdict, sc.signature) == (verdict, signature), (T, tol)
         assert_at(sc.witness_min, T, i_small)
+        reads.clear()
         cert = certify_k_diag_stability(T, 1, tol)
         if verdict == "NONE":
             assert_at(sc.witness_conflict[0], T, i_max)
@@ -93,8 +101,10 @@ def test_classify_and_certify_agree_with_the_mask_oracle():
         assert sc.witness_conflict is None
         if isinstance(cert, KDiagCertificate):
             assert cert.sign_flipped == (signature == -1)
+            assert bool(reads) == ((-T if cert.sign_flipped else T).min() >= 0.0)
             seen["certified"] += 1
             seen["flipped"] += cert.sign_flipped
+            seen["not vouched"] += not reads
         else:
             assert cert.reason == COMPOUND_NOT_SCHUR
     assert verdicts == {("NONE", None), ("ALL_ZERO", None), ("SSR", 1), ("SR", 1), ("SSR", -1), ("SR", -1)}

@@ -644,10 +644,170 @@ def _minor_table(A: np.ndarray, k: int) -> np.ndarray:
     n, m = A.shape
     if not 1 <= k <= min(n, m):
         raise DomainError(f"order k={k} must satisfy 1 <= k <= min{A.shape}")
-    _require_budget(_table_bytes(n, m, k),
-                    f"a minor table of {_count_text(math.comb(n, k))}x{_count_text(math.comb(m, k))} order-{k} minors")
+    _price_table(n, m, k)
     with np.errstate(over="ignore", invalid="ignore"):
         return _minors(A, k)
+
+
+def _price_table(n: int, m: int, k: int) -> None:
+    """The capacity guard of the k-minor table of an n x m matrix."""
+    _require_budget(_table_bytes(n, m, k),
+                    f"a minor table of {_count_text(math.comb(n, k))}x{_count_text(math.comb(m, k))} order-{k} minors")
+
+
+class _PatternPlan(NamedTuple):
+    """The structural nonzeros of the Laplace levels of the k-minors of an
+    n x n matrix of one zero pattern (_pattern_plan).
+
+    entries holds the flat indices into A of the nonzeros of its rows
+    k-1..n-1, level 1.  levels holds, for each level p = 2..k, its count of
+    structural entries and, for each column position j = 0..p-1, its terms
+    (entry, at, below): an entry of the level, the flat index into A of
+    its head entry, and the index of its minor in the level below.  flat
+    holds the top level's entries as flat indices into the C(n,k) x C(n,k)
+    table, in row-major order, which is the order of every level's
+    entries.
+    """
+
+    entries: np.ndarray
+    levels: tuple[tuple[int, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]], ...]
+    flat: np.ndarray
+
+
+def _structural_counts(nonzero: np.ndarray, k: int) -> list[int]:
+    """For the levels p = 1..k of the Laplace expansion of the k-minors of an
+    n x n A whose nonzeros are `nonzero`: the sum, over the row sets I of
+    the level, of min(C(n,p), the product of the nonzero counts of the rows
+    of I), a bound on the level's structurally nonzero entries, as an entry
+    of row set I takes at most one nonzero of each of its rows.  Read from
+    the row counts and the row sets of _laplace_plan, with the products
+    held at most the widest level, which leaves every min unchanged.
+    """
+    n = nonzero.shape[0]
+    cap = math.comb(n, min(k, n // 2))
+    count = np.count_nonzero(nonzero, axis=1)
+    product = count[k - 1 :]
+    bounds = [int(product.sum())]
+    for p, level in enumerate(_cache_rule(_laplace_plan, _plan_bytes(n, n, k))(n, n, k), 2):
+        product = count[level.first] * np.minimum(product, cap)[level.tail]
+        bounds.append(int(np.minimum(product, math.comb(n, p)).sum()))
+    return bounds
+
+
+def _pattern_bytes(bounds: list[int]) -> int:
+    """Bytes of _pattern_plan's arrays, at most, from _structural_counts: the
+    entries of levels 1 and k, and three indices for each term, of which an
+    entry of level p has at most p."""
+    return 8 * (bounds[0] + bounds[-1] + sum(3 * p * e for p, e in enumerate(bounds[1:], 2)))
+
+
+@lru_cache(maxsize=64)
+def _pattern_plan(n: int, k: int, key: bytes) -> _PatternPlan:
+    """The _PatternPlan of the n x n zero pattern np.packbits(A != 0).tobytes() == key.
+
+    Derived level by level from _laplace_plan(n, n, k), with work in
+    proportion to the structural terms and no array of a level's size.  A
+    row set i with head row a and tail t pairs each nonzero column x of
+    row a with each structural entry c of row t of the level below, in x
+    order; where x is not in c, the pair is the term at column position j
+    of the entry (i, c with x), found through lift, the plan's drop
+    inverted for each x.  A stable sort of the terms by their entries
+    lists the structural entries in row-major order.  The arrays are
+    read-only, since every caller of the pattern shares them;
+    _sparse_minors keeps a plan cached under _cache_rule.
+    """
+    nonzero = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=n * n).view(bool)
+    at = np.flatnonzero(nonzero)
+    column = at % n
+    ptr = np.searchsorted(at, np.arange(n + 1) * n)
+    count = np.diff(ptr)
+    entries = at[ptr[k - 1] :]
+    keys, width, below_rows = entries - (k - 1) * n, n, n - k + 1
+    levels = []
+    for p, level in enumerate(_cache_rule(_laplace_plan, _plan_bytes(n, n, k))(n, n, k), 2):
+        first, tail, cols, drop = level[:4]
+        lower, width = width, cols.shape[1]
+        # each row of the level below: where its entries start, and how
+        # many; each row set: its pairs (x, c), x-major
+        rows = np.searchsorted(keys, np.arange(below_rows + 1) * lower)
+        below_rows = first.size
+        held = np.diff(rows)[tail]
+        pairs = held * count[first]
+        i = np.repeat(np.arange(first.size), pairs)
+        q = np.arange(i.size)
+        q -= np.repeat(np.cumsum(pairs) - pairs, pairs)
+        head, b = np.divmod(q, held[i])
+        head += ptr[first[i]]
+        a = at[head]
+        b += rows[tail[i]]
+        # lift[x * C(n,p-1) + c] is j + p * (the set c with x), -1 where c holds x
+        lift = np.full(n * lower, -1, dtype=np.intp)
+        lift[cols * lower + drop] = np.arange(width) * p + np.arange(p)[:, None]
+        pair = column[head]
+        pair *= lower
+        pair += (keys % lower)[b]
+        placed = lift[pair]
+        kept = placed >= 0
+        sets, j = np.divmod(placed[kept], p)
+        sets += i[kept] * width
+        order = np.argsort(sets, kind="stable")
+        sets, j, a, b = sets[order], j[order], a[kept][order], b[kept][order]
+        new = np.empty(sets.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(sets[1:], sets[:-1], out=new[1:])
+        entry = np.cumsum(new) - 1
+        keys = sets[new]
+        terms = []
+        for c in range(p):
+            at_c = j == c
+            terms.append((entry[at_c], a[at_c], b[at_c]))
+        levels.append((keys.size, tuple(terms)))
+    plan = _PatternPlan(entries, tuple(levels), keys)
+    for arr in (entries, keys, *(arr for _, terms in levels for term in terms for arr in term)):
+        arr.setflags(write=False)
+    return plan
+
+
+def _sparse_minors(A: np.ndarray, k: int, most: int | None = None):
+    """(flat, values): the structurally nonzero k-minors of a checked square
+    A, 2 <= k <= _LAPLACE_MAX_ORDER, as flat indices into the C(n,k) x
+    C(n,k) table in row-major order and their values, with no array of the
+    table's size.  None where _structural_counts bounds them above `most`,
+    before anything is built, or where a level comes out NaN or infinite.
+
+    The plan of A's zero pattern (_pattern_plan) is cached under
+    _cache_rule, so a pattern seen before costs only the numeric pass.
+    Each entry is 0.0 plus its terms, in increasing column position j,
+    with sign (-1)^j: _expand's order less the structurally zero terms.
+    So every nonzero value equals its entry of _minors(A, k) bit for bit,
+    and every entry left out is zero there, as _expand_by_heads argues;
+    a zero may differ in sign.  The caller prices the table.
+    """
+    n = A.shape[0]
+    nonzero = A != 0.0
+    bounds = _structural_counts(nonzero, k)
+    if most is not None and bounds[-1] > most:
+        return None
+    key = np.packbits(nonzero).tobytes()
+    plan = _cache_rule(_pattern_plan, _pattern_bytes(bounds))(n, k, key)
+    a = A.ravel()
+    values = a[plan.entries]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for size, terms in plan.levels:
+            below, values = values, np.zeros(size)
+            for j, (entry, at, rank) in enumerate(terms):
+                term = a[at]
+                term *= below[rank]
+                if j == 0:
+                    term += 0.0  # 0.0 plus the term: a -0.0 product gives 0.0
+                    values[entry] = term
+                elif j % 2:
+                    values[entry] -= term
+                else:
+                    values[entry] += term
+            if not np.isfinite(values).all():
+                return None
+    return plan.flat, values
 
 
 def _finite_extremes(T: np.ndarray) -> tuple[float, float]:

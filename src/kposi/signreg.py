@@ -138,10 +138,16 @@ def _gate(hi: float, lo: float, t: float) -> tuple[str, int | None]:
 def _minor_witness(minors: np.ndarray, flat_idx: int, k: int, shape: tuple[int, int]) -> MinorWitness:
     """Entry flat_idx, in C order, of a table of the k-minors of a `shape` matrix."""
     i, j = divmod(flat_idx, minors.shape[1])
+    return _witness_at(i, j, float(minors[i, j]), k, shape)
+
+
+def _witness_at(i: int, j: int, value: float, k: int, shape: tuple[int, int]) -> MinorWitness:
+    """The k-minor of `value` of a `shape` matrix on its i-th row set and
+    j-th column set, in lexicographic order."""
     return MinorWitness(
         rows=lex_index_set_at(i, k, shape[0]),
         cols=lex_index_set_at(j, k, shape[1]),
-        value=float(minors[i, j]),
+        value=value,
     )
 
 

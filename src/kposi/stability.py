@@ -29,8 +29,11 @@ from .matcore import (
     _cacheable,
     _check_order,
     _count_text,
+    _LAPLACE_MAX_ORDER,
     _minor_table,
     _pd_check,
+    _price_table,
+    _sparse_minors,
     _require_budget,
     _require_finite,
     det_stack,
@@ -42,7 +45,7 @@ from .matcore import (
     pd_tol,
     zero_tol,
 )
-from .signreg import NONE, MinorWitness, _gate, _minor_witness
+from .signreg import NONE, MinorWitness, _gate, _minor_witness, _witness_at
 
 NOT_SIGN_REGULAR = "NOT_SIGN_REGULAR"
 COMPOUND_NOT_SCHUR = "COMPOUND_NOT_SCHUR"
@@ -74,7 +77,9 @@ _DAVIDSON_RTOL = 1e-14
 _DAVIDSON_CHUNK = 16
 
 # A nonnegative compound of order _DAVIDSON_MIN_ORDER or more with at most
-# r^2 / _NONZERO_BREAK_EVEN nonzeros is used through them after the table.
+# r^2 / _NONZERO_BREAK_EVEN nonzeros is used through them, read from its
+# pattern plan where the bound on its structural nonzeros admits it
+# (_sparse_compound), else from the table.
 # A sweep at r = 792 on one OpenBLAS thread put the break-even with the
 # dense path near r^2 / 6 (128 nonzeros a row); up to r^2 / 16 the nonzero
 # path took at most 0.62 of the dense time (BENCH_sparse.json).
@@ -186,7 +191,7 @@ def construct_dlf_nonneg(A, x=None, y=None, tol: float | None = None) -> DlfCons
 
 
 def _dlf_solve(
-    M: np.ndarray, x, y, rho: float = 0.0, applied: _Applied | None = None
+    M: np.ndarray | Callable[[], np.ndarray], x, y, rho: float = 0.0, applied: _Applied | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """xi, z and d = z / xi of the construction, for a nonnegative Schur M.
 
@@ -195,7 +200,8 @@ def _dlf_solve(
     rho.  xi and z are then summed as Neumann series through `applied`
     where that is predicted to be cheaper (_neumann_solves); every other
     case, and a series that does not stop in time, solves I - M by LU
-    (_lu_solves).  xi and z must come out
+    (_lu_solves).  M may be given as a function that forms it, called only
+    for the LU solves; x and y are then given.  xi and z must come out
     positive, and d finite and positive, as diag_entries requires of a
     diagonal: a d that overflows or underflows is refused as such, with
     no warning.
@@ -203,7 +209,9 @@ def _dlf_solve(
     x = np.ones(M.shape[0]) if x is None else x
     y = np.ones(M.shape[0]) if y is None else y
     solved = _neumann_solves(x, y, rho, applied)
-    xi, z = _lu_solves(M, x, y) if solved is None else solved
+    if solved is None:
+        solved = _lu_solves(M if isinstance(M, np.ndarray) else M(), x, y)
+    xi, z = solved
     if (xi <= 0.0).any() or (z <= 0.0).any():
         raise NumericError("construction produced nonpositive xi or z entries")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -355,11 +363,8 @@ def _dense(M: np.ndarray) -> _Applied:
 
 def _nonzeros(M: np.ndarray) -> _Applied | None:
     """An M >= 0 of order _DAVIDSON_MIN_ORDER or more that has at most
-    r^2 / _NONZERO_BREAK_EVEN nonzeros, applied over them, else None.
-
-    They are read once, row by row: their columns and values in row-major
-    order, the count of each row, the rows that hold any, and where each
-    of those starts.
+    r^2 / _NONZERO_BREAK_EVEN nonzeros, applied over them (_over_nonzeros),
+    else None.  They are read once, in row-major order.
     """
     r = M.shape[0]
     if r < _DAVIDSON_MIN_ORDER:
@@ -370,11 +375,18 @@ def _nonzeros(M: np.ndarray) -> _Applied | None:
         return None
     flat = np.flatnonzero(positive)
     del positive
+    return _over_nonzeros(flat, M.take(flat), r)
+
+
+def _over_nonzeros(flat: np.ndarray, values: np.ndarray, r: int) -> _Applied:
+    """The r x r M whose nonzeros are `values`, at the flat indices `flat` in
+    row-major order, applied over them: their columns, the count of each
+    row, the rows that hold any, and where each of those starts.  flat is
+    overwritten with the columns."""
     ends = np.searchsorted(flat, np.arange(1, r + 1) * r)
     counts = np.diff(ends, prepend=0)
     rows = np.flatnonzero(counts)
     starts = (ends - counts)[rows]
-    values = M.take(flat)
     cols = np.remainder(flat, r, out=flat)
 
     def matvec(v: np.ndarray) -> np.ndarray:
@@ -536,46 +548,83 @@ def _certify(
 ) -> KDiagCertificate | CertificationFailure:
     """certify_k_diag_stability on a checked square A, without its k <= n-1 bound.
 
-    construct_dlf_nonneg calls it at k = 1, which a 1 x 1 A needs.  After
-    the table the call holds two r x r arrays at its peak (M or the Gram,
-    and LAPACK's copy), priced first, before the table prices itself and
-    before the unit vectors a given x or y is completed with.  A given x
-    or y is then checked before any minor, so no verdict hides a bad
+    construct_dlf_nonneg calls it at k = 1, which a 1 x 1 A needs.  The
+    call is priced first at its peak once its compound is read: two r x r
+    arrays, M or the Gram, and LAPACK's copy.  A given x or y is then
+    checked before any minor is priced or built, so no verdict hides a bad
     vector; with neither given the checks are skipped, as the defaults
     pass them.
+
+    A compound that _sparse_compound admits is read as its structural
+    nonzeros, priced as the table but with no r x r array: the sign gate,
+    the witness and the flip act on their values, an M with no negative
+    entry is applied over its positive ones, and M is formed only where
+    the LU solves, the eigen-solve or an in-band negative minor needs it.
+    Any other compound is built as the dense table, and so held from the
+    start.
     """
     r = math.comb(A.shape[0], k)
     _require_budget(16 * r * r, f"a certificate of order {_count_text(r)}")
     if x is not None or y is not None:
         x, y = _right_hand_sides(x, y, r)
-    M = _minor_table(A, k)
+    sparse = _sparse_compound(A, k, r)
+    if sparse is None:
+        M = _minor_table(A, k)
+        hi, lo = _finite_extremes(M)
+    else:
+        # at most r^2 / _NONZERO_BREAK_EVEN entries: the table's zeros join them
+        M, (flat, values) = None, sparse
+        hi, lo = float(values.max(initial=0.0)), float(values.min(initial=0.0))
     t = zero_tol(tol)
-    hi, lo = _finite_extremes(M)
     verdict, signature = _gate(hi, lo, t)
     if verdict == NONE:
-        witness = _minor_witness(M, int(M.argmin()), k, A.shape)
+        if M is None:
+            at = int(values.argmin())  # the first most negative minor, in C order
+            witness = _witness_at(*divmod(int(flat[at]), r), float(values[at]), k, A.shape)
+        else:
+            witness = _minor_witness(M, int(M.argmin()), k, A.shape)
         return CertificationFailure(k=k, r=r, reason=NOT_SIGN_REGULAR, witness=witness)
     rho = _compound_radius(A, k)
     if not _schur_check(rho, t).ok:
         return CertificationFailure(k=k, r=r, reason=COMPOUND_NOT_SCHUR, compound_spectral_radius=rho)
     sign_flipped = signature == -1
-    if sign_flipped:
+    if sign_flipped and M is None:
+        np.negative(values, out=values)
+    elif sign_flipped:
         np.negative(M, out=M)
+
+    def formed() -> np.ndarray:
+        """M as an r x r array: the table, or filled in from the nonzeros,
+        once, with zeros of the sign the flipped table's would have."""
+        nonlocal M
+        if M is None:
+            M = np.full(r * r, -0.0 if sign_flipped else 0.0)
+            M[flat] = values
+            M = M.reshape(r, r)
+        return M
+
     # The sign gate lets in-band negative minors through.  An M with none
     # may be solved by its Neumann series, and its Stein gap is a Z-matrix;
     # xi then proves its pass, as (D - M^T D M) xi = y' + M^T D x' >= y' > 0
     # for x' = xi - M xi and y' = z - M^T z.  How M is applied is decided
-    # here, once: a large sparse one through its nonzeros, read once, any
-    # other densely.  The series, the gaps, and from _DAVIDSON_MIN_ORDER on
-    # the proof and the margin on the implicit gap v -> d v - M^T (d (M v))
-    # all use it: from that order on the Gram is formed only where the
-    # proof fails.  M's least entry is read from the gate's extremes: lo,
-    # or -hi after the flip.
+    # here, once: a large sparse one through its nonzeros, any other
+    # densely.  The series, the gaps, and from _DAVIDSON_MIN_ORDER on the
+    # proof and the margin on the implicit gap v -> d v - M^T (d (M v)) all
+    # use it: from that order on the Gram is formed only where the proof
+    # fails.  M's least entry is read from the gate's extremes: lo, or -hi
+    # after the flip.
     nonneg = (-hi if sign_flipped else lo) >= 0.0
-    applied = _nonzeros(M) if nonneg else None
+    applied = None
+    if nonneg and M is None:
+        positive = values > 0.0
+        applied = _over_nonzeros(flat[positive], values[positive], r)
+    elif nonneg:
+        applied = _nonzeros(M)
     if applied is None:
-        applied = _dense(M)
-    xi, z, d = _dlf_solve(M, x, y, rho if nonneg else 0.0, applied)
+        applied = _dense(formed())
+    if x is None:  # the defaults, sized here, as M may not be formed
+        x = y = np.ones(r)
+    xi, z, d = _dlf_solve(formed, x, y, rho if nonneg else 0.0, applied)
     xi_gap = float(np.min((xi - applied.matvec(xi)) / (1.0 + np.abs(xi))))
     z_gap = float(np.min((z - applied.rmatvec(z)) / (1.0 + np.abs(z))))
     pd = pd_tol(tol)
@@ -586,6 +635,7 @@ def _certify(
         # X = D^{1/2} M in place and drop it, and the mat-vecs that hold
         # it, before the eigen-solve.  The flip leaves M^T D M, and so the
         # margin, unchanged.
+        M = formed()
         gap = _stein_gap(np.multiply(np.sqrt(d)[:, None], M, out=M), d)
         del M, applied
         check = _pd_check(gap, pd)
@@ -604,6 +654,24 @@ def _certify(
         xi_gap=xi_gap,
         z_gap=z_gap,
     )
+
+
+def _sparse_compound(A: np.ndarray, k: int, r: int):
+    """(flat, values) of matcore._sparse_minors for A^(k), r = C(n,k), or
+    None, where certify builds the dense table instead.
+
+    The gate, read from A's row nonzero counts before anything is built:
+    2 <= k <= _LAPLACE_MAX_ORDER, r >= _DAVIDSON_MIN_ORDER, and at most
+    r^2 / _NONZERO_BREAK_EVEN structural nonzeros by _structural_counts'
+    bound, so that the nonnegative compounds it admits are the ones the
+    table would be applied over as well (_nonzeros).  A level beyond the
+    float range also gives None: the table then refuses it as it did.
+    """
+    if not (2 <= k <= _LAPLACE_MAX_ORDER and r >= _DAVIDSON_MIN_ORDER):
+        return None
+    n = A.shape[0]
+    _price_table(n, n, k)  # the table's price, whether or not it is built
+    return _sparse_minors(A, k, r * r // _NONZERO_BREAK_EVEN)
 
 
 def dlf_compound(P, k: int) -> np.ndarray:

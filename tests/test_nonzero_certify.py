@@ -1,9 +1,11 @@
-"""Certify's one proof route after the minor table, dense or through the nonzeros.
+"""Certify's one proof route after the compound, dense or through the nonzeros.
 
 Where the compound M has no negative entry, stability._certify decides
 once how M is applied: where r >= _DAVIDSON_MIN_ORDER and M has at most
-r^2 / _NONZERO_BREAK_EVEN nonzeros, over them, read once
-(stability._nonzeros), else densely (stability._dense).  The Neumann
+r^2 / _NONZERO_BREAK_EVEN nonzeros, over them, read once from the table
+(stability._nonzeros) or taken from the structural nonzeros of a pattern
+the gate admits (stability._sparse_compound), else densely
+(stability._dense).  The Neumann
 sums, the gaps, and from r >= _DAVIDSON_MIN_ORDER the Collatz-Wielandt
 proof from xi and Davidson all run on that pair, the last two on the
 implicit gap v -> d v - M^T (d (M v)), whether xi and z were summed or
@@ -12,6 +14,8 @@ not prove the pass, or a Davidson run that does not converge, forms the
 gap from the intact M for the eigen-solve, bit for bit what it gives on
 the same d.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from kposi import (
 
 from test_neumann import AGREEMENT_RTOL, SOLVE, assert_lu_bit_for_bit, upper_shift
 from test_neumann import solves  # noqa: F401 (fixture)
-from test_stein_enclosure import MARGIN_RTOL, certify_large_pool, smallest_eigenvalue, traced_after_table
+from test_stein_enclosure import MARGIN_RTOL, certify_large_pool, smallest_eigenvalue
 from test_stein_enclosure import proof_calls  # noqa: F401 (fixture)
 
 
@@ -252,13 +256,28 @@ def test_davidson_stops_on_an_eigenvector(gain, monkeypatch):
     pytest.param(test_kernel.TestLaplaceKernel.certify_large_chain, id="kernel"),
     pytest.param(lambda: certify_large_pool(0)[0], id="seed0-chain0"),
     pytest.param(lambda: certify_large_pool(5)[2], id="seed5-chain2"),
+    pytest.param(test_kernel.chain12, id="chain12"),
 ])
 def test_nonzero_path_holds_nothing_of_order_r_squared(chain, monkeypatch):
-    # from the end of the table to the return, the path adds its nonzeros
-    # (two arrays of nnz), and Davidson's basis, the gap times it (two
-    # vectors of r a step) and its small projected matrix above M; the
-    # two pool chains went above the bound when Lanczos took 118 and 133
-    # steps for θ
-    cert, peak = traced_after_table(monkeypatch, chain(), 5)
+    # with the pattern plan cached by a first call, the whole certify, its
+    # compound included, holds the structural nonzeros and their level
+    # below, the nonzeros it is applied over, and Davidson's basis and the
+    # gap times it (two vectors of r a step); no table and no gap is
+    # formed.  The traced peak measured 0.78 MB (0.155 r^2 8 bytes) on
+    # each chain here, chain12 included, with numpy 2.4
+    A = chain()
+    certify_k_diag_stability(A, 5)
+
+    def formed(*args):
+        raise AssertionError("an r x r array was formed")
+
+    monkeypatch.setattr(stability, "_minor_table", formed)
+    monkeypatch.setattr(stability, "_stein_gap", formed)
+    tracemalloc.start()
+    try:
+        cert = certify_k_diag_stability(A, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert isinstance(cert, KDiagCertificate) and cert.r == 792
     assert peak < 0.25 * 792**2 * 8

@@ -768,7 +768,7 @@ def _pattern_plan(n: int, k: int, key: bytes) -> _PatternPlan:
     return plan
 
 
-def _sparse_minors(A: np.ndarray, k: int, most: int | None = None):
+def _sparse_minors(A: np.ndarray, k: int, most: int):
     """(flat, values): the structurally nonzero k-minors of a checked square
     A, 2 <= k <= _LAPLACE_MAX_ORDER, as flat indices into the C(n,k) x
     C(n,k) table in row-major order and their values, with no array of the
@@ -786,7 +786,7 @@ def _sparse_minors(A: np.ndarray, k: int, most: int | None = None):
     n = A.shape[0]
     nonzero = A != 0.0
     bounds = _structural_counts(nonzero, k)
-    if most is not None and bounds[-1] > most:
+    if bounds[-1] > most:
         return None
     key = np.packbits(nonzero).tobytes()
     plan = _cache_rule(_pattern_plan, _pattern_bytes(bounds))(n, k, key)

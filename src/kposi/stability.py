@@ -191,27 +191,23 @@ def construct_dlf_nonneg(A, x=None, y=None, tol: float | None = None) -> DlfCons
 
 
 def _dlf_solve(
-    M: np.ndarray | Callable[[], np.ndarray], x, y, rho: float = 0.0, applied: _Applied | None = None
+    formed: Callable[[], np.ndarray], x: np.ndarray, y: np.ndarray, rho: float = 0.0,
+    applied: _Applied | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """xi, z and d = z / xi of the construction, for a nonnegative Schur M.
 
-    x and y come checked by _right_hand_sides, or None for all ones.  A
-    rho above 0 vouches that M has no negative entry and spectral radius
-    rho.  xi and z are then summed as Neumann series through `applied`
-    where that is predicted to be cheaper (_neumann_solves); every other
-    case, and a series that does not stop in time, solves I - M by LU
-    (_lu_solves).  M may be given as a function that forms it, called only
-    for the LU solves; x and y are then given.  xi and z must come out
-    positive, and d finite and positive, as diag_entries requires of a
-    diagonal: a d that overflows or underflows is refused as such, with
-    no warning.
+    formed() gives M as an r x r array, and is called only for the LU
+    solves; x and y come checked by _right_hand_sides.  A rho above 0
+    vouches that M has no negative entry and spectral radius rho.  xi and
+    z are then summed as Neumann series through `applied` where that is
+    predicted to be cheaper (_neumann_solves); every other case, and a
+    series that does not stop in time, solves I - M by LU (_lu_solves).
+    xi and z must come out positive, and d finite and positive, as
+    diag_entries requires of a diagonal: a d that overflows or underflows
+    is refused as such, with no warning.
     """
-    x = np.ones(M.shape[0]) if x is None else x
-    y = np.ones(M.shape[0]) if y is None else y
     solved = _neumann_solves(x, y, rho, applied)
-    if solved is None:
-        solved = _lu_solves(M if isinstance(M, np.ndarray) else M(), x, y)
-    xi, z = solved
+    xi, z = _lu_solves(formed(), x, y) if solved is None else solved
     if (xi <= 0.0).any() or (z <= 0.0).any():
         raise NumericError("construction produced nonpositive xi or z entries")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -622,7 +618,7 @@ def _certify(
         applied = _nonzeros(M)
     if applied is None:
         applied = _dense(formed())
-    if x is None:  # the defaults, sized here, as M may not be formed
+    if x is None:  # neither given: all ones, as _right_hand_sides completes them
         x = y = np.ones(r)
     xi, z, d = _dlf_solve(formed, x, y, rho if nonneg else 0.0, applied)
     xi_gap = float(np.min((xi - applied.matvec(xi)) / (1.0 + np.abs(xi))))

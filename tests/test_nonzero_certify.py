@@ -33,7 +33,7 @@ from kposi import (
 
 from test_neumann import AGREEMENT_RTOL, SOLVE, assert_lu_bit_for_bit, upper_shift
 from test_neumann import solves  # noqa: F401 (fixture)
-from test_stein_enclosure import MARGIN_RTOL, certify_large_pool, smallest_eigenvalue
+from test_stein_enclosure import MARGIN_RTOL, certify_large_pool, smallest_eigenvalue, traced_after_table
 from test_stein_enclosure import proof_calls  # noqa: F401 (fixture)
 
 
@@ -252,32 +252,49 @@ def test_davidson_stops_on_an_eigenvector(gain, monkeypatch):
     assert abs(cert.stein_margin - exact) <= MARGIN_RTOL * exact
 
 
+@pytest.mark.parametrize("path", ["pattern", "table"])
 @pytest.mark.parametrize("chain", [
     pytest.param(test_kernel.TestLaplaceKernel.certify_large_chain, id="kernel"),
     pytest.param(lambda: certify_large_pool(0)[0], id="seed0-chain0"),
     pytest.param(lambda: certify_large_pool(5)[2], id="seed5-chain2"),
     pytest.param(test_kernel.chain12, id="chain12"),
 ])
-def test_nonzero_path_holds_nothing_of_order_r_squared(chain, monkeypatch):
-    # with the pattern plan cached by a first call, the whole certify, its
-    # compound included, holds the structural nonzeros and their level
-    # below, the nonzeros it is applied over, and Davidson's basis and the
-    # gap times it (two vectors of r a step); no table and no gap is
-    # formed.  The traced peak measured 0.78 MB (0.155 r^2 8 bytes) on
-    # each chain here, chain12 included, with numpy 2.4
+def test_nonzero_path_holds_nothing_of_order_r_squared(chain, path, monkeypatch):
     A = chain()
-    certify_k_diag_stability(A, 5)
+    if path == "table":
+        # the dense table, read back through its nonzeros, as a table the
+        # gate refuses is: from the end of the table to the return, the
+        # path adds its nonzeros (two arrays of nnz), and Davidson's basis,
+        # the gap times it (two vectors of r a step) and its small
+        # projected matrix above M; the two pool chains went above the
+        # bound when Lanczos took 118 and 133 steps for θ.  The traced peak
+        # measured 0.75 MB (0.149 r^2 8 bytes) on each chain here, with
+        # numpy 2.4
+        read, nonzeros = [], stability._nonzeros
+        monkeypatch.setattr(stability, "_sparse_compound", lambda A, k, r: None)
+        monkeypatch.setattr(stability, "_nonzeros", lambda M: read.append(nonzeros(M)) or read[-1])
+        cert, peak = traced_after_table(monkeypatch, A, 5)
+        assert read and all(applied is not None for applied in read)
+    else:
+        # with the pattern plan cached by a first call, the whole certify,
+        # its compound included, holds the structural nonzeros and their
+        # level below, the nonzeros it is applied over, and Davidson's
+        # basis and the gap times it (two vectors of r a step); no table
+        # and no gap is formed.  The traced peak measured 0.78 MB
+        # (0.155 r^2 8 bytes) on each chain here, chain12 included, with
+        # numpy 2.4
+        certify_k_diag_stability(A, 5)
 
-    def formed(*args):
-        raise AssertionError("an r x r array was formed")
+        def formed(*args):
+            raise AssertionError("an r x r array was formed")
 
-    monkeypatch.setattr(stability, "_minor_table", formed)
-    monkeypatch.setattr(stability, "_stein_gap", formed)
-    tracemalloc.start()
-    try:
-        cert = certify_k_diag_stability(A, 5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        monkeypatch.setattr(stability, "_minor_table", formed)
+        monkeypatch.setattr(stability, "_stein_gap", formed)
+        tracemalloc.start()
+        try:
+            cert = certify_k_diag_stability(A, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
     assert isinstance(cert, KDiagCertificate) and cert.r == 792
     assert peak < 0.25 * 792**2 * 8

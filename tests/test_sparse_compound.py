@@ -79,12 +79,18 @@ def pattern_reads(monkeypatch):
     return reads
 
 
+def every_entry(A, k):
+    """A cap on _sparse_minors that admits every A: r^2, as many entries as
+    the table holds."""
+    return math.comb(A.shape[0], k) ** 2
+
+
 def assert_matches_table(A, k):
     """_sparse_minors(A, k) against the dense table: its entries in
     row-major order, each once, every nonzero of the table among them, every
     nonzero value the table's bit for bit and every other value zero, as
     the table is there.  Returns (flat, values)."""
-    flat, values = matcore._sparse_minors(A, k)
+    flat, values = matcore._sparse_minors(A, k, every_entry(A, k))
     T = matcore._minor_table(A, k).ravel()
     assert np.all(np.diff(flat) > 0)
     assert np.isin(np.flatnonzero(T), flat).all()
@@ -164,7 +170,7 @@ class TestSparseMinors:
         # the top level overflows: _sparse_minors gives None, and the table,
         # built after all, raises today's DomainError
         A = 1e80 * test_kernel.chain12()
-        assert matcore._sparse_minors(A, 5) is None
+        assert matcore._sparse_minors(A, 5, every_entry(A, 5)) is None
         with pytest.raises(DomainError) as patterned:
             certify_k_diag_stability(A, 5)
         with pytest.raises(DomainError) as dense:

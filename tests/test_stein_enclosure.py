@@ -81,7 +81,9 @@ def stein_gap(A, k, x=None, y=None):
     nonneg = M.min() >= 0.0
     rho = stability._compound_radius(A, k) if nonneg else 0.0
     applied = stability._nonzeros(M) if nonneg else None
-    xi, _, d = stability._dlf_solve(M, x, y, rho, applied or stability._dense(M))
+    x = np.ones(M.shape[0]) if x is None else x
+    y = np.ones(M.shape[0]) if y is None else y
+    xi, _, d = stability._dlf_solve(lambda: M, x, y, rho, applied or stability._dense(M))
     return stability._stein_gap(np.sqrt(d)[:, None] * M, d), xi
 
 

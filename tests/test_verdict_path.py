@@ -25,6 +25,8 @@ from kposi.examples import CERT_3X3, CT_NO_DLF, CYCLIC_WEDGE, DT_NO_DLF
 from kposi.matcore import LexIndexSet, lex_index_set_at, lex_index_sets
 from kposi.stability import _compound_radius, _dlf_solve
 
+from test_kernel import chain12
+
 
 def rotation(theta, rho):
     c, s = np.cos(theta), np.sin(theta)
@@ -76,7 +78,7 @@ class TestDlfSolveErrors:
         # z / xi overflows or divides inf by inf here, which numpy reports
         # as a RuntimeWarning before the refusal is raised
         with np.errstate(over="ignore", invalid="ignore"):
-            return _dlf_solve(np.asarray(M, dtype=float), np.asarray(x), np.asarray(y))
+            return _dlf_solve(lambda: np.asarray(M, dtype=float), np.asarray(x), np.asarray(y))
 
     def test_nan_entry(self):
         # xi = (inf, 1e200) and z = (inf, inf), so d = (nan, inf)
@@ -93,12 +95,19 @@ class TestDlfSolveErrors:
         ):
             self.solve(np.zeros((2, 2)), [1e300, 1.0], [1e-300, 1.0])
 
-    def test_defaults_and_explicit_ones_agree(self):
-        M = 0.5 * np.abs(CERT_3X3)
-        default = _dlf_solve(M, None, None)
-        explicit = _dlf_solve(M, np.ones(3), np.ones(3))
-        for a, b in zip(default, explicit):
-            assert a.tobytes() == b.tobytes()
+    @pytest.mark.parametrize("A, k", [(0.5 * np.abs(CERT_3X3), 1), (CERT_3X3, 2), (chain12(), 5)],
+                             ids=["abs-cert3x3-1", "cert3x3-2", "chain12-5"])
+    def test_defaults_and_explicit_ones_agree(self, A, k):
+        # certify sizes the all-ones x and y it solves with where neither
+        # is given (chain12 at k = 5 reads its compound from the pattern
+        # plan, with no table to size them by)
+        default = certify_k_diag_stability(A, k)
+        r = default.r
+        explicit = certify_k_diag_stability(A, k, x=np.ones(r), y=np.ones(r))
+        assert isinstance(default, KDiagCertificate)
+        for field in dataclasses.fields(default):
+            a, b = getattr(default, field.name), getattr(explicit, field.name)
+            assert (a.tobytes() == b.tobytes()) if isinstance(a, np.ndarray) else a == b, field.name
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"

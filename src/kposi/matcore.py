@@ -40,10 +40,15 @@ _LAPLACE_MAX_ORDER = 8
 # one preallocated table, so its temporaries stay a fraction of the table.
 _LEVEL_BLOCK = 1 << 15
 
-# Share of nonzero minors in a level below at or under which a sparse head
-# row reads only those minors (_expand_by_heads).  Over a denser level, as
-# the wedges of a trajectory have, gathering every minor costs less.
-_NONZERO_SHARE = 0.125
+# A square table of more than _LEVEL_BLOCK entries whose structural
+# nonzeros are bounded by R^2 / _NONZERO_BREAK_EVEN is built from its
+# pattern plan (_sparse_table), and certify applies a nonnegative compound
+# of order _DAVIDSON_MIN_ORDER or more with at most that many nonzeros
+# over them.  A sweep at r = 792 on one OpenBLAS thread put the break-even
+# of that application with the dense one near r^2 / 6 (128 nonzeros a
+# row); up to r^2 / 16 it took at most 0.62 of the dense time
+# (BENCH_sparse.json).
+_NONZERO_BREAK_EVEN = 16
 
 
 def _resolve_tol(tol: float | None, default: float) -> float:
@@ -369,12 +374,13 @@ def _minors(A: np.ndarray, q: int) -> np.ndarray:
     A level of more than _LEVEL_BLOCK entries is built head row by head
     row in row blocks (_expand_by_heads), so the kernel holds the table,
     the level below it and small temporaries; there a head row with at
-    most p nonzero entries skips its zero terms, and over a level below
-    of at most _NONZERO_SHARE nonzeros its zero minors too.  So an entry
-    rounds to the same value whichever table, batch or row block it sits
-    in, though a zero may change its sign, and orders 1 and 2 equal the
-    closed forms bit for bit.  The method depends on q alone, so a single
-    minor always matches its table entry in value.
+    most p nonzero entries skips its zero terms.  So an entry rounds to
+    the same value whichever table, batch or row block it sits in, though
+    a zero may change its sign, and orders 1 and 2 equal the closed forms
+    bit for bit.  The method depends on q alone, so a single minor always
+    matches its table entry in value.  _minor_table builds a sparse square
+    table from its pattern plan instead (_sparse_table), which skips its
+    zero minors as well.
     """
     n, m = A.shape[-2:]
     if q > _LAPLACE_MAX_ORDER:
@@ -425,18 +431,12 @@ def _expand_by_heads(A, below, level: _Level, batch: int) -> np.ndarray:
     matching minors of `below` into the column sets that hold x.  The row
     sets led by a take as tails the last rows of `below` (see
     _lex_levels), so a block of them reads a slice of it, with no gather.
-    Where at most _NONZERO_SHARE of `below` is nonzero, such a head row
-    reads only the nonzero minors of its slice (_add_nonzero_terms), in
-    pieces of about _LEVEL_BLOCK of them; otherwise it gathers, for each
-    x, every minor its column sets need.  Each entry's terms come in
-    _expand's order, less those with a zero entry or a zero minor, which
-    would add an exact zero: the sums are equal in value, though a zero
-    may end with the other sign.  Both forms start every entry at 0.0,
-    and a sum that starts at 0.0 is never -0.0, so the two give the same
-    bits.  When `below` holds a NaN or an infinity no term is skipped, so
-    that 0 * inf spoils the level as it does in _expand, and a head row's
-    zero minors are read only when its entries are finite.  The row sets
-    of the other head rows go to _expand, a row block at a time.
+    Each entry's terms come in _expand's order, less those with a zero
+    entry, which would add an exact zero: the sums are equal in value,
+    though a zero may end with the other sign.  When `below` holds a NaN
+    or an infinity no term is skipped, so that 0 * inf spoils the level
+    as it does in _expand.  The row sets of the other head rows go to
+    _expand, a row block at a time.
     """
     first, tail, cols, drop, pairs, starts = level
     p, width = cols.shape
@@ -449,30 +449,6 @@ def _expand_by_heads(A, below, level: _Level, batch: int) -> np.ndarray:
     sparse = nonzero.sum(axis=1) <= p
     if sparse.any() and not (math.isfinite(below.max()) and math.isfinite(below.min())):
         sparse[:] = False
-    # where at most _NONZERO_SHARE of `below` is nonzero, its nonzeros in
-    # the order of their rows, then the stack, then their columns, so that
-    # the rows of one head row's slice are one run of them.  The count
-    # stops once it passes the share, so a dense level below is read only
-    # in part
-    nonzeros = None
-    if sparse.any() and np.isfinite(heads).all():
-        rows_first = np.moveaxis(below, -2, 0)
-        mask = np.empty(rows_first.shape, dtype=bool)
-        limit, count = _NONZERO_SHARE * mask.size, 0
-        span = max(1, _LEVEL_BLOCK * mask.shape[0] // mask.size)
-        for s in range(0, mask.shape[0], span):
-            count += np.count_nonzero(np.not_equal(rows_first[s : s + span], 0.0, out=mask[s : s + span]))
-            if count > limit:
-                break
-        else:
-            *where, c = np.unravel_index(np.flatnonzero(mask), mask.shape)
-            nonzeros = (where, c, rows_first[(*where, c)])
-            # drop inverted for each column x: lift[x, c] is 2 set + (j % 2)
-            # for the set that adds x to the set c of level p-1 as its j-th
-            # column, and -1 where c holds x
-            lift = np.full((A.shape[-1], below.shape[-1]), -1, dtype=np.intp)
-            lift[cols, drop] = 2 * np.arange(width) + np.arange(p)[:, None] % 2
-        del mask
     # each head row's range of row sets; a level of dense head rows is one
     edges = np.searchsorted(first, np.arange(top, end + 1)).tolist() if sparse.any() else [0, first.size]
     runs = []  # row ranges of dense head rows, for _expand
@@ -484,12 +460,8 @@ def _expand_by_heads(A, below, level: _Level, batch: int) -> np.ndarray:
                 runs.append([lo, hi])
             continue
         head = A[..., first[lo], :]
-        xs = np.flatnonzero(columns).tolist()
-        if nonzeros is not None:
-            _add_nonzero_terms(np.stack([head, -head], axis=-1), xs, lift, nonzeros, int(tail[lo]), out[..., lo:hi, :])
-            continue
         terms = []
-        for x in xs:
+        for x in np.flatnonzero(columns).tolist():
             j, sets = np.divmod(pairs[starts[x] : starts[x + 1]], width)
             coef = (1.0 - 2.0 * (j % 2)) * head[..., x, None]
             terms.append((sets, drop[j, sets], coef[..., None, :]))
@@ -506,43 +478,6 @@ def _expand_by_heads(A, below, level: _Level, batch: int) -> np.ndarray:
             r = slice(s, min(s + step, hi))
             _expand(A, below, first[r], tail[r], cols, drop, out[..., r, :])
     return out
-
-
-def _add_nonzero_terms(coefs, xs, lift, nonzeros, t0, out) -> None:
-    """The row sets of one sparse head row from the nonzero minors of its
-    slice of the level below, rows t0 on.  nonzeros lists the level's
-    nonzero minors in row order: (where, c, vals), where holding their row
-    and then their place in the stack, c their column set.  out is 0.0
-    plus, for each column x of xs in increasing order, coefs[..., x, j % 2]
-    times each nonzero minor of a set c without x, added into the set that
-    adds x to c as its j-th column (lift); coefs holds the head row and its
-    negation.  The minors are read in pieces of whole rows and about
-    _LEVEL_BLOCK minors, so the temporaries stay small whatever the slice
-    holds.
-    """
-    out.fill(0.0)
-    where, c, vals = nonzeros
-    rows = where[0]
-    lo, hi = np.searchsorted(rows, [t0, t0 + out.shape[-2]]).tolist()
-    while lo < hi:
-        end = hi
-        if hi - lo > _LEVEL_BLOCK:
-            # cut before the row the piece would split, or after a row
-            # that alone holds more minors than a piece
-            end = int(np.searchsorted(rows, rows[lo + _LEVEL_BLOCK], side="left"))
-            if end == lo:
-                end = int(np.searchsorted(rows, rows[lo], side="right"))
-        piece = slice(lo, end)
-        r, at, cp, v = rows[piece] - t0, [i[piece] for i in where[1:]], c[piece], vals[piece]
-        for x in xs:
-            into = lift[x].take(cp)
-            keep = into >= 0
-            into = into[keep]
-            stack = [i[keep] for i in at]
-            term = coefs[(*stack, x, into & 1)]
-            term *= v[keep]
-            out[(*stack, r[keep], into >> 1)] += term
-        lo = end
 
 
 def det_stack(stack: np.ndarray) -> np.ndarray:
@@ -603,8 +538,8 @@ def minor_table(A, k: int) -> np.ndarray:
 def _table_bytes(n: int, m: int, k: int, batch: int = 1) -> int:
     """Bytes _minors(A, k) holds at its peak for a (batch, n, m) stack A, at
     most (batch 1 for a single n x m A); kept per shape, as the verdicts
-    price tables of a few shapes over and over, so _LEVEL_BLOCK,
-    _NONZERO_SHARE and _LAPLACE_MAX_ORDER are read once a shape.
+    price tables of a few shapes over and over, so _LEVEL_BLOCK and
+    _LAPLACE_MAX_ORDER are read once a shape.
 
     Up to _LAPLACE_MAX_ORDER: the batch R C k products of the top Laplace
     level, which bound the level and the one below it; the temporaries of
@@ -614,13 +549,12 @@ def _table_bytes(n: int, m: int, k: int, batch: int = 1) -> int:
     when the level is built head row by head row, the head rows read for
     their nonzeros and one sparse head row's terms, p C(m,p) coefficients
     per matrix and two index arrays, with three arrays of one group while
-    they are made, or, read through the nonzeros of the level below, its
-    mask, an eighth of its entries, four lists of its nonzeros, the
-    inverse of the plan's drop, m C(m,p-1) entries, and nine arrays of
-    one piece, _LEVEL_BLOCK minors and one row of the stack;
-    the build of the plan, four times its arrays; and 64 KiB of small
-    arrays.  Above: the gathered k x k blocks and their minors, batch
-    R C (k^2 + 1) entries, and the two index arrays.
+    they are made; the build of the plan, four times its arrays; and 64
+    KiB of small arrays.  Above: the gathered k x k blocks and their
+    minors, batch R C (k^2 + 1) entries, and the two index arrays.  A
+    table built from its pattern plan (_sparse_table) holds the table, at
+    most 2 R^2 / _NONZERO_BREAK_EVEN entries of its structural nonzeros,
+    and its plan, at the table's price.
     """
     R, C = math.comb(n, k), math.comb(m, k)
     if k > _LAPLACE_MAX_ORDER:
@@ -631,22 +565,50 @@ def _table_bytes(n: int, m: int, k: int, batch: int = 1) -> int:
         size = max(1, _LEVEL_BLOCK // (batch * width)) * batch * (m + math.comb(m, p - 1) + 3 * width)
         if batch * math.comb(n - k + p, p) * width > _LEVEL_BLOCK:
             size += batch * n * m + (batch + 2) * p * width + 3 * width
-            lower = math.comb(m, p - 1)
-            below = batch * math.comb(n - k + p - 1, p - 1) * lower
-            size += int((0.125 + 4 * _NONZERO_SHARE) * below) + m * lower + 9 * (_LEVEL_BLOCK + batch * lower)
         block = max(block, size)
     return 8 * (batch * R * C * k + block) + 4 * _plan_bytes(n, m, k) + (1 << 16)
 
 
 def _minor_table(A: np.ndarray, k: int) -> np.ndarray:
     """minor_table on a checked A, for the verdicts: they read the table's
-    extremes, and so refuse a non-finite one, at their sign gate."""
+    extremes, and so refuse a non-finite one, at their sign gate.
+
+    A table _sparse_table admits is its structural nonzeros written into
+    zeros: equal in value to _minors(A, k), and bit for bit wherever an
+    entry is not zero, and with no zero of sign -0.0.  Any other table
+    comes from _minors.
+    """
     n, m = A.shape
     if not 1 <= k <= min(n, m):
         raise DomainError(f"order k={k} must satisfy 1 <= k <= min{A.shape}")
     _price_table(n, m, k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _minors(A, k)
+    sparse = _sparse_table(A, k)
+    if sparse is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _minors(A, k)
+    flat, values = sparse
+    table = np.zeros((math.comb(n, k),) * 2)
+    table.reshape(-1)[flat] = values
+    return table
+
+
+def _sparse_table(A: np.ndarray, k: int):
+    """(flat, values) of _sparse_minors for the k-minor table of a checked
+    A, 1 <= k <= min(A.shape), or None where the table comes from _minors.
+
+    The one gate of the pattern plan, read from A's shape and its row
+    nonzero counts before anything is built: a square A, 2 <= k <=
+    _LAPLACE_MAX_ORDER, a table of R^2 > _LEVEL_BLOCK entries, which
+    _minors would build in row blocks, and at most R^2 /
+    _NONZERO_BREAK_EVEN structural nonzeros by _structural_counts' bound.
+    A level beyond the float range also gives None: the table then
+    refuses it.  The caller prices the table first.
+    """
+    n, m = A.shape
+    R = math.comb(n, k)
+    if not (n == m and 2 <= k <= _LAPLACE_MAX_ORDER and R * R > _LEVEL_BLOCK):
+        return None
+    return _sparse_minors(A, k, R * R // _NONZERO_BREAK_EVEN)
 
 
 def _price_table(n: int, m: int, k: int) -> None:
@@ -780,8 +742,10 @@ def _sparse_minors(A: np.ndarray, k: int, most: int):
     Each entry is 0.0 plus its terms, in increasing column position j,
     with sign (-1)^j: _expand's order less the structurally zero terms.
     So every nonzero value equals its entry of _minors(A, k) bit for bit,
-    and every entry left out is zero there, as _expand_by_heads argues;
-    a zero may differ in sign.  The caller prices the table.
+    and every entry left out is zero there: a term left out has a zero
+    factor, and so adds an exact zero to a finite sum.  A zero may differ
+    in sign, and none here is -0.0, as a sum that starts at 0.0 never is.
+    The caller prices the table.
     """
     n = A.shape[0]
     nonzero = A != 0.0

@@ -29,11 +29,11 @@ from .matcore import (
     _cacheable,
     _check_order,
     _count_text,
-    _LAPLACE_MAX_ORDER,
     _minor_table,
+    _NONZERO_BREAK_EVEN,
     _pd_check,
     _price_table,
-    _sparse_minors,
+    _sparse_table,
     _require_budget,
     _require_finite,
     det_stack,
@@ -75,15 +75,6 @@ _DAVIDSON_MIN_ORDER = 250
 _DAVIDSON_MAX_STEPS = 256
 _DAVIDSON_RTOL = 1e-14
 _DAVIDSON_CHUNK = 16
-
-# A nonnegative compound of order _DAVIDSON_MIN_ORDER or more with at most
-# r^2 / _NONZERO_BREAK_EVEN nonzeros is used through them, read from its
-# pattern plan where the bound on its structural nonzeros admits it
-# (_sparse_compound), else from the table.
-# A sweep at r = 792 on one OpenBLAS thread put the break-even with the
-# dense path near r^2 / 6 (128 nonzeros a row); up to r^2 / 16 the nonzero
-# path took at most 0.62 of the dense time (BENCH_sparse.json).
-_NONZERO_BREAK_EVEN = 16
 
 
 def diag_entries(D, name: str = "D") -> np.ndarray:
@@ -551,19 +542,21 @@ def _certify(
     vector; with neither given the checks are skipped, as the defaults
     pass them.
 
-    A compound that _sparse_compound admits is read as its structural
-    nonzeros, priced as the table but with no r x r array: the sign gate,
-    the witness and the flip act on their values, an M with no negative
-    entry is applied over its positive ones, and M is formed only where
-    the LU solves, the eigen-solve or an in-band negative minor needs it.
-    Any other compound is built as the dense table, and so held from the
-    start.
+    A compound that matcore._sparse_table admits is read as its
+    structural nonzeros, priced as the table but with no r x r array: the
+    sign gate, the witness and the flip act on their values, from
+    _DAVIDSON_MIN_ORDER on an M with no negative entry is applied over its
+    positive ones, and M is formed only where the LU solves, the
+    eigen-solve, an in-band negative minor or a dense application needs
+    it.  Any other compound is built as the dense table, and so held from
+    the start.
     """
     r = math.comb(A.shape[0], k)
     _require_budget(16 * r * r, f"a certificate of order {_count_text(r)}")
     if x is not None or y is not None:
         x, y = _right_hand_sides(x, y, r)
-    sparse = _sparse_compound(A, k, r)
+    _price_table(*A.shape, k)  # the table's price, whether or not it is built
+    sparse = _sparse_table(A, k)
     if sparse is None:
         M = _minor_table(A, k)
         hi, lo = _finite_extremes(M)
@@ -594,9 +587,8 @@ def _certify(
         once, with zeros of the sign the flipped table's would have."""
         nonlocal M
         if M is None:
-            M = np.full(r * r, -0.0 if sign_flipped else 0.0)
-            M[flat] = values
-            M = M.reshape(r, r)
+            M = np.full((r, r), -0.0 if sign_flipped else 0.0)
+            M.reshape(-1)[flat] = values
         return M
 
     # The sign gate lets in-band negative minors through.  An M with none
@@ -611,11 +603,11 @@ def _certify(
     # after the flip.
     nonneg = (-hi if sign_flipped else lo) >= 0.0
     applied = None
-    if nonneg and M is None:
+    if nonneg and M is not None:
+        applied = _nonzeros(M)
+    elif nonneg and r >= _DAVIDSON_MIN_ORDER:
         positive = values > 0.0
         applied = _over_nonzeros(flat[positive], values[positive], r)
-    elif nonneg:
-        applied = _nonzeros(M)
     if applied is None:
         applied = _dense(formed())
     if x is None:  # neither given: all ones, as _right_hand_sides completes them
@@ -650,24 +642,6 @@ def _certify(
         xi_gap=xi_gap,
         z_gap=z_gap,
     )
-
-
-def _sparse_compound(A: np.ndarray, k: int, r: int):
-    """(flat, values) of matcore._sparse_minors for A^(k), r = C(n,k), or
-    None, where certify builds the dense table instead.
-
-    The gate, read from A's row nonzero counts before anything is built:
-    2 <= k <= _LAPLACE_MAX_ORDER, r >= _DAVIDSON_MIN_ORDER, and at most
-    r^2 / _NONZERO_BREAK_EVEN structural nonzeros by _structural_counts'
-    bound, so that the nonnegative compounds it admits are the ones the
-    table would be applied over as well (_nonzeros).  A level beyond the
-    float range also gives None: the table then refuses it as it did.
-    """
-    if not (2 <= k <= _LAPLACE_MAX_ORDER and r >= _DAVIDSON_MIN_ORDER):
-        return None
-    n = A.shape[0]
-    _price_table(n, n, k)  # the table's price, whether or not it is built
-    return _sparse_minors(A, k, r * r // _NONZERO_BREAK_EVEN)
 
 
 def dlf_compound(P, k: int) -> np.ndarray:

@@ -29,6 +29,23 @@ def table_calls(monkeypatch):
 
 
 @pytest.fixture
+def dense_kernel(monkeypatch):
+    """dense_kernel(call): call() with matcore._sparse_table, the one gate of
+    the pattern plan, refusing every A in every kposi module that holds it,
+    also where a test has wrapped it there, so every table comes from the
+    dense kernel, matcore._minors."""
+
+    def run(call):
+        with monkeypatch.context() as m:
+            for name, mod in list(sys.modules.items()):
+                if (name == "kposi" or name.startswith("kposi.")) and hasattr(mod, "_sparse_table"):
+                    m.setattr(mod, "_sparse_table", lambda A, k: None)
+            return call()
+
+    return run
+
+
+@pytest.fixture
 def budget_prices(monkeypatch):
     """Record (nbytes, what) of each call of matcore._require_budget, the
     one capacity guard, through any kposi module, and let it decide as

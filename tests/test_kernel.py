@@ -160,11 +160,10 @@ class TestLaplaceKernel:
         assert peak <= budget_prices[0][0]
 
     @pytest.mark.parametrize("case", ["chain12-5", "gauss12-6", "sparse15-5"])
-    def test_head_row_blocks_stay_within_the_budget_price(self, budget_prices, case):
-        # the chain's blocked levels read the nonzeros of the level below;
-        # the Gaussian's go through _expand in row blocks.  The sparse 15 x 15
-        # matrix's top head row reads over 50000 nonzero minors, more than
-        # one piece
+    def test_head_row_blocks_stay_within_the_budget_price(self, budget_prices, dense_kernel, case):
+        # the dense kernel alone: the chain's blocked levels are built from
+        # its sparse head rows, the Gaussian's go through _expand in row
+        # blocks, and the sparse 15 x 15 matrix mixes the two
         if case == "chain12-5":
             A, k = chain12(), 5
         elif case == "gauss12-6":
@@ -177,7 +176,7 @@ class TestLaplaceKernel:
         matcore._laplace_plan.cache_clear()
         tracemalloc.start()
         try:
-            minor_table(A, k)
+            dense_kernel(lambda: minor_table(A, k))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -340,8 +339,9 @@ class TestRowBlocks:
         return int((counts <= q).sum()), int((counts > q).sum())
 
     def test_certify_large_chains_equal_the_one_block_tables(self, monkeypatch):
-        # bidiagonal plus a corner: every head row takes the sparse form
-        for A in self.chains():
+        # bidiagonal plus a corner, as chain12 is: every head row takes
+        # the sparse form
+        for A in [chain12(), *self.chains()]:
             assert self.head_forms(A, 5) == (8, 0)
             whole, blocked = self.whole_and_blocked(monkeypatch, A, 5, matcore._LEVEL_BLOCK)
             assert blocked.tobytes() == whole.tobytes()
@@ -383,85 +383,28 @@ class TestRowBlocks:
                 row[rng.permutation(11)[2:]] = 0.0
         assert self.head_forms(A[:2], 4) == (8, 0) and self.head_forms(A, 4) == (0, 8)
         for stack in (A, A[:2]):
-            whole, blocked = self.whole_and_blocked(monkeypatch, stack, 4, 1 << 15)
-            assert np.array_equal(blocked, whole)
-            for member, table in zip(stack, blocked):
-                assert np.array_equal(table, matcore._minors(member, 4))
-
-    @staticmethod
-    def both_forms(monkeypatch, A, q, block=None):
-        """The table of A with every sparse head row of a blocked level read
-        through the nonzeros of the level below, and with every one
-        gathering them all."""
-        if block is not None:
-            monkeypatch.setattr(matcore, "_LEVEL_BLOCK", block)
-        monkeypatch.setattr(matcore, "_NONZERO_SHARE", 1.0)
-        nonzero = matcore._minors(A, q)
-        monkeypatch.setattr(matcore, "_NONZERO_SHARE", -1.0)
-        gathered = matcore._minors(A, q)
-        return nonzero, gathered
-
-    @staticmethod
-    def nonzero_pieces(monkeypatch):
-        """The calls of _add_nonzero_terms, one for each head row it builds."""
-        calls = []
-        original = matcore._add_nonzero_terms
-
-        def recorded(*args):
-            calls.append(args[4])  # t0, the first row of the slice
-            original(*args)
-
-        monkeypatch.setattr(matcore, "_add_nonzero_terms", recorded)
-        return calls
-
-    def test_both_forms_give_the_same_chain_tables(self, monkeypatch):
-        # every entry is 0.0 plus its terms in column order either way; the
-        # terms of zero minors the nonzero form skips add an exact zero to a
-        # sum that is never -0.0, so the tables agree bit for bit
-        for A in self.chains():
-            nonzero, gathered = self.both_forms(monkeypatch, A, 5)
-            assert nonzero.tobytes() == gathered.tobytes()
-            monkeypatch.setattr(matcore, "_NONZERO_SHARE", 0.125)
-            assert matcore._minors(A, 5).tobytes() == nonzero.tobytes()
+            for block in (50, 1 << 15):
+                whole, blocked = self.whole_and_blocked(monkeypatch, stack, 4, block)
+                assert np.array_equal(blocked, whole)
+                for member, table in zip(stack, blocked):
+                    assert np.array_equal(table, matcore._minors(member, 4))
 
     @pytest.mark.parametrize("block", [7, 200, 1 << 15])
-    def test_both_forms_agree_on_sparse_mixed_sign_matrices(self, monkeypatch, block):
-        # blocks of 7 and 200 minors cut each head row's nonzeros into
-        # many pieces
+    def test_sparse_mixed_sign_tables_in_blocks_of_any_size(self, monkeypatch, block):
+        # blocks of 7 and 200 entries cut each head row's row sets into
+        # many blocks
         rng = np.random.default_rng(80 + block)
         for _ in range(6):
             n, q = int(rng.integers(9, 13)), int(rng.integers(3, 6))
             A = rng.standard_normal((n, n)) * (rng.random((n, n)) < rng.uniform(0.1, 0.4))
-            nonzero, gathered = self.both_forms(monkeypatch, A, q, block)
-            assert np.array_equal(nonzero, gathered) and nonzero.tobytes() == gathered.tobytes()
-            monkeypatch.setattr(matcore, "_LEVEL_BLOCK", 1 << 62)
-            assert np.array_equal(nonzero, matcore._minors(A, q))
-
-    def test_both_forms_agree_on_batches_with_different_zero_patterns(self, monkeypatch):
-        # the stacks of test_a_batch_with_different_zero_patterns
-        rng = np.random.default_rng(78)
-        A = rng.standard_normal((3, 11, 11))
-        for member in A[:2]:
-            for row in member:
-                row[rng.permutation(11)[2:]] = 0.0
-        for stack in (A, A[:2]):
-            for block in (50, 1 << 15):
-                nonzero, gathered = self.both_forms(monkeypatch, stack, 4, block)
-                assert np.array_equal(nonzero, gathered)
-                for member, table in zip(stack, nonzero):
-                    assert np.array_equal(table, matcore._minors(member, 4))
-
-    def test_a_sparse_level_below_is_read_through_its_nonzeros(self, monkeypatch):
-        calls = self.nonzero_pieces(monkeypatch)
-        matcore._minors(chain12(), 5)
-        # two blocked levels, each of eight sparse head rows
-        assert len(calls) == 16
+            whole, blocked = self.whole_and_blocked(monkeypatch, A, q, block)
+            assert np.array_equal(blocked, whole)
 
     @pytest.mark.parametrize("case", ["wedge stack", "two-entry heads"])
     def test_a_dense_level_below_is_gathered(self, monkeypatch, case):
         # a wedge stack's top level has m = p, so every head row counts as
         # sparse, over a dense level below; so do two-entry head rows over
-        # dense rows.  Both keep the gather form
+        # dense rows.  Each gathers the minors its column sets need
         rng = np.random.default_rng(81)
         if case == "wedge stack":
             A, q = rng.standard_normal((400, 9, 3)), 3
@@ -470,9 +413,8 @@ class TestRowBlocks:
             for row in A[:8]:
                 row[rng.permutation(12)[2:]] = 0.0
             assert self.head_forms(A, q) == (8, 0)
-        calls = self.nonzero_pieces(monkeypatch)
         whole, blocked = self.whole_and_blocked(monkeypatch, A, q, 1 << 15)
-        assert calls == [] and np.array_equal(blocked, whole)
+        assert np.array_equal(blocked, whole)
 
     def test_an_all_zero_matrix(self, monkeypatch):
         whole, blocked = self.whole_and_blocked(monkeypatch, np.zeros((12, 12)), 5, 1 << 15)

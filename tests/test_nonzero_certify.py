@@ -4,7 +4,7 @@ Where the compound M has no negative entry, stability._certify decides
 once how M is applied: where r >= _DAVIDSON_MIN_ORDER and M has at most
 r^2 / _NONZERO_BREAK_EVEN nonzeros, over them, read once from the table
 (stability._nonzeros) or taken from the structural nonzeros of a pattern
-the gate admits (stability._sparse_compound), else densely
+the gate admits (matcore._sparse_table), else densely
 (stability._dense).  The Neumann
 sums, the gaps, and from r >= _DAVIDSON_MIN_ORDER the Collatz-Wielandt
 proof from xi and Davidson all run on that pair, the last two on the
@@ -259,7 +259,7 @@ def test_davidson_stops_on_an_eigenvector(gain, monkeypatch):
     pytest.param(lambda: certify_large_pool(5)[2], id="seed5-chain2"),
     pytest.param(test_kernel.chain12, id="chain12"),
 ])
-def test_nonzero_path_holds_nothing_of_order_r_squared(chain, path, monkeypatch):
+def test_nonzero_path_holds_nothing_of_order_r_squared(chain, path, monkeypatch, dense_kernel):
     A = chain()
     if path == "table":
         # the dense table, read back through its nonzeros, as a table the
@@ -271,9 +271,8 @@ def test_nonzero_path_holds_nothing_of_order_r_squared(chain, path, monkeypatch)
         # measured 0.75 MB (0.149 r^2 8 bytes) on each chain here, with
         # numpy 2.4
         read, nonzeros = [], stability._nonzeros
-        monkeypatch.setattr(stability, "_sparse_compound", lambda A, k, r: None)
         monkeypatch.setattr(stability, "_nonzeros", lambda M: read.append(nonzeros(M)) or read[-1])
-        cert, peak = traced_after_table(monkeypatch, A, 5)
+        cert, peak = dense_kernel(lambda: traced_after_table(monkeypatch, A, 5))
         assert read and all(applied is not None for applied in read)
     else:
         # with the pattern plan cached by a first call, the whole certify,

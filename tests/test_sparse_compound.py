@@ -1,18 +1,21 @@
-"""Certify's compound read as its structural nonzeros, from a plan per zero pattern.
+"""Sparse square tables read as their structural nonzeros, from a plan per zero pattern.
 
 matcore._pattern_plan lists, once for each zero pattern of A, the entries
 of every Laplace level that are structurally nonzero and their terms;
 matcore._sparse_minors redoes only the arithmetic, each entry 0.0 plus its
-terms in the table's order, so every nonzero equals the dense table's bit
-for bit.  stability._certify takes that path where _sparse_compound's gate
-admits A (2 <= k <= _LAPLACE_MAX_ORDER, r >= _DAVIDSON_MIN_ORDER, and at
-most r^2 / _NONZERO_BREAK_EVEN structural nonzeros by the bound of the
-row counts); every certificate and verdict equals the dense table's path,
-which the tests reach by refusing the gate.
+terms in the table's order, so every nonzero equals the dense kernel's
+(matcore._minors) bit for bit.  One gate, matcore._sparse_table, admits A
+(square, 2 <= k <= _LAPLACE_MAX_ORDER, r^2 > _LEVEL_BLOCK, and at most
+r^2 / _NONZERO_BREAK_EVEN structural nonzeros by the bound of the row
+counts).  matcore._minor_table writes what it admits into zeros, and
+stability._certify reads it with no r x r array; every table, certificate
+and verdict equals the dense kernel's path, which the tests reach by
+refusing the gate (the dense_kernel fixture).
 """
 
 import functools
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,10 +24,16 @@ import pytest
 import test_kernel
 from kposi import (
     CertificationFailure,
+    CyclicSpec,
     DomainError,
     KDiagCertificate,
+    analyze_cyclic,
+    build_cyclic,
     certify_k_diag_stability,
+    classify_sign_regularity,
+    is_k_positive_system,
     matcore,
+    minor_table,
     stability,
 )
 from kposi.stability import COMPOUND_NOT_SCHUR, NOT_SIGN_REGULAR
@@ -58,24 +67,10 @@ def plans(monkeypatch):
 
 
 @pytest.fixture
-def dense_path(monkeypatch):
-    """dense_path(call): call() with _sparse_compound refusing every A, so
-    certify builds the dense table, as it did before the pattern path."""
-
-    def run(call):
-        with monkeypatch.context() as m:
-            m.setattr(stability, "_sparse_compound", lambda A, k, r: None)
-            return call()
-
-    return run
-
-
-@pytest.fixture
 def pattern_reads(monkeypatch):
-    """Records whether each _sparse_compound call admitted its A."""
-    reads, original = [], stability._sparse_compound
-    monkeypatch.setattr(stability, "_sparse_compound",
-                        lambda A, k, r: reads.append(original(A, k, r)) or reads[-1])
+    """Records what each of certify's calls of the gate, matcore._sparse_table, gave."""
+    reads, original = [], stability._sparse_table
+    monkeypatch.setattr(stability, "_sparse_table", lambda A, k: reads.append(original(A, k)) or reads[-1])
     return reads
 
 
@@ -86,12 +81,12 @@ def every_entry(A, k):
 
 
 def assert_matches_table(A, k):
-    """_sparse_minors(A, k) against the dense table: its entries in
+    """_sparse_minors(A, k) against the dense kernel's table: its entries in
     row-major order, each once, every nonzero of the table among them, every
     nonzero value the table's bit for bit and every other value zero, as
     the table is there.  Returns (flat, values)."""
     flat, values = matcore._sparse_minors(A, k, every_entry(A, k))
-    T = matcore._minor_table(A, k).ravel()
+    T = matcore._minors(A, k).ravel()
     assert np.all(np.diff(flat) > 0)
     assert np.isin(np.flatnonzero(T), flat).all()
     nonzero = values != 0.0
@@ -166,7 +161,7 @@ class TestSparseMinors:
         flat, values = assert_matches_table(A, 5)
         assert flat.size == values.size == 0
 
-    def test_a_compound_beyond_the_float_range_is_refused_as_before(self, dense_path, pattern_reads):
+    def test_a_compound_beyond_the_float_range_is_refused_as_before(self, dense_kernel, pattern_reads):
         # the top level overflows: _sparse_minors gives None, and the table,
         # built after all, raises today's DomainError
         A = 1e80 * test_kernel.chain12()
@@ -174,7 +169,7 @@ class TestSparseMinors:
         with pytest.raises(DomainError) as patterned:
             certify_k_diag_stability(A, 5)
         with pytest.raises(DomainError) as dense:
-            dense_path(lambda: certify_k_diag_stability(A, 5))
+            dense_kernel(lambda: certify_k_diag_stability(A, 5))
         assert str(patterned.value) == str(dense.value) == (
             "minors beyond the float range: the table has NaN or infinite entries"
         )
@@ -207,15 +202,106 @@ class TestPlanCache:
         certify_k_diag_stability(A, 5)
         assert pattern_reads == [None] and plans.calls == []
 
-    def test_no_order_below_the_davidson_order_reaches_the_plan(self, plans, pattern_reads):
+    def test_no_table_within_one_level_block_reaches_the_plan(self, plans, pattern_reads):
         rng = np.random.default_rng([0, 32])
         for n in range(2, 13):
             A = certify_chain(rng, n)
             for k in range(1, n):
-                if math.comb(n, k) < stability._DAVIDSON_MIN_ORDER:
+                if math.comb(n, k) ** 2 <= matcore._LEVEL_BLOCK:
                     certify_k_diag_stability(A, k)
         assert len(pattern_reads) > 50 and not any(pattern_reads)
         assert plans.calls == []
+
+
+def admitted_pattern(rng):
+    """A mixed-sign n x n matrix, n = 12..14, with one or two nonzeros in
+    each row but the first, which holds six, and an order k = 3..5: the
+    gate admits it, and the first row's head rows are built by _expand."""
+    n, k = int(rng.integers(12, 15)), int(rng.integers(3, 6))
+    A = np.zeros((n, n))
+    for row in A:
+        cols = rng.permutation(n)[: int(rng.integers(1, 3))]
+        row[cols] = rng.standard_normal(cols.size)
+    A[0, rng.permutation(n)[:6]] = rng.standard_normal(6)
+    return A, k
+
+
+class TestMinorTableRoute:
+    """_minor_table writes a table the gate admits into zeros from its
+    pattern plan; every other table comes from the dense kernel."""
+
+    def test_the_chains_equal_the_dense_kernel_bit_for_bit(self, plans):
+        chains = [test_kernel.chain12(), *test_kernel.TestRowBlocks.chains()]
+        for A in chains:
+            T = matcore._minor_table(A, 5)
+            assert T.flags.c_contiguous and T.tobytes() == matcore._minors(A, 5).tobytes()
+        assert len(plans.calls) == 41 and plans.builds() == 1
+
+    def test_sparse_mixed_sign_patterns_equal_the_dense_kernel_in_value(self, plans):
+        # every nonzero bit for bit; every zero of the route is 0.0, where
+        # the dense kernel's _expand leaves some as -0.0
+        signed_zeros = 0
+        for seed in range(12):
+            A, k = admitted_pattern(np.random.default_rng([seed, 33]))
+            T, D = matcore._minor_table(A, k), matcore._minors(A, k)
+            assert np.array_equal(T, D) and not np.signbit(T[T == 0.0]).any()
+            nonzero = D != 0.0
+            assert T[nonzero].tobytes() == D[nonzero].tobytes()
+            signed_zeros += int(np.signbit(D[~nonzero]).any())
+        assert len(plans.calls) == 12 and signed_zeros >= 6
+
+    @pytest.mark.parametrize("case", ["gaussian", "within one level block", "rectangular", "order 9"])
+    def test_tables_the_gate_refuses_never_reach_the_plan(self, case, plans):
+        chain = test_kernel.chain12()
+        if case == "gaussian":
+            A, k = np.random.default_rng(33).standard_normal((12, 12)), 5
+        elif case == "within one level block":
+            A, k = chain[:10, :10], 3
+            assert math.comb(10, 3) ** 2 <= matcore._LEVEL_BLOCK
+        elif case == "rectangular":
+            A, k = np.hstack([chain, chain[:, :1]]), 5
+        else:
+            A, k = chain, 9
+            assert math.comb(12, 9) ** 2 > matcore._LEVEL_BLOCK
+        assert matcore._minor_table(A, k).tobytes() == matcore._minors(A, k).tobytes()
+        assert plans.calls == []
+
+    def test_a_table_beyond_the_float_range_is_refused(self, plans):
+        # the plan's top level overflows: the gate gives None, and the
+        # dense kernel's table, non-finite, is refused
+        with pytest.raises(DomainError, match="beyond the float range"):
+            minor_table(1e80 * test_kernel.chain12(), 5)
+        assert len(plans.calls) == 1
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_verdicts_and_witnesses_equal_the_dense_kernels(self, seed, plans, dense_kernel):
+        # k = 4 gives the chains' mixed-sign tables, with both witnesses
+        for A in certify_large_pool(seed):
+            spec = CyclicSpec(12, tuple(np.diag(A)), (*np.diag(A, 1), A[-1, 0]), ell=5)
+            assert np.array_equal(build_cyclic(spec), A)
+            for call in (lambda: classify_sign_regularity(A, 4), lambda: classify_sign_regularity(A, 5),
+                         lambda: is_k_positive_system(A, 5), lambda: analyze_cyclic(spec)):
+                assert repr(call()) == repr(dense_kernel(call))
+        assert len(plans.calls) == 16
+
+    @pytest.mark.parametrize("case", ["chain12", "chain12 and five entries"])
+    def test_the_traced_peak_is_within_the_price(self, case, plans, budget_prices):
+        # the pattern route with its plan built afresh, and a chain with
+        # five more entries, whose bound the gate refuses, in the dense
+        # kernel
+        A = test_kernel.chain12()
+        if case != "chain12":
+            A[[0, 2, 4, 6, 8], [5, 7, 9, 11, 1]] = 0.01
+        matcore._laplace_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            minor_table(A, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert plans.builds() == (1 if case == "chain12" else 0)
+        (price, _), = budget_prices
+        assert peak <= price
 
 
 def assert_same_certificate(got, expected):
@@ -232,36 +318,36 @@ def assert_same_certificate(got, expected):
 
 class TestCertifyAgreesWithTheTable:
     @pytest.mark.parametrize("seed", range(3))
-    def test_certify_large_chains(self, seed, dense_path, pattern_reads):
+    def test_certify_large_chains(self, seed, dense_kernel, pattern_reads):
         for A in certify_large_pool(seed):
             assert_same_certificate(certify_k_diag_stability(A, 5),
-                                    dense_path(lambda: certify_k_diag_stability(A, 5)))
+                                    dense_kernel(lambda: certify_k_diag_stability(A, 5)))
         assert len(pattern_reads) == 4 and all(read is not None for read in pattern_reads)
 
-    def test_chain12_and_its_negation(self, dense_path, pattern_reads):
+    def test_chain12_and_its_negation(self, dense_kernel, pattern_reads):
         # -chain12 has a nonpositive compound at k = 5: the flip
         for A in (test_kernel.chain12(), -test_kernel.chain12()):
             assert_same_certificate(certify_k_diag_stability(A, 5),
-                                    dense_path(lambda: certify_k_diag_stability(A, 5)))
+                                    dense_kernel(lambda: certify_k_diag_stability(A, 5)))
         assert [read is not None for read in pattern_reads] == [True, True]
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_even_corner_witness(self, seed, dense_path, pattern_reads):
+    def test_even_corner_witness(self, seed, dense_kernel, pattern_reads):
         A = even_corner_chain(seed)
         got = certify_k_diag_stability(A, 5)
-        expected = dense_path(lambda: certify_k_diag_stability(A, 5))
+        expected = dense_kernel(lambda: certify_k_diag_stability(A, 5))
         assert isinstance(got, CertificationFailure) and got.reason == NOT_SIGN_REGULAR
         assert got == expected and got.witness.value < 0.0
         assert pattern_reads[0] is not None
 
-    def test_compound_not_schur(self, dense_path, pattern_reads):
+    def test_compound_not_schur(self, dense_kernel, pattern_reads):
         A = 2.0 * test_kernel.chain12()
         got = certify_k_diag_stability(A, 5)
         assert isinstance(got, CertificationFailure) and got.reason == COMPOUND_NOT_SCHUR
-        assert got == dense_path(lambda: certify_k_diag_stability(A, 5))
+        assert got == dense_kernel(lambda: certify_k_diag_stability(A, 5))
         assert pattern_reads[0] is not None
 
-    def test_lu_fallback(self, dense_path, pattern_reads, monkeypatch):
+    def test_lu_fallback(self, dense_kernel, pattern_reads, monkeypatch):
         # the series would need about 123 terms: M is formed for the LU
         # solves, from the nonzeros, with the table's zeros
         solves = []
@@ -269,12 +355,12 @@ class TestCertifyAgreesWithTheTable:
         monkeypatch.setattr(stability, "_lu_solves", lambda M, x, y: solves.append(M.copy()) or lu_solves(M, x, y))
         A = lu_chain()
         got = certify_k_diag_stability(A, 5)
-        expected = dense_path(lambda: certify_k_diag_stability(A, 5))
+        expected = dense_kernel(lambda: certify_k_diag_stability(A, 5))
         assert_same_certificate(got, expected)
         assert len(solves) == 2 and solves[0].tobytes() == solves[1].tobytes()
         assert pattern_reads[0] is not None
 
-    def test_eigen_solve_fallback(self, dense_path, pattern_reads, monkeypatch):
+    def test_eigen_solve_fallback(self, dense_kernel, pattern_reads, monkeypatch):
         # Davidson stops at its step cap: the gap is formed from M, filled
         # in from the nonzeros, and the eigen-solve decides
         monkeypatch.setattr(stability, "_DAVIDSON_MAX_STEPS", 8)
@@ -282,17 +368,38 @@ class TestCertifyAgreesWithTheTable:
         monkeypatch.setattr(stability, "_stein_gap", lambda X, d: gaps.append(X.copy()) or stein_gap(X, d))
         A = certify_large_pool(0)[0]
         got = certify_k_diag_stability(A, 5)
-        expected = dense_path(lambda: certify_k_diag_stability(A, 5))
+        expected = dense_kernel(lambda: certify_k_diag_stability(A, 5))
         assert_same_certificate(got, expected)
         assert len(gaps) == 2 and gaps[0].tobytes() == gaps[1].tobytes()
         assert got.stein_margin == expected.stein_margin
         assert pattern_reads[0] is not None
 
-    def test_an_all_zero_compound(self, dense_path, pattern_reads):
+    def test_orders_below_the_davidson_order_apply_m_densely(self, dense_kernel, pattern_reads, monkeypatch):
+        # r = 220 and 190 hold more than one level block, so the gate
+        # reads the pattern, but below _DAVIDSON_MIN_ORDER M is formed and
+        # applied densely, and the eigen-solve gives the margin, as on the
+        # dense kernel's table.  The corner's sign makes the chain
+        # sign-regular at its order k
+        over, over_nonzeros = [], stability._over_nonzeros
+        monkeypatch.setattr(stability, "_over_nonzeros", lambda *args: over.append(args) or over_nonzeros(*args))
+        rng = np.random.default_rng([1, 32])
+        for n, k in ((12, 3), (20, 2)):
+            A = certify_chain(rng, n)
+            A[-1, 0] *= (-1) ** (k + 1)
+            r = math.comb(n, k)
+            assert r * r > matcore._LEVEL_BLOCK and r < stability._DAVIDSON_MIN_ORDER
+            got = certify_k_diag_stability(A, k)
+            expected = dense_kernel(lambda: certify_k_diag_stability(A, k))
+            assert_same_certificate(got, expected)
+            assert got.stein_margin == expected.stein_margin
+        assert len(pattern_reads) == 2 and all(read is not None for read in pattern_reads)
+        assert over == []
+
+    def test_an_all_zero_compound(self, dense_kernel, pattern_reads):
         # one nonzero column: every 5-minor is zero, rho = 0 sends the
         # solves to LU, and the proof runs over no nonzeros
         A = 0.5 * np.outer(np.ones(12), np.eye(12)[3])
         assert_same_certificate(certify_k_diag_stability(A, 5),
-                                dense_path(lambda: certify_k_diag_stability(A, 5)))
+                                dense_kernel(lambda: certify_k_diag_stability(A, 5)))
         flat, values = pattern_reads[0]
         assert flat.size == 0

@@ -204,13 +204,14 @@ class TestXiProof:
         theta = applied.proven_margin(d, perron_vector, matcore.pd_tol())
         assert theta is not None and abs(theta - exact) <= MARGIN_RTOL * exact
 
-    def test_the_path_allocates_nothing_of_order_r_squared(self, proof_calls, monkeypatch):
-        # a certify-large chain applied densely, its series summed: from
-        # the end of the table to the return the path adds Davidson's
-        # basis and the gap times it (two vectors of r a step), its small
-        # projected matrix and a few vectors above M, and forms no gap
+    def test_the_path_allocates_nothing_of_order_r_squared(self, proof_calls, monkeypatch, dense_kernel):
+        # a certify-large chain built as the dense kernel's table and
+        # applied densely, its series summed: from the end of the table to
+        # the return the path adds Davidson's basis and the gap times it
+        # (two vectors of r a step), its small projected matrix and a few
+        # vectors above M, and forms no gap
         monkeypatch.setattr(stability, "_NONZERO_BREAK_EVEN", 10**12)
-        cert, peak = traced_after_table(monkeypatch, certify_large_pool(0)[0], 5)
+        cert, peak = dense_kernel(lambda: traced_after_table(monkeypatch, certify_large_pool(0)[0], 5))
         assert isinstance(cert, KDiagCertificate) and cert.r == 792
         assert proof_calls[-1].proven and proof_calls[-1].ritz == [cert.stein_margin]
         assert peak < 0.25 * 792**2 * 8

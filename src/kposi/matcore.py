@@ -9,6 +9,7 @@ are converted at the boundary.
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -554,7 +555,7 @@ def _table_bytes(n: int, m: int, k: int, batch: int = 1) -> int:
     minors, batch R C (k^2 + 1) entries, and the two index arrays.  A
     table built from its pattern plan (_sparse_table) holds the table, at
     most 2 R^2 / _NONZERO_BREAK_EVEN entries of its structural nonzeros,
-    and its plan, at the table's price.
+    and its plan with their rows (_csr), at the table's price.
     """
     R, C = math.comb(n, k), math.comb(m, k)
     if k > _LAPLACE_MAX_ORDER:
@@ -586,23 +587,24 @@ def _minor_table(A: np.ndarray, k: int) -> np.ndarray:
     if sparse is None:
         with np.errstate(over="ignore", invalid="ignore"):
             return _minors(A, k)
-    flat, values = sparse
+    plan, values = sparse
     table = np.zeros((math.comb(n, k),) * 2)
-    table.reshape(-1)[flat] = values
+    table.reshape(-1)[plan.flat] = values
     return table
 
 
 def _sparse_table(A: np.ndarray, k: int):
-    """(flat, values) of _sparse_minors for the k-minor table of a checked
+    """(plan, values) of _sparse_minors for the k-minor table of a checked
     A, 1 <= k <= min(A.shape), or None where the table comes from _minors.
 
-    The one gate of the pattern plan, read from A's shape and its row
-    nonzero counts before anything is built: a square A, 2 <= k <=
+    The one gate of the pattern plan, read from A's shape and its zero
+    pattern before anything is built: a square A, 2 <= k <=
     _LAPLACE_MAX_ORDER, a table of R^2 > _LEVEL_BLOCK entries, which
     _minors would build in row blocks, and at most R^2 /
-    _NONZERO_BREAK_EVEN structural nonzeros by _structural_counts' bound.
-    A level beyond the float range also gives None: the table then
-    refuses it.  The caller prices the table first.
+    _NONZERO_BREAK_EVEN structural nonzeros by _structural_counts' bound,
+    which _admitted_plan keeps with the plan.  A level beyond the float
+    range also gives None: the table then refuses it.  The caller prices
+    the table first.
     """
     n, m = A.shape
     R = math.comb(n, k)
@@ -617,6 +619,32 @@ def _price_table(n: int, m: int, k: int) -> None:
                     f"a minor table of {_count_text(math.comb(n, k))}x{_count_text(math.comb(m, k))} order-{k} minors")
 
 
+class _Csr(NamedTuple):
+    """An r x r operator's nonzeros as rows (_csr): each one's column, in
+    row-major order, the count of each row, the rows that hold any and where
+    each of those starts, whether every row holds one, and the most
+    nonzeros a of a row and b of a column."""
+
+    cols: np.ndarray
+    counts: np.ndarray
+    rows: np.ndarray
+    starts: np.ndarray
+    full: bool
+    a: int
+    b: int
+
+
+def _csr(flat: np.ndarray, r: int) -> _Csr:
+    """The _Csr of the r x r operator whose nonzeros sit at the flat indices
+    `flat`, in row-major order."""
+    ends = np.searchsorted(flat, np.arange(1, r + 1) * r)
+    counts = np.diff(ends, prepend=0)
+    rows = np.flatnonzero(counts)
+    cols = flat % r
+    return _Csr(cols, counts, rows, (ends - counts)[rows], rows.size == r,
+                int(counts.max()), int(np.bincount(cols, minlength=r).max()))
+
+
 class _PatternPlan(NamedTuple):
     """The structural nonzeros of the Laplace levels of the k-minors of an
     n x n matrix of one zero pattern (_pattern_plan).
@@ -628,26 +656,37 @@ class _PatternPlan(NamedTuple):
     its head entry, and the index of its minor in the level below.  flat
     holds the top level's entries as flat indices into the C(n,k) x C(n,k)
     table, in row-major order, which is the order of every level's
-    entries.
+    entries, and csr the same entries as the rows of the table read as an
+    operator, which certify applies the compound through.
     """
 
     entries: np.ndarray
     levels: tuple[tuple[int, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]], ...]
     flat: np.ndarray
+    csr: _Csr
+
+    def arrays(self):
+        """Every array the plan holds."""
+        yield self.entries
+        yield self.flat
+        for _, terms in self.levels:
+            for term in terms:
+                yield from term
+        yield from self.csr[:4]
 
 
-def _structural_counts(nonzero: np.ndarray, k: int) -> list[int]:
+def _structural_counts(count: np.ndarray, k: int) -> list[int]:
     """For the levels p = 1..k of the Laplace expansion of the k-minors of an
-    n x n A whose nonzeros are `nonzero`: the sum, over the row sets I of
-    the level, of min(C(n,p), the product of the nonzero counts of the rows
-    of I), a bound on the level's structurally nonzero entries, as an entry
-    of row set I takes at most one nonzero of each of its rows.  Read from
-    the row counts and the row sets of _laplace_plan, with the products
-    held at most the widest level, which leaves every min unchanged.
+    n x n A whose rows hold `count` nonzeros: the sum, over the row sets I
+    of the level, of min(C(n,p), the product of the nonzero counts of the
+    rows of I), a bound on the level's structurally nonzero entries, as an
+    entry of row set I takes at most one nonzero of each of its rows.  Read
+    from the row counts and the row sets of _laplace_plan, with the
+    products held at most the widest level, which leaves every min
+    unchanged.
     """
-    n = nonzero.shape[0]
+    n = count.size
     cap = math.comb(n, min(k, n // 2))
-    count = np.count_nonzero(nonzero, axis=1)
     product = count[k - 1 :]
     bounds = [int(product.sum())]
     for p, level in enumerate(_cache_rule(_laplace_plan, _plan_bytes(n, n, k))(n, n, k), 2):
@@ -656,14 +695,46 @@ def _structural_counts(nonzero: np.ndarray, k: int) -> list[int]:
     return bounds
 
 
-def _pattern_bytes(bounds: list[int]) -> int:
-    """Bytes of _pattern_plan's arrays, at most, from _structural_counts: the
-    entries of levels 1 and k, and three indices for each term, of which an
-    entry of level p has at most p."""
-    return 8 * (bounds[0] + bounds[-1] + sum(3 * p * e for p, e in enumerate(bounds[1:], 2)))
+# The pattern plans kept, by (n, k, key), least recently used first, each
+# with the bound of _structural_counts it was admitted on: at most 64, each
+# _cacheable by the bytes of its arrays (_admitted_plan).
+_PATTERN_PLANS: OrderedDict[tuple[int, int, bytes], tuple[int, _PatternPlan]] = OrderedDict()
 
 
-@lru_cache(maxsize=64)
+def _admitted_plan(nonzero: np.ndarray, k: int, most: int) -> _PatternPlan | None:
+    """The _PatternPlan of the n x n zero pattern `nonzero` at order k, or
+    None where _structural_counts bounds its top level above `most`.
+
+    A pattern kept in _PATTERN_PLANS is looked up first and decided on the
+    bound it was kept with, with no count.  Otherwise the least row count
+    c decides first: every top-level product is then at least c^k, so the
+    bound is at least R min(R, c^k), R = C(n,k), and a dense A is refused
+    with no level counted.  A pattern that passes both is counted, and its
+    plan built and kept when its arrays are _cacheable, the least recently
+    used of 65 dropped: the plan's size is known once it is built.
+    """
+    n = nonzero.shape[0]
+    key = (n, k, np.packbits(nonzero).tobytes())
+    kept = _PATTERN_PLANS.get(key)
+    if kept is None:
+        count = np.count_nonzero(nonzero, axis=1)
+        R = math.comb(n, k)
+        if R * min(R, int(count.min()) ** k) > most:
+            return None
+        bound = _structural_counts(count, k)[-1]
+        if bound > most:
+            return None
+        kept = bound, _pattern_plan(n, k, key[2])
+        if _cacheable(sum(arr.nbytes for arr in kept[1].arrays())):
+            _PATTERN_PLANS[key] = kept
+            if len(_PATTERN_PLANS) > 64:
+                _PATTERN_PLANS.popitem(last=False)
+    else:
+        _PATTERN_PLANS.move_to_end(key)
+    bound, plan = kept
+    return plan if bound <= most else None
+
+
 def _pattern_plan(n: int, k: int, key: bytes) -> _PatternPlan:
     """The _PatternPlan of the n x n zero pattern np.packbits(A != 0).tobytes() == key.
 
@@ -676,7 +747,7 @@ def _pattern_plan(n: int, k: int, key: bytes) -> _PatternPlan:
     inverted for each x.  A stable sort of the terms by their entries
     lists the structural entries in row-major order.  The arrays are
     read-only, since every caller of the pattern shares them;
-    _sparse_minors keeps a plan cached under _cache_rule.
+    _admitted_plan keeps the plans it builds.
     """
     nonzero = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=n * n).view(bool)
     at = np.flatnonzero(nonzero)
@@ -724,21 +795,22 @@ def _pattern_plan(n: int, k: int, key: bytes) -> _PatternPlan:
             at_c = j == c
             terms.append((entry[at_c], a[at_c], b[at_c]))
         levels.append((keys.size, tuple(terms)))
-    plan = _PatternPlan(entries, tuple(levels), keys)
-    for arr in (entries, keys, *(arr for _, terms in levels for term in terms for arr in term)):
+    plan = _PatternPlan(entries, tuple(levels), keys, _csr(keys, math.comb(n, k)))
+    for arr in plan.arrays():
         arr.setflags(write=False)
     return plan
 
 
 def _sparse_minors(A: np.ndarray, k: int, most: int):
-    """(flat, values): the structurally nonzero k-minors of a checked square
-    A, 2 <= k <= _LAPLACE_MAX_ORDER, as flat indices into the C(n,k) x
-    C(n,k) table in row-major order and their values, with no array of the
-    table's size.  None where _structural_counts bounds them above `most`,
-    before anything is built, or where a level comes out NaN or infinite.
+    """(plan, values): the structurally nonzero k-minors of a checked square
+    A, 2 <= k <= _LAPLACE_MAX_ORDER, as the plan of A's zero pattern, whose
+    flat lists their flat indices into the C(n,k) x C(n,k) table in
+    row-major order, and their values, with no array of the table's size.
+    None where _structural_counts bounds them above `most`, before anything
+    is built, or where a level comes out NaN or infinite.
 
-    The plan of A's zero pattern (_pattern_plan) is cached under
-    _cache_rule, so a pattern seen before costs only the numeric pass.
+    The plan comes from _admitted_plan, which keeps it, so a pattern seen
+    before costs only the numeric pass.
     Each entry is 0.0 plus its terms, in increasing column position j,
     with sign (-1)^j: _expand's order less the structurally zero terms.
     So every nonzero value equals its entry of _minors(A, k) bit for bit,
@@ -747,13 +819,9 @@ def _sparse_minors(A: np.ndarray, k: int, most: int):
     in sign, and none here is -0.0, as a sum that starts at 0.0 never is.
     The caller prices the table.
     """
-    n = A.shape[0]
-    nonzero = A != 0.0
-    bounds = _structural_counts(nonzero, k)
-    if bounds[-1] > most:
+    plan = _admitted_plan(A != 0.0, k, most)
+    if plan is None:
         return None
-    key = np.packbits(nonzero).tobytes()
-    plan = _cache_rule(_pattern_plan, _pattern_bytes(bounds))(n, k, key)
     a = A.ravel()
     values = a[plan.entries]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -771,7 +839,7 @@ def _sparse_minors(A: np.ndarray, k: int, most: int):
                     values[entry] += term
             if not np.isfinite(values).all():
                 return None
-    return plan.flat, values
+    return plan, values
 
 
 def _finite_extremes(T: np.ndarray) -> tuple[float, float]:

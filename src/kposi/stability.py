@@ -22,6 +22,8 @@ import numpy as np
 from .errors import DomainError, NumericError, PreconditionError
 from .matcore import (
     LexIndexSet,
+    _Csr,
+    _csr,
     _checked_tol,
     _eigvals,
     _finite_extremes,
@@ -304,8 +306,9 @@ class _Applied(NamedTuple):
         """v -> d∘v - M^T (d∘(M v)): the Stein gap S = D - M^T D M, applied."""
         return lambda v: d * v - self.rmatvec(d * self.matvec(v))
 
-    def stein_bound(self, d: np.ndarray, v: np.ndarray) -> float:
-        """A lower bound on the smallest eigenvalue of the gap S of an M >= 0, from v > 0.
+    def stein_bound(self, d: np.ndarray, v: np.ndarray, product: np.ndarray) -> float:
+        """A lower bound on the smallest eigenvalue of the gap S of an M >= 0,
+        from v > 0 and product, stein_gap(d)(v) as computed.
 
         S is then a symmetric Z-matrix.  With μ I - S nonnegative, its
         Perron root is at most max_i ((μ I - S) v)_i / v_i (Collatz-Wielandt;
@@ -318,25 +321,29 @@ class _Applied(NamedTuple):
         subnormal: the underflow of the products of the three stages carried
         through the later ones.  A d near the top of the float range makes
         the floor infinite, and the bound with it: it then proves nothing,
-        with no warning.
+        with no warning.  product is left as it is.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             floor = _TINY * (self.rmatvec(self.a * d + 1.0) + (self.b + 1))
-            f = self.stein_gap(d)(v)
-            f -= (self.a + self.b + 12) * _EPS * (2.0 * d * v - f) + floor
+            f = product - ((self.a + self.b + 12) * _EPS * (2.0 * d * v - product) + floor)
             return float(np.min(f / v))
 
     def proven_margin(self, d: np.ndarray, xi: np.ndarray, t: float) -> float | None:
         """θ of _davidson_smallest on the gap S of an M >= 0, once
-        stein_bound(d, xi) proves S > t; None, and the eigen-solve decides,
+        stein_bound proves S > t from xi; None, and the eigen-solve decides,
         in every other case.
 
-        The bound proves the pass when it is finite and above t, and θ is
-        returned when Davidson converges and θ is not below the bound.
+        S ξ is formed once: the bound reads it, and the Davidson run starts
+        from ξ with it, so its first step applies no S.  The bound proves
+        the pass when it is finite and above t, and θ is returned when
+        Davidson converges and θ is not below the bound.
         """
-        bound = self.stein_bound(d, xi)
+        gap = self.stein_gap(d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = gap(xi)
+        bound = self.stein_bound(d, xi, product)
         if math.isfinite(bound) and bound > t:
-            theta = _davidson_smallest(self.stein_gap(d), d)
+            theta = _davidson_smallest(gap, d, xi, product)
             if theta is not None and bound <= theta:
                 return theta
         return None
@@ -367,19 +374,28 @@ def _nonzeros(M: np.ndarray) -> _Applied | None:
 
 def _over_nonzeros(flat: np.ndarray, values: np.ndarray, r: int) -> _Applied:
     """The r x r M whose nonzeros are `values`, at the flat indices `flat` in
-    row-major order, applied over them: their columns, the count of each
-    row, the rows that hold any, and where each of those starts.  flat is
-    overwritten with the columns."""
-    ends = np.searchsorted(flat, np.arange(1, r + 1) * r)
-    counts = np.diff(ends, prepend=0)
-    rows = np.flatnonzero(counts)
-    starts = (ends - counts)[rows]
-    cols = np.remainder(flat, r, out=flat)
+    row-major order, applied over them (_over_rows), with their rows read
+    from flat on each call.  Only the dense read-back, _nonzeros, takes
+    this route: a compound the gate admits comes with its rows in its
+    pattern plan."""
+    return _over_rows(_csr(flat, r), values)
+
+
+def _over_rows(csr: _Csr, values: np.ndarray) -> _Applied:
+    """The M whose nonzeros are `values`, in the row-major order of csr,
+    applied over them."""
+    _, counts, rows, starts, full, a, b = csr
+    r = counts.size
+    # np.bincount copies a read-only index array, as a plan's are, on every
+    # call: one copy here serves every mat-vec of the call
+    cols = csr.cols.copy()
 
     def matvec(v: np.ndarray) -> np.ndarray:
         """M v: each row's products summed in its column order."""
         p = v[cols]
         p *= values
+        if full:
+            return np.add.reduceat(p, starts)
         out = np.zeros(r)
         out[rows] = np.add.reduceat(p, starts)
         return out
@@ -390,15 +406,18 @@ def _over_nonzeros(flat: np.ndarray, values: np.ndarray, r: int) -> _Applied:
         p *= values
         return np.bincount(cols, p, r)
 
-    return _Applied(matvec, rmatvec, int(counts.max()), int(np.bincount(cols, minlength=r).max()))
+    return _Applied(matvec, rmatvec, a, b)
 
 
-def _davidson_smallest(matvec, d: np.ndarray) -> float | None:
+def _davidson_smallest(matvec, d: np.ndarray, start: np.ndarray, product: np.ndarray) -> float | None:
     """θ, the smallest Ritz value of the symmetric r x r matrix S that matvec
-    applies, or None; d is the positive diagonal D of S = D - M^T D M.
+    applies, or None; d is the positive diagonal D of S = D - M^T D M,
+    start a positive vector and product S start, as computed.
 
     Davidson's method (Davidson, J. Comput. Phys. 17, 1975; Morgan and
-    Scott, SIAM J. Sci. Stat. Comput. 7, 1986) from the all-ones vector.
+    Scott, SIAM J. Sci. Stat. Comput. 7, 1986) from start / ||start||,
+    whose product with S is product scaled alike, so the first step
+    applies no S: certify starts from ξ, whose S ξ its bound has formed.
     Each step applies S to the newest basis vector, adds a row to
     H = V^T S V, and takes θ, the smallest eigenvalue of H, with its Ritz
     vector u and residual g = S u - θ u, formed from the stored products
@@ -413,10 +432,10 @@ def _davidson_smallest(matvec, d: np.ndarray) -> float | None:
 
     Every θ is at least S's smallest eigenvalue, and on the stop one
     eigenvalue lies within ||g|| of it.  S being a symmetric Z-matrix, it
-    has a nonnegative bottom eigenvector, which all ones, always in the
-    basis, is not orthogonal to.  The basis and S times it grow in place
-    by _DAVIDSON_CHUNK vectors, to at most _DAVIDSON_MAX_STEPS each: no
-    r x r array is made.  The run returns None if it takes more than
+    has a nonnegative bottom eigenvector, which start, positive and always
+    in the basis, is not orthogonal to.  The basis and S times it grow in
+    place by _DAVIDSON_CHUNK vectors, to at most _DAVIDSON_MAX_STEPS each:
+    no r x r array is made.  The run returns None if it takes more than
     _DAVIDSON_MAX_STEPS steps, if a step leaves the float range (entries
     of S near the top of it), or if a correction lies in the basis, with
     no warning.
@@ -425,15 +444,23 @@ def _davidson_smallest(matvec, d: np.ndarray) -> float | None:
     steps = min(_DAVIDSON_MAX_STEPS, r)
     size = min(_DAVIDSON_CHUNK, steps)
     V, W, H = np.empty((size, r)), np.empty((size, r)), np.empty((size, size))
-    v, least = np.full(r, 1.0 / math.sqrt(r)), float(d.min())
+    least = float(d.min())
     with np.errstate(over="ignore", invalid="ignore"):
+        # scaled by its largest entry first, so that its norm neither
+        # overflows nor underflows
+        top = float(start.max())
+        v = start / top
+        scale = math.sqrt(v @ v)
+        v /= scale
+        w = product / top
+        w /= scale
         for k in range(steps):
             if k == size:
                 size = min(size + _DAVIDSON_CHUNK, steps)
                 V.resize((size, r), refcheck=False)
                 W.resize((size, r), refcheck=False)
                 H = np.pad(H, (0, size - k))
-            V[k], W[k] = v, matvec(v)
+            V[k], W[k] = v, matvec(v) if k else w
             H[k, : k + 1] = V[: k + 1] @ W[k]
             try:
                 theta, Y = np.linalg.eigh(H[: k + 1, : k + 1], UPLO="L")
@@ -545,8 +572,9 @@ def _certify(
     A compound that matcore._sparse_table admits is read as its
     structural nonzeros, priced as the table but with no r x r array: the
     sign gate, the witness and the flip act on their values, from
-    _DAVIDSON_MIN_ORDER on an M with no negative entry is applied over its
-    positive ones, and M is formed only where the LU solves, the
+    _DAVIDSON_MIN_ORDER on an M with no negative entry is applied over
+    them through the rows its pattern plan holds (matcore._csr), with no
+    index work per call, and M is formed only where the LU solves, the
     eigen-solve, an in-band negative minor or a dense application needs
     it.  Any other compound is built as the dense table, and so held from
     the start.
@@ -562,14 +590,14 @@ def _certify(
         hi, lo = _finite_extremes(M)
     else:
         # at most r^2 / _NONZERO_BREAK_EVEN entries: the table's zeros join them
-        M, (flat, values) = None, sparse
+        M, (plan, values) = None, sparse
         hi, lo = float(values.max(initial=0.0)), float(values.min(initial=0.0))
     t = zero_tol(tol)
     verdict, signature = _gate(hi, lo, t)
     if verdict == NONE:
         if M is None:
             at = int(values.argmin())  # the first most negative minor, in C order
-            witness = _witness_at(*divmod(int(flat[at]), r), float(values[at]), k, A.shape)
+            witness = _witness_at(*divmod(int(plan.flat[at]), r), float(values[at]), k, A.shape)
         else:
             witness = _minor_witness(M, int(M.argmin()), k, A.shape)
         return CertificationFailure(k=k, r=r, reason=NOT_SIGN_REGULAR, witness=witness)
@@ -588,7 +616,7 @@ def _certify(
         nonlocal M
         if M is None:
             M = np.full((r, r), -0.0 if sign_flipped else 0.0)
-            M.reshape(-1)[flat] = values
+            M.reshape(-1)[plan.flat] = values
         return M
 
     # The sign gate lets in-band negative minors through.  An M with none
@@ -606,8 +634,7 @@ def _certify(
     if nonneg and M is not None:
         applied = _nonzeros(M)
     elif nonneg and r >= _DAVIDSON_MIN_ORDER:
-        positive = values > 0.0
-        applied = _over_nonzeros(flat[positive], values[positive], r)
+        applied = _over_rows(plan.csr, values)
     if applied is None:
         applied = _dense(formed())
     if x is None:  # neither given: all ones, as _right_hand_sides completes them

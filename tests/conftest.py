@@ -62,3 +62,20 @@ def budget_prices(monkeypatch):
         if (name == "kposi" or name.startswith("kposi.")) and getattr(mod, "_require_budget", None) is original:
             monkeypatch.setattr(mod, "_require_budget", recorded)
     return prices
+
+
+@pytest.fixture
+def cold_caches():
+    """Empty the kernel's plan caches: the Laplace plans
+    (matcore._laplace_plan) and the pattern plans with the rows of their
+    compounds (matcore._PATTERN_PLANS), before the test and after it.  The
+    fixture is the function that empties them, for a test that needs them
+    cold again midway."""
+
+    def clear():
+        matcore._laplace_plan.cache_clear()
+        matcore._PATTERN_PLANS.clear()
+
+    clear()
+    yield clear
+    clear()

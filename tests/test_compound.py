@@ -201,10 +201,9 @@ class TestWedge:
             tracemalloc.stop()
         return w, peak
 
-    def test_five_vectors_in_r30_run_within_their_price(self, budget_prices):
+    def test_five_vectors_in_r30_run_within_their_price(self, budget_prices, cold_caches):
         # C(30,5) = 142506 coordinates, a one-column table priced with the
         # build of its Laplace plan (2.7 MB of row indices)
-        matcore._laplace_plan.cache_clear()
         vs = np.random.default_rng(15).standard_normal((5, 30))
         w, peak = self.traced_wedge(vs)
         assert w.coords.shape == (142506,)
@@ -215,12 +214,12 @@ class TestWedge:
             assert w.coords[i] == minor(stacked, matcore.lex_index_set_at(int(i), 5, 30), cols)
 
     @pytest.mark.parametrize("k, n", [(3, 60), (5, 24), (8, 16)])
-    def test_one_column_table_at_the_budget_runs_and_one_over_it_is_refused(self, monkeypatch, budget_prices, k, n):
+    def test_one_column_table_at_the_budget_runs_and_one_over_it_is_refused(self, monkeypatch, budget_prices, cold_caches,
+                                                                          k, n):
         # with the budget at the price of k vectors in R^n, their wedge runs
         # within it, plan build included, and k vectors in R^(n+1) are
         # refused before anything of their size is made
         monkeypatch.setattr(matcore, "_BYTE_BUDGET", matcore._table_bytes(n, k, k))
-        matcore._laplace_plan.cache_clear()
         rng = np.random.default_rng(17)
         w, peak = self.traced_wedge(rng.standard_normal((k, n)))
         assert w.coords.shape == (math.comb(n, k),)

@@ -125,7 +125,7 @@ class TestLaplaceKernel:
             rows, cols = lex_index_set_at(int(i), 4, 16), lex_index_set_at(int(j), 4, 16)
             assert table[i, j] == minor(A, rows, cols)
 
-    def test_plan_cache_holds_at_most_the_budget(self, monkeypatch):
+    def test_plan_cache_holds_at_most_the_budget(self, monkeypatch, cold_caches):
         # 80 distinct plans of 4 KB to 1.9 MB: the cache keeps only those of
         # at most a 64th of the budget, so it holds within the budget what,
         # by entry count alone, would be its last 64 plans, over 40 MB
@@ -133,7 +133,6 @@ class TestLaplaceKernel:
         shapes = [(n, 3, 3) for n in range(10, 90)]
         assert sum(matcore._plan_bytes(*shape) for shape in shapes[-64:]) > 6 * matcore._BYTE_BUDGET
         rng = np.random.default_rng(68)
-        matcore._laplace_plan.cache_clear()
         tracemalloc.start()
         try:
             for n, m, q in shapes:
@@ -142,15 +141,14 @@ class TestLaplaceKernel:
             kept = matcore._laplace_plan.cache_info().currsize
         finally:
             tracemalloc.stop()
-            matcore._laplace_plan.cache_clear()
+            cold_caches()
         assert 0 < kept < 64 and held <= matcore._BYTE_BUDGET
 
     @pytest.mark.parametrize("n, m, k", [(16, 16, 2), (15, 8, 8), (30, 5, 5), (12, 12, 5), (9, 9, 9), (12, 10, 9), (14, 9, 9)])
-    def test_table_price_bounds_the_traced_peak(self, budget_prices, n, m, k):
+    def test_table_price_bounds_the_traced_peak(self, budget_prices, cold_caches, n, m, k):
         # the products of the top level, the widest row block and the plan's
         # build; above order 8 the gathered blocks and the two index arrays
         A = np.random.default_rng(69).uniform(-1.0, 1.0, (n, m))
-        matcore._laplace_plan.cache_clear()
         tracemalloc.start()
         try:
             minor_table(A, k)
@@ -160,7 +158,7 @@ class TestLaplaceKernel:
         assert peak <= budget_prices[0][0]
 
     @pytest.mark.parametrize("case", ["chain12-5", "gauss12-6", "sparse15-5"])
-    def test_head_row_blocks_stay_within_the_budget_price(self, budget_prices, dense_kernel, case):
+    def test_head_row_blocks_stay_within_the_budget_price(self, budget_prices, dense_kernel, cold_caches, case):
         # the dense kernel alone: the chain's blocked levels are built from
         # its sparse head rows, the Gaussian's go through _expand in row
         # blocks, and the sparse 15 x 15 matrix mixes the two
@@ -173,7 +171,6 @@ class TestLaplaceKernel:
             A, k = rng.standard_normal((15, 15)) * (rng.random((15, 15)) < 0.7), 5
             for row in A[:11]:
                 row[rng.permutation(15)[2:]] = 0.0
-        matcore._laplace_plan.cache_clear()
         tracemalloc.start()
         try:
             dense_kernel(lambda: minor_table(A, k))

@@ -235,20 +235,21 @@ def test_an_all_zero_compound(proof_calls, solves):
 
 @pytest.mark.parametrize("gain", [0.1, 0.0])
 def test_davidson_stops_on_an_eigenvector(gain, monkeypatch):
-    # all ones is an eigenvector of the gap of gain * I: its residual is
-    # rounding noise, and the run stops after its first mat-vec with θ,
-    # not after _DAVIDSON_MAX_STEPS with None
+    # xi, all ones over 1 - gain, is an eigenvector of the gap of gain * I:
+    # its residual is rounding noise, and the run stops at its first step,
+    # on the S xi the bound formed, with no mat-vec of its own and θ, not
+    # after _DAVIDSON_MAX_STEPS with None
     steps, thetas, davidson = [], [], stability._davidson_smallest
 
-    def counted(matvec, d):
-        thetas.append(davidson(lambda v: steps.append(1) or matvec(v), d))
+    def counted(matvec, d, start, product):
+        thetas.append(davidson(lambda v: steps.append(1) or matvec(v), d, start, product))
         return thetas[-1]
 
     monkeypatch.setattr(stability, "_davidson_smallest", counted)
     A = gain * np.eye(300)
     cert = construct_dlf_nonneg(A)
     exact = smallest_eigenvalue(stein_gap_of(A, cert.d))
-    assert len(steps) == 1 and thetas == [cert.stein_margin]
+    assert steps == [] and thetas == [cert.stein_margin]
     assert abs(cert.stein_margin - exact) <= MARGIN_RTOL * exact
 
 

@@ -8,9 +8,12 @@ terms in the table's order, so every nonzero equals the dense kernel's
 (square, 2 <= k <= _LAPLACE_MAX_ORDER, r^2 > _LEVEL_BLOCK, and at most
 r^2 / _NONZERO_BREAK_EVEN structural nonzeros by the bound of the row
 counts).  matcore._minor_table writes what it admits into zeros, and
-stability._certify reads it with no r x r array; every table, certificate
-and verdict equals the dense kernel's path, which the tests reach by
-refusing the gate (the dense_kernel fixture).
+stability._certify reads it with no r x r array, applying it through the
+rows of the table the plan holds (plan.csr); every table, certificate and
+verdict equals the dense kernel's path, which the tests reach by refusing
+the gate (the dense_kernel fixture).  matcore._admitted_plan keeps a plan
+by the bytes of its arrays, with the bound it was admitted on, and looks a
+pattern up before it counts anything.
 """
 
 import functools
@@ -38,32 +41,27 @@ from kposi import (
 )
 from kposi.stability import COMPOUND_NOT_SCHUR, NOT_SIGN_REGULAR
 from test_neumann import lu_chain
-from test_stein_enclosure import MARGIN_RTOL, certify_chain, certify_large_pool
+from test_stein_enclosure import MARGIN_RTOL, certify_chain, certify_large_pool, smallest_eigenvalue, stein_gap
 
 
 @pytest.fixture
-def plans(monkeypatch):
-    """plans.calls records (n, k, key) of each call that reaches
-    matcore._pattern_plan, cached or not; plans.builds() counts the plans
-    built afresh: the cache's misses, and every plan too large to keep."""
-    original = matcore._pattern_plan
-    original.cache_clear()
-    calls, uncached = [], []
+def plans(monkeypatch, cold_caches):
+    """plans.calls records (n, k) of each plan matcore._admitted_plan hands
+    out, kept or built; plans.builds() counts the plans built afresh
+    (matcore._pattern_plan): one for each pattern kept, and one for each
+    call of a plan too large to keep."""
+    calls, builds = [], []
+    admitted, build = matcore._admitted_plan, matcore._pattern_plan
 
-    @functools.wraps(original)
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(nonzero, k, most):
+        plan = admitted(nonzero, k, most)
+        if plan is not None:
+            calls.append((nonzero.shape[0], k))
+        return plan
 
-    def counted_uncached(*args):
-        calls.append(args)
-        uncached.append(args)
-        return original.__wrapped__(*args)
-
-    counted.__wrapped__ = counted_uncached
-    monkeypatch.setattr(matcore, "_pattern_plan", counted)
-    yield SimpleNamespace(calls=calls, builds=lambda: original.cache_info().misses + len(uncached))
-    original.cache_clear()
+    monkeypatch.setattr(matcore, "_admitted_plan", counted)
+    monkeypatch.setattr(matcore, "_pattern_plan", lambda *args: builds.append(args) or build(*args))
+    return SimpleNamespace(calls=calls, builds=lambda: len(builds))
 
 
 @pytest.fixture
@@ -85,7 +83,8 @@ def assert_matches_table(A, k):
     row-major order, each once, every nonzero of the table among them, every
     nonzero value the table's bit for bit and every other value zero, as
     the table is there.  Returns (flat, values)."""
-    flat, values = matcore._sparse_minors(A, k, every_entry(A, k))
+    plan, values = matcore._sparse_minors(A, k, every_entry(A, k))
+    flat = plan.flat
     T = matcore._minors(A, k).ravel()
     assert np.all(np.diff(flat) > 0)
     assert np.isin(np.flatnonzero(T), flat).all()
@@ -192,8 +191,58 @@ class TestPlanCache:
     def test_plan_arrays_are_read_only(self, plans):
         A = test_kernel.chain12()
         plan = matcore._pattern_plan(12, 5, np.packbits(A != 0.0).tobytes())
-        arrays = [plan.entries, plan.flat, *(a for _, terms in plan.levels for term in terms for a in term)]
+        arrays = [plan.entries, plan.flat, *(a for _, terms in plan.levels for term in terms for a in term),
+                  plan.csr.cols, plan.csr.counts, plan.csr.rows, plan.csr.starts]
         assert not any(a.flags.writeable for a in arrays)
+        assert sum(a.nbytes for a in arrays) == sum(a.nbytes for a in plan.arrays())
+
+    def test_a_plan_is_kept_by_the_bytes_it_holds(self, plans, monkeypatch):
+        # the 14 x 14 chain at k = 5, two entries a row: its bound of 64064
+        # top entries (40964 structural) once priced the plan at 9.44 MB,
+        # above the 6.25 MB an entry may take, so it was rebuilt on every
+        # call; it holds 1.94 MB, and two calls build it once
+        counts, structural_counts = [], matcore._structural_counts
+        monkeypatch.setattr(matcore, "_structural_counts", lambda *args: counts.append(1) or structural_counts(*args))
+        A = certify_chain(np.random.default_rng([0, 33]), 14)
+        first = matcore._minor_table(A, 5)
+        second = matcore._minor_table(A, 5)
+        assert first.tobytes() == second.tobytes()
+        assert plans.builds() == 1 and len(plans.calls) == 2
+        # the second call, a hit, decides on the bound kept with the plan
+        assert len(counts) == 1
+        (bound, plan), = matcore._PATTERN_PLANS.values()
+        assert bound == 64064 and plan.flat.size == 40964
+        assert matcore._cacheable(sum(a.nbytes for a in plan.arrays()))
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_a_dense_square_a_is_refused_before_any_count(self, k, plans, monkeypatch):
+        # its least row count, 12, bounds every top-level product by
+        # 12^k > C(12,k): the bound is r^2, and no level is counted
+        counts, structural_counts = [], matcore._structural_counts
+        monkeypatch.setattr(matcore, "_structural_counts", lambda *args: counts.append(1) or structural_counts(*args))
+        A = np.random.default_rng(34).standard_normal((12, 12))
+        assert matcore._sparse_table(A, k) is None
+        assert matcore._minor_table(A, k).tobytes() == matcore._minors(A, k).tobytes()
+        assert counts == [] and plans.calls == []
+
+    def test_the_cache_keeps_the_last_64_patterns(self, plans):
+        # chain12 with one more entry a pattern, at k = 3 (r = 220, a table
+        # of more than one level block): 65 patterns keep the last 64, and
+        # the first is built again
+        patterns = []
+        for i, j in zip(*np.nonzero(test_kernel.chain12() == 0.0)):
+            A = test_kernel.chain12()
+            A[i, j] = 0.01
+            patterns.append(A)
+            if len(patterns) == 65:
+                break
+        for A in patterns:
+            matcore._minor_table(A, 3)
+        assert plans.builds() == 65 and len(matcore._PATTERN_PLANS) == 64
+        matcore._minor_table(patterns[-1], 3)
+        assert plans.builds() == 65
+        matcore._minor_table(patterns[0], 3)
+        assert plans.builds() == 66 and len(plans.calls) == 67
 
     def test_a_dense_gaussian_never_reaches_the_plan(self, plans, pattern_reads):
         # 12 nonzeros a row bound the structural entries by r^2, above
@@ -285,14 +334,13 @@ class TestMinorTableRoute:
         assert len(plans.calls) == 16
 
     @pytest.mark.parametrize("case", ["chain12", "chain12 and five entries"])
-    def test_the_traced_peak_is_within_the_price(self, case, plans, budget_prices):
+    def test_the_traced_peak_is_within_the_price(self, case, plans, budget_prices, cold_caches):
         # the pattern route with its plan built afresh, and a chain with
         # five more entries, whose bound the gate refuses, in the dense
         # kernel
         A = test_kernel.chain12()
         if case != "chain12":
             A[[0, 2, 4, 6, 8], [5, 7, 9, 11, 1]] = 0.01
-        matcore._laplace_plan.cache_clear()
         tracemalloc.start()
         try:
             minor_table(A, 5)
@@ -401,5 +449,97 @@ class TestCertifyAgreesWithTheTable:
         A = 0.5 * np.outer(np.ones(12), np.eye(12)[3])
         assert_same_certificate(certify_k_diag_stability(A, 5),
                                 dense_kernel(lambda: certify_k_diag_stability(A, 5)))
-        flat, values = pattern_reads[0]
-        assert flat.size == 0
+        plan, values = pattern_reads[0]
+        assert plan.flat.size == values.size == 0
+
+
+def cancelling_chain(seed):
+    """A 12 x 12 cyclic chain of dyadic entries with one more entry, below
+    the diagonal, that makes rows i-1 and i proportional on columns i-1
+    and i.  Its entries have few bits, so every minor is exact: the
+    5-minors that hold that 2 x 2 block are structural entries that cancel
+    to 0.0, and the compound stays nonnegative."""
+    rng = np.random.default_rng([seed, 34])
+    n = 12
+    A = np.zeros((n, n))
+    A[np.arange(n), np.arange(n)] = rng.integers(2, 6, n) / 8
+    A[np.arange(n - 1), np.arange(1, n)] = rng.integers(1, 4, n - 1) / 8
+    A[n - 1, 0] = rng.integers(1, 4) / 8
+    i = int(rng.integers(1, n))
+    A[i, i - 1] = A[i - 1, i - 1] * A[i, i] / A[i - 1, i]
+    return A
+
+
+@pytest.fixture
+def rows_applied(monkeypatch):
+    """Records the rows (matcore._Csr) certify applies each compound of a
+    pattern the gate admits through (stability._over_rows)."""
+    applied, over_rows = [], stability._over_rows
+    monkeypatch.setattr(stability, "_over_rows", lambda csr, values: applied.append(csr) or over_rows(csr, values))
+    return applied
+
+
+class TestOperatorRows:
+    """Certify applies an admitted compound of order _DAVIDSON_MIN_ORDER or
+    more through the rows its pattern plan holds (plan.csr), built once per
+    pattern, over every structural entry, a cancelled one included."""
+
+    def test_built_once_per_pattern_and_read_only(self, plans, rows_applied, monkeypatch):
+        csrs, csr = [], matcore._csr
+        monkeypatch.setattr(matcore, "_csr", lambda *args: csrs.append(1) or csr(*args))
+        chains = [test_kernel.chain12(), *certify_large_pool(0), *certify_large_pool(1)]
+        for A in chains:
+            assert isinstance(certify_k_diag_stability(A, 5), KDiagCertificate)
+        assert plans.builds() == 1 and len(csrs) == 1
+        assert len(rows_applied) == len(chains) and all(rows is rows_applied[0] for rows in rows_applied)
+        rows = rows_applied[0]
+        assert not any(a.flags.writeable for a in rows[:4])
+        # the chains' rows as the read-back builds them from the flat indices
+        (_, plan), = matcore._PATTERN_PLANS.values()
+        r = 792
+        assert rows.cols.tobytes() == (plan.flat % r).tobytes()
+        assert rows.counts.tobytes() == np.bincount(plan.flat // r, minlength=r).tobytes()
+        assert rows.full and rows.rows.tobytes() == np.arange(r).tobytes()
+        assert (rows.a, rows.b) == (32, int(np.bincount(plan.flat % r, minlength=r).max()))
+
+    @pytest.mark.parametrize("seed", [*range(10), "chain12"])
+    def test_certificates_equal_the_per_call_rows(self, seed, pattern_reads, monkeypatch):
+        # against the rows built on every call from the positive values, as
+        # certify built them before the plan held them: d, xi, z and both
+        # gaps bit for bit, the margin within MARGIN_RTOL of eigvalsh's
+        over_rows = stability._over_rows
+
+        def per_call(csr, values):
+            r = csr.counts.size
+            flat = np.repeat(np.arange(r), csr.counts) * r + csr.cols
+            positive = values > 0.0
+            return over_rows(matcore._csr(flat[positive], r), values[positive])
+
+        pool = [test_kernel.chain12(), -test_kernel.chain12()] if seed == "chain12" else certify_large_pool(seed)
+        for A in pool:
+            got = certify_k_diag_stability(A, 5)
+            with monkeypatch.context() as m:
+                m.setattr(stability, "_over_rows", per_call)
+                expected = certify_k_diag_stability(A, 5)
+            for field in ("d", "xi", "z"):
+                assert getattr(got, field).tobytes() == getattr(expected, field).tobytes()
+            assert (got.xi_gap, got.z_gap) == (expected.xi_gap, expected.z_gap)
+            exact = smallest_eigenvalue(stein_gap(A, 5)[0])
+            assert abs(got.stein_margin - exact) <= MARGIN_RTOL * exact
+        assert len(pattern_reads) == 2 * len(pool) and all(read is not None for read in pattern_reads)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_structural_entry_that_cancels_to_zero(self, seed, dense_kernel, pattern_reads, rows_applied):
+        # the plan's rows hold the cancelled entries, which the dense
+        # table's read-back leaves out: the same verdict, the margin within
+        # MARGIN_RTOL
+        A = cancelling_chain(seed)
+        got = certify_k_diag_stability(A, 5)
+        expected = dense_kernel(lambda: certify_k_diag_stability(A, 5))
+        assert isinstance(got, KDiagCertificate) and isinstance(expected, KDiagCertificate)
+        assert abs(got.stein_margin - expected.stein_margin) <= MARGIN_RTOL * expected.stein_margin
+        (plan, values), = pattern_reads
+        assert 0 < np.count_nonzero(values == 0.0) and values.min() == 0.0
+        rows, read_back = rows_applied
+        assert rows is plan.csr and rows.cols.size == values.size
+        assert read_back.cols.size == np.count_nonzero(values)

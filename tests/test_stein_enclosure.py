@@ -141,12 +141,12 @@ def proof_calls(monkeypatch):
     calls = []
     bound, davidson = stability._Applied.stein_bound, stability._davidson_smallest
 
-    def recorded_bound(applied, d, v):
-        calls.append(ProofCall(d, v, bound(applied, d, v)))
+    def recorded_bound(applied, d, v, product):
+        calls.append(ProofCall(d, v, bound(applied, d, v, product)))
         return calls[-1].bound
 
-    def recorded_davidson(matvec, d):
-        calls[-1].ritz.append(davidson(matvec, d))
+    def recorded_davidson(matvec, d, start, product):
+        calls[-1].ritz.append(davidson(matvec, d, start, product))
         return calls[-1].ritz[-1]
 
     monkeypatch.setattr(stability._Applied, "stein_bound", recorded_bound)
@@ -200,7 +200,7 @@ class TestXiProof:
         vectors = [np.ones(r), rng.uniform(0.1, 1.0, r), rng.uniform(0.0, 1.0, r) ** 8 + 1e-300,
                    perron_vector]
         for v in vectors:
-            assert v.min() > 0.0 and applied.stein_bound(d, v) <= exact
+            assert v.min() > 0.0 and applied.stein_bound(d, v, applied.stein_gap(d)(v)) <= exact
         theta = applied.proven_margin(d, perron_vector, matcore.pd_tol())
         assert theta is not None and abs(theta - exact) <= MARGIN_RTOL * exact
 

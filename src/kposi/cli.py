@@ -286,8 +286,9 @@ def _encode(obj, names=None):
 # subcommands
 
 
-# a zero minor's sign bit depends on how the kernel's row blocks took its
-# terms (matcore._minors), so the minor reports write every zero as 0.0
+# a zero minor's sign bit depends on the table's route, the pattern plan
+# (matcore._sparse_table) or the kernel (matcore._minors), so the minor
+# reports write every zero as 0.0
 
 
 def _cmd_compound(args) -> int:

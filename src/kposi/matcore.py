@@ -41,9 +41,9 @@ _LAPLACE_MAX_ORDER = 8
 # one preallocated table, so its temporaries stay a fraction of the table.
 _LEVEL_BLOCK = 1 << 15
 
-# A square table of more than _LEVEL_BLOCK entries whose structural
-# nonzeros are bounded by R^2 / _NONZERO_BREAK_EVEN is built from its
-# pattern plan (_sparse_table), and certify applies a nonnegative compound
+# A square table of more than _LEVEL_BLOCK entries with at most
+# R^2 / _NONZERO_BREAK_EVEN structural nonzeros is built from its pattern
+# plan (_sparse_table), and certify applies a nonnegative compound
 # of order _DAVIDSON_MIN_ORDER or more with at most that many nonzeros
 # over them.  A sweep at r = 792 on one OpenBLAS thread put the break-even
 # of that application with the dense one near r^2 / 6 (128 nonzeros a
@@ -314,15 +314,12 @@ def _lex_rank(sets: np.ndarray, n: int) -> np.ndarray:
 
 
 class _Level(NamedTuple):
-    """One level p of _laplace_plan(n, m, q): its row sets, its column
-    sets, and the column sets grouped by the columns they hold."""
+    """One level p of _laplace_plan(n, m, q): its row sets and its column sets."""
 
     first: np.ndarray
     tail: np.ndarray
     cols: np.ndarray
     drop: np.ndarray
-    pairs: np.ndarray
-    starts: np.ndarray
 
 
 @lru_cache(maxsize=64)
@@ -334,10 +331,7 @@ def _laplace_plan(n: int, m: int, q: int) -> tuple[_Level, ...]:
     lexicographic order.  first is each row set's first row and tail the
     rank of the rest at level p-1, as _lex_levels(q, n) lists them;
     cols[j] holds each column set's j-th column and drop[j] the rank of
-    the set without it at level p-1.  The same (j, set) pairs, grouped by
-    the column x = cols[j, set]: group x is pairs[starts[x]:starts[x+1]],
-    the flat indices j * C(m,p) + set into cols and drop of the sets that
-    hold x, in increasing set order.  The arrays, _plan_bytes(n, m, q) in
+    the set without it at level p-1.  The arrays, _plan_bytes(n, m, q) in
     all, are read-only, since every caller shares them; _minors keeps a
     plan cached under _cache_rule.
     """
@@ -346,12 +340,7 @@ def _laplace_plan(n: int, m: int, q: int) -> tuple[_Level, ...]:
         sets = _lex_subsets(p, m)
         cols = np.ascontiguousarray(sets.T)
         drop = np.stack([_lex_rank(np.delete(sets, j, axis=1), m) for j in range(p)])
-        # sets.ravel() lists x = cols[j, set] at set * p + j; a stable sort
-        # by x keeps each group in set order
-        holders, j = np.divmod(np.argsort(sets.ravel(), kind="stable"), p)
-        starts = np.zeros(m + 1, dtype=np.intp)
-        np.cumsum(np.bincount(sets.ravel(), minlength=m), out=starts[1:])
-        level = _Level(first, tail, cols, drop, j * sets.shape[0] + holders, starts)
+        level = _Level(first, tail, cols, drop)
         for arr in level:
             arr.setflags(write=False)
         levels.append(level)
@@ -362,7 +351,7 @@ def _laplace_plan(n: int, m: int, q: int) -> tuple[_Level, ...]:
 def _plan_bytes(n: int, m: int, q: int) -> int:
     """Bytes of the arrays of _laplace_plan(n, m, q); kept, as _minors
     looks it up for _cache_rule on every call."""
-    return 8 * sum(2 * math.comb(n - q + p, p) + 3 * p * math.comb(m, p) + m + 1 for p in range(2, q + 1))
+    return 8 * sum(2 * math.comb(n - q + p, p) + 2 * p * math.comb(m, p) for p in range(2, q + 1))
 
 
 def _minors(A: np.ndarray, q: int) -> np.ndarray:
@@ -371,17 +360,16 @@ def _minors(A: np.ndarray, q: int) -> np.ndarray:
     Up to _LAPLACE_MAX_ORDER each q-minor is expanded along the first row
     of its row set over (q-1)-minors of the remaining rows, level by level
     from the entries up: O(C(n,q) C(m,q) q) products, with no k x k
-    blocks gathered.  Every entry is summed term by term in column order.
-    A level of more than _LEVEL_BLOCK entries is built head row by head
-    row in row blocks (_expand_by_heads), so the kernel holds the table,
-    the level below it and small temporaries; there a head row with at
-    most p nonzero entries skips its zero terms.  So an entry rounds to
-    the same value whichever table, batch or row block it sits in, though
-    a zero may change its sign, and orders 1 and 2 equal the closed forms
-    bit for bit.  The method depends on q alone, so a single minor always
-    matches its table entry in value.  _minor_table builds a sparse square
-    table from its pattern plan instead (_sparse_table), which skips its
-    zero minors as well.
+    blocks gathered.  Every entry is summed term by term in column order
+    (_expand).  A level of more than _LEVEL_BLOCK entries is built in
+    blocks of row sets written into one preallocated table, so the kernel
+    holds the table, the level below it and small temporaries.  An entry
+    takes the same terms in the same order whichever table, batch or row
+    block it sits in, so it rounds to the same bits there, a zero's sign
+    included, and orders 1 and 2 equal the closed forms bit for bit.  The
+    method depends on q alone, so a single minor always matches its table
+    entry in value.  _minor_table builds a sparse square table from its
+    pattern plan instead (_sparse_table), which skips its zero minors.
     """
     n, m = A.shape[-2:]
     if q > _LAPLACE_MAX_ORDER:
@@ -389,30 +377,28 @@ def _minors(A: np.ndarray, q: int) -> np.ndarray:
         return np.linalg.det(A[..., R[:, None, :, None], C[None, :, None, :]])
     table = A[..., q - 1 :, :].copy()
     batch = math.prod(A.shape[:-2])
-    plan = _cache_rule(_laplace_plan, _plan_bytes(n, m, q))(n, m, q)
-    for level in plan:
-        if level.first.size * batch * level.cols.shape[1] <= _LEVEL_BLOCK:
-            table = _expand(A, table, *level[:4])
-        else:
-            table = _expand_by_heads(A, table, level, batch)
+    for first, tail, cols, drop in _cache_rule(_laplace_plan, _plan_bytes(n, m, q))(n, m, q):
+        step = max(1, _LEVEL_BLOCK // (batch * cols.shape[1]))
+        if first.size <= step:
+            table = _expand(A, table, first, tail, cols, drop)
+            continue
+        out = np.empty(A.shape[:-2] + (first.size, cols.shape[1]))
+        for s in range(0, first.size, step):
+            r = slice(s, s + step)
+            out[..., r, :] = _expand(A, table, first[r], tail[r], cols, drop)
+        table = out
     # fancy indexing can leave a batch axis innermost; BLAS callers such
     # as np.dot round by layout, so hand out the C order a copy would have
     return np.ascontiguousarray(table)
 
 
-def _expand(A, table, first, tail, cols, drop, out=None) -> np.ndarray:
-    """One Laplace level over the row sets (first, tail) of its plan.
-
-    `table` is the level below.  Writes into `out` when given, else
-    returns a new array; the products and sums are the same either way.
-    """
+def _expand(A, table, first, tail, cols, drop) -> np.ndarray:
+    """One Laplace level over the row sets (first, tail) of its plan, as a
+    new array; `table` is the level below."""
     head = A[..., first, :]
     below = table[..., tail, :]
-    if out is None:
-        out = head[..., cols[0]]
-        out *= below[..., drop[0]]
-    else:
-        np.multiply(head[..., cols[0]], below[..., drop[0]], out=out)
+    out = head[..., cols[0]]
+    out *= below[..., drop[0]]
     for j in range(1, len(cols)):
         term = head[..., cols[j]]
         term *= below[..., drop[j]]
@@ -420,64 +406,6 @@ def _expand(A, table, first, tail, cols, drop, out=None) -> np.ndarray:
             out -= term
         else:
             out += term
-    return out
-
-
-def _expand_by_heads(A, below, level: _Level, batch: int) -> np.ndarray:
-    """One Laplace level of more than _LEVEL_BLOCK entries, built in row
-    blocks of at most _LEVEL_BLOCK // (batch C(m,p)) row sets.
-
-    A head row a with at most p nonzero entries in the stack adds, for
-    each nonzero column x in increasing order, sign * A[a, x] times the
-    matching minors of `below` into the column sets that hold x.  The row
-    sets led by a take as tails the last rows of `below` (see
-    _lex_levels), so a block of them reads a slice of it, with no gather.
-    Each entry's terms come in _expand's order, less those with a zero
-    entry, which would add an exact zero: the sums are equal in value,
-    though a zero may end with the other sign.  When `below` holds a NaN
-    or an infinity no term is skipped, so that 0 * inf spoils the level
-    as it does in _expand.  The row sets of the other head rows go to
-    _expand, a row block at a time.
-    """
-    first, tail, cols, drop, pairs, starts = level
-    p, width = cols.shape
-    out = np.empty(A.shape[:-2] + (first.size, width))
-    step = max(1, _LEVEL_BLOCK // (batch * width))
-    # the nonzero columns of each head row (top..end-1) over the stack
-    top, end = int(first[0]), int(first[-1]) + 1
-    heads = A[..., top:end, :]
-    nonzero = heads.reshape(-1, end - top, A.shape[-1]).any(axis=0)
-    sparse = nonzero.sum(axis=1) <= p
-    if sparse.any() and not (math.isfinite(below.max()) and math.isfinite(below.min())):
-        sparse[:] = False
-    # each head row's range of row sets; a level of dense head rows is one
-    edges = np.searchsorted(first, np.arange(top, end + 1)).tolist() if sparse.any() else [0, first.size]
-    runs = []  # row ranges of dense head rows, for _expand
-    for lo, hi, columns, skip in zip(edges, edges[1:], nonzero, sparse.tolist()):
-        if not skip:
-            if runs and runs[-1][1] == lo:
-                runs[-1][1] = hi
-            else:
-                runs.append([lo, hi])
-            continue
-        head = A[..., first[lo], :]
-        terms = []
-        for x in np.flatnonzero(columns).tolist():
-            j, sets = np.divmod(pairs[starts[x] : starts[x + 1]], width)
-            coef = (1.0 - 2.0 * (j % 2)) * head[..., x, None]
-            terms.append((sets, drop[j, sets], coef[..., None, :]))
-        for s in range(lo, hi, step):
-            block = out[..., s : min(s + step, hi), :]
-            rows = below[..., tail[s] : tail[s] + block.shape[-2], :]
-            block.fill(0.0)
-            for sets, rank, coef in terms:
-                term = rows[..., rank]
-                term *= coef
-                block[..., sets] += term
-    for lo, hi in runs:
-        for s in range(lo, hi, step):
-            r = slice(s, min(s + step, hi))
-            _expand(A, below, first[r], tail[r], cols, drop, out[..., r, :])
     return out
 
 
@@ -546,16 +474,13 @@ def _table_bytes(n: int, m: int, k: int, batch: int = 1) -> int:
     level, which bound the level and the one below it; the temporaries of
     the widest row block, whose max(1, _LEVEL_BLOCK // (batch C(m,p))) row
     sets each make, per matrix, a head row, a row of level p-1 and three
-    rows of level p (the result, a term and its gathered factor), and,
-    when the level is built head row by head row, the head rows read for
-    their nonzeros and one sparse head row's terms, p C(m,p) coefficients
-    per matrix and two index arrays, with three arrays of one group while
-    they are made; the build of the plan, four times its arrays; and 64
-    KiB of small arrays.  Above: the gathered k x k blocks and their
-    minors, batch R C (k^2 + 1) entries, and the two index arrays.  A
-    table built from its pattern plan (_sparse_table) holds the table, at
-    most 2 R^2 / _NONZERO_BREAK_EVEN entries of its structural nonzeros,
-    and its plan with their rows (_csr), at the table's price.
+    rows of level p (the result, a term and its gathered factor); the
+    build of the plan, four times its arrays; and 64 KiB of small arrays.
+    Above: the gathered k x k blocks and their minors, batch R C (k^2 + 1)
+    entries, and the two index arrays.  A table built from its pattern
+    plan (_sparse_table) holds the same at most: the plan's build is
+    refused beyond this price less the table's own R C entries, which are
+    written once it is built (_pattern_plan).
     """
     R, C = math.comb(n, k), math.comb(m, k)
     if k > _LAPLACE_MAX_ORDER:
@@ -563,10 +488,7 @@ def _table_bytes(n: int, m: int, k: int, batch: int = 1) -> int:
     block = 0
     for p in range(2, k + 1):
         width = math.comb(m, p)
-        size = max(1, _LEVEL_BLOCK // (batch * width)) * batch * (m + math.comb(m, p - 1) + 3 * width)
-        if batch * math.comb(n - k + p, p) * width > _LEVEL_BLOCK:
-            size += batch * n * m + (batch + 2) * p * width + 3 * width
-        block = max(block, size)
+        block = max(block, max(1, _LEVEL_BLOCK // (batch * width)) * batch * (m + math.comb(m, p - 1) + 3 * width))
     return 8 * (batch * R * C * k + block) + 4 * _plan_bytes(n, m, k) + (1 << 16)
 
 
@@ -597,20 +519,19 @@ def _sparse_table(A: np.ndarray, k: int):
     """(plan, values) of _sparse_minors for the k-minor table of a checked
     A, 1 <= k <= min(A.shape), or None where the table comes from _minors.
 
-    The one gate of the pattern plan, read from A's shape and its zero
-    pattern before anything is built: a square A, 2 <= k <=
+    The one gate of the pattern plan: a square A, 2 <= k <=
     _LAPLACE_MAX_ORDER, a table of R^2 > _LEVEL_BLOCK entries, which
     _minors would build in row blocks, and at most R^2 /
-    _NONZERO_BREAK_EVEN structural nonzeros by _structural_counts' bound,
-    which _admitted_plan keeps with the plan.  A level beyond the float
-    range also gives None: the table then refuses it.  The caller prices
-    the table first.
+    _NONZERO_BREAK_EVEN structurally nonzero k-minors, counted exactly by
+    the plan of A's zero pattern, which a fully nonzero A and a build
+    beyond the table's price never reach (_admitted_plan).  A level beyond
+    the float range also gives None: the table then refuses it.  The
+    caller prices the table first.
     """
     n, m = A.shape
-    R = math.comb(n, k)
-    if not (n == m and 2 <= k <= _LAPLACE_MAX_ORDER and R * R > _LEVEL_BLOCK):
+    if not (n == m and 2 <= k <= _LAPLACE_MAX_ORDER and math.comb(n, k) ** 2 > _LEVEL_BLOCK):
         return None
-    return _sparse_minors(A, k, R * R // _NONZERO_BREAK_EVEN)
+    return _sparse_minors(A, k)
 
 
 def _price_table(n: int, m: int, k: int) -> None:
@@ -675,68 +596,45 @@ class _PatternPlan(NamedTuple):
         yield from self.csr[:4]
 
 
-def _structural_counts(count: np.ndarray, k: int) -> list[int]:
-    """For the levels p = 1..k of the Laplace expansion of the k-minors of an
-    n x n A whose rows hold `count` nonzeros: the sum, over the row sets I
-    of the level, of min(C(n,p), the product of the nonzero counts of the
-    rows of I), a bound on the level's structurally nonzero entries, as an
-    entry of row set I takes at most one nonzero of each of its rows.  Read
-    from the row counts and the row sets of _laplace_plan, with the
-    products held at most the widest level, which leaves every min
-    unchanged.
+# What _admitted_plan decided for each pattern, by (n, k, key), least
+# recently used first: its plan, or None where it was refused.  At most 64
+# entries, each plan _cacheable by the bytes of its arrays.
+_PATTERN_PLANS: OrderedDict[tuple[int, int, bytes], _PatternPlan | None] = OrderedDict()
+
+
+def _admitted_plan(nonzero: np.ndarray, k: int) -> _PatternPlan | None:
+    """The _PatternPlan of the n x n zero pattern `nonzero` at order k where
+    its top level holds at most R^2 / _NONZERO_BREAK_EVEN entries, R =
+    C(n,k), else None.
+
+    A fully nonzero pattern, whose table has no zero to skip, is refused
+    with no build.  A pattern found in _PATTERN_PLANS is decided there,
+    with no build.  Any other is built (_pattern_plan), which refuses a
+    build beyond the table's price, and admitted on its plan's exact
+    count.  The decision is kept, a plan only when its arrays are
+    _cacheable, the least recently used of 65 dropped: the plan's size is
+    known once it is built.
     """
-    n = count.size
-    cap = math.comb(n, min(k, n // 2))
-    product = count[k - 1 :]
-    bounds = [int(product.sum())]
-    for p, level in enumerate(_cache_rule(_laplace_plan, _plan_bytes(n, n, k))(n, n, k), 2):
-        product = count[level.first] * np.minimum(product, cap)[level.tail]
-        bounds.append(int(np.minimum(product, math.comb(n, p)).sum()))
-    return bounds
-
-
-# The pattern plans kept, by (n, k, key), least recently used first, each
-# with the bound of _structural_counts it was admitted on: at most 64, each
-# _cacheable by the bytes of its arrays (_admitted_plan).
-_PATTERN_PLANS: OrderedDict[tuple[int, int, bytes], tuple[int, _PatternPlan]] = OrderedDict()
-
-
-def _admitted_plan(nonzero: np.ndarray, k: int, most: int) -> _PatternPlan | None:
-    """The _PatternPlan of the n x n zero pattern `nonzero` at order k, or
-    None where _structural_counts bounds its top level above `most`.
-
-    A pattern kept in _PATTERN_PLANS is looked up first and decided on the
-    bound it was kept with, with no count.  Otherwise the least row count
-    c decides first: every top-level product is then at least c^k, so the
-    bound is at least R min(R, c^k), R = C(n,k), and a dense A is refused
-    with no level counted.  A pattern that passes both is counted, and its
-    plan built and kept when its arrays are _cacheable, the least recently
-    used of 65 dropped: the plan's size is known once it is built.
-    """
+    if nonzero.all():
+        return None
     n = nonzero.shape[0]
     key = (n, k, np.packbits(nonzero).tobytes())
-    kept = _PATTERN_PLANS.get(key)
-    if kept is None:
-        count = np.count_nonzero(nonzero, axis=1)
-        R = math.comb(n, k)
-        if R * min(R, int(count.min()) ** k) > most:
-            return None
-        bound = _structural_counts(count, k)[-1]
-        if bound > most:
-            return None
-        kept = bound, _pattern_plan(n, k, key[2])
-        if _cacheable(sum(arr.nbytes for arr in kept[1].arrays())):
-            _PATTERN_PLANS[key] = kept
-            if len(_PATTERN_PLANS) > 64:
-                _PATTERN_PLANS.popitem(last=False)
-    else:
+    if key in _PATTERN_PLANS:
         _PATTERN_PLANS.move_to_end(key)
-    bound, plan = kept
-    return plan if bound <= most else None
+        return _PATTERN_PLANS[key]
+    plan = _pattern_plan(n, k, key[2])
+    if plan is not None and plan.flat.size * _NONZERO_BREAK_EVEN > math.comb(n, k) ** 2:
+        plan = None
+    if plan is None or _cacheable(sum(arr.nbytes for arr in plan.arrays())):
+        _PATTERN_PLANS[key] = plan
+        if len(_PATTERN_PLANS) > 64:
+            _PATTERN_PLANS.popitem(last=False)
+    return plan
 
 
-def _pattern_plan(n: int, k: int, key: bytes) -> _PatternPlan:
-    """The _PatternPlan of the n x n zero pattern np.packbits(A != 0).tobytes() == key.
+def _pattern_plan(n: int, k: int, key: bytes) -> _PatternPlan | None:
+    """The _PatternPlan of the n x n zero pattern np.packbits(A != 0).tobytes()
+    == key, or None where its build would pass the table's price.
 
     Derived level by level from _laplace_plan(n, n, k), with work in
     proportion to the structural terms and no array of a level's size.  A
@@ -745,8 +643,11 @@ def _pattern_plan(n: int, k: int, key: bytes) -> _PatternPlan:
     order; where x is not in c, the pair is the term at column position j
     of the entry (i, c with x), found through lift, the plan's drop
     inverted for each x.  A stable sort of the terms by their entries
-    lists the structural entries in row-major order.  The arrays are
-    read-only, since every caller of the pattern shares them;
+    lists the structural entries in row-major order.  A level's pairs are
+    counted before any of them is made: at eight words a pair beside the
+    levels already built, they may hold what _table_bytes(n, n, k) prices
+    beyond the table itself, and the build is refused past that.  The
+    arrays are read-only, since every caller of the pattern shares them;
     _admitted_plan keeps the plans it builds.
     """
     nonzero = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=n * n).view(bool)
@@ -756,9 +657,10 @@ def _pattern_plan(n: int, k: int, key: bytes) -> _PatternPlan:
     count = np.diff(ptr)
     entries = at[ptr[k - 1] :]
     keys, width, below_rows = entries - (k - 1) * n, n, n - k + 1
+    room = _table_bytes(n, n, k) - 8 * math.comb(n, k) ** 2
+    spent = 16 * entries.size
     levels = []
-    for p, level in enumerate(_cache_rule(_laplace_plan, _plan_bytes(n, n, k))(n, n, k), 2):
-        first, tail, cols, drop = level[:4]
+    for p, (first, tail, cols, drop) in enumerate(_cache_rule(_laplace_plan, _plan_bytes(n, n, k))(n, n, k), 2):
         lower, width = width, cols.shape[1]
         # each row of the level below: where its entries start, and how
         # many; each row set: its pairs (x, c), x-major
@@ -766,51 +668,59 @@ def _pattern_plan(n: int, k: int, key: bytes) -> _PatternPlan:
         below_rows = first.size
         held = np.diff(rows)[tail]
         pairs = held * count[first]
+        total = int(pairs.sum())
+        if spent + 64 * total > room:
+            return None
         i = np.repeat(np.arange(first.size), pairs)
-        q = np.arange(i.size)
-        q -= np.repeat(np.cumsum(pairs) - pairs, pairs)
-        head, b = np.divmod(q, held[i])
+        head, b = np.divmod(np.arange(total) - np.repeat(np.cumsum(pairs) - pairs, pairs), held[i])
         head += ptr[first[i]]
-        a = at[head]
         b += rows[tail[i]]
         # lift[x * C(n,p-1) + c] is j + p * (the set c with x), -1 where c holds x
         lift = np.full(n * lower, -1, dtype=np.intp)
         lift[cols * lower + drop] = np.arange(width) * p + np.arange(p)[:, None]
-        pair = column[head]
-        pair *= lower
-        pair += (keys % lower)[b]
-        placed = lift[pair]
-        kept = placed >= 0
+        placed = column[head]
+        placed *= lower
+        placed += (keys % lower)[b]
+        placed = lift[placed]
+        kept = np.flatnonzero(placed >= 0)
         sets, j = np.divmod(placed[kept], p)
+        del placed
         sets += i[kept] * width
+        del i
+        # the terms in their entries' order, a stable sort, then grouped by
+        # column position j, a stable radix sort of the small j
         order = np.argsort(sets, kind="stable")
-        sets, j, a, b = sets[order], j[order], a[kept][order], b[kept][order]
+        sets = sets[order]
         new = np.empty(sets.size, dtype=bool)
         new[:1] = True
         np.not_equal(sets[1:], sets[:-1], out=new[1:])
-        entry = np.cumsum(new) - 1
         keys = sets[new]
-        terms = []
-        for c in range(p):
-            at_c = j == c
-            terms.append((entry[at_c], a[at_c], b[at_c]))
+        del sets
+        by_j = np.argsort(j.astype(np.int8)[order], kind="stable")
+        entry = (np.cumsum(new) - 1)[by_j]
+        order = kept[order[by_j]]
+        del kept, by_j
+        a, b = at[head[order]], b[order]
+        ends = np.cumsum(np.bincount(j, minlength=p))
+        terms = [(entry[s:e], a[s:e], b[s:e]) for s, e in zip([0, *ends], ends)]
         levels.append((keys.size, tuple(terms)))
+        spent += 32 * entry.size
     plan = _PatternPlan(entries, tuple(levels), keys, _csr(keys, math.comb(n, k)))
     for arr in plan.arrays():
         arr.setflags(write=False)
     return plan
 
 
-def _sparse_minors(A: np.ndarray, k: int, most: int):
+def _sparse_minors(A: np.ndarray, k: int):
     """(plan, values): the structurally nonzero k-minors of a checked square
     A, 2 <= k <= _LAPLACE_MAX_ORDER, as the plan of A's zero pattern, whose
     flat lists their flat indices into the C(n,k) x C(n,k) table in
     row-major order, and their values, with no array of the table's size.
-    None where _structural_counts bounds them above `most`, before anything
-    is built, or where a level comes out NaN or infinite.
+    None where _admitted_plan refuses A's zero pattern, or where a level
+    comes out NaN or infinite.
 
-    The plan comes from _admitted_plan, which keeps it, so a pattern seen
-    before costs only the numeric pass.
+    _admitted_plan keeps the plan, so a pattern seen before costs only
+    the numeric pass.
     Each entry is 0.0 plus its terms, in increasing column position j,
     with sign (-1)^j: _expand's order less the structurally zero terms.
     So every nonzero value equals its entry of _minors(A, k) bit for bit,
@@ -819,7 +729,7 @@ def _sparse_minors(A: np.ndarray, k: int, most: int):
     in sign, and none here is -0.0, as a sum that starts at 0.0 never is.
     The caller prices the table.
     """
-    plan = _admitted_plan(A != 0.0, k, most)
+    plan = _admitted_plan(A != 0.0, k)
     if plan is None:
         return None
     a = A.ravel()

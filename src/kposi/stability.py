@@ -31,7 +31,7 @@ from .matcore import (
     _cacheable,
     _check_order,
     _count_text,
-    _minor_table,
+    _minors,
     _NONZERO_BREAK_EVEN,
     _pd_check,
     _price_table,
@@ -328,22 +328,22 @@ class _Applied(NamedTuple):
             f = product - ((self.a + self.b + 12) * _EPS * (2.0 * d * v - product) + floor)
             return float(np.min(f / v))
 
-    def proven_margin(self, d: np.ndarray, xi: np.ndarray, t: float) -> float | None:
+    def proven_margin(self, d: np.ndarray, xi: np.ndarray, m_xi: np.ndarray, t: float) -> float | None:
         """θ of _davidson_smallest on the gap S of an M >= 0, once
         stein_bound proves S > t from xi; None, and the eigen-solve decides,
-        in every other case.
+        in every other case.  m_xi is matvec(xi), as the caller formed it.
 
-        S ξ is formed once: the bound reads it, and the Davidson run starts
-        from ξ with it, so its first step applies no S.  The bound proves
-        the pass when it is finite and above t, and θ is returned when
-        Davidson converges and θ is not below the bound.
+        S ξ = d∘ξ - M^T (d∘(M ξ)) is formed once, from m_xi, with the bits
+        stein_gap(d)(xi) would give: the bound reads it, and the Davidson
+        run starts from ξ with it, so its first step applies no S.  The
+        bound proves the pass when it is finite and above t, and θ is
+        returned when Davidson converges and θ is not below the bound.
         """
-        gap = self.stein_gap(d)
         with np.errstate(over="ignore", invalid="ignore"):
-            product = gap(xi)
+            product = d * xi - self.rmatvec(d * m_xi)
         bound = self.stein_bound(d, xi, product)
         if math.isfinite(bound) and bound > t:
-            theta = _davidson_smallest(gap, d, xi, product)
+            theta = _davidson_smallest(self.stein_gap(d), d, xi, product)
             if theta is not None and bound <= theta:
                 return theta
         return None
@@ -585,8 +585,9 @@ def _certify(
         x, y = _right_hand_sides(x, y, r)
     _price_table(*A.shape, k)  # the table's price, whether or not it is built
     sparse = _sparse_table(A, k)
-    if sparse is None:
-        M = _minor_table(A, k)
+    if sparse is None:  # the gate has refused A: the dense kernel, as _minor_table would call it
+        with np.errstate(over="ignore", invalid="ignore"):
+            M = _minors(A, k)
         hi, lo = _finite_extremes(M)
     else:
         # at most r^2 / _NONZERO_BREAK_EVEN entries: the table's zeros join them
@@ -640,11 +641,12 @@ def _certify(
     if x is None:  # neither given: all ones, as _right_hand_sides completes them
         x = y = np.ones(r)
     xi, z, d = _dlf_solve(formed, x, y, rho if nonneg else 0.0, applied)
-    xi_gap = float(np.min((xi - applied.matvec(xi)) / (1.0 + np.abs(xi))))
+    m_xi = applied.matvec(xi)  # read by xi_gap and by the proof's S xi
+    xi_gap = float(np.min((xi - m_xi) / (1.0 + np.abs(xi))))
     z_gap = float(np.min((z - applied.rmatvec(z)) / (1.0 + np.abs(z))))
     pd = pd_tol(tol)
     provable = nonneg and r >= _DAVIDSON_MIN_ORDER
-    margin = applied.proven_margin(d, xi, pd) if provable else None
+    margin = applied.proven_margin(d, xi, m_xi, pd) if provable else None
     if margin is None:
         # M is this call's own compound, still intact: scale it into
         # X = D^{1/2} M in place and drop it, and the mat-vecs that hold

@@ -105,17 +105,16 @@ class TestTransformCommands:
 
     @pytest.mark.parametrize("command, shape, k", [("compound", (12, 12), 5), ("wedge", (20, 6), 6)])
     def test_minor_reports_write_every_zero_as_plus_zero(self, monkeypatch, tmp_path, capsys, command, shape, k):
-        # sparse mixed-sign input: its blocked levels skip zero terms, so
-        # zero minors differ from the one-block table's in their sign bit;
-        # the report is the one-block table's, every zero written as 0.0
+        # sparse mixed-sign input: its blocked table equals the one-block
+        # table bit for bit, and holds zero minors of sign -0.0; the report
+        # is that table, every zero written as 0.0
         rng = np.random.default_rng(79)
         A = rng.standard_normal(shape) * (rng.random(shape) < 0.25)
         blocked = matcore._minors(A, k)
         with monkeypatch.context() as m:
             m.setattr(matcore, "_LEVEL_BLOCK", 1 << 62)
             whole = matcore._minors(A, k)
-        zero = whole == 0.0
-        assert np.array_equal(blocked, whole) and (np.signbit(blocked[zero]) != np.signbit(whole[zero])).any()
+        assert blocked.tobytes() == whole.tobytes() and np.signbit(whole[whole == 0.0]).any()
         path = write_json(tmp_path / "a.json", matrix_document(A))
         if command == "compound":
             assert run_cli(["compound", "--in", path, "-k", str(k)]) == 0

@@ -144,7 +144,8 @@ class TestLaplaceKernel:
             cold_caches()
         assert 0 < kept < 64 and held <= matcore._BYTE_BUDGET
 
-    @pytest.mark.parametrize("n, m, k", [(16, 16, 2), (15, 8, 8), (30, 5, 5), (12, 12, 5), (9, 9, 9), (12, 10, 9), (14, 9, 9)])
+    @pytest.mark.parametrize("n, m, k", [(16, 16, 2), (15, 8, 8), (30, 5, 5), (12, 12, 4), (12, 12, 5), (12, 12, 6),
+                                         (13, 13, 5), (9, 9, 9), (12, 10, 9), (14, 9, 9)])
     def test_table_price_bounds_the_traced_peak(self, budget_prices, cold_caches, n, m, k):
         # the products of the top level, the widest row block and the plan's
         # build; above order 8 the gathered blocks and the two index arrays
@@ -157,11 +158,25 @@ class TestLaplaceKernel:
             tracemalloc.stop()
         assert peak <= budget_prices[0][0]
 
+    @pytest.mark.parametrize("shape", [(256, 10, 4), (256, 12, 5)])
+    def test_stack_price_bounds_the_traced_peak(self, cold_caches, shape):
+        # a chunk of wedges, n x k each, priced as a trajectory prices it:
+        # its top level is one column set wide, built in row blocks
+        batch, n, k = shape
+        A = np.random.default_rng(83).standard_normal(shape)
+        tracemalloc.start()
+        try:
+            matcore._minors(A, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= matcore._table_bytes(n, k, k, batch)
+
     @pytest.mark.parametrize("case", ["chain12-5", "gauss12-6", "sparse15-5"])
     def test_head_row_blocks_stay_within_the_budget_price(self, budget_prices, dense_kernel, cold_caches, case):
-        # the dense kernel alone: the chain's blocked levels are built from
-        # its sparse head rows, the Gaussian's go through _expand in row
-        # blocks, and the sparse 15 x 15 matrix mixes the two
+        # the dense kernel alone, its blocked levels built by _expand in
+        # row blocks: a chain, a Gaussian, and a 15 x 15 matrix of
+        # two-entry and dense rows
         if case == "chain12-5":
             A, k = chain12(), 5
         elif case == "gauss12-6":
@@ -327,81 +342,69 @@ class TestRowBlocks:
         """The 40 certify-large chains of seeds 0-9."""
         return [A for seed in range(10) for A in certify_large_pool(seed)]
 
-    @staticmethod
-    def head_forms(A, q):
-        """(sparse, dense) head rows of the top level: those with at most q
-        nonzero entries over the stack, which skip their zero terms."""
-        heads = A[..., : A.shape[-2] - q + 1, :].reshape(-1, A.shape[-2] - q + 1, A.shape[-1])
-        counts = np.count_nonzero(heads.any(axis=0), axis=1)
-        return int((counts <= q).sum()), int((counts > q).sum())
-
     def test_certify_large_chains_equal_the_one_block_tables(self, monkeypatch):
-        # bidiagonal plus a corner, as chain12 is: every head row takes
-        # the sparse form
+        # bidiagonal plus a corner, as chain12 is
         for A in [chain12(), *self.chains()]:
-            assert self.head_forms(A, 5) == (8, 0)
             whole, blocked = self.whole_and_blocked(monkeypatch, A, 5, matcore._LEVEL_BLOCK)
             assert blocked.tobytes() == whole.tobytes()
 
     def test_sparse_mixed_sign_tables_equal_the_one_block_tables(self, monkeypatch):
-        # equal in value; a zero minor may differ in its sign bit, which no
-        # verdict, signature or witness reads
+        # bit for bit, the sign of every zero minor included, and so the
+        # same verdict, signature and witnesses
         rng = np.random.default_rng(76)
+        signed_zeros = 0
         for _ in range(12):
             n, q = int(rng.integers(10, 14)), int(rng.integers(4, 7))
             A = rng.standard_normal((n, n)) * (rng.random((n, n)) < rng.uniform(0.15, 0.4))
             whole, blocked = self.whole_and_blocked(monkeypatch, A, q, 1 << 15)
-            assert np.array_equal(blocked, whole)
+            assert blocked.tobytes() == whole.tobytes()
+            signed_zeros += int(np.signbit(whole[whole == 0.0]).any())
             got, want = (_classify_minors(T, q, A.shape, matcore.TAU_ZERO) for T in (blocked, whole))
             assert (got.verdict, got.signature) == (want.verdict, want.signature)
             assert (got.witness_min.rows, got.witness_min.cols) == (want.witness_min.rows, want.witness_min.cols)
             assert [(w.rows, w.cols) for w in got.witness_conflict or ()] == [(w.rows, w.cols) for w in want.witness_conflict or ()]
+        assert signed_zeros >= 6
 
     def test_a_level_whose_heads_take_both_forms(self, monkeypatch):
-        # rows 0, 2 and 4 keep two entries: their head rows skip the zero
-        # terms, while _expand takes every term of the full rows' row sets
+        # rows 0, 2 and 4 keep two entries, the others every entry
         rng = np.random.default_rng(77)
         A = rng.standard_normal((12, 12))
         for i in (0, 2, 4):
             A[i, rng.permutation(12)[2:]] = 0.0
-        assert self.head_forms(A, 5) == (3, 5)
         whole, blocked = self.whole_and_blocked(monkeypatch, A, 5, 1 << 15)
-        assert np.array_equal(blocked, whole)
+        assert blocked.tobytes() == whole.tobytes()
         assert np.count_nonzero(whole == 0.0) > 0
 
     def test_a_batch_with_different_zero_patterns(self, monkeypatch):
         # each row of the first two members keeps two entries, in columns
-        # of its own, so a head row is sparse in the stack of the two and
-        # dense once the full third member joins
+        # of its own; the third member is full
         rng = np.random.default_rng(78)
         A = rng.standard_normal((3, 11, 11))
         for member in A[:2]:
             for row in member:
                 row[rng.permutation(11)[2:]] = 0.0
-        assert self.head_forms(A[:2], 4) == (8, 0) and self.head_forms(A, 4) == (0, 8)
         for stack in (A, A[:2]):
             for block in (50, 1 << 15):
                 whole, blocked = self.whole_and_blocked(monkeypatch, stack, 4, block)
-                assert np.array_equal(blocked, whole)
+                assert blocked.tobytes() == whole.tobytes()
                 for member, table in zip(stack, blocked):
-                    assert np.array_equal(table, matcore._minors(member, 4))
+                    assert table.tobytes() == matcore._minors(member, 4).tobytes()
 
     @pytest.mark.parametrize("block", [7, 200, 1 << 15])
     def test_sparse_mixed_sign_tables_in_blocks_of_any_size(self, monkeypatch, block):
-        # blocks of 7 and 200 entries cut each head row's row sets into
-        # many blocks
+        # blocks of 7 and 200 entries cut a level into many blocks
         rng = np.random.default_rng(80 + block)
         for _ in range(6):
             n, q = int(rng.integers(9, 13)), int(rng.integers(3, 6))
             A = rng.standard_normal((n, n)) * (rng.random((n, n)) < rng.uniform(0.1, 0.4))
             whole, blocked = self.whole_and_blocked(monkeypatch, A, q, block)
-            assert np.array_equal(blocked, whole)
+            assert blocked.tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("case", ["wedge stack", "two-entry heads"])
     def test_a_dense_level_below_is_gathered(self, monkeypatch, case):
-        # a wedge stack's top level has m = p, so every head row counts as
-        # sparse, over a dense level below; so do two-entry head rows over
-        # dense rows.  Each gathers the minors its column sets need
+        # a wedge stack's top level has m = p, over a dense level below;
+        # two-entry head rows lie over dense rows.  Each block gathers the
+        # minors its column sets need
         rng = np.random.default_rng(81)
         if case == "wedge stack":
             A, q = rng.standard_normal((400, 9, 3)), 3
@@ -409,13 +412,12 @@ class TestRowBlocks:
             A, q = rng.standard_normal((12, 12)), 5
             for row in A[:8]:
                 row[rng.permutation(12)[2:]] = 0.0
-            assert self.head_forms(A, q) == (8, 0)
         whole, blocked = self.whole_and_blocked(monkeypatch, A, q, 1 << 15)
-        assert np.array_equal(blocked, whole)
+        assert blocked.tobytes() == whole.tobytes()
 
     def test_an_all_zero_matrix(self, monkeypatch):
         whole, blocked = self.whole_and_blocked(monkeypatch, np.zeros((12, 12)), 5, 1 << 15)
-        assert np.array_equal(blocked, whole) and not blocked.any()
+        assert blocked.tobytes() == whole.tobytes() and not blocked.any()
 
     @pytest.mark.parametrize("case", ["chain12", "diagonal"])
     def test_tables_spoiled_in_one_block_are_still_refused(self, monkeypatch, case):

@@ -217,7 +217,8 @@ def test_a_floor_beyond_the_float_range_proves_nothing(proof_calls):
     A = 0.05 * np.eye(300) + 0.05 * upper_shift(300)
     d = np.ones(300)
     d[0] = 1.5e308
-    assert stability._nonzeros(A).proven_margin(d, np.ones(300), matcore.pd_tol()) is None
+    applied = stability._nonzeros(A)
+    assert applied.proven_margin(d, np.ones(300), applied.matvec(np.ones(300)), matcore.pd_tol()) is None
     assert [(c.bound, c.ritz) for c in proof_calls] == [(-np.inf, [])]
 
 
@@ -288,7 +289,7 @@ def test_nonzero_path_holds_nothing_of_order_r_squared(chain, path, monkeypatch,
         def formed(*args):
             raise AssertionError("an r x r array was formed")
 
-        monkeypatch.setattr(stability, "_minor_table", formed)
+        monkeypatch.setattr(stability, "_minors", formed)
         monkeypatch.setattr(stability, "_stein_gap", formed)
         tracemalloc.start()
         try:

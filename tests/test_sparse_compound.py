@@ -6,14 +6,15 @@ matcore._sparse_minors redoes only the arithmetic, each entry 0.0 plus its
 terms in the table's order, so every nonzero equals the dense kernel's
 (matcore._minors) bit for bit.  One gate, matcore._sparse_table, admits A
 (square, 2 <= k <= _LAPLACE_MAX_ORDER, r^2 > _LEVEL_BLOCK, and at most
-r^2 / _NONZERO_BREAK_EVEN structural nonzeros by the bound of the row
-counts).  matcore._minor_table writes what it admits into zeros, and
-stability._certify reads it with no r x r array, applying it through the
-rows of the table the plan holds (plan.csr); every table, certificate and
-verdict equals the dense kernel's path, which the tests reach by refusing
-the gate (the dense_kernel fixture).  matcore._admitted_plan keeps a plan
-by the bytes of its arrays, with the bound it was admitted on, and looks a
-pattern up before it counts anything.
+r^2 / _NONZERO_BREAK_EVEN structural nonzeros, the exact count of its
+plan's top level).  matcore._minor_table writes what it admits into zeros,
+and stability._certify reads it with no r x r array, applying it through
+the rows of the table the plan holds (plan.csr); every table, certificate
+and verdict equals the dense kernel's path, which the tests reach by
+refusing the gate (the dense_kernel fixture).  matcore._admitted_plan
+refuses a fully nonzero A with no build, caps each build at the table's
+price, keeps a plan by the bytes of its arrays and a refusal as None, and
+looks a pattern up before it builds anything.
 """
 
 import functools
@@ -53,8 +54,8 @@ def plans(monkeypatch, cold_caches):
     calls, builds = [], []
     admitted, build = matcore._admitted_plan, matcore._pattern_plan
 
-    def counted(nonzero, k, most):
-        plan = admitted(nonzero, k, most)
+    def counted(nonzero, k):
+        plan = admitted(nonzero, k)
         if plan is not None:
             calls.append((nonzero.shape[0], k))
         return plan
@@ -72,18 +73,20 @@ def pattern_reads(monkeypatch):
     return reads
 
 
-def every_entry(A, k):
-    """A cap on _sparse_minors that admits every A: r^2, as many entries as
-    the table holds."""
-    return math.comb(A.shape[0], k) ** 2
+@pytest.fixture
+def every_count(monkeypatch, cold_caches):
+    """The gate's cap on a pattern's count raised to r^2, as many entries as
+    the table holds, so that _sparse_minors admits every A whose plan's
+    build fits the table's price; the plans kept meanwhile are dropped."""
+    monkeypatch.setattr(matcore, "_NONZERO_BREAK_EVEN", 1)
 
 
 def assert_matches_table(A, k):
-    """_sparse_minors(A, k) against the dense kernel's table: its entries in
-    row-major order, each once, every nonzero of the table among them, every
-    nonzero value the table's bit for bit and every other value zero, as
-    the table is there.  Returns (flat, values)."""
-    plan, values = matcore._sparse_minors(A, k, every_entry(A, k))
+    """_sparse_minors(A, k), under every_count, against the dense kernel's
+    table: its entries in row-major order, each once, every nonzero of the
+    table among them, every nonzero value the table's bit for bit and every
+    other value zero, as the table is there.  Returns (flat, values)."""
+    plan, values = matcore._sparse_minors(A, k)
     flat = plan.flat
     T = matcore._minors(A, k).ravel()
     assert np.all(np.diff(flat) > 0)
@@ -118,6 +121,7 @@ def even_corner_chain(seed):
     return A
 
 
+@pytest.mark.usefixtures("every_count")
 class TestSparseMinors:
     @pytest.mark.parametrize("seed", range(10))
     def test_certify_large_chains(self, seed):
@@ -129,8 +133,12 @@ class TestSparseMinors:
         assert_matches_table(test_kernel.chain12(), 5)
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_random_mixed_sign_patterns(self, seed):
+    def test_random_mixed_sign_patterns(self, seed, monkeypatch):
+        # the builds of the denser patterns pass the table's price, which
+        # refuses them (TestBuildCap): here the price admits every build,
+        # so the arithmetic is checked on every pattern
         A, k = random_pattern(np.random.default_rng([seed, 31]))
+        monkeypatch.setattr(matcore, "_table_bytes", lambda *shape: 1 << 62)
         assert_matches_table(A, k)
         assert terms_per_entry(A, k).max() >= 2
 
@@ -145,13 +153,14 @@ class TestSparseMinors:
         assert terms_per_entry(A, 2)[at] == 2
 
     def test_a_structural_zero_is_never_negative(self):
-        # -1e-200 * 1e-200 underflows to -0.0, the only term of its entry;
-        # as every entry is 0.0 plus its terms, the entry is 0.0, as the
-        # table's head-row form gives it
+        # -1e-200 * 1e-200 underflows to -0.0, the only nonzero term of its
+        # entry; as every entry is 0.0 plus its terms, the entry is 0.0,
+        # where the kernel's full expansion gives -0.0
         A = 0.5 * np.eye(8)
         A[0, 0], A[1, 1] = -1e-200, 1e-200
         flat, values = assert_matches_table(A, 2)
         assert values[np.flatnonzero(flat == 0)[0]] == 0.0
+        assert np.signbit(matcore._minors(A, 2)[0, 0])
         assert not np.signbit(values[values == 0.0]).any()
 
     @pytest.mark.parametrize("A", [np.zeros((12, 12)), np.outer(np.ones(12), np.eye(12)[3])],
@@ -164,7 +173,7 @@ class TestSparseMinors:
         # the top level overflows: _sparse_minors gives None, and the table,
         # built after all, raises today's DomainError
         A = 1e80 * test_kernel.chain12()
-        assert matcore._sparse_minors(A, 5, every_entry(A, 5)) is None
+        assert matcore._sparse_minors(A, 5) is None
         with pytest.raises(DomainError) as patterned:
             certify_k_diag_stability(A, 5)
         with pytest.raises(DomainError) as dense:
@@ -196,34 +205,28 @@ class TestPlanCache:
         assert not any(a.flags.writeable for a in arrays)
         assert sum(a.nbytes for a in arrays) == sum(a.nbytes for a in plan.arrays())
 
-    def test_a_plan_is_kept_by_the_bytes_it_holds(self, plans, monkeypatch):
-        # the 14 x 14 chain at k = 5, two entries a row: its bound of 64064
-        # top entries (40964 structural) once priced the plan at 9.44 MB,
-        # above the 6.25 MB an entry may take, so it was rebuilt on every
-        # call; it holds 1.94 MB, and two calls build it once
-        counts, structural_counts = [], matcore._structural_counts
-        monkeypatch.setattr(matcore, "_structural_counts", lambda *args: counts.append(1) or structural_counts(*args))
+    def test_a_plan_is_kept_by_the_bytes_it_holds(self, plans):
+        # the 14 x 14 chain at k = 5, two entries a row, with 40964
+        # structural top entries: its plan holds 1.94 MB, under the 6.25 MB
+        # an entry may take, and two calls build it once
         A = certify_chain(np.random.default_rng([0, 33]), 14)
         first = matcore._minor_table(A, 5)
         second = matcore._minor_table(A, 5)
         assert first.tobytes() == second.tobytes()
+        # the second call, a hit, decides on the count of the kept plan
         assert plans.builds() == 1 and len(plans.calls) == 2
-        # the second call, a hit, decides on the bound kept with the plan
-        assert len(counts) == 1
-        (bound, plan), = matcore._PATTERN_PLANS.values()
-        assert bound == 64064 and plan.flat.size == 40964
+        plan, = matcore._PATTERN_PLANS.values()
+        assert plan.flat.size == 40964
         assert matcore._cacheable(sum(a.nbytes for a in plan.arrays()))
 
     @pytest.mark.parametrize("k", [4, 5])
-    def test_a_dense_square_a_is_refused_before_any_count(self, k, plans, monkeypatch):
-        # its least row count, 12, bounds every top-level product by
-        # 12^k > C(12,k): the bound is r^2, and no level is counted
-        counts, structural_counts = [], matcore._structural_counts
-        monkeypatch.setattr(matcore, "_structural_counts", lambda *args: counts.append(1) or structural_counts(*args))
+    def test_a_fully_nonzero_a_builds_nothing(self, k, plans):
+        # its table has no structural zero to skip: refused with no build,
+        # and nothing kept
         A = np.random.default_rng(34).standard_normal((12, 12))
         assert matcore._sparse_table(A, k) is None
         assert matcore._minor_table(A, k).tobytes() == matcore._minors(A, k).tobytes()
-        assert counts == [] and plans.calls == []
+        assert plans.builds() == 0 and plans.calls == [] and not matcore._PATTERN_PLANS
 
     def test_the_cache_keeps_the_last_64_patterns(self, plans):
         # chain12 with one more entry a pattern, at k = 3 (r = 220, a table
@@ -245,11 +248,10 @@ class TestPlanCache:
         assert plans.builds() == 66 and len(plans.calls) == 67
 
     def test_a_dense_gaussian_never_reaches_the_plan(self, plans, pattern_reads):
-        # 12 nonzeros a row bound the structural entries by r^2, above
-        # r^2 / _NONZERO_BREAK_EVEN: the gate refuses before any plan
+        # fully nonzero: the gate refuses it with no build
         A = np.random.default_rng(31).standard_normal((12, 12))
         certify_k_diag_stability(A, 5)
-        assert pattern_reads == [None] and plans.calls == []
+        assert pattern_reads == [None] and plans.calls == [] and plans.builds() == 0
 
     def test_no_table_within_one_level_block_reaches_the_plan(self, plans, pattern_reads):
         rng = np.random.default_rng([0, 32])
@@ -262,10 +264,83 @@ class TestPlanCache:
         assert plans.calls == []
 
 
+def chain12_and(extra):
+    """chain12 with `extra` more entries of 0.01, at zeros drawn by a seeded
+    permutation."""
+    A = test_kernel.chain12()
+    zeros = np.argwhere(A == 0.0)
+    for i, j in zeros[np.random.default_rng([0, 34]).permutation(len(zeros))[:extra]]:
+        A[i, j] = 0.01
+    return A
+
+
+class TestExactCount:
+    """The gate admits a pattern on the exact count of its plan's top level,
+    at most r^2 / _NONZERO_BREAK_EVEN, and keeps what it decided."""
+
+    @pytest.mark.parametrize("case, k, count", [("chain12", 6, 24752), ("chain12", 7, 27456),
+                                                ("chain12 and five entries", 5, 30826)])
+    def test_patterns_the_former_bound_refused_are_admitted(self, case, k, count, plans):
+        # the bound from the row counts was 59136 at k = 6 and 101376 at
+        # k = 7 on chain12, above r^2 / 16 = 53361 and 39204
+        A = test_kernel.chain12() if case == "chain12" else chain12_and(5)
+        plan, values = matcore._sparse_table(A, k)
+        assert plan.flat.size == count <= math.comb(12, k) ** 2 // matcore._NONZERO_BREAK_EVEN
+        T = matcore._minors(A, k).ravel()
+        nonzero = values != 0.0
+        assert values[nonzero].tobytes() == T[plan.flat][nonzero].tobytes()
+        assert np.count_nonzero(values) == np.count_nonzero(T)
+        table = matcore._minor_table(A, k)
+        assert np.array_equal(table.ravel(), T) and not np.signbit(table[table == 0.0]).any()
+        assert plans.builds() == 1 and len(plans.calls) == 2
+
+    def test_a_count_above_the_gate_is_refused_and_kept(self, plans):
+        # 44352 structural entries at k = 5, above r^2 / 16 = 39204: the
+        # plan is built once and refused, and the refusal decides every
+        # later call with no build
+        A = chain12_and(8)
+        assert matcore._sparse_table(A, 5) is None and plans.builds() == 1
+        assert list(matcore._PATTERN_PLANS.values()) == [None]
+        assert matcore._sparse_table(A, 5) is None
+        assert matcore._minor_table(A, 5).tobytes() == matcore._minors(A, 5).tobytes()
+        assert plans.builds() == 1 and plans.calls == []
+        plan = matcore._pattern_plan(12, 5, np.packbits(A != 0.0).tobytes())
+        assert plan.flat.size == 44352 > math.comb(12, 5) ** 2 // matcore._NONZERO_BREAK_EVEN
+
+
+class TestBuildCap:
+    """A pattern's build is refused once a level's pairs would pass the
+    table's price, so a nearly dense pattern never holds more than it."""
+
+    @pytest.mark.parametrize("case", ["one zero", "chain12 and twenty entries"])
+    def test_a_capped_build_stays_within_the_table_price(self, case, plans):
+        # a Gaussian with one zero entry, whose build is refused before its
+        # level 4 (an uncapped build held 270 MB), and a chain whose top
+        # level takes 0.79 of the cap and whose count is refused: the
+        # traced peak of the table, the build and the dense kernel's table
+        # after it, is within _table_bytes
+        if case == "one zero":
+            A = np.random.default_rng(35).standard_normal((12, 12))
+            A[0, 0] = 0.0
+        else:
+            A = chain12_and(20)
+        tracemalloc.start()
+        try:
+            table = matcore._minor_table(A, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= matcore._table_bytes(12, 12, 5)
+        assert table.tobytes() == matcore._minors(A, 5).tobytes()
+        assert list(matcore._PATTERN_PLANS.values()) == [None] and plans.builds() == 1
+        # a refused build is kept as None: the next call builds nothing
+        assert matcore._sparse_table(A, 5) is None and plans.builds() == 1
+
+
 def admitted_pattern(rng):
     """A mixed-sign n x n matrix, n = 12..14, with one or two nonzeros in
     each row but the first, which holds six, and an order k = 3..5: the
-    gate admits it, and the first row's head rows are built by _expand."""
+    gate admits it."""
     n, k = int(rng.integers(12, 15)), int(rng.integers(3, 6))
     A = np.zeros((n, n))
     for row in A:
@@ -335,9 +410,8 @@ class TestMinorTableRoute:
 
     @pytest.mark.parametrize("case", ["chain12", "chain12 and five entries"])
     def test_the_traced_peak_is_within_the_price(self, case, plans, budget_prices, cold_caches):
-        # the pattern route with its plan built afresh, and a chain with
-        # five more entries, whose bound the gate refuses, in the dense
-        # kernel
+        # the pattern route with its plan built afresh, on chain12 and on a
+        # chain with five more entries, which the exact count admits
         A = test_kernel.chain12()
         if case != "chain12":
             A[[0, 2, 4, 6, 8], [5, 7, 9, 11, 1]] = 0.01
@@ -347,7 +421,7 @@ class TestMinorTableRoute:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert plans.builds() == (1 if case == "chain12" else 0)
+        assert plans.builds() == 1 and len(plans.calls) == 1
         (price, _), = budget_prices
         assert peak <= price
 
@@ -495,7 +569,7 @@ class TestOperatorRows:
         rows = rows_applied[0]
         assert not any(a.flags.writeable for a in rows[:4])
         # the chains' rows as the read-back builds them from the flat indices
-        (_, plan), = matcore._PATTERN_PLANS.values()
+        plan, = matcore._PATTERN_PLANS.values()
         r = 792
         assert rows.cols.tobytes() == (plan.flat % r).tobytes()
         assert rows.counts.tobytes() == np.bincount(plan.flat // r, minlength=r).tobytes()

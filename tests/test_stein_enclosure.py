@@ -91,7 +91,7 @@ def traced_after_table(monkeypatch, A, k):
     """certify_k_diag_stability(A, k) under tracemalloc, and the peak of
     its traced memory above what it held when the table was built; the
     gap may not be formed."""
-    table, after_table = stability._minor_table, []
+    table, after_table = stability._minors, []
 
     def recording_table(*args):
         M = table(*args)
@@ -103,7 +103,7 @@ def traced_after_table(monkeypatch, A, k):
         raise AssertionError("the Stein gap was formed")
 
     certify_k_diag_stability(A, k)
-    monkeypatch.setattr(stability, "_minor_table", recording_table)
+    monkeypatch.setattr(stability, "_minors", recording_table)
     monkeypatch.setattr(stability, "_stein_gap", no_gram)
     tracemalloc.start()
     try:
@@ -201,7 +201,7 @@ class TestXiProof:
                    perron_vector]
         for v in vectors:
             assert v.min() > 0.0 and applied.stein_bound(d, v, applied.stein_gap(d)(v)) <= exact
-        theta = applied.proven_margin(d, perron_vector, matcore.pd_tol())
+        theta = applied.proven_margin(d, perron_vector, applied.matvec(perron_vector), matcore.pd_tol())
         assert theta is not None and abs(theta - exact) <= MARGIN_RTOL * exact
 
     def test_the_path_allocates_nothing_of_order_r_squared(self, proof_calls, monkeypatch, dense_kernel):

@@ -173,7 +173,7 @@ class TestLaplaceKernel:
         assert peak <= matcore._table_bytes(n, k, k, batch)
 
     @pytest.mark.parametrize("case", ["chain12-5", "gauss12-6", "sparse15-5"])
-    def test_head_row_blocks_stay_within_the_budget_price(self, budget_prices, dense_kernel, cold_caches, case):
+    def test_blocked_levels_stay_within_the_budget_price(self, budget_prices, dense_kernel, cold_caches, case):
         # the dense kernel alone, its blocked levels built by _expand in
         # row blocks: a chain, a Gaussian, and a 15 x 15 matrix of
         # two-entry and dense rows
@@ -365,7 +365,7 @@ class TestRowBlocks:
             assert [(w.rows, w.cols) for w in got.witness_conflict or ()] == [(w.rows, w.cols) for w in want.witness_conflict or ()]
         assert signed_zeros >= 6
 
-    def test_a_level_whose_heads_take_both_forms(self, monkeypatch):
+    def test_a_level_of_two_entry_and_full_head_rows(self, monkeypatch):
         # rows 0, 2 and 4 keep two entries, the others every entry
         rng = np.random.default_rng(77)
         A = rng.standard_normal((12, 12))

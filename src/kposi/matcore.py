@@ -523,8 +523,9 @@ def _sparse_table(A: np.ndarray, k: int):
     _LAPLACE_MAX_ORDER, a table of R^2 > _LEVEL_BLOCK entries, which
     _minors would build in row blocks, and at most R^2 /
     _NONZERO_BREAK_EVEN structurally nonzero k-minors, counted exactly by
-    the plan of A's zero pattern, which a fully nonzero A and a build
-    beyond the table's price never reach (_admitted_plan).  A level beyond
+    the plan of A's zero pattern, which an A with few zeros, a build
+    bounded above that count on the way and a build beyond the table's
+    price never reach (_admitted_plan).  A level beyond
     the float range also gives None: the table then refuses it.  The
     caller prices the table first.
     """
@@ -607,24 +608,26 @@ def _admitted_plan(nonzero: np.ndarray, k: int) -> _PatternPlan | None:
     its top level holds at most R^2 / _NONZERO_BREAK_EVEN entries, R =
     C(n,k), else None.
 
-    A fully nonzero pattern, whose table has no zero to skip, is refused
-    with no build.  A pattern found in _PATTERN_PLANS is decided there,
-    with no build.  Any other is built (_pattern_plan), which refuses a
-    build beyond the table's price, and admitted on its plan's exact
-    count.  The decision is kept, a plan only when its arrays are
-    _cacheable, the least recently used of 65 dropped: the plan's size is
-    known once it is built.
+    A pattern with few zeros is refused with no build and nothing kept: a
+    k x k submatrix with no zero entry is structurally nonsingular, and
+    each zero sits in C(n-1,k-1)^2 of them, so the count is at least R^2
+    less that for each zero (all of R^2 for a fully nonzero pattern).  A
+    pattern found in _PATTERN_PLANS is decided there, with no build.  Any
+    other is built (_pattern_plan), which refuses it on its exact count.
+    The decision is kept, a plan only when its arrays are _cacheable, the
+    least recently used of 65 dropped: the plan's size is known once it is
+    built.
     """
-    if nonzero.all():
-        return None
     n = nonzero.shape[0]
+    R = math.comb(n, k)
+    zeros = nonzero.size - np.count_nonzero(nonzero)
+    if (R * R - zeros * math.comb(n - 1, k - 1) ** 2) * _NONZERO_BREAK_EVEN > R * R:
+        return None
     key = (n, k, np.packbits(nonzero).tobytes())
     if key in _PATTERN_PLANS:
         _PATTERN_PLANS.move_to_end(key)
         return _PATTERN_PLANS[key]
     plan = _pattern_plan(n, k, key[2])
-    if plan is not None and plan.flat.size * _NONZERO_BREAK_EVEN > math.comb(n, k) ** 2:
-        plan = None
     if plan is None or _cacheable(sum(arr.nbytes for arr in plan.arrays())):
         _PATTERN_PLANS[key] = plan
         if len(_PATTERN_PLANS) > 64:
@@ -634,7 +637,9 @@ def _admitted_plan(nonzero: np.ndarray, k: int) -> _PatternPlan | None:
 
 def _pattern_plan(n: int, k: int, key: bytes) -> _PatternPlan | None:
     """The _PatternPlan of the n x n zero pattern np.packbits(A != 0).tobytes()
-    == key, or None where its build would pass the table's price.
+    == key, or None where its top level holds more than R^2 /
+    _NONZERO_BREAK_EVEN entries, R = C(n,k), or its build would pass the
+    table's price.
 
     Derived level by level from _laplace_plan(n, n, k), with work in
     proportion to the structural terms and no array of a level's size.  A
@@ -646,9 +651,15 @@ def _pattern_plan(n: int, k: int, key: bytes) -> _PatternPlan | None:
     lists the structural entries in row-major order.  A level's pairs are
     counted before any of them is made: at eight words a pair beside the
     levels already built, they may hold what _table_bytes(n, n, k) prices
-    beyond the table itself, and the build is refused past that.  The
-    arrays are read-only, since every caller of the pattern shares them;
-    _admitted_plan keeps the plans it builds.
+    beyond the table itself, and the build is refused past that.  Once a
+    level p < k is built, the top level's count is bounded below, and the
+    build refused where that passes the gate: a top row set whose other
+    k-p rows hold at least k-p nonzeros each can place them in k-p
+    distinct columns X (Hall), and each entry c of its tail at level p
+    that misses X gives its own entry c with X, so it holds at least its
+    tail's count less the C(n,p) - C(n-k+p,p) column sets that meet X.
+    The arrays are read-only, since every caller of the pattern shares
+    them; _admitted_plan keeps the plans it builds.
     """
     nonzero = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=n * n).view(bool)
     at = np.flatnonzero(nonzero)
@@ -657,16 +668,31 @@ def _pattern_plan(n: int, k: int, key: bytes) -> _PatternPlan | None:
     count = np.diff(ptr)
     entries = at[ptr[k - 1] :]
     keys, width, below_rows = entries - (k - 1) * n, n, n - k + 1
-    room = _table_bytes(n, n, k) - 8 * math.comb(n, k) ** 2
+    R = math.comb(n, k)
+    room = _table_bytes(n, n, k) - 8 * R * R
     spent = 16 * entries.size
+    laplace = _cache_rule(_laplace_plan, _plan_bytes(n, n, k))(n, n, k)
+    # for each level 1..k-1, each top row set's tail there and the fewest
+    # nonzeros of a row of its other rows
+    tails, tail, fewest = [], np.arange(R), np.full(R, n)
+    for level in reversed(laplace):
+        fewest = np.minimum(fewest, count[level.first[tail]])
+        tail = level.tail[tail]
+        tails.insert(0, (tail, fewest))
     levels = []
-    for p, (first, tail, cols, drop) in enumerate(_cache_rule(_laplace_plan, _plan_bytes(n, n, k))(n, n, k), 2):
+    for p, (first, tail, cols, drop) in enumerate(laplace, 2):
         lower, width = width, cols.shape[1]
         # each row of the level below: where its entries start, and how
         # many; each row set: its pairs (x, c), x-major
         rows = np.searchsorted(keys, np.arange(below_rows + 1) * lower)
         below_rows = first.size
-        held = np.diff(rows)[tail]
+        held = np.diff(rows)
+        # the top level's lower bound from the level below (docstring)
+        top, heads = tails[p - 2]
+        least = held[top] - (lower - math.comb(n - k + p - 1, p - 1))
+        if least[(heads > k - p) & (least > 0)].sum() * _NONZERO_BREAK_EVEN > R * R:
+            return None
+        held = held[tail]
         pairs = held * count[first]
         total = int(pairs.sum())
         if spent + 64 * total > room:
@@ -705,7 +731,9 @@ def _pattern_plan(n: int, k: int, key: bytes) -> _PatternPlan | None:
         terms = [(entry[s:e], a[s:e], b[s:e]) for s, e in zip([0, *ends], ends)]
         levels.append((keys.size, tuple(terms)))
         spent += 32 * entry.size
-    plan = _PatternPlan(entries, tuple(levels), keys, _csr(keys, math.comb(n, k)))
+    if keys.size * _NONZERO_BREAK_EVEN > R * R:
+        return None
+    plan = _PatternPlan(entries, tuple(levels), keys, _csr(keys, R))
     for arr in plan.arrays():
         arr.setflags(write=False)
     return plan

@@ -31,7 +31,7 @@ from .matcore import (
     _cacheable,
     _check_order,
     _count_text,
-    _minors,
+    _minor_table,
     _NONZERO_BREAK_EVEN,
     _pd_check,
     _price_table,
@@ -585,9 +585,8 @@ def _certify(
         x, y = _right_hand_sides(x, y, r)
     _price_table(*A.shape, k)  # the table's price, whether or not it is built
     sparse = _sparse_table(A, k)
-    if sparse is None:  # the gate has refused A: the dense kernel, as _minor_table would call it
-        with np.errstate(over="ignore", invalid="ignore"):
-            M = _minors(A, k)
+    if sparse is None:
+        M = _minor_table(A, k)
         hi, lo = _finite_extremes(M)
     else:
         # at most r^2 / _NONZERO_BREAK_EVEN entries: the table's zeros join them

@@ -289,7 +289,7 @@ def test_nonzero_path_holds_nothing_of_order_r_squared(chain, path, monkeypatch,
         def formed(*args):
             raise AssertionError("an r x r array was formed")
 
-        monkeypatch.setattr(stability, "_minors", formed)
+        monkeypatch.setattr(stability, "_minor_table", formed)
         monkeypatch.setattr(stability, "_stein_gap", formed)
         tracemalloc.start()
         try:

@@ -12,13 +12,16 @@ and stability._certify reads it with no r x r array, applying it through
 the rows of the table the plan holds (plan.csr); every table, certificate
 and verdict equals the dense kernel's path, which the tests reach by
 refusing the gate (the dense_kernel fixture).  matcore._admitted_plan
-refuses a fully nonzero A with no build, caps each build at the table's
-price, keeps a plan by the bytes of its arrays and a refusal as None, and
-looks a pattern up before it builds anything.
+refuses an A with few zeros with no build, looks a pattern up before it
+builds anything, and keeps a plan by the bytes of its arrays and a refusal
+as None; matcore._pattern_plan caps each build at the table's price and
+refuses it on a lower bound of the count once a level is built, and on
+the exact count at the end.
 """
 
 import functools
 import math
+from fractions import Fraction
 import tracemalloc
 from types import SimpleNamespace
 
@@ -219,14 +222,20 @@ class TestPlanCache:
         assert plan.flat.size == 40964
         assert matcore._cacheable(sum(a.nbytes for a in plan.arrays()))
 
-    @pytest.mark.parametrize("k", [4, 5])
-    def test_a_fully_nonzero_a_builds_nothing(self, k, plans):
-        # its table has no structural zero to skip: refused with no build,
-        # and nothing kept
+    @pytest.mark.parametrize("k, zeros, builds", [(4, 0, 0), (4, 1, 0), (4, 8, 0), (4, 9, 1),
+                                                  (5, 0, 0), (5, 1, 0), (5, 5, 0), (5, 6, 1)])
+    def test_a_pattern_with_few_zeros_builds_nothing(self, k, zeros, builds, plans):
+        # every 4- or 5-minor free of zeros is structurally nonzero, and a
+        # zero sits in C(11,k-1)^2 of them: with at most eight zeros at
+        # k = 4 and five at k = 5 the count is above r^2 / 16, and the
+        # pattern is refused with no build and nothing kept; with one zero
+        # more it is built, refused there, and the refusal kept
         A = np.random.default_rng(34).standard_normal((12, 12))
+        A.ravel()[np.random.default_rng(zeros).permutation(144)[:zeros]] = 0.0
         assert matcore._sparse_table(A, k) is None
         assert matcore._minor_table(A, k).tobytes() == matcore._minors(A, k).tobytes()
-        assert plans.builds() == 0 and plans.calls == [] and not matcore._PATTERN_PLANS
+        assert plans.builds() == builds and plans.calls == []
+        assert list(matcore._PATTERN_PLANS.values()) == [None] * builds
 
     def test_the_cache_keeps_the_last_64_patterns(self, plans):
         # chain12 with one more entry a pattern, at k = 3 (r = 220, a table
@@ -294,7 +303,7 @@ class TestExactCount:
         assert np.array_equal(table.ravel(), T) and not np.signbit(table[table == 0.0]).any()
         assert plans.builds() == 1 and len(plans.calls) == 2
 
-    def test_a_count_above_the_gate_is_refused_and_kept(self, plans):
+    def test_a_count_above_the_gate_is_refused_and_kept(self, plans, monkeypatch):
         # 44352 structural entries at k = 5, above r^2 / 16 = 39204: the
         # plan is built once and refused, and the refusal decides every
         # later call with no build
@@ -304,24 +313,67 @@ class TestExactCount:
         assert matcore._sparse_table(A, 5) is None
         assert matcore._minor_table(A, 5).tobytes() == matcore._minors(A, 5).tobytes()
         assert plans.builds() == 1 and plans.calls == []
-        plan = matcore._pattern_plan(12, 5, np.packbits(A != 0.0).tobytes())
-        assert plan.flat.size == 44352 > math.comb(12, 5) ** 2 // matcore._NONZERO_BREAK_EVEN
+        key = np.packbits(A != 0.0).tobytes()
+        assert matcore._pattern_plan(12, 5, key) is None
+        gate = math.comb(12, 5) ** 2 // matcore._NONZERO_BREAK_EVEN
+        monkeypatch.setattr(matcore, "_NONZERO_BREAK_EVEN", 1)
+        assert matcore._pattern_plan(12, 5, key).flat.size == 44352 > gate
+
+    @pytest.mark.parametrize("case", ["chain12", "upper triangular", "banded", "zero rows", "tight", "random"])
+    def test_the_lower_bounds_never_refuse_a_count_the_gate_admits(self, case, monkeypatch, cold_caches):
+        # with the gate set to each pattern's exact count, _admitted_plan
+        # admits it, whichever bound it passes on the way (the zeros' bound
+        # before the build, each level's bound during it), and refuses it
+        # with the gate one entry lower; the build's cap is lifted
+        monkeypatch.setattr(matcore, "_table_bytes", lambda *shape: 1 << 62)
+        if case == "chain12":
+            cases = [(test_kernel.chain12(), k) for k in range(2, 9)]
+        elif case == "upper triangular":
+            cases = [(np.triu(np.ones((12, 12))), k) for k in range(2, 6)]
+        elif case == "banded":
+            band = np.abs(np.subtract.outer(np.arange(12), np.arange(12)))
+            cases = [(1.0 * (band <= w), k) for w in (1, 2, 3) for k in (3, 4, 5)]
+        elif case == "zero rows":
+            # rows 0-2 are zero: a row set holding one of them has no
+            # structural entry, however many its tail holds
+            A = np.ones((12, 12))
+            A[:3] = 0.0
+            cases = [(A, k) for k in (3, 4, 5)]
+        elif case == "tight":
+            # column 0 and the last row: a row set {a, 11} holds the 11
+            # column pairs of 0 with another, its tail's 12 less the one
+            # that holds 0, and every other none, so the bound is the count
+            A = np.zeros((12, 12))
+            A[:, 0] = A[-1] = 1.0
+            cases = [(A, 2)]
+        else:
+            cases = [random_pattern(np.random.default_rng([seed, 31])) for seed in range(12)]
+        for A, k in cases:
+            n = A.shape[0]
+            R = math.comb(n, k)
+            monkeypatch.setattr(matcore, "_NONZERO_BREAK_EVEN", 1)
+            count = matcore._pattern_plan(n, k, np.packbits(A != 0.0).tobytes()).flat.size
+            for gate, admitted in ((count, True), (count - 1, False)):
+                if gate > 0:
+                    monkeypatch.setattr(matcore, "_NONZERO_BREAK_EVEN", Fraction(R * R, gate))
+                    matcore._PATTERN_PLANS.clear()
+                    plan = matcore._admitted_plan(A != 0.0, k)
+                    assert (plan is not None) == admitted and (plan is None or plan.flat.size == count)
 
 
 class TestBuildCap:
     """A pattern's build is refused once a level's pairs would pass the
-    table's price, so a nearly dense pattern never holds more than it."""
+    table's price, or once a built level bounds the top level's count
+    above the gate, so a nearly dense pattern never holds more than it."""
 
-    @pytest.mark.parametrize("case", ["one zero", "chain12 and twenty entries"])
+    @pytest.mark.parametrize("case", ["upper triangular", "chain12 and twenty entries"])
     def test_a_capped_build_stays_within_the_table_price(self, case, plans):
-        # a Gaussian with one zero entry, whose build is refused before its
-        # level 4 (an uncapped build held 270 MB), and a chain whose top
-        # level takes 0.79 of the cap and whose count is refused: the
-        # traced peak of the table, the build and the dense kernel's table
-        # after it, is within _table_bytes
-        if case == "one zero":
-            A = np.random.default_rng(35).standard_normal((12, 12))
-            A[0, 0] = 0.0
+        # an upper triangular matrix, whose top level's pairs would take
+        # 1.9 times the cap, and a chain whose top level takes 0.79 of the
+        # cap and whose count is refused: the traced peak of the table, the
+        # build and the dense kernel's table after it, is within _table_bytes
+        if case == "upper triangular":
+            A = np.triu(np.random.default_rng(35).standard_normal((12, 12)))
         else:
             A = chain12_and(20)
         tracemalloc.start()
@@ -335,6 +387,25 @@ class TestBuildCap:
         assert list(matcore._PATTERN_PLANS.values()) == [None] and plans.builds() == 1
         # a refused build is kept as None: the next call builds nothing
         assert matcore._sparse_table(A, 5) is None and plans.builds() == 1
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_a_nearly_dense_build_is_refused_before_its_top_level(self, k, monkeypatch, cold_caches):
+        # a Gaussian with ten zero entries: once its level 3 is built, the
+        # top level is bounded below by more than r^2 / 16 entries, and the
+        # build is refused there, holding a quarter of the table's price at
+        # most, with the cap lifted (an uncapped build of one zero held
+        # 270 MB at k = 5)
+        A = np.random.default_rng(35).standard_normal((12, 12))
+        A.ravel()[np.random.default_rng(10).permutation(144)[:10]] = 0.0
+        price = matcore._table_bytes(12, 12, k)
+        monkeypatch.setattr(matcore, "_table_bytes", lambda *shape: 1 << 62)
+        tracemalloc.start()
+        try:
+            assert matcore._pattern_plan(12, k, np.packbits(A != 0.0).tobytes()) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= price // 4
 
 
 def admitted_pattern(rng):

@@ -91,7 +91,7 @@ def traced_after_table(monkeypatch, A, k):
     """certify_k_diag_stability(A, k) under tracemalloc, and the peak of
     its traced memory above what it held when the table was built; the
     gap may not be formed."""
-    table, after_table = stability._minors, []
+    table, after_table = stability._minor_table, []
 
     def recording_table(*args):
         M = table(*args)
@@ -103,7 +103,7 @@ def traced_after_table(monkeypatch, A, k):
         raise AssertionError("the Stein gap was formed")
 
     certify_k_diag_stability(A, k)
-    monkeypatch.setattr(stability, "_minors", recording_table)
+    monkeypatch.setattr(stability, "_minor_table", recording_table)
     monkeypatch.setattr(stability, "_stein_gap", no_gram)
     tracemalloc.start()
     try:

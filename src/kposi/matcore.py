@@ -43,12 +43,12 @@ _LEVEL_BLOCK = 1 << 15
 
 # A square table of more than _LEVEL_BLOCK entries with at most
 # R^2 / _NONZERO_BREAK_EVEN structural nonzeros is built from its pattern
-# plan (_sparse_table), and certify applies a nonnegative compound
-# of order _DAVIDSON_MIN_ORDER or more with at most that many nonzeros
-# over them.  A sweep at r = 792 on one OpenBLAS thread put the break-even
-# of that application with the dense one near r^2 / 6 (128 nonzeros a
-# row); up to r^2 / 16 it took at most 0.62 of the dense time
-# (BENCH_sparse.json).
+# plan (_sparse_table), and certify applies such a compound, nonnegative
+# and of order _DAVIDSON_MIN_ORDER or more, over them through the rows
+# the plan holds (_csr); it applies every other compound densely.  A
+# sweep at r = 792 on one OpenBLAS thread put the break-even of that
+# application with the dense one near r^2 / 6 (128 nonzeros a row); up to
+# r^2 / 16 it took at most 0.62 of the dense time (BENCH_sparse.json).
 _NONZERO_BREAK_EVEN = 16
 
 

@@ -23,7 +23,6 @@ from .errors import DomainError, NumericError, PreconditionError
 from .matcore import (
     LexIndexSet,
     _Csr,
-    _csr,
     _checked_tol,
     _eigvals,
     _finite_extremes,
@@ -32,7 +31,6 @@ from .matcore import (
     _check_order,
     _count_text,
     _minor_table,
-    _NONZERO_BREAK_EVEN,
     _pd_check,
     _price_table,
     _sparse_table,
@@ -355,35 +353,10 @@ def _dense(M: np.ndarray) -> _Applied:
     return _Applied(M.__matmul__, M.T.__matmul__, r, r)
 
 
-def _nonzeros(M: np.ndarray) -> _Applied | None:
-    """An M >= 0 of order _DAVIDSON_MIN_ORDER or more that has at most
-    r^2 / _NONZERO_BREAK_EVEN nonzeros, applied over them (_over_nonzeros),
-    else None.  They are read once, in row-major order.
-    """
-    r = M.shape[0]
-    if r < _DAVIDSON_MIN_ORDER:
-        return None
-    # M has no negative entry: its nonzeros are its positive entries
-    positive = M > 0.0
-    if np.count_nonzero(positive) * _NONZERO_BREAK_EVEN > r * r:
-        return None
-    flat = np.flatnonzero(positive)
-    del positive
-    return _over_nonzeros(flat, M.take(flat), r)
-
-
-def _over_nonzeros(flat: np.ndarray, values: np.ndarray, r: int) -> _Applied:
-    """The r x r M whose nonzeros are `values`, at the flat indices `flat` in
-    row-major order, applied over them (_over_rows), with their rows read
-    from flat on each call.  Only the dense read-back, _nonzeros, takes
-    this route: a compound the gate admits comes with its rows in its
-    pattern plan."""
-    return _over_rows(_csr(flat, r), values)
-
-
 def _over_rows(csr: _Csr, values: np.ndarray) -> _Applied:
-    """The M whose nonzeros are `values`, in the row-major order of csr,
-    applied over them."""
+    """The M whose structural nonzeros are `values`, in the row-major order
+    of csr, applied over them: certify's one sparse form, on the rows a
+    pattern plan holds for its compound (matcore._sparse_table)."""
     _, counts, rows, starts, full, a, b = csr
     r = counts.size
     # np.bincount copies a read-only index array, as a plan's are, on every
@@ -573,11 +546,12 @@ def _certify(
     structural nonzeros, priced as the table but with no r x r array: the
     sign gate, the witness and the flip act on their values, from
     _DAVIDSON_MIN_ORDER on an M with no negative entry is applied over
-    them through the rows its pattern plan holds (matcore._csr), with no
-    index work per call, and M is formed only where the LU solves, the
-    eigen-solve, an in-band negative minor or a dense application needs
-    it.  Any other compound is built as the dense table, and so held from
-    the start.
+    them through the rows its pattern plan holds, with no index work per
+    call, and M is formed only where the LU solves, the eigen-solve, an
+    in-band negative minor or a dense application needs it.  Any other
+    compound (k = 1, an order above matcore._LAPLACE_MAX_ORDER, a pattern
+    the gate refuses) is built as the dense table, held from the start
+    and applied densely.
     """
     r = math.comb(A.shape[0], k)
     _require_budget(16 * r * r, f"a certificate of order {_count_text(r)}")
@@ -589,7 +563,7 @@ def _certify(
         M = _minor_table(A, k)
         hi, lo = _finite_extremes(M)
     else:
-        # at most r^2 / _NONZERO_BREAK_EVEN entries: the table's zeros join them
+        # far fewer entries than the table holds: its zeros join them
         M, (plan, values) = None, sparse
         hi, lo = float(values.max(initial=0.0)), float(values.min(initial=0.0))
     t = zero_tol(tol)
@@ -623,20 +597,16 @@ def _certify(
     # may be solved by its Neumann series, and its Stein gap is a Z-matrix;
     # xi then proves its pass, as (D - M^T D M) xi = y' + M^T D x' >= y' > 0
     # for x' = xi - M xi and y' = z - M^T z.  How M is applied is decided
-    # here, once: a large sparse one through its nonzeros, any other
-    # densely.  The series, the gaps, and from _DAVIDSON_MIN_ORDER on the
-    # proof and the margin on the implicit gap v -> d v - M^T (d (M v)) all
-    # use it: from that order on the Gram is formed only where the proof
-    # fails.  M's least entry is read from the gate's extremes: lo, or -hi
-    # after the flip.
+    # here, once: from _DAVIDSON_MIN_ORDER on, an M with none that the gate
+    # admitted through the rows its plan holds, and any other densely.  The
+    # series, the gaps, and from that order on the proof and the margin on
+    # the implicit gap v -> d v - M^T (d (M v)) all use it: from that order
+    # on the Gram is formed only where the proof fails.  M's least entry is
+    # read from the gate's extremes: lo, or -hi after the flip; M is None
+    # here only where the gate admitted it.
     nonneg = (-hi if sign_flipped else lo) >= 0.0
-    applied = None
-    if nonneg and M is not None:
-        applied = _nonzeros(M)
-    elif nonneg and r >= _DAVIDSON_MIN_ORDER:
-        applied = _over_rows(plan.csr, values)
-    if applied is None:
-        applied = _dense(formed())
+    provable = nonneg and r >= _DAVIDSON_MIN_ORDER
+    applied = _over_rows(plan.csr, values) if provable and M is None else _dense(formed())
     if x is None:  # neither given: all ones, as _right_hand_sides completes them
         x = y = np.ones(r)
     xi, z, d = _dlf_solve(formed, x, y, rho if nonneg else 0.0, applied)
@@ -644,7 +614,6 @@ def _certify(
     xi_gap = float(np.min((xi - m_xi) / (1.0 + np.abs(xi))))
     z_gap = float(np.min((z - applied.rmatvec(z)) / (1.0 + np.abs(z))))
     pd = pd_tol(tol)
-    provable = nonneg and r >= _DAVIDSON_MIN_ORDER
     margin = applied.proven_margin(d, xi, m_xi, pd) if provable else None
     if margin is None:
         # M is this call's own compound, still intact: scale it into

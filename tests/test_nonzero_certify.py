@@ -1,14 +1,14 @@
 """Certify's one proof route after the compound, dense or through the nonzeros.
 
 Where the compound M has no negative entry, stability._certify decides
-once how M is applied: where r >= _DAVIDSON_MIN_ORDER and M has at most
-r^2 / _NONZERO_BREAK_EVEN nonzeros, over them, read once from the table
-(stability._nonzeros) or taken from the structural nonzeros of a pattern
-the gate admits (matcore._sparse_table), else densely
-(stability._dense).  The Neumann
-sums, the gaps, and from r >= _DAVIDSON_MIN_ORDER the Collatz-Wielandt
-proof from xi and Davidson all run on that pair, the last two on the
-implicit gap v -> d v - M^T (d (M v)), whether xi and z were summed or
+once how M is applied: where r >= _DAVIDSON_MIN_ORDER and the gate admits
+its pattern (matcore._sparse_table), over its structural nonzeros through
+the rows its plan holds (stability._over_rows), else densely
+(stability._dense), k = 1 and orders above 8 included.  The tests build
+the sparse form of a dense M themselves (over_positive_entries).  The
+Neumann sums, the gaps, and from r >= _DAVIDSON_MIN_ORDER the
+Collatz-Wielandt proof from xi and Davidson all run on that pair, the
+last two on the implicit gap v -> d v - M^T (d (M v)), whether xi and z were summed or
 solved by LU: neither the Gram nor the gap is formed.  A bound that does
 not prove the pass, or a Davidson run that does not converge, forms the
 gap from the intact M for the eigen-solve, bit for bit what it gives on
@@ -33,8 +33,15 @@ from kposi import (
 
 from test_neumann import AGREEMENT_RTOL, SOLVE, assert_lu_bit_for_bit, upper_shift
 from test_neumann import solves  # noqa: F401 (fixture)
-from test_stein_enclosure import MARGIN_RTOL, certify_large_pool, smallest_eigenvalue, traced_after_table
-from test_stein_enclosure import proof_calls  # noqa: F401 (fixture)
+from test_stein_enclosure import (
+    MARGIN_RTOL,
+    certify_chain,
+    certify_large_pool,
+    over_positive_entries,
+    smallest_eigenvalue,
+    traced_after_table,
+)
+from test_stein_enclosure import over_positive, proof_calls  # noqa: F401 (fixtures)
 
 
 @pytest.fixture
@@ -52,20 +59,6 @@ def gap_builds(monkeypatch):
 
     monkeypatch.setattr(stability, "_stein_gap", recorded)
     return calls
-
-
-@pytest.fixture
-def on_path(monkeypatch):
-    """on_path(nonzero, call): call() with every nonnegative compound of
-    order _DAVIDSON_MIN_ORDER or more read into its nonzeros (True) or none
-    (False), whatever its density."""
-
-    def run(nonzero, call):
-        with monkeypatch.context() as m:
-            m.setattr(stability, "_NONZERO_BREAK_EVEN", 1 if nonzero else 10**12)
-            return call()
-
-    return run
 
 
 def stein_gap_of(M, d):
@@ -119,18 +112,16 @@ class TestAgreement:
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("per_row", [8, 30])
     def test_both_sides_of_the_density_threshold(self, per_row, seed, proof_calls, gap_builds,
-                                                 solves, on_path):
-        # at r = 300 the nonzero path takes at most 300^2 / 16 = 5625
-        # nonzeros: 8 a row (2400) are below that, 30 a row (9000) above;
-        # each matrix also runs the other path, and both agree, with no
-        # gap formed on either side
+                                                 solves, over_positive):
+        # 8 nonzeros a row (2400) and 30 (9000), either side of the gate's
+        # 300^2 / 16 = 5625: at k = 1 certify applies M densely at either
+        # density; each matrix also runs over its nonzeros, and both agree,
+        # with no gap formed on either side
         A = sparse_schur(seed, per_row)
-        sparse = per_row == 8
-        assert (np.count_nonzero(A) * stability._NONZERO_BREAK_EVEN <= A.size) == sparse
-        taken = construct_dlf_nonneg(A)
-        other = on_path(not sparse, lambda: construct_dlf_nonneg(A))
+        dense = construct_dlf_nonneg(A)
+        nonzero = over_positive(lambda: construct_dlf_nonneg(A))
         assert gap_builds == [] and solves.lu == 0 and solves.series == [True] * 4
-        for cert, call in zip((taken, other), proof_calls):
+        for cert, call in zip((dense, nonzero), proof_calls):
             assert_agrees(A, cert, call)
 
     @pytest.mark.parametrize("rho, lu", [(0.1, 0), (0.3, 2)])
@@ -153,7 +144,7 @@ class TestFallback:
     from the intact M, bit for bit what the dense form gives; a series
     that goes to LU keeps the route."""
 
-    def test_bound_below_pd_tol(self, proof_calls, gap_builds, solves, on_path):
+    def test_bound_below_pd_tol(self, proof_calls, gap_builds, solves, over_positive):
         # y0 = 1e-20 makes d0 tiny and the gap's smallest eigenvalue with
         # it: the bound cannot clear pd_tol and Davidson does not run.  M is
         # diagonal, so the sums over its nonzeros are the dense mat-vecs'
@@ -164,13 +155,13 @@ class TestFallback:
         y = np.ones(r)
         y[0] = 1e-20
         with pytest.raises(NumericError) as nonzero:
-            construct_dlf_nonneg(A, y=y)
+            over_positive(lambda: construct_dlf_nonneg(A, y=y))
         assert solves.series == [True, True] and [c.ritz for c in proof_calls] == [[]]
         assert proof_calls[0].bound <= matcore.pd_tol()
         (X, d, gap), = gap_builds
         assert X.tobytes() == (np.sqrt(d)[:, None] * A).tobytes()
         with pytest.raises(NumericError) as dense:
-            on_path(False, lambda: construct_dlf_nonneg(A, y=y))
+            construct_dlf_nonneg(A, y=y)
         assert str(nonzero.value) == str(dense.value) == (
             f"constructed D failed the Stein check (margin {smallest_eigenvalue(gap):.3g})"
         )
@@ -191,18 +182,18 @@ class TestFallback:
         assert gap.tobytes() == stability._stein_gap(np.sqrt(d)[:, None] * M, d).tobytes()
         assert cert.stein_margin == smallest_eigenvalue(gap)
 
-    def test_series_to_lu(self, proof_calls, gap_builds, solves, on_path):
-        # 0.1 I plus 0.5 on the superdiagonal is read into its nonzeros,
-        # but its series reaches the cap: LU, and then the proof on the
-        # implicit gap over the nonzeros all the same; applied densely it
-        # takes the same LU and proves the dense implicit gap
+    def test_series_to_lu(self, proof_calls, gap_builds, solves, over_positive):
+        # 0.1 I plus 0.5 on the superdiagonal, applied over its nonzeros:
+        # its series reaches the cap, so LU, and then the proof on the
+        # implicit gap over the nonzeros all the same; applied densely, as
+        # certify applies it, it takes the same LU and proves the dense
+        # implicit gap
         r = 300
         A = 0.1 * np.eye(r) + 0.5 * upper_shift(r)
-        assert stability._nonzeros(A) is not None
-        cert = certify_k_diag_stability(A, 1)
+        cert = over_positive(lambda: certify_k_diag_stability(A, 1))
         assert solves.series == [False] and solves.lu == 2
         assert_lu_bit_for_bit(A, 1, cert)
-        dense = on_path(False, lambda: certify_k_diag_stability(A, 1))
+        dense = certify_k_diag_stability(A, 1)
         assert gap_builds == [] and solves.series == [False, False] and solves.lu == 4
         for field in ("xi", "z", "d"):
             assert getattr(cert, field).tobytes() == getattr(dense, field).tobytes()
@@ -217,21 +208,43 @@ def test_a_floor_beyond_the_float_range_proves_nothing(proof_calls):
     A = 0.05 * np.eye(300) + 0.05 * upper_shift(300)
     d = np.ones(300)
     d[0] = 1.5e308
-    applied = stability._nonzeros(A)
+    applied = over_positive_entries(A)
     assert applied.proven_margin(d, np.ones(300), applied.matvec(np.ones(300)), matcore.pd_tol()) is None
     assert [(c.bound, c.ritz) for c in proof_calls] == [(-np.inf, [])]
 
 
 def test_an_all_zero_compound(proof_calls, solves):
-    # rho = 0 sends it to LU, and its nonzeros, of which there are none,
-    # apply the gap v -> v: the bound from xi is taken over them, and
-    # clears pd_tol, and Davidson stops after one step with the margin
+    # rho = 0 sends it to LU, and M, applied densely, gives the gap
+    # v -> v: the bound from xi clears pd_tol, and Davidson stops after
+    # one step with the margin
     cert = construct_dlf_nonneg(np.zeros((300, 300)))
     assert solves.lu == 2 and solves.series == []
     assert cert.d.tobytes() == np.ones(300).tobytes()
     assert abs(cert.stein_margin - 1.0) <= MARGIN_RTOL
     (call,) = proof_calls
     assert matcore.pd_tol() < call.bound <= 1.0 and call.ritz == [cert.stein_margin]
+
+
+@pytest.mark.parametrize("case", ["chain13-k10", "sparse300-k1"])
+def test_compounds_without_a_plan_are_applied_densely(case, proof_calls, gap_builds, monkeypatch):
+    # above order 8 and at k = 1 no pattern plan is read: a 13 x 13 chain
+    # at k = 10 (r = 286, its corner's sign making A^(10) nonnegative) and
+    # a 300 x 300 matrix of 8 nonzeros a row are built as the table and
+    # applied densely, and the proof on the implicit gap gives the margin
+    rows = []
+    monkeypatch.setattr(stability, "_over_rows", lambda *args: rows.append(args))
+    if case == "chain13-k10":
+        A, k = certify_chain(np.random.default_rng([0, 35]), 13), 10
+        A[-1, 0] *= (-1) ** (k + 1)
+        M = minor_table(A, k)
+    else:
+        A, k = sparse_schur(0, 8), 1
+        M = A
+    cert = certify_k_diag_stability(A, k)
+    assert isinstance(cert, KDiagCertificate) and cert.r >= stability._DAVIDSON_MIN_ORDER
+    assert rows == [] and gap_builds == []
+    (call,) = proof_calls
+    assert_agrees(M, cert, call)
 
 
 @pytest.mark.parametrize("gain", [0.1, 0.0])
@@ -264,18 +277,17 @@ def test_davidson_stops_on_an_eigenvector(gain, monkeypatch):
 def test_nonzero_path_holds_nothing_of_order_r_squared(chain, path, monkeypatch, dense_kernel):
     A = chain()
     if path == "table":
-        # the dense table, read back through its nonzeros, as a table the
-        # gate refuses is: from the end of the table to the return, the
-        # path adds its nonzeros (two arrays of nnz), and Davidson's basis,
-        # the gap times it (two vectors of r a step) and its small
-        # projected matrix above M; the two pool chains went above the
-        # bound when Lanczos took 118 and 133 steps for θ.  The traced peak
-        # measured 0.75 MB (0.149 r^2 8 bytes) on each chain here, with
-        # numpy 2.4
-        read, nonzeros = [], stability._nonzeros
-        monkeypatch.setattr(stability, "_nonzeros", lambda M: read.append(nonzeros(M)) or read[-1])
+        # the dense table, applied densely, as a table the gate refuses
+        # is: from the end of the table to the return, the path adds
+        # Davidson's basis, the gap times it (two vectors of r a step) and
+        # its small projected matrix above M; the two pool chains went
+        # above the bound when Lanczos took 118 and 133 steps for θ.  The
+        # traced peak measured 0.29 MB (0.057 r^2 8 bytes) on each chain,
+        # with numpy 2.4
+        rows = []
+        monkeypatch.setattr(stability, "_over_rows", lambda *args: rows.append(args))
         cert, peak = dense_kernel(lambda: traced_after_table(monkeypatch, A, 5))
-        assert read and all(applied is not None for applied in read)
+        assert rows == []
     else:
         # with the pattern plan cached by a first call, the whole certify,
         # its compound included, holds the structural nonzeros and their

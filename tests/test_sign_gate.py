@@ -68,12 +68,16 @@ def assert_at(witness, T, flat_idx):
 
 
 def test_classify_and_certify_agree_with_the_mask_oracle(monkeypatch):
-    # certify reads its compound through _nonzeros only when the least
-    # entry after the flip is not negative, which it takes from the gate's
-    # extremes; in-band negative minors pass the gate and are not vouched
-    reads = []
-    original = stability._nonzeros
-    monkeypatch.setattr(stability, "_nonzeros", lambda M: reads.append(M) or original(M))
+    # certify vouches for its compound, handing its spectral radius to the
+    # solves (_dlf_solve; 0.0 otherwise), only when the least entry after
+    # the flip is not negative, which it takes from the gate's extremes;
+    # in-band negative minors pass the gate and are not vouched.  A k = 1
+    # compound is applied densely: no rows (_over_rows) are ever applied
+    radii, rows = [], []
+    dlf_solve = stability._dlf_solve
+    monkeypatch.setattr(stability, "_dlf_solve",
+                        lambda formed, x, y, rho, applied: radii.append(rho) or dlf_solve(formed, x, y, rho, applied))
+    monkeypatch.setattr(stability, "_over_rows", lambda *args: rows.append(args))
     rng = np.random.default_rng(2024)
     seen = {"at-band": 0, "tie": 0, "all-zero": 0, "tol-0": 0, "certified": 0, "flipped": 0, "not vouched": 0}
     verdicts = set()
@@ -90,7 +94,7 @@ def test_classify_and_certify_agree_with_the_mask_oracle(monkeypatch):
         sc = classify_sign_regularity(T, 1, tol)
         assert (sc.verdict, sc.signature) == (verdict, signature), (T, tol)
         assert_at(sc.witness_min, T, i_small)
-        reads.clear()
+        radii.clear()
         cert = certify_k_diag_stability(T, 1, tol)
         if verdict == "NONE":
             assert_at(sc.witness_conflict[0], T, i_max)
@@ -101,14 +105,16 @@ def test_classify_and_certify_agree_with_the_mask_oracle(monkeypatch):
         assert sc.witness_conflict is None
         if isinstance(cert, KDiagCertificate):
             assert cert.sign_flipped == (signature == -1)
-            assert bool(reads) == ((-T if cert.sign_flipped else T).min() >= 0.0)
+            vouched = (-T if cert.sign_flipped else T).min() >= 0.0
+            assert radii == [cert.compound_spectral_radius if vouched else 0.0]
             seen["certified"] += 1
             seen["flipped"] += cert.sign_flipped
-            seen["not vouched"] += not reads
+            seen["not vouched"] += not vouched
         else:
             assert cert.reason == COMPOUND_NOT_SCHUR
     assert verdicts == {("NONE", None), ("ALL_ZERO", None), ("SSR", 1), ("SR", 1), ("SSR", -1), ("SR", -1)}
     assert min(seen.values()) >= 100, seen
+    assert rows == []
 
 
 # 1e160 * CERT_3X3 is SSR of order 2, but its 2-minors (~1e320) overflow;

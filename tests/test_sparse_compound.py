@@ -11,7 +11,9 @@ plan's top level).  matcore._minor_table writes what it admits into zeros,
 and stability._certify reads it with no r x r array, applying it through
 the rows of the table the plan holds (plan.csr); every table, certificate
 and verdict equals the dense kernel's path, which the tests reach by
-refusing the gate (the dense_kernel fixture).  matcore._admitted_plan
+refusing the gate (the dense_kernel fixture), a certificate bit for bit
+where that path's table is applied over its positive entries
+(table_reference).  matcore._admitted_plan
 refuses an A with few zeros with no build, looks a pattern up before it
 builds anything, and keeps a plan by the bytes of its arrays and a refusal
 as None; matcore._pattern_plan caps each build at the table's price and
@@ -46,6 +48,7 @@ from kposi import (
 from kposi.stability import COMPOUND_NOT_SCHUR, NOT_SIGN_REGULAR
 from test_neumann import lu_chain
 from test_stein_enclosure import MARGIN_RTOL, certify_chain, certify_large_pool, smallest_eigenvalue, stein_gap
+from test_stein_enclosure import over_positive  # noqa: F401 (fixture)
 
 
 @pytest.fixture
@@ -509,19 +512,29 @@ def assert_same_certificate(got, expected):
     assert abs(got.stein_margin - expected.stein_margin) <= MARGIN_RTOL * expected.stein_margin
 
 
+@pytest.fixture
+def table_reference(dense_kernel, over_positive):
+    """table_reference(call): call() on the dense kernel's tables
+    (dense_kernel), each nonnegative one of order _DAVIDSON_MIN_ORDER or
+    more applied over its positive entries (over_positive), as the plan's
+    rows apply it: the reference a certificate of an admitted pattern
+    equals bit for bit."""
+    return lambda call: over_positive(lambda: dense_kernel(call))
+
+
 class TestCertifyAgreesWithTheTable:
     @pytest.mark.parametrize("seed", range(3))
-    def test_certify_large_chains(self, seed, dense_kernel, pattern_reads):
+    def test_certify_large_chains(self, seed, table_reference, pattern_reads):
         for A in certify_large_pool(seed):
             assert_same_certificate(certify_k_diag_stability(A, 5),
-                                    dense_kernel(lambda: certify_k_diag_stability(A, 5)))
+                                    table_reference(lambda: certify_k_diag_stability(A, 5)))
         assert len(pattern_reads) == 4 and all(read is not None for read in pattern_reads)
 
-    def test_chain12_and_its_negation(self, dense_kernel, pattern_reads):
+    def test_chain12_and_its_negation(self, table_reference, pattern_reads):
         # -chain12 has a nonpositive compound at k = 5: the flip
         for A in (test_kernel.chain12(), -test_kernel.chain12()):
             assert_same_certificate(certify_k_diag_stability(A, 5),
-                                    dense_kernel(lambda: certify_k_diag_stability(A, 5)))
+                                    table_reference(lambda: certify_k_diag_stability(A, 5)))
         assert [read is not None for read in pattern_reads] == [True, True]
 
     @pytest.mark.parametrize("seed", range(3))
@@ -540,7 +553,7 @@ class TestCertifyAgreesWithTheTable:
         assert got == dense_kernel(lambda: certify_k_diag_stability(A, 5))
         assert pattern_reads[0] is not None
 
-    def test_lu_fallback(self, dense_kernel, pattern_reads, monkeypatch):
+    def test_lu_fallback(self, table_reference, pattern_reads, monkeypatch):
         # the series would need about 123 terms: M is formed for the LU
         # solves, from the nonzeros, with the table's zeros
         solves = []
@@ -548,12 +561,12 @@ class TestCertifyAgreesWithTheTable:
         monkeypatch.setattr(stability, "_lu_solves", lambda M, x, y: solves.append(M.copy()) or lu_solves(M, x, y))
         A = lu_chain()
         got = certify_k_diag_stability(A, 5)
-        expected = dense_kernel(lambda: certify_k_diag_stability(A, 5))
+        expected = table_reference(lambda: certify_k_diag_stability(A, 5))
         assert_same_certificate(got, expected)
         assert len(solves) == 2 and solves[0].tobytes() == solves[1].tobytes()
         assert pattern_reads[0] is not None
 
-    def test_eigen_solve_fallback(self, dense_kernel, pattern_reads, monkeypatch):
+    def test_eigen_solve_fallback(self, table_reference, pattern_reads, monkeypatch):
         # Davidson stops at its step cap: the gap is formed from M, filled
         # in from the nonzeros, and the eigen-solve decides
         monkeypatch.setattr(stability, "_DAVIDSON_MAX_STEPS", 8)
@@ -561,20 +574,18 @@ class TestCertifyAgreesWithTheTable:
         monkeypatch.setattr(stability, "_stein_gap", lambda X, d: gaps.append(X.copy()) or stein_gap(X, d))
         A = certify_large_pool(0)[0]
         got = certify_k_diag_stability(A, 5)
-        expected = dense_kernel(lambda: certify_k_diag_stability(A, 5))
+        expected = table_reference(lambda: certify_k_diag_stability(A, 5))
         assert_same_certificate(got, expected)
         assert len(gaps) == 2 and gaps[0].tobytes() == gaps[1].tobytes()
         assert got.stein_margin == expected.stein_margin
         assert pattern_reads[0] is not None
 
-    def test_orders_below_the_davidson_order_apply_m_densely(self, dense_kernel, pattern_reads, monkeypatch):
+    def test_orders_below_the_davidson_order_apply_m_densely(self, dense_kernel, pattern_reads, rows_applied):
         # r = 220 and 190 hold more than one level block, so the gate
         # reads the pattern, but below _DAVIDSON_MIN_ORDER M is formed and
         # applied densely, and the eigen-solve gives the margin, as on the
         # dense kernel's table.  The corner's sign makes the chain
         # sign-regular at its order k
-        over, over_nonzeros = [], stability._over_nonzeros
-        monkeypatch.setattr(stability, "_over_nonzeros", lambda *args: over.append(args) or over_nonzeros(*args))
         rng = np.random.default_rng([1, 32])
         for n, k in ((12, 3), (20, 2)):
             A = certify_chain(rng, n)
@@ -586,14 +597,14 @@ class TestCertifyAgreesWithTheTable:
             assert_same_certificate(got, expected)
             assert got.stein_margin == expected.stein_margin
         assert len(pattern_reads) == 2 and all(read is not None for read in pattern_reads)
-        assert over == []
+        assert rows_applied == []
 
-    def test_an_all_zero_compound(self, dense_kernel, pattern_reads):
+    def test_an_all_zero_compound(self, table_reference, pattern_reads):
         # one nonzero column: every 5-minor is zero, rho = 0 sends the
         # solves to LU, and the proof runs over no nonzeros
         A = 0.5 * np.outer(np.ones(12), np.eye(12)[3])
         assert_same_certificate(certify_k_diag_stability(A, 5),
-                                dense_kernel(lambda: certify_k_diag_stability(A, 5)))
+                                table_reference(lambda: certify_k_diag_stability(A, 5)))
         plan, values = pattern_reads[0]
         assert plan.flat.size == values.size == 0
 
@@ -639,7 +650,7 @@ class TestOperatorRows:
         assert len(rows_applied) == len(chains) and all(rows is rows_applied[0] for rows in rows_applied)
         rows = rows_applied[0]
         assert not any(a.flags.writeable for a in rows[:4])
-        # the chains' rows as the read-back builds them from the flat indices
+        # the chains' rows as matcore._csr builds them from the flat indices
         plan, = matcore._PATTERN_PLANS.values()
         r = 792
         assert rows.cols.tobytes() == (plan.flat % r).tobytes()
@@ -676,8 +687,8 @@ class TestOperatorRows:
     @pytest.mark.parametrize("seed", range(4))
     def test_a_structural_entry_that_cancels_to_zero(self, seed, dense_kernel, pattern_reads, rows_applied):
         # the plan's rows hold the cancelled entries, which the dense
-        # table's read-back leaves out: the same verdict, the margin within
-        # MARGIN_RTOL
+        # table, applied densely, holds as zeros: the same verdict, the
+        # margin within MARGIN_RTOL
         A = cancelling_chain(seed)
         got = certify_k_diag_stability(A, 5)
         expected = dense_kernel(lambda: certify_k_diag_stability(A, 5))
@@ -685,6 +696,5 @@ class TestOperatorRows:
         assert abs(got.stein_margin - expected.stein_margin) <= MARGIN_RTOL * expected.stein_margin
         (plan, values), = pattern_reads
         assert 0 < np.count_nonzero(values == 0.0) and values.min() == 0.0
-        rows, read_back = rows_applied
+        (rows,) = rows_applied
         assert rows is plan.csr and rows.cols.size == values.size
-        assert read_back.cols.size == np.count_nonzero(values)

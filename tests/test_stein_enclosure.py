@@ -3,12 +3,13 @@
 For a nonnegative compound M the construction's xi proves the pass:
 with x' = xi - M xi and y' = z - M^T z, (D - M^T D M) xi = y' + M^T D x'
 >= y' > 0.  From order _DAVIDSON_MIN_ORDER on, certify applies the gap as
-v -> d v - M^T (d (M v)), densely or over a sparse compound's nonzeros,
-and never forms it for the proof: stability._Applied.proven_margin takes a
-Collatz-Wielandt bound from xi on it, and a bound above pd_tol proves the
-pass, with the smallest Ritz value as the margin.  Every other case, and
-every stein_holds call, forms the gap for np.linalg.eigvalsh, whose margin
-must then come out bit for bit.
+v -> d v - M^T (d (M v)), over the structural nonzeros of a compound whose
+pattern the gate admits (stability._over_rows) and densely otherwise, k = 1
+included, and never forms it for the proof:
+stability._Applied.proven_margin takes a Collatz-Wielandt bound from xi on
+it, and a bound above pd_tol proves the pass, with the smallest Ritz value
+as the margin.  Every other case, and every stein_holds call, forms the gap
+for np.linalg.eigvalsh, whose margin must then come out bit for bit.
 """
 
 import contextlib
@@ -74,17 +75,50 @@ def stein_gap(A, k, x=None, y=None):
     """The gap D - M^T D M that certify proves or builds for A^(k), and its
     xi, solved as certify solves it: by the Neumann series where M has no
     negative entry and its spectral radius makes the series the cheaper
-    path, summed over M's nonzeros where certify reads them."""
+    path, summed over M's positive entries where certify applies the rows
+    of its pattern plan, and densely elsewhere."""
     M = matcore._minor_table(A, k)
     if M.max() <= 0.0:
         np.negative(M, out=M)
     nonneg = M.min() >= 0.0
     rho = stability._compound_radius(A, k) if nonneg else 0.0
-    applied = stability._nonzeros(M) if nonneg else None
-    x = np.ones(M.shape[0]) if x is None else x
-    y = np.ones(M.shape[0]) if y is None else y
-    xi, _, d = stability._dlf_solve(lambda: M, x, y, rho, applied or stability._dense(M))
+    r = M.shape[0]
+    rows = nonneg and r >= stability._DAVIDSON_MIN_ORDER and matcore._sparse_table(A, k) is not None
+    applied = over_positive_entries(M) if rows else stability._dense(M)
+    x = np.ones(r) if x is None else x
+    y = np.ones(r) if y is None else y
+    xi, _, d = stability._dlf_solve(lambda: M, x, y, rho, applied)
     return stability._stein_gap(np.sqrt(d)[:, None] * M, d), xi
+
+
+def over_positive_entries(M):
+    """M applied over its positive entries (stability._over_rows), through
+    the rows matcore._csr reads from their flat indices: built from a
+    dense M, the form in which certify applies the compound of a pattern
+    the gate admits."""
+    flat = np.flatnonzero(M > 0.0)
+    return stability._over_rows(matcore._csr(flat, M.shape[0]), M.take(flat))
+
+
+@pytest.fixture
+def over_positive(monkeypatch):
+    """over_positive(call): call() with every M >= 0 of order
+    _DAVIDSON_MIN_ORDER or more that certify applies densely
+    (stability._dense) applied over its positive entries instead
+    (over_positive_entries)."""
+    dense = stability._dense
+
+    def applied(M):
+        if M.shape[0] < stability._DAVIDSON_MIN_ORDER or M.min() < 0.0:
+            return dense(M)
+        return over_positive_entries(M)
+
+    def run(call):
+        with monkeypatch.context() as m:
+            m.setattr(stability, "_dense", applied)
+            return call()
+
+    return run
 
 
 def traced_after_table(monkeypatch, A, k):
@@ -179,14 +213,13 @@ class TestXiProof:
     @pytest.mark.parametrize("form", ["nonzeros", "dense"])
     @pytest.mark.parametrize("density", [0.5, 0.05])
     @pytest.mark.parametrize("seed", range(3))
-    def test_random_stein_gaps_through_nonzeros(self, seed, density, form, monkeypatch):
+    def test_random_stein_gaps_through_nonzeros(self, seed, density, form):
         # S = D - M^T D M for a random nonnegative M, scaled to
         # ||D^(1/2) M D^(-1/2)||_2 = 0.9, applied as the two-stage product
-        # over M's nonzeros (read whatever its density) or densely: its
-        # rounding term keeps the bound from any positive vector at or
+        # over M's nonzeros (built here whatever its density) or densely:
+        # its rounding term keeps the bound from any positive vector at or
         # below eigvalsh's smallest eigenvalue, down to the Perron vector
         # itself, where the rounding term alone keeps it there
-        monkeypatch.setattr(stability, "_NONZERO_BREAK_EVEN", 1)
         rng = np.random.default_rng([seed, 95])
         r = 300
         M = rng.uniform(0.0, 1.0, (r, r)) * (rng.uniform(0.0, 1.0, (r, r)) < density)
@@ -196,7 +229,7 @@ class TestXiProof:
         S = np.diag(d) - M.T @ (d[:, None] * M)
         exact = smallest_eigenvalue(S)
         perron_vector = np.abs(np.linalg.eigh(S)[1][:, 0])
-        applied = stability._nonzeros(M) if form == "nonzeros" else stability._dense(M)
+        applied = over_positive_entries(M) if form == "nonzeros" else stability._dense(M)
         vectors = [np.ones(r), rng.uniform(0.1, 1.0, r), rng.uniform(0.0, 1.0, r) ** 8 + 1e-300,
                    perron_vector]
         for v in vectors:
@@ -210,7 +243,6 @@ class TestXiProof:
         # the return the path adds Davidson's basis and the gap times it
         # (two vectors of r a step), its small projected matrix and a few
         # vectors above M, and forms no gap
-        monkeypatch.setattr(stability, "_NONZERO_BREAK_EVEN", 10**12)
         cert, peak = dense_kernel(lambda: traced_after_table(monkeypatch, certify_large_pool(0)[0], 5))
         assert isinstance(cert, KDiagCertificate) and cert.r == 792
         assert proof_calls[-1].proven and proof_calls[-1].ritz == [cert.stein_margin]

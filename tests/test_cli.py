@@ -638,6 +638,20 @@ class TestTableWedgeSimGolden:
         assert capsys.readouterr().out.encode() == (DATA / "table_wedge_sim.csv").read_bytes()
 
 
+class TestPowerWedgeSimGolden:
+    """One power-map run pinned byte for byte: non-integer exponents 1.01
+    and 1.02 (two POWER groups) on the table run's chain and starts,
+    states included, so both signs of every coordinate pass through the
+    odd extension."""
+
+    def test_output_matches_the_golden_file(self, capsys):
+        argv = ["wedge-sim", "--system", str(DATA / "power_system.json"),
+                "--initials", str(DATA / "table_initials.json"),
+                "-k", "3", "--steps", "200", "--certify", "--include-states"]
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out.encode() == (DATA / "power_wedge_sim.csv").read_bytes()
+
+
 class TestCayleyThreshold:
     def test_check_necessary_dt_is_not_refused_under_a_large_kposi_tol(
         self, tmp_path, capsys, monkeypatch

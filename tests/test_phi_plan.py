@@ -3,24 +3,30 @@
 The oracle here is written independently of kposi.nonlinear: each
 coordinate on its own, a TABLE map as np.interp on the plain table for
 s >= 0 and on the mirrored table for s < 0.  Results are compared with
-tobytes(), so signed zeros and NaN payloads count.
+tobytes(), so signed zeros and NaN payloads count.  phi built for a
+domain, and the trajectories that use it, are compared with phi built
+without one, whose full table lookup the oracle checks.
 """
 
 import csv
 import io
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from kposi import (
+    CyclicSpec,
     NonlinearSystem,
     ScalarMap,
     WedgeTrajectory,
+    build_cyclic,
     eval_phi,
     export_trajectory_csv,
     nonlinear,
     simulate,
+    wedge,
     wedge_trajectory,
 )
 from kposi.nonlinear import write_csv
@@ -210,9 +216,9 @@ def test_a_system_builds_one_table_plan_per_group(monkeypatch):
     calls = []
     plan = nonlinear._table_plan
 
-    def counted(maps):
+    def counted(maps, *rest):
         calls.append(maps)
-        return plan(maps)
+        return plan(maps, *rest)
 
     monkeypatch.setattr(nonlinear, "_table_plan", counted)
     maps = tuple(ScalarMap.table([(z, c * z) for z in (-1.0, 0.0, 1.0)])
@@ -228,6 +234,122 @@ def test_tables_are_grouped_by_breakpoint_grid():
     same_grid = ScalarMap.table([(z, 0.5 * z) for z, _ in TABLES[0]])
     assert key(same_grid) == key(make_map("table", TABLES[0]))
     assert key(make_map("table", TABLES[2])) != key(make_map("table", TABLES[0]))
+
+
+# phi built for a finite domain: a TABLE group's lookup skips its clamp and
+# breakpoint copy when its plan proves that gives the same bits
+
+LOOKUP_DOMAIN = (-3.0, 3.0)
+
+# (table, whether the lookup without the two steps proves exact on it);
+# the domain is wider than every grid here, so no system would validate
+DOMAIN_TABLES = tuple((t, True) for t in TABLES[:4]) + (
+    # the breakpoint (0, -0.0): the lean form gives 0.0 at s = +0
+    (TABLES[4], False),
+    (TABLES[5], True),
+    (TABLES[6], True),
+    # (0.5, -0.0) on the + branch: the lean form's zero has the other sign
+    (TABLES[7], False),
+    (TABLES[8], True),
+    (TABLES[9], True),
+    # an origin value of -0.0
+    ([(-1.0, -0.9), (0.0, -0.0), (1.0, 0.8)], False),
+    # zero values at nonzero breakpoints: a zero on the - branch at -0.5
+    # keeps its sign, -0.0 at 0.5 on the + branch does not
+    ([(-1.0, -0.9), (-0.5, 0.0), (0.0, 0.0), (0.5, 0.0), (1.0, 0.9)], True),
+    ([(-1.0, -0.9), (-0.5, -0.0), (0.0, 0.0), (0.5, -0.0), (1.0, 0.9)], False),
+    # grids narrower than the domain: past their ends the clamp is not idle
+    ([(-0.5, -0.4), (0.0, 0.0), (0.5, 0.45)], True),
+    ([(0.2, 0.1), (0.6, 0.5)], True),
+    # duplicate breakpoints: a nonfinite plan
+    ([(-1.0, -0.9), (0.0, 0.0), (0.0, 0.0), (1.0, 0.9)], False),
+)
+
+
+def lookup_arguments(rng, table, domain):
+    """Uniform draws from the domain, each breakpoint and its two float
+    neighbours, +-0, the domain's ends and NaN of either sign, the finite
+    ones inside the domain."""
+    zs = np.array([z for z, _ in table])
+    x = np.concatenate([
+        rng.uniform(*domain, 20000) if np.isfinite(domain).all() else rng.uniform(-5.0, 5.0, 20000),
+        zs, np.nextafter(zs, np.inf), np.nextafter(zs, -np.inf),
+        [0.0, -0.0, np.nan, -np.nan], domain,
+    ])
+    return x[np.isnan(x) | ((x >= domain[0]) & (x <= domain[1]))]
+
+
+@pytest.mark.parametrize("table, exact", DOMAIN_TABLES)
+def test_the_domain_lookup_matches_the_full_one(table, exact):
+    m = ScalarMap.table(table)
+    plan = nonlinear._phi_plan((m,), LOOKUP_DOMAIN).args[0]
+    full = nonlinear._table_plan((m,))
+    x = lookup_arguments(np.random.default_rng(12), table, LOOKUP_DOMAIN)
+    assert nonlinear._table_phi(plan, x).tobytes() == nonlinear._table_phi(full, x).tobytes()
+    assert (plan.exact, full.exact) == (exact, False)
+
+
+def test_a_one_breakpoint_table_has_no_lookup_to_lean():
+    # TABLES[-1]: its value everywhere, with or without a domain
+    m = make_map("table", TABLES[-1])
+    phi = nonlinear._phi_plan((m,), LOOKUP_DOMAIN)
+    assert phi.func is nonlinear._constant
+    x = lookup_arguments(np.random.default_rng(15), TABLES[-1], LOOKUP_DOMAIN)
+    assert phi(x).tobytes() == nonlinear._phi_plan((m,))(x).tobytes()
+
+
+def test_the_proof_refuses_a_negative_zero_at_the_origin():
+    # forced on, the lean form returns 0.0 at s = +0 where the table says -0.0
+    m = ScalarMap.table([(-1.0, -0.9), (0.0, -0.0), (1.0, 0.8)])
+    full = nonlinear._table_plan((m,))
+    assert nonlinear._table_plan((m,), lean=True).exact is False
+    zeros = np.array([0.0, -0.0])
+    assert nonlinear._table_phi(full, zeros).tobytes() == np.array([-0.0, -0.0]).tobytes()
+    forced = nonlinear._table_phi(full._replace(exact=True), zeros)
+    assert forced.tobytes() == np.array([0.0, -0.0]).tobytes()
+
+
+def test_one_table_refuses_the_proof_for_its_group():
+    # a group shares one plan: a -0.0 value in one table keeps the clamp
+    # and the copy for every table on its grid
+    grid = [z for z, _ in TABLES[0]]
+    maps = (make_map("table", TABLES[0]), ScalarMap.table([(z, -0.0 if z == 0.0 else 0.5 * z) for z in grid]))
+    assert nonlinear._phi_plan(maps[:1], LOOKUP_DOMAIN).args[0].exact is True
+    plan = nonlinear._phi_plan(maps, LOOKUP_DOMAIN).args[0]
+    assert plan.exact is False
+    x = np.stack([lookup_arguments(np.random.default_rng(13), TABLES[0], LOOKUP_DOMAIN)] * 2, axis=1)
+    assert nonlinear._table_phi(plan, x).tobytes() == nonlinear._table_phi(nonlinear._table_plan(maps), x).tobytes()
+
+
+@pytest.mark.parametrize("domain", [(-np.inf, np.inf), (-1.0, np.inf), (-np.inf, 1.0)])
+def test_an_infinite_domain_keeps_the_full_lookup(domain):
+    # the proof covers finite arguments only, and such a domain holds +-inf
+    m = make_map("table", TABLES[0])
+    plan = nonlinear._phi_plan((m,), domain).args[0]
+    assert plan.exact is False
+    x = np.concatenate([lookup_arguments(np.random.default_rng(14), TABLES[0], domain), [np.inf, -np.inf]])
+    assert nonlinear._table_phi(plan, x).tobytes() == oracle_map("table", TABLES[0], x).tobytes()
+
+
+def test_other_callers_keep_the_full_lookup(monkeypatch):
+    # eval_phi, a map's own call and the content check build phi without a
+    # domain, so their table plans never skip the clamp or the copy
+    plans = []
+    build = nonlinear._table_plan
+
+    def recorded(*args):
+        plans.append(build(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(nonlinear, "_table_plan", recorded)
+    maps = tuple(make_map("table", t) for t in (TABLES[0], TABLES[0], TABLES[2]))
+    sys_ = NonlinearSystem(0.3 * np.eye(3), maps, (-1.0, 1.0))
+    eval_phi(sys_, np.zeros(3))
+    ScalarMap.table(TABLES[1])(0.5)
+    nonlinear.check_k_content_preserving(sys_, 1, 2, 4, seed=0)
+    assert len(plans) == 5 and not any(p.exact for p in plans)
+    simulate(sys_, np.zeros(3), 3)
+    assert len(plans) == 7 and all(p.exact for p in plans[5:])
 
 
 @pytest.mark.parametrize("kind, param", MIXED)
@@ -312,6 +434,100 @@ def test_wedge_trajectory_never_calls_a_scalar_map(monkeypatch):
     monkeypatch.setattr(ScalarMap, "__call__", refuse)
     traj = wedge_trajectory(sys_, k, initials, np.ones(4), 2000)
     assert traj.v_series.shape == (2001,) and traj.exit_step is None
+
+
+# simulate and wedge_trajectory against a per-step loop with the full
+# lookup: the same bits, whatever the domain lookup skips
+
+# (n, k, map kind, exponent): the four shapes of the wedge-sim benchmark
+WEDGE_SHAPES = ((3, 2, "power", 1.0005), (4, 3, "table", None), (5, 2, "power", 1.001), (6, 3, "table", None))
+
+
+def wedge_system(seed, n, k, kind, p):
+    """A signed cyclic chain with ||A||_inf < 1 and k starts in the box:
+    power maps on [-0.5, 0.5], or tables of gain near 1 on [-1, 1]."""
+    rng = np.random.default_rng(seed)
+    alphas = rng.uniform(0.0, 0.0005, n)
+    A = build_cyclic(CyclicSpec(n=n, alphas=tuple(alphas), betas=tuple(rng.uniform(0.998, 0.999, n) - alphas), ell=k))
+    if kind == "power":
+        s, maps = 0.5, (ScalarMap.power(p),) * n
+    else:
+        s = 1.0
+        maps = tuple(ScalarMap.table([(z, c * z) for z in (-s, -s / 2, 0.0, s / 2, s)])
+                     for c in rng.uniform(0.9995, 1.0, n))
+    return NonlinearSystem(A, maps, (-s, s)), list(rng.uniform(-0.9 * s, 0.9 * s, (k, n)))
+
+
+def reference_run(sys_, starts, steps):
+    """Per step and start: phi with the full lookup, then A @ p; stops at
+    the first state outside the domain, keeping it."""
+    phi = nonlinear._phi_plan(sys_.maps)
+    lo, hi = sys_.domain
+    runs = [[np.asarray(a, dtype=float)] for a in starts]
+    for _ in range(steps):
+        for run in runs:
+            run.append(sys_.A @ phi(run[-1]))
+        if any(np.any((run[-1] < lo) | (run[-1] > hi)) for run in runs):
+            return np.array(runs), len(runs[0]) - 1
+    return np.array(runs), None
+
+
+def assert_trajectories_match(sys_, starts, steps):
+    k = len(starts)
+    d = np.random.default_rng(k).uniform(0.5, 1.5, math.comb(sys_.n, k))
+    states, exit_step = reference_run(sys_, starts, steps)
+    res = simulate(sys_, starts[0], steps)
+    assert res.exit_step == exit_step
+    assert res.states.tobytes() == reference_run(sys_, starts[:1], steps)[0][0].tobytes()
+    traj = wedge_trajectory(sys_, k, starts, d, steps, tol=1e-9)
+    y = np.array([wedge(list(states[:, j])).coords for j in range(states.shape[1])])
+    v = np.array([np.dot(row * d, row) for row in y])
+    rises = tuple(j for j in range(1, v.size) if v[j] - v[j - 1] > 1e-9 * max(v[j - 1], v[j]))
+    assert traj.exit_step == exit_step
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.y_series.tobytes() == y.tobytes()
+    assert traj.v_series.tobytes() == v.tobytes()
+    assert traj.v_increase_steps == rises
+    return traj
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("shape", WEDGE_SHAPES)
+def test_wedge_shapes_match_the_per_step_loop(shape, seed):
+    sys_, starts = wedge_system(seed, *shape)
+    if shape[2] == "table":
+        assert nonlinear._phi_plan(sys_.maps, sys_.domain).args[0].exact is True
+    assert assert_trajectories_match(sys_, starts, 300).exit_step is None
+
+
+def test_a_run_that_overflows_after_its_exit_matches_the_per_step_loop():
+    # the third coordinate grows 1e10-fold a step: it leaves the domain at
+    # step 10, mid-block, and the block's dropped steps overflow, feeding
+    # +-inf and NaN to the tables, where the two lookups differ
+    maps = (make_map("table", TABLES[0]), make_map("table", TABLES[0]), ScalarMap.linear(1e10))
+    A = np.array([[0.3, 0.2, 0.5], [-0.2, 0.4, 0.5], [0.0, 0.0, 1.0]])
+    sys_ = NonlinearSystem(A, maps, (-1.0, 1.0), validate=False)
+    starts = [np.array([0.5, -0.4, 1e-95]), np.array([-0.6, 0.2, -3e-96])]
+    traj = assert_trajectories_match(sys_, starts, 200)
+    assert traj.exit_step == 10
+    # the rest of the block, as the loop computes and drops it
+    x, phi = traj.states[:, -1], nonlinear._phi_plan(maps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(nonlinear._BLOCK - 10):
+            x = (A @ phi(x)[..., None])[..., 0]
+    assert not np.isfinite(x).any()
+
+
+def test_a_grid_narrower_than_the_domain_matches_the_per_step_loop():
+    # unvalidated: the tables end at +-0.5 on a domain of [-1, 1], so the
+    # states beyond the grid take the end values the clamp gives them
+    maps = tuple(ScalarMap.table([(-0.5, -0.45 * c), (0.0, 0.0), (0.5, 0.45 * c)]) for c in (1.0, 0.9, 0.8, 1.1))
+    A = build_cyclic(CyclicSpec(n=4, alphas=(0.01, 0.02, 0.01, 0.0), betas=(0.97, 0.96, 0.98, 0.95), ell=3))
+    sys_ = NonlinearSystem(A, maps, (-1.0, 1.0), validate=False)
+    assert nonlinear._phi_plan(sys_.maps, sys_.domain).args[0].exact is True
+    starts = list(np.random.default_rng(9).uniform(-0.9, 0.9, (3, 4)))
+    traj = assert_trajectories_match(sys_, starts, 200)
+    assert traj.exit_step is None and (np.abs(traj.states) > 0.5).any()
 
 
 def reference_csv(columns, rows) -> str:

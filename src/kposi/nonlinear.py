@@ -21,6 +21,8 @@ from .compound import mult_compound
 from .errors import DomainError, NumericError, PreconditionError
 from .matcore import (
     LexIndexSet,
+    _LAPLACE_MAX_ORDER,
+    _LEVEL_BLOCK,
     _checked_count,
     _count_text,
     _minors,
@@ -40,9 +42,6 @@ TABLE = "TABLE"
 
 # Wedge recursion and direct evaluation must agree to this relative level.
 _RECURSION_RTOL = 1e-9
-
-# Tuples per call of the minor kernel in _wedge_coords_batch.
-_WEDGE_CHUNK = 256
 
 # Steps per domain test in _iterate.
 _BLOCK = 64
@@ -544,28 +543,50 @@ def _wedge_coords_batch(tuples: np.ndarray, phi=None) -> np.ndarray:
     """Wedge coordinates for a (T, k, n) batch of k-tuples; result (T, r).
 
     Row t equals wedge(tuples[t]).coords bit for bit: both are the order-k
-    minors of the n x k column stack, from the one minor kernel.  With
-    phi given, row t is the wedge of phi(tuples[t]) instead.  Both run on
-    _WEDGE_CHUNK tuples at a time, so their temporaries stay small next
-    to the result however long the batch is.  Unpriced: the content check
-    and the wedge trajectory price the batch before they make it, the
-    kernel's temporaries at _chunk_bytes.
+    minors of the n x k column stack, from the one minor kernel, which
+    gives an entry the same bits whatever batch it sits in.  With phi
+    given, row t is the wedge of phi(tuples[t]) instead.  Both run on
+    chunks of _wedge_chunk(k, n) tuples, whose widest Laplace levels hold
+    about one of the kernel's own blocks, so their temporaries stay small
+    next to the result however long the batch is.  Unpriced: the content
+    check and the wedge trajectory price the batch before they make it,
+    the kernel's temporaries at _chunk_bytes.
     """
     T, k, n = tuples.shape
     coords = np.empty((T, math.comb(n, k)))
-    for s in range(0, T, _WEDGE_CHUNK):
-        chunk = tuples[s : s + _WEDGE_CHUNK]
+    step = _wedge_chunk(k, n)
+    for s in range(0, T, step):
+        chunk = tuples[s : s + step]
         if phi is not None:
             chunk = phi(chunk)
-        coords[s : s + _WEDGE_CHUNK] = _minors(np.swapaxes(chunk, 1, 2), k)[..., 0]
+        coords[s : s + step] = _minors(np.swapaxes(chunk, 1, 2), k)[..., 0]
     return coords
+
+
+def _wedge_chunk(k: int, n: int) -> int:
+    """Tuples per kernel call in _wedge_coords_batch: max(1, _LEVEL_BLOCK //
+    w), so that w, what one tuple takes in the kernel, fills about one of
+    its blocks.
+
+    w is the C(n,k) k products of the top Laplace level, by which
+    _table_bytes prices a level and the one below it.  For k near n two
+    adjacent levels can hold more, C(n-k+p, p) C(k,p) entries at level p
+    (at k = n = 8, 126 at levels 3 and 4 against 8); w is then their sum,
+    so the chunk's levels stay within its price.  Above _LAPLACE_MAX_ORDER
+    the kernel gathers k x k blocks and builds no levels.
+    """
+    w = math.comb(n, k) * k
+    if k <= _LAPLACE_MAX_ORDER:
+        level = [math.comb(n - k + p, p) * math.comb(k, p) for p in range(1, k + 1)]
+        w = max([w] + [a + b for a, b in zip(level, level[1:])])
+    return max(1, _LEVEL_BLOCK // w)
 
 
 def _chunk_bytes(count: int, k: int, n: int) -> int:
     """Bytes the minor kernel holds at its peak on one chunk of
-    _wedge_coords_batch over count k-tuples in R^n, as _table_bytes prices
-    a table of the chunk's size."""
-    return _table_bytes(n, k, k, min(count, _WEDGE_CHUNK))
+    _wedge_coords_batch over count k-tuples in R^n: _table_bytes of a
+    batch of min(count, _wedge_chunk(k, n)) n x k stacks."""
+    return _table_bytes(n, k, k, min(count, _wedge_chunk(k, n)))
 
 
 def check_k_content_preserving(
@@ -785,21 +806,46 @@ def write_csv(fp, columns: list[str], rows) -> None:
 
     Floats carry 17 significant digits, so they re-ingest bit-identically.
     Column names are written as given, so they must not need CSV quoting.
+    The rows are formatted and written in blocks (see _write_columns), so
+    the writer holds one block of text and Python numbers whatever the
+    row count.
     """
-    line = "%d" + ",%.17g" * len(columns) + "\n"
-    body = "".join([line % (j, *row) for j, row in enumerate(np.asarray(rows, dtype=float).tolist())])
-    fp.write(",".join(["j", *columns]) + "\n" + body)
+    table = np.asarray(rows, dtype=float)
+    _write_columns(fp, columns, list(table.T), table.shape[0])
+
+
+def _write_columns(fp, names: list[str], cols: list[np.ndarray], count: int) -> None:
+    """write_csv over `count` rows given as one 1-D array per column.
+
+    A block of max(1, _LEVEL_BLOCK // (1 + len(cols))) rows is one %
+    format of the block's line pattern over a flat argument list, the row
+    numbers and each column's tolist() interleaved by slice assignment,
+    and is written as soon as it is formatted: %d and %.17g per value, the
+    bytes a line-by-line format gives.
+    """
+    fp.write(",".join(["j", *names]) + "\n")
+    width = 1 + len(cols)
+    line = "%d" + ",%.17g" * len(cols) + "\n"
+    step = max(1, _LEVEL_BLOCK // width)
+    for s in range(0, count, step):
+        e = min(s + step, count)
+        args = [None] * (width * (e - s))
+        args[::width] = range(s, e)
+        for c, col in enumerate(cols, 1):
+            args[c::width] = col[s:e].tolist()
+        fp.write(line * (e - s) % tuple(args))
 
 
 def export_trajectory_csv(traj: WedgeTrajectory, fp, include_states: bool = False) -> None:
     """Write the trajectory as CSV with header j,V (17 significant digits).
 
     With include_states, per-trajectory state columns x{i}_{coord} are
-    appended after V.
+    appended after V.  The V series and the state series are read a block
+    of rows at a time, in place: no table of all the columns is made.
     """
     k, rows, n = traj.states.shape
-    columns, table = ["V"], traj.v_series[:, None]
+    names, cols = ["V"], [traj.v_series]
     if include_states:
-        columns += [f"x{i + 1}_{c + 1}" for i in range(k) for c in range(n)]
-        table = np.column_stack([table, traj.states.swapaxes(0, 1).reshape(rows, k * n)])
-    write_csv(fp, columns, table)
+        names += [f"x{i + 1}_{c + 1}" for i in range(k) for c in range(n)]
+        cols += [traj.states[i, :, c] for i in range(k) for c in range(n)]
+    _write_columns(fp, names, cols, rows)

@@ -64,9 +64,13 @@ _TINY = float(np.finfo(float).smallest_subnormal)
 
 # Orders from which certify proves the Stein check of a nonnegative compound
 # from its own positive xi (_Applied.proven_margin) and takes the margin
-# from a Davidson run, not from a full eigen-solve; below it the eigen-solve
-# is the faster of the two (crossover measured for Lanczos, which took 5-10
-# times Davidson's mat-vecs, in BENCH_lanczos.json).
+# from a Davidson run, not from a full eigen-solve.  250 is the crossover
+# measured for Lanczos, which took 5-10 times Davidson's mat-vecs
+# (BENCH_lanczos.json); it is not Davidson's own.  Whole certify runs on
+# chains, one OpenBLAS thread, had Davidson the faster at r = 126 and 220
+# and the eigen-solve only at r = 120.  The value waits for the certify
+# sweep over r between 35 and 792 that ROADMAP item 2 lists; it also picks
+# the operator applied through the pattern plan's rows.
 _DAVIDSON_MIN_ORDER = 250
 
 # Davidson steps after which the run gives up and the eigen-solve decides,

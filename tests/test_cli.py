@@ -652,6 +652,20 @@ class TestPowerWedgeSimGolden:
         assert capsys.readouterr().out.encode() == (DATA / "power_wedge_sim.csv").read_bytes()
 
 
+class TestTableSimulateGolden:
+    """One simulate run pinned byte for byte: the table system from the
+    first column of the table run's starts, 200 steps of states in blocks
+    of the CSV writer."""
+
+    def test_output_matches_the_golden_file(self, capsys):
+        starts = json.loads((DATA / "table_initials.json").read_text())["data"]
+        argv = ["simulate", "--system", str(DATA / "table_system.json"),
+                "--x0", *[repr(row[0]) for row in starts], "--steps", "200"]
+        assert run_cli(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.encode() == (DATA / "table_simulate.csv").read_bytes() and err == ""
+
+
 class TestCayleyThreshold:
     def test_check_necessary_dt_is_not_refused_under_a_large_kposi_tol(
         self, tmp_path, capsys, monkeypatch

@@ -687,14 +687,20 @@ class TestByteBudget:
         return priced
 
     # n = 10 at k = 2, 5, 8, 9: the minor kernel's temporaries on a chunk of
-    # _WEDGE_CHUNK states, Laplace row blocks or gathered k x k blocks, are
-    # most of the peak
+    # nonlinear._wedge_chunk(k, n) states, Laplace row blocks or gathered
+    # k x k blocks, are most of the peak.  At n = 3, k = 2 the 4681 states
+    # of 4680 steps are exactly one chunk.  At n = k = 8 the middle levels
+    # are wider than the top, whose products alone would size a chunk of
+    # 4096 states that holds more than its price
     @pytest.mark.parametrize("n, k, steps", [(12, 5, 300), (8, 3, 2000), (4, 1, 100), (3, 2, 10),
-                                             (10, 2, 300), (10, 5, 300), (10, 8, 300), (10, 9, 300)])
+                                             (10, 2, 300), (10, 5, 300), (10, 8, 300), (10, 9, 300),
+                                             (3, 2, 4680), (8, 8, 2000)])
     def test_trajectory_price_bounds_the_traced_peak(self, prices, n, k, steps):
         sys_, d = decaying_chain_system(n), np.ones(math.comb(n, k))
         peak = traced_peak(lambda: wedge_trajectory(sys_, k, chain_starts(n, k), d, steps))
         assert len(prices) == 1 and peak <= prices[0]
+        if (n, k, steps) == (3, 2, 4680):
+            assert nonlinear._wedge_chunk(k, n) == steps + 1
 
     @pytest.mark.parametrize("n, steps", [(12, 3000), (6, 64), (3, 65), (2, 0)])
     def test_simulation_price_bounds_the_traced_peak(self, prices, n, steps):
@@ -704,13 +710,25 @@ class TestByteBudget:
         assert results[0].states.shape == (steps + 1, n) and results[0].exit_step is None
         assert len(prices) == 1 and peak <= prices[0]
 
+    # at n = 14, k = 7 a chunk is one tuple, whose top level alone makes
+    # C(14,7) k = 24024 products: most of one of the kernel's blocks
     @pytest.mark.parametrize("n, k, axis, draws", [(12, 5, 1, 500), (6, 2, 2, 3000), (3, 2, 5, 100), (3, 1, 3, 0),
-                                                   (10, 2, 1, 299), (10, 5, 1, 299), (10, 8, 1, 299), (10, 9, 1, 299)])
+                                                   (10, 2, 1, 299), (10, 5, 1, 299), (10, 8, 1, 299), (10, 9, 1, 299),
+                                                   (14, 7, 1, 3)])
     def test_content_price_bounds_the_traced_peak(self, prices, n, k, axis, draws):
         sys_ = decaying_chain_system(n)
         peak = traced_peak(lambda: check_k_content_preserving(
             sys_, k, samples_per_axis=axis, num_random=draws, seed=1))
         assert len(prices) == 1 and peak <= prices[0]
+        if (n, k) == (14, 7):
+            # one kernel call a tuple: each row is that tuple's own wedge
+            assert nonlinear._wedge_chunk(k, n) == 1
+            phi = nonlinear._phi_plan(sys_.maps)
+            tuples = np.random.default_rng(1).uniform(*sys_.domain, (3, k, n))
+            for rows, arg in ((nonlinear._wedge_coords_batch(tuples), tuples),
+                              (nonlinear._wedge_coords_batch(tuples, phi), phi(tuples))):
+                for t in range(3):
+                    assert rows[t].tobytes() == wedge(arg[t]).coords.tobytes()
 
     def test_grid_over_a_million_tuples_runs_within_its_price(self, prices):
         # 1001^2 tuples: over the grid limit that once refused them

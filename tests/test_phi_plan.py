@@ -11,6 +11,7 @@ without one, whose full table lookup the oracle checks.
 import csv
 import io
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from kposi import (
     wedge,
     wedge_trajectory,
 )
+from kposi.matcore import _LEVEL_BLOCK
 from kposi.nonlinear import write_csv
 
 TINY = 5e-324
@@ -549,34 +551,66 @@ SPECIAL_ROWS = np.array(
 )
 
 
+# SPECIAL_ROWS tiled past 3 of the writer's blocks of _LEVEL_BLOCK values
+# at the two columns j,V, and past 12 at the eight of j,V and six states,
+# ending 3 rows into the next
+LONG_ROWS = np.tile(SPECIAL_ROWS, (3 * _LEVEL_BLOCK // 10 + 1, 1))
+
+
 def test_write_csv_matches_the_csv_module():
-    buf = io.StringIO()
-    write_csv(buf, ["a", "b", "c"], SPECIAL_ROWS)
-    assert buf.getvalue() == reference_csv(["a", "b", "c"], SPECIAL_ROWS)
+    for rows in (SPECIAL_ROWS, LONG_ROWS):
+        buf = io.StringIO()
+        write_csv(buf, ["a", "b", "c"], rows)
+        assert buf.getvalue() == reference_csv(["a", "b", "c"], rows)
     buf = io.StringIO()
     write_csv(buf, ["a"], np.empty((0, 1)))
     assert buf.getvalue() == "j,a\n"
 
 
 def test_trajectory_csv_with_state_columns_matches_the_csv_module():
-    k, n, T = 2, 3, SPECIAL_ROWS.shape[0]
-    rng = np.random.default_rng(1)
-    states = rng.uniform(-1.0, 1.0, (k, T, n))
-    states[0, :, 0] = SPECIAL_ROWS[:, 0]
-    states[1, :, 2] = SPECIAL_ROWS[:, 2]
-    traj = WedgeTrajectory(
-        k=k,
-        initials=states[:, 0],
-        states=states,
-        y_series=np.zeros((T, 3)),
-        v_series=SPECIAL_ROWS[:, 1].copy(),
-        d_used=np.ones(3),
-        v_increase_steps=(),
-        exit_step=None,
-    )
-    columns = ["V"] + [f"x{i}_{c}" for i in (1, 2) for c in (1, 2, 3)]
-    table = np.column_stack([traj.v_series, states.swapaxes(0, 1).reshape(T, k * n)])
-    for include_states, cols, rows in ((False, ["V"], table[:, :1]), (True, columns, table)):
-        buf = io.StringIO()
-        export_trajectory_csv(traj, buf, include_states=include_states)
-        assert buf.getvalue() == reference_csv(cols, rows)
+    for special in (SPECIAL_ROWS, LONG_ROWS):
+        k, n, T = 2, 3, special.shape[0]
+        rng = np.random.default_rng(1)
+        states = rng.uniform(-1.0, 1.0, (k, T, n))
+        states[0, :, 0] = special[:, 0]
+        states[1, :, 2] = special[:, 2]
+        traj = WedgeTrajectory(
+            k=k,
+            initials=states[:, 0],
+            states=states,
+            y_series=np.zeros((T, 3)),
+            v_series=special[:, 1].copy(),
+            d_used=np.ones(3),
+            v_increase_steps=(),
+            exit_step=None,
+        )
+        columns = ["V"] + [f"x{i}_{c}" for i in (1, 2) for c in (1, 2, 3)]
+        table = np.column_stack([traj.v_series, states.swapaxes(0, 1).reshape(T, k * n)])
+        for include_states, cols, rows in ((False, ["V"], table[:, :1]), (True, columns, table)):
+            buf = io.StringIO()
+            export_trajectory_csv(traj, buf, include_states=include_states)
+            assert buf.getvalue() == reference_csv(cols, rows)
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+def test_write_csv_peak_does_not_grow_with_the_row_count():
+    # one block (_LEVEL_BLOCK // 2 rows at one column) against 200 000 and
+    # 800 000 rows: a writer that held the whole table would read over
+    # 30 MB and 120 MB at the two
+    def peak(T):
+        rows = np.linspace(-1.0, 1.0, T)[:, None]
+        tracemalloc.start()
+        try:
+            write_csv(_Discard(), ["a"], rows)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return top
+
+    block = peak(_LEVEL_BLOCK // 2)
+    short, long = peak(200_000), peak(800_000)
+    assert short <= 2 * block and abs(long - short) <= block

@@ -287,8 +287,8 @@ def _encode(obj, names=None):
 
 
 # a zero minor's sign bit depends on the table's route, the pattern plan
-# (matcore._sparse_table) or the kernel (matcore._minors), so the minor
-# reports write every zero as 0.0
+# or the kernel (matcore._minor_values), so the minor reports write every
+# zero as 0.0
 
 
 def _cmd_compound(args) -> int:
@@ -374,7 +374,7 @@ def _cmd_cyclic(args) -> int:
 def _cmd_simulate(args) -> int:
     sys_, _ = _load_system(args.system)
     res = simulate(sys_, np.asarray(args.x0, dtype=float), args.steps)
-    write_csv(sys.stdout, [f"x{i + 1}" for i in range(sys_.n)], res.states)
+    write_csv(sys.stdout, [f"x{i + 1}" for i in range(sys_.n)], list(res.states.T))
     if res.exit_step is not None:
         sys.stderr.write(
             f"trajectory left the state domain at step {res.exit_step}; output truncated\n"

@@ -43,7 +43,7 @@ _LEVEL_BLOCK = 1 << 15
 
 # A square table of more than _LEVEL_BLOCK entries with at most
 # R^2 / _NONZERO_BREAK_EVEN structural nonzeros is built from its pattern
-# plan (_sparse_table), and certify applies such a compound, nonnegative
+# plan (_minor_values), and certify applies such a compound, nonnegative
 # and of order _DAVIDSON_MIN_ORDER or more, over them through the rows
 # the plan holds (_csr); it applies every other compound densely.  A
 # sweep at r = 792 on one OpenBLAS thread put the break-even of that
@@ -368,8 +368,8 @@ def _minors(A: np.ndarray, q: int) -> np.ndarray:
     block it sits in, so it rounds to the same bits there, a zero's sign
     included, and orders 1 and 2 equal the closed forms bit for bit.  The
     method depends on q alone, so a single minor always matches its table
-    entry in value.  _minor_table builds a sparse square table from its
-    pattern plan instead (_sparse_table), which skips its zero minors.
+    entry in value.  _minor_values builds a sparse square table from its
+    pattern plan instead, which skips its zero minors.
     """
     n, m = A.shape[-2:]
     if q > _LAPLACE_MAX_ORDER:
@@ -478,7 +478,7 @@ def _table_bytes(n: int, m: int, k: int, batch: int = 1) -> int:
     build of the plan, four times its arrays; and 64 KiB of small arrays.
     Above: the gathered k x k blocks and their minors, batch R C (k^2 + 1)
     entries, and the two index arrays.  A table built from its pattern
-    plan (_sparse_table) holds the same at most: the plan's build is
+    plan (_minor_values) holds the same at most: the plan's build is
     refused beyond this price less the table's own R C entries, which are
     written once it is built (_pattern_plan).
     """
@@ -496,49 +496,42 @@ def _minor_table(A: np.ndarray, k: int) -> np.ndarray:
     """minor_table on a checked A, for the verdicts: they read the table's
     extremes, and so refuse a non-finite one, at their sign gate.
 
-    A table _sparse_table admits is its structural nonzeros written into
-    zeros: equal in value to _minors(A, k), and bit for bit wherever an
-    entry is not zero, and with no zero of sign -0.0.  Any other table
-    comes from _minors.
+    The table of _minor_values: a pattern plan's values written into
+    zeros, equal in value to _minors(A, k), and bit for bit wherever an
+    entry is not zero, and with no zero of sign -0.0, or the dense table.
     """
-    n, m = A.shape
-    if not 1 <= k <= min(n, m):
-        raise DomainError(f"order k={k} must satisfy 1 <= k <= min{A.shape}")
-    _price_table(n, m, k)
-    sparse = _sparse_table(A, k)
-    if sparse is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _minors(A, k)
-    plan, values = sparse
-    table = np.zeros((math.comb(n, k),) * 2)
+    plan, values = _minor_values(A, k)
+    if plan is None:
+        return values
+    table = np.zeros((math.comb(A.shape[0], k),) * 2)
     table.reshape(-1)[plan.flat] = values
     return table
 
 
-def _sparse_table(A: np.ndarray, k: int):
-    """(plan, values) of _sparse_minors for the k-minor table of a checked
-    A, 1 <= k <= min(A.shape), or None where the table comes from _minors.
+def _minor_values(A: np.ndarray, k: int):
+    """The k-minor table of a checked A, 1 <= k <= min(A.shape), priced
+    once: (plan, values) of _sparse_minors where the one gate of the
+    pattern plan admits A, else (None, the table of _minors).
 
-    The one gate of the pattern plan: a square A, 2 <= k <=
-    _LAPLACE_MAX_ORDER, a table of R^2 > _LEVEL_BLOCK entries, which
-    _minors would build in row blocks, and at most R^2 /
-    _NONZERO_BREAK_EVEN structurally nonzero k-minors, counted exactly by
-    the plan of A's zero pattern, which an A with few zeros, a build
-    bounded above that count on the way and a build beyond the table's
-    price never reach (_admitted_plan).  A level beyond
-    the float range also gives None: the table then refuses it.  The
-    caller prices the table first.
+    The gate: a square A, 2 <= k <= _LAPLACE_MAX_ORDER, a table of R^2 >
+    _LEVEL_BLOCK entries, which _minors would build in row blocks, and at
+    most R^2 / _NONZERO_BREAK_EVEN structurally nonzero k-minors, counted
+    exactly by the plan of A's zero pattern, which an A with few zeros, a
+    build bounded above that count on the way and a build beyond the
+    table's price never reach (_admitted_plan).  A level beyond the float
+    range also sends A to _minors, whose table then holds it.
     """
     n, m = A.shape
-    if not (n == m and 2 <= k <= _LAPLACE_MAX_ORDER and math.comb(n, k) ** 2 > _LEVEL_BLOCK):
-        return None
-    return _sparse_minors(A, k)
-
-
-def _price_table(n: int, m: int, k: int) -> None:
-    """The capacity guard of the k-minor table of an n x m matrix."""
+    if not 1 <= k <= min(n, m):
+        raise DomainError(f"order k={k} must satisfy 1 <= k <= min{A.shape}")
     _require_budget(_table_bytes(n, m, k),
                     f"a minor table of {_count_text(math.comb(n, k))}x{_count_text(math.comb(m, k))} order-{k} minors")
+    if n == m and 2 <= k <= _LAPLACE_MAX_ORDER and math.comb(n, k) ** 2 > _LEVEL_BLOCK:
+        sparse = _sparse_minors(A, k)
+        if sparse is not None:
+            return sparse
+    with np.errstate(over="ignore", invalid="ignore"):
+        return None, _minors(A, k)
 
 
 class _Csr(NamedTuple):

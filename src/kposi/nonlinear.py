@@ -219,10 +219,10 @@ class _TablePlan(NamedTuple):
     is set only on a finite plan built for a finite domain, and only if
     the plan proves, when it is built, that the lookup then still gives
     its full form's bits on every finite argument and NaN.  The clamp is
-    idle on the grid [lo, hi]: it changes no argument there.  Without the
-    two steps the lookup computes ((s - xb)*sig*sb + sig*yb)*sig, and with
-    sig = +-1, (s - xb)*(sig*sb) rounds as ((s - xb)*sig)*sb does.  So the
-    two forms can differ only
+    idle on the grid [lo, hi]: it changes no argument there.  Both forms
+    compute ((s - xb)*(sig*sb) + sig*yb)*sig, which with sig = +-1 rounds
+    as ((s - xb)*sig*sb + sig*yb)*sig does, the lean one on s unclamped
+    and with no breakpoint copy.  So the two forms can differ only
     - where s == xb: at a breakpoint, and at +-0 on a zero base;
     - beyond the grid, where the clamp is not idle.  The slope there is 0,
       so on each interval the lean value depends only on the sign of
@@ -305,11 +305,11 @@ def _table_phi(t: _TablePlan, s):
     end value, and at a breakpoint its value, as np.interp gives them.
 
     One gather from the plan's interval rows, then on both branches
-    sig*((s - xb)*sig*sb + sig*yb): with sig = -1 these are the mirrored
-    np.interp's operations in its order, so a zero result has the sign
-    the mirrored table and the outer minus give it (s = -0.0 is on the +
-    branch, as s < 0 is false).  A NaN comes out as it went in.  On an
-    exact plan this holds for finite arguments and NaN only.
+    sig*((s - xb)*(sig*sb) + sig*yb): with sig = -1 these round as the
+    mirrored np.interp's operations in its order, so a zero result has
+    the sign the mirrored table and the outer minus give it (s = -0.0 is
+    on the + branch, as s < 0 is false).  A NaN comes out as it went in.
+    On an exact plan this holds for finite arguments and NaN only.
     """
     if t.nonfinite:
         with np.errstate(invalid="ignore", over="ignore"):
@@ -321,11 +321,13 @@ def _table_lookup(t: _TablePlan, s):
     """np.interp's first try, with the clamped argument and the plan's
     rows gathered at each argument's interval.
 
-    On an exact plan the clamp and the breakpoint copy are turned off, and
-    s - xb is scaled by the stored sig*sb in one step: 7 numpy calls, not
-    12, with the same bits on every finite argument and NaN, as the plan
-    proved when it was built (see _TablePlan).  The clamp is idle on the
-    grid; past its ends the copy alone would have restored the end value.
+    s - xb is scaled by the stored sig*sb in one step, which rounds as
+    scaling by sig and then by sb does, since sig = +-1 (see _TablePlan):
+    11 numpy calls.  On an exact plan the clamp and the breakpoint copy
+    are turned off: 7 numpy calls, with the same bits on every finite
+    argument and NaN, as the plan proved when it was built.  The clamp is
+    idle on the grid; past its ends the copy alone would have restored
+    the end value.
     """
     # Clamped, an argument outside the table lands on an end breakpoint
     # (never inf - x); a NaN stays NaN and comes out unchanged.
@@ -337,11 +339,7 @@ def _table_lookup(t: _TablePlan, s):
     # indexed one by one: unpacking would iterate the array, which costs more
     xb, sig, syb = rows[0], rows[2], rows[4]
     out = sc - xb
-    if t.exact:
-        out *= rows[5]
-    else:
-        out *= sig
-        out *= rows[3]
+    out *= rows[5]
     out += syb
     out *= sig
     if not t.exact:
@@ -716,12 +714,13 @@ def wedge_trajectory(
         raise DomainError(f"need exactly k={k} initial conditions, got {len(starts)}")
     d = diag_entries(D, "D")
     steps = _checked_count(steps, "steps", 0)
-    # the states twice while their blocks are joined, y, w_phi and the
-    # arrays of their size in the cross-check, the compound and its build,
-    # the kernel's chunk, and 64 KiB of small arrays
+    # the compound's build (_table_bytes), or the run: the states twice
+    # while their blocks are joined, y, w_phi and the arrays of their size
+    # in the cross-check, the compound and its absolute value, the
+    # kernel's chunk, and 64 KiB of small arrays
     r = math.comb(n, k)
-    _require_budget(8 * ((steps + 1) * (5 * r + 2 * k * n) + 3 * r * r) + _chunk_bytes(steps + 1, k, n) + (1 << 16),
-                    f"a wedge trajectory of {_count_text(steps)} steps")
+    run = 8 * ((steps + 1) * (5 * r + 2 * k * n) + 2 * r * r) + _chunk_bytes(steps + 1, k, n) + (1 << 16)
+    _require_budget(max(_table_bytes(n, n, k), run), f"a wedge trajectory of {_count_text(steps)} steps")
     Ak = mult_compound(sys.A, k)
     if d.size != Ak.shape[0]:
         raise PreconditionError(
@@ -801,30 +800,21 @@ def lyapunov_decrement_report(traj: WedgeTrajectory, tol: float | None = None) -
     )
 
 
-def write_csv(fp, columns: list[str], rows) -> None:
-    """CSV with header j,<columns>, one numbered line per row of floats.
+def write_csv(fp, names: list[str], cols: list[np.ndarray]) -> None:
+    """CSV with header j,<names>, one numbered line per row, from one 1-D
+    float array per column, all as long as the first.
 
     Floats carry 17 significant digits, so they re-ingest bit-identically.
     Column names are written as given, so they must not need CSV quoting.
-    The rows are formatted and written in blocks (see _write_columns), so
-    the writer holds one block of text and Python numbers whatever the
-    row count.
-    """
-    table = np.asarray(rows, dtype=float)
-    _write_columns(fp, columns, list(table.T), table.shape[0])
-
-
-def _write_columns(fp, names: list[str], cols: list[np.ndarray], count: int) -> None:
-    """write_csv over `count` rows given as one 1-D array per column.
-
     A block of max(1, _LEVEL_BLOCK // (1 + len(cols))) rows is one %
     format of the block's line pattern over a flat argument list, the row
     numbers and each column's tolist() interleaved by slice assignment,
     and is written as soon as it is formatted: %d and %.17g per value, the
-    bytes a line-by-line format gives.
+    bytes a line-by-line format gives.  So the writer holds one block of
+    text and Python numbers whatever the row count.
     """
     fp.write(",".join(["j", *names]) + "\n")
-    width = 1 + len(cols)
+    count, width = len(cols[0]), 1 + len(cols)
     line = "%d" + ",%.17g" * len(cols) + "\n"
     step = max(1, _LEVEL_BLOCK // width)
     for s in range(0, count, step):
@@ -843,9 +833,9 @@ def export_trajectory_csv(traj: WedgeTrajectory, fp, include_states: bool = Fals
     appended after V.  The V series and the state series are read a block
     of rows at a time, in place: no table of all the columns is made.
     """
-    k, rows, n = traj.states.shape
+    k, _, n = traj.states.shape
     names, cols = ["V"], [traj.v_series]
     if include_states:
         names += [f"x{i + 1}_{c + 1}" for i in range(k) for c in range(n)]
         cols += [traj.states[i, :, c] for i in range(k) for c in range(n)]
-    _write_columns(fp, names, cols, rows)
+    write_csv(fp, names, cols)

@@ -23,19 +23,17 @@ from .errors import DomainError, NumericError, PreconditionError
 from .matcore import (
     LexIndexSet,
     _Csr,
-    _checked_tol,
     _eigvals,
     _finite_extremes,
     _cache_rule,
     _cacheable,
     _check_order,
     _count_text,
-    _minor_table,
+    _minor_values,
     _pd_check,
-    _price_table,
-    _sparse_table,
     _require_budget,
     _require_finite,
+    _resolve_tol,
     det_stack,
     as_square,
     as_vector,
@@ -45,7 +43,7 @@ from .matcore import (
     pd_tol,
     zero_tol,
 )
-from .signreg import NONE, MinorWitness, _gate, _minor_witness, _witness_at
+from .signreg import NONE, MinorWitness, _gate, _witness_at
 
 NOT_SIGN_REGULAR = "NOT_SIGN_REGULAR"
 COMPOUND_NOT_SCHUR = "COMPOUND_NOT_SCHUR"
@@ -360,7 +358,7 @@ def _dense(M: np.ndarray) -> _Applied:
 def _over_rows(csr: _Csr, values: np.ndarray) -> _Applied:
     """The M whose structural nonzeros are `values`, in the row-major order
     of csr, applied over them: certify's one sparse form, on the rows a
-    pattern plan holds for its compound (matcore._sparse_table)."""
+    pattern plan holds for its compound (matcore._minor_values)."""
     _, counts, rows, starts, full, a, b = csr
     r = counts.size
     # np.bincount copies a read-only index array, as a plan's are, on every
@@ -546,47 +544,43 @@ def _certify(
     vector; with neither given the checks are skipped, as the defaults
     pass them.
 
-    A compound that matcore._sparse_table admits is read as its
-    structural nonzeros, priced as the table but with no r x r array: the
-    sign gate, the witness and the flip act on their values, from
-    _DAVIDSON_MIN_ORDER on an M with no negative entry is applied over
-    them through the rows its pattern plan holds, with no index work per
-    call, and M is formed only where the LU solves, the eigen-solve, an
-    in-band negative minor or a dense application needs it.  Any other
-    compound (k = 1, an order above matcore._LAPLACE_MAX_ORDER, a pattern
-    the gate refuses) is built as the dense table, held from the start
-    and applied densely.
+    The compound comes from one call of matcore._minor_values, priced as
+    the table.  Where the gate admits it, it is its pattern plan and
+    structural nonzeros, with no r x r array: the sign gate, the witness
+    and the flip act on their values, from _DAVIDSON_MIN_ORDER on an M
+    with no negative entry is applied over them through the rows the plan
+    holds, with no index work per call, and M is formed only where the LU
+    solves, the eigen-solve, an in-band negative minor or a dense
+    application needs it.  Any other compound (k = 1, an order above
+    matcore._LAPLACE_MAX_ORDER, a pattern the gate refuses) is the dense
+    table, held from the start and applied densely; the gate, the witness
+    and the flip act on it alike.
     """
     r = math.comb(A.shape[0], k)
     _require_budget(16 * r * r, f"a certificate of order {_count_text(r)}")
     if x is not None or y is not None:
         x, y = _right_hand_sides(x, y, r)
-    _price_table(*A.shape, k)  # the table's price, whether or not it is built
-    sparse = _sparse_table(A, k)
-    if sparse is None:
-        M = _minor_table(A, k)
+    plan, values = _minor_values(A, k)
+    if plan is None:
+        M = values
         hi, lo = _finite_extremes(M)
     else:
         # far fewer entries than the table holds: its zeros join them
-        M, (plan, values) = None, sparse
+        M = None
         hi, lo = float(values.max(initial=0.0)), float(values.min(initial=0.0))
     t = zero_tol(tol)
     verdict, signature = _gate(hi, lo, t)
     if verdict == NONE:
-        if M is None:
-            at = int(values.argmin())  # the first most negative minor, in C order
-            witness = _witness_at(*divmod(int(plan.flat[at]), r), float(values[at]), k, A.shape)
-        else:
-            witness = _minor_witness(M, int(M.argmin()), k, A.shape)
+        at = int(values.argmin())  # the first most negative minor, in C order
+        flat = at if plan is None else int(plan.flat[at])
+        witness = _witness_at(*divmod(flat, r), float(values.flat[at]), k, A.shape)
         return CertificationFailure(k=k, r=r, reason=NOT_SIGN_REGULAR, witness=witness)
     rho = _compound_radius(A, k)
     if not _schur_check(rho, t).ok:
         return CertificationFailure(k=k, r=r, reason=COMPOUND_NOT_SCHUR, compound_spectral_radius=rho)
     sign_flipped = signature == -1
-    if sign_flipped and M is None:
+    if sign_flipped:
         np.negative(values, out=values)
-    elif sign_flipped:
-        np.negative(M, out=M)
 
     def formed() -> np.ndarray:
         """M as an r x r array: the table, or filled in from the nonzeros,
@@ -700,7 +694,7 @@ def cayley(A, tol: float | None = None) -> np.ndarray:
     """
     A = as_square(A)
     n = A.shape[0]
-    t = n * np.finfo(float).eps if tol is None else _checked_tol(tol, "tol")
+    t = _resolve_tol(tol, n * _EPS)
     eye = np.eye(n)
     M = A - eye
     sv = np.linalg.svd(M, compute_uv=False)

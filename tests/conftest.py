@@ -9,37 +9,40 @@ from kposi import matcore
 
 @pytest.fixture
 def table_calls(monkeypatch):
-    """Count the calls that reach matcore._minor_table, which builds every minor
-    table, through any kposi module.
+    """Count the calls that reach matcore._minor_values, the one entry point
+    that builds every minor table, through any kposi module.
 
     Modules that import the function by name hold their own reference to it,
-    so each kposi module whose _minor_table is the original is patched.
+    so each kposi module whose _minor_values is the original is patched.
     """
     calls = []
-    original = matcore._minor_table
+    original = matcore._minor_values
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
-        if (name == "kposi" or name.startswith("kposi.")) and getattr(mod, "_minor_table", None) is original:
-            monkeypatch.setattr(mod, "_minor_table", counted)
+        if (name == "kposi" or name.startswith("kposi.")) and getattr(mod, "_minor_values", None) is original:
+            monkeypatch.setattr(mod, "_minor_values", counted)
     return calls
 
 
 @pytest.fixture
 def dense_kernel(monkeypatch):
-    """dense_kernel(call): call() with matcore._sparse_table, the one gate of
-    the pattern plan, refusing every A in every kposi module that holds it,
-    also where a test has wrapped it there, so every table comes from the
-    dense kernel, matcore._minors."""
+    """dense_kernel(call): call() with the one gate of the pattern plan,
+    matcore._minor_values, refusing every A (matcore._sparse_minors gives
+    None), so every table comes from the dense kernel, matcore._minors.
+    Every kposi module that holds the gate calls matcore's own meanwhile,
+    also where a test has wrapped it there, so a test's recorder sees only
+    the calls made outside."""
 
     def run(call):
         with monkeypatch.context() as m:
+            m.setattr(matcore, "_sparse_minors", lambda A, k: None)
             for name, mod in list(sys.modules.items()):
-                if (name == "kposi" or name.startswith("kposi.")) and hasattr(mod, "_sparse_table"):
-                    m.setattr(mod, "_sparse_table", lambda A, k: None)
+                if (name == "kposi" or name.startswith("kposi.")) and hasattr(mod, "_minor_values"):
+                    m.setattr(mod, "_minor_values", matcore._minor_values)
             return call()
 
     return run

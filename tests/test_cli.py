@@ -40,6 +40,10 @@ def eq7_doc():
     }
 
 
+# a field of system5_doc() that a malformed system document leaves out
+MISSING = object()
+
+
 def system5_doc():
     return {
         "A": matrix_document(CYCLIC_WEDGE),
@@ -269,6 +273,26 @@ class TestSimulationCommands:
         second = [float(v) for v in lines[2].split(",")[1:]]
         np.testing.assert_allclose(second, CYCLIC_WEDGE @ np.array([0.25, 0.25, 0.16]))
 
+    def test_simulate_leaving_the_domain_truncates_with_a_notice(self, tmp_path, capsys):
+        # 2 I on the identity maps doubles the state: 0.2, 0.4, then 0.8,
+        # outside [-0.5, 0.5], at step 2 of 5, the last state written
+        doc = dict(system5_doc(), A=matrix_document(2.0 * np.eye(3)), maps=[{"kind": "identity"}] * 3)
+        path = write_json(tmp_path / "sys.json", doc)
+        assert run_cli(["simulate", "--system", path, "--x0", "0.2", "0.2", "0.2", "--steps", "5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["j,x1,x2,x3"] + [f"{j}" + f",{x:.17g}" * 3 for j, x in enumerate([0.2, 0.4, 0.8])]
+        assert captured.err == "trajectory left the state domain at step 2; output truncated\n"
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_wedge_sim_refuses_initials_of_another_column_count(self, tmp_path, capsys, columns):
+        sys_path = write_json(tmp_path / "sys.json", system5_doc())
+        inits = np.column_stack([WEDGE_A1, WEDGE_A2, WEDGE_A1][:columns])
+        init_path = write_json(tmp_path / "init.json", matrix_document(inits))
+        assert run_cli(["wedge-sim", "--system", sys_path, "--initials", init_path, "-k", "2", "--steps", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: initials file has {columns} columns, expected k=2\n"
+
     def test_wedge_sim_decreasing_v_column(self, tmp_path, capsys):
         sys_path = write_json(tmp_path / "sys.json", system5_doc())
         inits = np.column_stack([WEDGE_A1, WEDGE_A2])
@@ -377,6 +401,22 @@ class TestErrorPaths:
             ("classify", {"rows": 1, "cols": 1, "data": [[1.0]], "scale": "1e400"}),
             ("classify", {"rows": 1, "cols": 1, "data": [[1.0]], "scale": "1e-400"}),
             ("classify", {"rows": 1, "cols": 1, "data": [[1e10]], "scale": "1e300"}),
+            ("classify", [[1.0, 0.0], [0.0, 1.0]]),
+            ("classify", {"cols": 1}),
+            ("classify", {"rows": 1, "data": [[1.0]]}),
+            ("classify", {"rows": 1, "cols": 1}),
+            ("classify", {"data": [[1.0], [2.0]]}),
+            ("simulate", [system5_doc()]),
+            ("simulate", {"A": MISSING}),
+            ("simulate", {"maps": MISSING}),
+            ("simulate", {"domain": MISSING}),
+            ("simulate", {"maps": [{"c": 0.5}] * 3}),
+            ("simulate", {"maps": [{"kind": "linear"}] * 3}),
+            ("simulate", {"maps": [{"kind": "power"}] * 3}),
+            ("simulate", {"maps": [{"kind": "table"}] * 3}),
+            ("simulate", {"maps": [{"kind": "cubic"}] * 3}),
+            ("simulate", {"domain": [-0.5, 0.0, 0.5]}),
+            ("simulate", {"domain": 0.5}),
         ],
         ids=[
             "rows-string",
@@ -397,14 +437,31 @@ class TestErrorPaths:
             "scale-overflow",
             "scale-underflow",
             "scale-product-overflow",
+            "matrix-not-an-object",
+            "rows-missing",
+            "cols-missing",
+            "data-missing",
+            "vector-not-flat",
+            "system-not-an-object",
+            "A-missing",
+            "maps-missing",
+            "domain-missing",
+            "map-kind-missing",
+            "linear-gain-missing",
+            "power-exponent-missing",
+            "table-points-missing",
+            "map-kind-unknown",
+            "domain-three-bounds",
+            "domain-not-a-list",
         ],
     )
     def test_malformed_document_exits_two(self, tmp_path, capsys, command, doc):
         path = tmp_path / "doc.json"
         if isinstance(doc, bytes):  # not UTF-8
             path.write_bytes(doc)
-        elif command == "simulate":
-            write_json(path, dict(system5_doc(), **doc))
+        elif command == "simulate" and isinstance(doc, dict):
+            system = dict(system5_doc(), **doc)
+            write_json(path, {key: value for key, value in system.items() if value is not MISSING})
         else:
             write_json(path, doc)
         if command == "classify":

@@ -10,6 +10,7 @@ from kposi import (
     CapacityError,
     DomainError,
     KDiagCertificate,
+    LyapunovReport,
     NonlinearSystem,
     NumericError,
     PreconditionError,
@@ -558,6 +559,13 @@ class TestLyapunovReport:
             rep = lyapunov_decrement_report(traj)
             assert rep.monotone and not rep.strict_ok and rep.worst_increase == 0.0
 
+    def test_a_zero_step_run_has_no_step_to_rise(self):
+        # V(0) alone: no step, so nothing rises and nothing fails to fall
+        cert = wedge_demo_certificate()
+        traj = wedge_trajectory(squared_map_system(), 2, [WEDGE_A1, WEDGE_A2], cert.d, 0)
+        assert traj.v_series.shape == (1,) and traj.v_increase_steps == ()
+        assert lyapunov_decrement_report(traj) == LyapunovReport(monotone=True, worst_increase=0.0, strict_ok=True)
+
 
 class TestCsvExport:
     def test_header_and_roundtrip_precision(self):
@@ -691,10 +699,12 @@ class TestByteBudget:
     # k x k blocks, are most of the peak.  At n = 3, k = 2 the 4681 states
     # of 4680 steps are exactly one chunk.  At n = k = 8 the middle levels
     # are wider than the top, whose products alone would size a chunk of
-    # 4096 states that holds more than its price
+    # 4096 states that holds more than its price.  At n = 12, k = 9 the
+    # compound's build, which gathers its 9 x 9 blocks, holds more than
+    # the run
     @pytest.mark.parametrize("n, k, steps", [(12, 5, 300), (8, 3, 2000), (4, 1, 100), (3, 2, 10),
                                              (10, 2, 300), (10, 5, 300), (10, 8, 300), (10, 9, 300),
-                                             (3, 2, 4680), (8, 8, 2000)])
+                                             (3, 2, 4680), (8, 8, 2000), (12, 9, 300)])
     def test_trajectory_price_bounds_the_traced_peak(self, prices, n, k, steps):
         sys_, d = decaying_chain_system(n), np.ones(math.comb(n, k))
         peak = traced_peak(lambda: wedge_trajectory(sys_, k, chain_starts(n, k), d, steps))

@@ -2,7 +2,7 @@
 
 Where the compound M has no negative entry, stability._certify decides
 once how M is applied: where r >= _DAVIDSON_MIN_ORDER and the gate admits
-its pattern (matcore._sparse_table), over its structural nonzeros through
+its pattern (matcore._minor_values), over its structural nonzeros through
 the rows its plan holds (stability._over_rows), else densely
 (stability._dense), k = 1 and orders above 8 included.  The tests build
 the sparse form of a dense M themselves (over_positive_entries).  The
@@ -301,7 +301,7 @@ def test_nonzero_path_holds_nothing_of_order_r_squared(chain, path, monkeypatch,
         def formed(*args):
             raise AssertionError("an r x r array was formed")
 
-        monkeypatch.setattr(stability, "_minor_table", formed)
+        monkeypatch.setattr(matcore, "_minors", formed)
         monkeypatch.setattr(stability, "_stein_gap", formed)
         tracemalloc.start()
         try:

@@ -560,10 +560,10 @@ LONG_ROWS = np.tile(SPECIAL_ROWS, (3 * _LEVEL_BLOCK // 10 + 1, 1))
 def test_write_csv_matches_the_csv_module():
     for rows in (SPECIAL_ROWS, LONG_ROWS):
         buf = io.StringIO()
-        write_csv(buf, ["a", "b", "c"], rows)
+        write_csv(buf, ["a", "b", "c"], list(rows.T))
         assert buf.getvalue() == reference_csv(["a", "b", "c"], rows)
     buf = io.StringIO()
-    write_csv(buf, ["a"], np.empty((0, 1)))
+    write_csv(buf, ["a"], [np.empty(0)])
     assert buf.getvalue() == "j,a\n"
 
 
@@ -602,10 +602,10 @@ def test_write_csv_peak_does_not_grow_with_the_row_count():
     # 800 000 rows: a writer that held the whole table would read over
     # 30 MB and 120 MB at the two
     def peak(T):
-        rows = np.linspace(-1.0, 1.0, T)[:, None]
+        col = np.linspace(-1.0, 1.0, T)
         tracemalloc.start()
         try:
-            write_csv(_Discard(), ["a"], rows)
+            write_csv(_Discard(), ["a"], [col])
             _, top = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

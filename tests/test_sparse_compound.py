@@ -4,12 +4,13 @@ matcore._pattern_plan lists, once for each zero pattern of A, the entries
 of every Laplace level that are structurally nonzero and their terms;
 matcore._sparse_minors redoes only the arithmetic, each entry 0.0 plus its
 terms in the table's order, so every nonzero equals the dense kernel's
-(matcore._minors) bit for bit.  One gate, matcore._sparse_table, admits A
+(matcore._minors) bit for bit.  One gate, matcore._minor_values, admits A
 (square, 2 <= k <= _LAPLACE_MAX_ORDER, r^2 > _LEVEL_BLOCK, and at most
 r^2 / _NONZERO_BREAK_EVEN structural nonzeros, the exact count of its
 plan's top level).  matcore._minor_table writes what it admits into zeros,
-and stability._certify reads it with no r x r array, applying it through
-the rows of the table the plan holds (plan.csr); every table, certificate
+and stability._certify, which calls the gate once, reads it with no r x r
+array, applying it through the rows of the table the plan holds
+(plan.csr); every table, certificate
 and verdict equals the dense kernel's path, which the tests reach by
 refusing the gate (the dense_kernel fixture), a certificate bit for bit
 where that path's table is applied over its positive entries
@@ -73,9 +74,17 @@ def plans(monkeypatch, cold_caches):
 
 @pytest.fixture
 def pattern_reads(monkeypatch):
-    """Records what each of certify's calls of the gate, matcore._sparse_table, gave."""
-    reads, original = [], stability._sparse_table
-    monkeypatch.setattr(stability, "_sparse_table", lambda A, k: reads.append(original(A, k)) or reads[-1])
+    """Records what each of certify's calls of the gate,
+    matcore._minor_values, gave: (plan, values) where it admitted A, else
+    None."""
+    reads, original = [], stability._minor_values
+
+    def recorded(A, k):
+        plan, values = original(A, k)
+        reads.append(None if plan is None else (plan, values))
+        return plan, values
+
+    monkeypatch.setattr(stability, "_minor_values", recorded)
     return reads
 
 
@@ -235,7 +244,7 @@ class TestPlanCache:
         # more it is built, refused there, and the refusal kept
         A = np.random.default_rng(34).standard_normal((12, 12))
         A.ravel()[np.random.default_rng(zeros).permutation(144)[:zeros]] = 0.0
-        assert matcore._sparse_table(A, k) is None
+        assert matcore._minor_values(A, k)[0] is None
         assert matcore._minor_table(A, k).tobytes() == matcore._minors(A, k).tobytes()
         assert plans.builds() == builds and plans.calls == []
         assert list(matcore._PATTERN_PLANS.values()) == [None] * builds
@@ -264,6 +273,17 @@ class TestPlanCache:
         A = np.random.default_rng(31).standard_normal((12, 12))
         certify_k_diag_stability(A, 5)
         assert pattern_reads == [None] and plans.calls == [] and plans.builds() == 0
+
+    def test_certify_reaches_the_gate_once_a_call(self, monkeypatch):
+        # a pattern the gate refuses: certify's one call of
+        # matcore._minor_values asks for the pattern's values once, then
+        # builds the dense table
+        asked, sparse_minors = [], matcore._sparse_minors
+        monkeypatch.setattr(matcore, "_sparse_minors", lambda A, k: asked.append(k) or sparse_minors(A, k))
+        A = np.random.default_rng(31).standard_normal((12, 12))
+        for _ in range(3):
+            certify_k_diag_stability(A, 5)
+        assert asked == [5, 5, 5]
 
     def test_no_table_within_one_level_block_reaches_the_plan(self, plans, pattern_reads):
         rng = np.random.default_rng([0, 32])
@@ -296,7 +316,7 @@ class TestExactCount:
         # the bound from the row counts was 59136 at k = 6 and 101376 at
         # k = 7 on chain12, above r^2 / 16 = 53361 and 39204
         A = test_kernel.chain12() if case == "chain12" else chain12_and(5)
-        plan, values = matcore._sparse_table(A, k)
+        plan, values = matcore._minor_values(A, k)
         assert plan.flat.size == count <= math.comb(12, k) ** 2 // matcore._NONZERO_BREAK_EVEN
         T = matcore._minors(A, k).ravel()
         nonzero = values != 0.0
@@ -311,9 +331,9 @@ class TestExactCount:
         # plan is built once and refused, and the refusal decides every
         # later call with no build
         A = chain12_and(8)
-        assert matcore._sparse_table(A, 5) is None and plans.builds() == 1
+        assert matcore._minor_values(A, 5)[0] is None and plans.builds() == 1
         assert list(matcore._PATTERN_PLANS.values()) == [None]
-        assert matcore._sparse_table(A, 5) is None
+        assert matcore._minor_values(A, 5)[0] is None
         assert matcore._minor_table(A, 5).tobytes() == matcore._minors(A, 5).tobytes()
         assert plans.builds() == 1 and plans.calls == []
         key = np.packbits(A != 0.0).tobytes()
@@ -389,7 +409,7 @@ class TestBuildCap:
         assert table.tobytes() == matcore._minors(A, 5).tobytes()
         assert list(matcore._PATTERN_PLANS.values()) == [None] and plans.builds() == 1
         # a refused build is kept as None: the next call builds nothing
-        assert matcore._sparse_table(A, 5) is None and plans.builds() == 1
+        assert matcore._minor_values(A, 5)[0] is None and plans.builds() == 1
 
     @pytest.mark.parametrize("k", [5, 6])
     def test_a_nearly_dense_build_is_refused_before_its_top_level(self, k, monkeypatch, cold_caches):

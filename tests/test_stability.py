@@ -346,7 +346,7 @@ class TestTwoArrayPrice:
         def no_table(*args):
             raise AssertionError("the minor table was built")
 
-        monkeypatch.setattr(stability, "_minor_table", no_table)
+        monkeypatch.setattr(stability, "_minor_values", no_table)
         A = 0.1 * np.eye(300)
         for call in (lambda: construct_dlf_nonneg(A), lambda: certify_k_diag_stability(A, 1)):
             with pytest.raises(CapacityError, match="^a certificate of order 300 would hold about 1.44 MB"):

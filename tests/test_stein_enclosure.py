@@ -83,7 +83,7 @@ def stein_gap(A, k, x=None, y=None):
     nonneg = M.min() >= 0.0
     rho = stability._compound_radius(A, k) if nonneg else 0.0
     r = M.shape[0]
-    rows = nonneg and r >= stability._DAVIDSON_MIN_ORDER and matcore._sparse_table(A, k) is not None
+    rows = nonneg and r >= stability._DAVIDSON_MIN_ORDER and matcore._minor_values(A, k)[0] is not None
     applied = over_positive_entries(M) if rows else stability._dense(M)
     x = np.ones(r) if x is None else x
     y = np.ones(r) if y is None else y
@@ -123,21 +123,21 @@ def over_positive(monkeypatch):
 
 def traced_after_table(monkeypatch, A, k):
     """certify_k_diag_stability(A, k) under tracemalloc, and the peak of
-    its traced memory above what it held when the table was built; the
-    gap may not be formed."""
-    table, after_table = stability._minor_table, []
+    its traced memory above what it held when the table was built
+    (stability._minor_values returned); the gap may not be formed."""
+    table, after_table = stability._minor_values, []
 
     def recording_table(*args):
-        M = table(*args)
+        built = table(*args)
         after_table.append(tracemalloc.get_traced_memory()[0])
         tracemalloc.reset_peak()
-        return M
+        return built
 
     def no_gram(*args):
         raise AssertionError("the Stein gap was formed")
 
     certify_k_diag_stability(A, k)
-    monkeypatch.setattr(stability, "_minor_table", recording_table)
+    monkeypatch.setattr(stability, "_minor_values", recording_table)
     monkeypatch.setattr(stability, "_stein_gap", no_gram)
     tracemalloc.start()
     try:

@@ -615,12 +615,13 @@ def _certify(
     margin = applied.proven_margin(d, xi, m_xi, pd) if provable else None
     if margin is None:
         # M is this call's own compound, still intact: scale it into
-        # X = D^{1/2} M in place and drop it, and the mat-vecs that hold
-        # it, before the eigen-solve.  The flip leaves M^T D M, and so the
+        # X = D^{1/2} M in place and drop it before the eigen-solve, with
+        # every other name that holds it: values, which is M on the dense
+        # route, and the mat-vecs.  The flip leaves M^T D M, and so the
         # margin, unchanged.
         M = formed()
         gap = _stein_gap(np.multiply(np.sqrt(d)[:, None], M, out=M), d)
-        del M, applied
+        del M, values, applied
         check = _pd_check(gap, pd)
         if not check.ok:
             raise NumericError(f"constructed D failed the Stein check (margin {check.margin:.3g})")

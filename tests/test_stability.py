@@ -352,6 +352,38 @@ class TestTwoArrayPrice:
             with pytest.raises(CapacityError, match="^a certificate of order 300 would hold about 1.44 MB"):
                 call()
 
+    @pytest.mark.parametrize("call", [
+        lambda A: certify_k_diag_stability(A, 1),
+        construct_dlf_nonneg,
+    ], ids=["certify", "construct_dlf_nonneg"])
+    def test_certify_frees_its_table_before_the_eigen_solve(self, monkeypatch, budget_prices, call):
+        # k = 1 is the dense route, and r = 200 is below _DAVIDSON_MIN_ORDER,
+        # so the margin comes from the eigen-solve.  LAPACK's copy of the gap
+        # is made outside tracemalloc's sight: it is counted here as the gap's
+        # size on top of what is held when the eigen-solve is reached.
+        r = 200
+        A = np.random.default_rng(39).uniform(0.0, 1.0, (r, r))
+        A *= 0.5 / np.abs(np.linalg.eigvals(A)).max()
+        check = stability._pd_check
+        held = []
+
+        def counted(S, t):
+            held.append(tracemalloc.get_traced_memory()[0] + S.nbytes)
+            return check(S, t)
+
+        monkeypatch.setattr(stability, "_pd_check", counted)
+        tracemalloc.start()
+        try:
+            call(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        (price, what), *_ = budget_prices  # then the table's, within it
+        assert what == f"a certificate of order {r}"
+        # the price is the r x r arrays; beside them are a few r-vectors
+        assert len(held) == 1
+        assert max(peak, *held) <= price + 16 * 8 * r
+
     @pytest.mark.parametrize("check, what", [
         (lambda A: stein_holds(A, np.ones(300)), "Stein check"),
         (is_positive_definite, "definiteness check"),
